@@ -35,7 +35,7 @@ from .bundles import (
     whitney_proj,
     whitney_sum,
 )
-from .cdc import PolyTangentModel, cdc_D, cdc_T, cdc_ell, cdc_flip
+from .cdc import PolyCDModel, PolyTangentModel, cdc_D, cdc_T, cdc_ell, cdc_flip
 from .diffobj import (
     DiffObject,
     bundle_from_diffobj,
@@ -55,6 +55,7 @@ from .errors import (
 )
 from .fibration import (
     FibreTangentModel,
+    SimpleCDModel,
     SimpleMor,
     SimpleObj,
     simple_D,
@@ -89,6 +90,7 @@ __all__ = [
     "NumericProgram",
     "Poly",
     "PolyMap",
+    "PolyCDModel",
     "PolyParseError",
     "PolyTangentModel",
     "PreconditionFailure",
@@ -96,6 +98,7 @@ __all__ = [
     "Report",
     "SUITE_NAMES",
     "SemiringViolation",
+    "SimpleCDModel",
     "SimpleMor",
     "SimpleObj",
     "TangentModel",

@@ -26,10 +26,19 @@ from .errors import (
     NotABundleMorphism,
     PreconditionFailure,
 )
-from .cdc import cdc_T, cdc_ell, cdc_flip, point_proj, tangent_plus, tangent_zero
+from .cdc import (
+    cdc_T,
+    cdc_ell,
+    cdc_flip,
+    pair_into_t2,
+    point_proj,
+    tangent_plus,
+    tangent_zero,
+)
 from .poly import (
     Poly,
     PolyMap,
+    block_swap,
     identity_map,
     permutation_map,
     poly_add,
@@ -80,36 +89,15 @@ class BundleMor:
 # Coordinate plumbing through the trivialization
 
 
-def _shuffle_to_display(m: int, k: int, mode: str) -> PolyMap:
-    """T(M x F) coords (dx, da, x, a) -> display order (dx, x, da, a)."""
-    images = (
-        list(range(0, m))
-        + list(range(m + k, 2 * m + k))
-        + list(range(m, m + k))
-        + list(range(2 * m + k, 2 * m + 2 * k))
-    )
-    return permutation_map(2 * m + 2 * k, images, mode)
-
-
-def _shuffle_from_display(m: int, k: int, mode: str) -> PolyMap:
-    images = (
-        list(range(0, m))
-        + list(range(2 * m, 2 * m + k))
-        + list(range(m, 2 * m))
-        + list(range(2 * m + k, 2 * m + 2 * k))
-    )
-    return permutation_map(2 * m + 2 * k, images, mode)
-
-
 def tangent_triv(b: DiffBundle) -> PolyMap:
     """tau : T(E) -> (dx, x, da, a), the tangent of the trivialization."""
-    return polymap_compose(cdc_T(b.triv), _shuffle_to_display(b.base, b.fibre, b.mode))
+    m, k = b.base, b.fibre
+    return polymap_compose(cdc_T(b.triv), block_swap(m, k, m, k, b.mode))
 
 
 def tangent_triv_inv(b: DiffBundle) -> PolyMap:
-    return polymap_compose(
-        _shuffle_from_display(b.base, b.fibre, b.mode), cdc_T(b.triv_inv)
-    )
+    m, k = b.base, b.fibre
+    return polymap_compose(block_swap(m, m, k, k, b.mode), cdc_T(b.triv_inv))
 
 
 def bundle_pi(b: DiffBundle, which: int) -> PolyMap:
@@ -153,14 +141,6 @@ def pair_into_t_e2(b: DiffBundle, u: PolyMap, v: PolyMap) -> PolyMap:
         + vt.components[2 * m + k :]
     )
     return PolyMap(u.dom, 2 * b.e2_dim, comps, b.mode)
-
-
-def pair_into_t2_total(e: int, u: PolyMap, v: PolyMap, mode: str) -> PolyMap:
-    """<u, v> : W -> T_2(E) for u, v : W -> T(E) with equal point parts."""
-    if u.components[e:] != v.components[e:]:
-        raise PreconditionFailure("pair into T_2(E): point parts disagree")
-    comps = u.components[:e] + v.components[:e] + u.components[e:]
-    return PolyMap(u.dom, 3 * e, comps, mode)
 
 
 def assemble_tangent(b: DiffBundle, dx: PolyMap, x: PolyMap, da: PolyMap, a: PolyMap) -> PolyMap:
@@ -388,7 +368,7 @@ def make_bundle(
     for f in (sigma, zeta, lam, t, t_inv):
         if f.mode != mode:
             raise DimensionMismatch("bundle data must share one scalar mode")
-    shuffle = _shuffle_to_display(base, fibre, mode)
+    shuffle = block_swap(base, fibre, base, fibre, mode)
     lam_display = polymap_compose(t_inv, polymap_compose(lam, polymap_compose(cdc_T(t), shuffle)))
     rho = _derive_rho(base, fibre, lam_display, mode)
     return DiffBundle(
@@ -434,7 +414,7 @@ def standard_bundle(m: int, k: int, mode: str = scalars.RATIONAL) -> DiffBundle:
 
 def tangent_bundle_of(m: int, mode: str = scalars.RATIONAL) -> DiffBundle:
     """(p : T(M) -> M, +, 0, ell) with the (u, x) -> (x, u) trivialization."""
-    swap = permutation_map(2 * m, list(range(m, 2 * m)) + list(range(0, m)), mode)
+    swap = block_swap(0, m, m, 0, mode)
     e2 = 3 * m
     sigma_comps = [
         poly_add(Poly.variable(e2, m + i, mode), Poly.variable(e2, 2 * m + i, mode))
@@ -448,7 +428,7 @@ def tangent_bundle_of(m: int, mode: str = scalars.RATIONAL) -> DiffBundle:
         sigma,
         tangent_zero(m, mode),
         cdc_ell(m, mode),
-        (swap, permutation_map(2 * m, list(range(m, 2 * m)) + list(range(0, m)), mode)),
+        (swap, swap),
         mode,
     )
 
@@ -537,8 +517,8 @@ def verify_bundle(b: DiffBundle, label: str = "bundle") -> Report:
         polymap_compose(b.q, b.zeta),
     )
     with checks.guard("lambda-additive-over-zeta"):
-        paired = pair_into_t2_total(
-            e, polymap_compose(pi0, b.lam), polymap_compose(pi1, b.lam), b.mode
+        paired = pair_into_t2(
+            e, polymap_compose(pi0, b.lam), polymap_compose(pi1, b.lam)
         )
         eq(
             "lambda-additive-over-zeta",
@@ -668,8 +648,8 @@ def tangent_of_bundle(b: DiffBundle) -> DiffBundle:
     sigma2 = polymap_compose(perm, cdc_T(b.sigma))
     zeta2 = cdc_T(b.zeta)
     lam2 = polymap_compose(cdc_T(b.lam), cdc_flip(e, mode))
-    triv2 = polymap_compose(cdc_T(b.triv), _shuffle_to_display(m, k, mode))
-    triv2_inv = polymap_compose(_shuffle_from_display(m, k, mode), cdc_T(b.triv_inv))
+    triv2 = polymap_compose(cdc_T(b.triv), block_swap(m, k, m, k, mode))
+    triv2_inv = polymap_compose(block_swap(m, m, k, k, mode), cdc_T(b.triv_inv))
     return make_bundle(2 * m, 2 * k, sigma2, zeta2, lam2, (triv2, triv2_inv), mode)
 
 
@@ -692,7 +672,7 @@ def _display_blocks(b: DiffBundle):
     zeta_fib = polymap_compose(
         polymap_compose(b.zeta, b.triv), polymap_proj(m + k, m, m + k, b.mode)
     )
-    shuffle = _shuffle_to_display(m, k, b.mode)
+    shuffle = block_swap(m, k, m, k, b.mode)
     lam_display = polymap_compose(
         b.triv_inv, polymap_compose(b.lam, polymap_compose(cdc_T(b.triv), shuffle))
     )
@@ -832,8 +812,15 @@ def parse_bundle_text(text: str) -> DiffBundle:
     if "bundle" not in cfg:
         raise PreconditionFailure("missing [bundle] section")
     sec = cfg["bundle"]
+    for key in ("base", "fibre", "sigma", "zeta", "lambda"):
+        if key not in sec:
+            raise PreconditionFailure(f"[bundle] is missing the key {key!r}")
     mode = sec.get("mode", scalars.RATIONAL).strip()
     scalars.check_mode(mode)
+    for key in ("base", "fibre"):
+        value = sec[key].strip()
+        if not (value.isascii() and value.isdigit()):
+            raise PreconditionFailure(f"{key} must be a non-negative integer, got {value!r}")
     base = int(sec["base"])
     fibre = int(sec["fibre"])
     total = base + fibre

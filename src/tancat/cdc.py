@@ -1,4 +1,4 @@
-"""Differential combinators on polynomial maps, and the tangent model they induce.
+"""Differential combinators on polynomial maps, and the tangent and CD models they induce.
 
 Layout conventions, used consistently everywhere:
 
@@ -13,21 +13,24 @@ T(f) = <D(f), pi1 f> : 2m -> 2n.
 
 from __future__ import annotations
 
-import itertools
-from typing import Callable, List
+from dataclasses import replace
+from typing import Callable, List, Sequence
 
 from . import scalars
 from .errors import DimensionMismatch, PreconditionFailure
-from .model import LiftWitness, TangentModel, TnObject
+from .model import LiftWitness, TangentModel, TnObject, vertical_lift_v
 from .poly import (
     Poly,
     PolyMap,
+    block_swap,
+    constant_map,
     identity_map,
     partial_derivative,
     permutation_map,
     poly_add,
     poly_mul,
     poly_shift_vars,
+    polymap_add,
     polymap_compose,
     polymap_equal,
     polymap_pair,
@@ -91,13 +94,7 @@ def cdc_ell(m: int, mode: str) -> PolyMap:
 
 def cdc_flip(m: int, mode: str) -> PolyMap:
     """Canonical symmetry c : T^2(m) -> T^2(m), (du, dx, u, x) |-> (du, u, dx, x)."""
-    images = (
-        list(range(0, m))
-        + list(range(2 * m, 3 * m))
-        + list(range(m, 2 * m))
-        + list(range(3 * m, 4 * m))
-    )
-    return permutation_map(4 * m, images, mode)
+    return block_swap(m, m, m, m, mode)
 
 
 def t_n_carrier(m: int, n: int, mode: str) -> TnObject:
@@ -154,6 +151,10 @@ class PolyTangentModel(TangentModel):
         scalars.check_mode(mode)
         self.mode = mode
 
+    def _embed(self, f: PolyMap) -> PolyMap:
+        """Turn a polynomial structural map into a morphism of this model."""
+        return f
+
     def t_obj(self, m: int) -> int:
         return 2 * m
 
@@ -161,22 +162,23 @@ class PolyTangentModel(TangentModel):
         return cdc_T(f)
 
     def p(self, m: int) -> PolyMap:
-        return point_proj(m, self.mode)
+        return self._embed(point_proj(m, self.mode))
 
     def zero(self, m: int) -> PolyMap:
-        return tangent_zero(m, self.mode)
+        return self._embed(tangent_zero(m, self.mode))
 
     def plus(self, m: int) -> PolyMap:
-        return tangent_plus(m, self.mode)
+        return self._embed(tangent_plus(m, self.mode))
 
     def ell(self, m: int) -> PolyMap:
-        return cdc_ell(m, self.mode)
+        return self._embed(cdc_ell(m, self.mode))
 
     def flip(self, m: int) -> PolyMap:
-        return cdc_flip(m, self.mode)
+        return self._embed(cdc_flip(m, self.mode))
 
     def t_n(self, m: int, n: int) -> TnObject:
-        return t_n_carrier(m, n, self.mode)
+        tn = t_n_carrier(m, n, self.mode)
+        return replace(tn, projections=tuple(map(self._embed, tn.projections)))
 
     def pair_t2(self, m: int, f: PolyMap, g: PolyMap) -> PolyMap:
         return pair_into_t2(m, f, g)
@@ -188,10 +190,7 @@ class PolyTangentModel(TangentModel):
         return polymap_compose(f, g)
 
     def identity(self, m: int) -> PolyMap:
-        return identity_map(m, self.mode)
-
-    def equal(self, f: PolyMap, g: PolyMap) -> bool:
-        return polymap_equal(f, g)
+        return self._embed(identity_map(m, self.mode))
 
     def mor_str(self, f: PolyMap) -> str:
         return polymap_to_str(f)
@@ -202,53 +201,73 @@ class PolyTangentModel(TangentModel):
     def lift_witness(self, m: int) -> LiftWitness:
         # R := pullback of T(p) along 0, realized as (x, alpha, beta) in 3m
         # coordinates; sel reads it off a second tangent (du, dx, u, x).
-        from .model import vertical_lift_v
-
-        sel = PolyMap(
-            4 * m,
-            3 * m,
-            tuple(
-                Poly.variable(4 * m, j, self.mode)
-                for j in itertools.chain(range(3 * m, 4 * m), range(0, m), range(2 * m, 3 * m))
-            ),
-            self.mode,
+        sel = permutation_map(
+            4 * m, [*range(3 * m, 4 * m), *range(0, m), *range(2 * m, 3 * m)], self.mode
         )
-        kappa = self.compose(vertical_lift_v(self, m), sel)
-        rho = permutation_map(
-            3 * m,
-            list(range(m, 2 * m)) + list(range(2 * m, 3 * m)) + list(range(0, m)),
-            self.mode,
+        rho = block_swap(0, m, 2 * m, 0, self.mode)
+        into_tangent = polymap_pair(
+            polymap_proj(3 * m, m, 2 * m, self.mode),
+            zero_map(3 * m, m, self.mode),
+            polymap_proj(3 * m, 2 * m, 3 * m, self.mode),
+            polymap_proj(3 * m, 0, m, self.mode),
         )
-        zero_dx = zero_map(3 * m, m, self.mode)
-        into_tangent = PolyMap(
-            3 * m,
-            4 * m,
-            _blocks_concat(
-                polymap_proj(3 * m, m, 2 * m, self.mode),
-                zero_dx,
-                polymap_proj(3 * m, 2 * m, 3 * m, self.mode),
-                polymap_proj(3 * m, 0, m, self.mode),
-            ),
-            self.mode,
-        )
-        into_base = polymap_proj(3 * m, 0, m, self.mode)
         return LiftWitness(
             carrier=3 * m,
-            kappa=kappa,
-            rho=rho,
-            into_tangent=into_tangent,
-            into_base=into_base,
+            kappa=self.compose(vertical_lift_v(self, m), self._embed(sel)),
+            rho=self._embed(rho),
+            into_tangent=self._embed(into_tangent),
+            into_base=self._embed(polymap_proj(3 * m, 0, m, self.mode)),
         )
 
 
-def _blocks_concat(*maps: PolyMap):
-    comps: List[Poly] = []
-    for f in maps:
-        comps.extend(f.components)
-    return tuple(comps)
+class PolyCDModel:
+    """Polynomial maps as a Cartesian differential category under a differential D.
 
+    This is the CD-model interface that ``cdc_axioms_checks`` runs against.
+    Objects are dimensions, the product of objects is their sum, and points
+    are maps out of the unit object 0.
+    """
 
-def apply_d(f: PolyMap, d_functional: Callable[[PolyMap], PolyMap]) -> PolyMap:
-    """Tangent action <D(f), pi1 f> built from an arbitrary D combinator."""
-    tail = polymap_compose(point_proj(f.dom, f.mode), f)
-    return polymap_pair(d_functional(f), tail)
+    unit = 0
+
+    def __init__(self, D: Callable[[PolyMap], PolyMap], mode: str, max_dim: int):
+        scalars.check_mode(mode)
+        self.D = D
+        self.mode = mode
+        self.max_dim = max_dim
+
+    def compose(self, f: PolyMap, g: PolyMap) -> PolyMap:
+        return polymap_compose(f, g)
+
+    def pair(self, *maps: PolyMap) -> PolyMap:
+        return polymap_pair(*maps)
+
+    def product(self, *objs: int) -> int:
+        return sum(objs)
+
+    def proj(self, objs: Sequence[int], i: int) -> PolyMap:
+        """Projection out of product(*objs) onto its i-th factor."""
+        lo = sum(objs[:i])
+        return polymap_proj(sum(objs), lo, lo + objs[i], self.mode)
+
+    def add(self, f: PolyMap, g: PolyMap) -> PolyMap:
+        return polymap_add(f, g)
+
+    def zero(self, dom: int, cod: int) -> PolyMap:
+        return zero_map(dom, cod, self.mode)
+
+    def identity(self, m: int) -> PolyMap:
+        return identity_map(m, self.mode)
+
+    def random_obj(self, rng) -> int:
+        return rng.randint(1, self.max_dim)
+
+    def random_mor(self, dom: int, cod: int, rng, max_degree: int, coeff_bound: int) -> PolyMap:
+        return random_polymap(dom, cod, max_degree, coeff_bound, rng, self.mode)
+
+    def random_point(self, obj: int, rng, coeff_bound: int) -> PolyMap:
+        values = [scalars.random_scalar(self.mode, rng, coeff_bound) for _ in range(obj)]
+        return constant_map(0, values, self.mode)
+
+    def render(self, f: PolyMap) -> str:
+        return polymap_to_str(f)

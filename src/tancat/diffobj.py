@@ -19,8 +19,8 @@ from .bundles import DiffBundle, bracket, make_bundle
 from .cdc import cdc_T, cdc_ell, cdc_flip, point_proj, tangent_plus, tangent_zero
 from .poly import (
     PolyMap,
+    block_swap,
     identity_map,
-    permutation_map,
     polymap_compose,
     polymap_pair,
     polymap_proj,
@@ -62,29 +62,6 @@ def diffobj_lambda(o: DiffObject) -> PolyMap:
     return polymap_pair(identity_map(o.carrier, o.mode), tail)
 
 
-def interleave(k1: int, k2: int, mode: str) -> PolyMap:
-    """T(A x B) -> T(A) x T(B): (da, db, a, b) |-> (da, a, db, b)."""
-    n = k1 + k2
-    images = (
-        list(range(0, k1))
-        + list(range(n, n + k1))
-        + list(range(k1, n))
-        + list(range(n + k1, 2 * n))
-    )
-    return permutation_map(2 * n, images, mode)
-
-
-def interleave_inv(k1: int, k2: int, mode: str) -> PolyMap:
-    n = k1 + k2
-    images = (
-        list(range(0, k1))
-        + list(range(2 * k1, 2 * k1 + k2))
-        + list(range(k1, 2 * k1))
-        + list(range(2 * k1 + k2, 2 * n))
-    )
-    return permutation_map(2 * n, images, mode)
-
-
 def diffobj_mu(o: DiffObject) -> PolyMap:
     """mu := <pi0 lambda, pi1 0> T(sigma) : A x A -> T(A)."""
     k = o.carrier
@@ -92,7 +69,7 @@ def diffobj_mu(o: DiffObject) -> PolyMap:
     left = polymap_compose(polymap_proj(2 * k, 0, k, o.mode), lam)
     right = polymap_compose(polymap_proj(2 * k, k, 2 * k, o.mode), tangent_zero(k, o.mode))
     paired = polymap_compose(
-        polymap_pair(left, right), interleave_inv(k, k, o.mode)
+        polymap_pair(left, right), block_swap(k, k, k, k, o.mode)
     )
     return polymap_compose(paired, cdc_T(o.sigma))
 
@@ -149,7 +126,7 @@ def verify_diffobj(o: DiffObject, label: str = "diffobj") -> Report:
         identity_map(k, mode),
         "unit on the left",
     )
-    swap = permutation_map(2 * k, list(range(k, 2 * k)) + list(range(0, k)), mode)
+    swap = block_swap(0, k, k, 0, mode)
     eq("monoid-commutative", polymap_compose(swap, o.sigma), o.sigma)
     p1 = polymap_proj(3 * k, 0, k, mode)
     p2 = polymap_proj(3 * k, k, 2 * k, mode)
@@ -230,17 +207,6 @@ def derived_D(
     )
 
 
-def exchange_map(k: int, mode: str) -> PolyMap:
-    """ex : (A x A) x (A x A) -> (A x A) x (A x A) swapping the middle blocks."""
-    images = (
-        list(range(0, k))
-        + list(range(2 * k, 3 * k))
-        + list(range(k, 2 * k))
-        + list(range(3 * k, 4 * k))
-    )
-    return permutation_map(4 * k, images, mode)
-
-
 def check_cds(
     bound: int,
     mode: str = scalars.RATIONAL,
@@ -278,7 +244,7 @@ def check_cds(
             )
             eq(
                 "cds1-lambda",
-                polymap_compose(diffobj_lambda(ab), interleave(k1, k2, mode)),
+                polymap_compose(diffobj_lambda(ab), block_swap(k1, k2, k1, k2, mode)),
                 lam_pair,
                 f"dims ({k1},{k2})",
             )
@@ -316,7 +282,7 @@ def check_cds(
             mu_aa = diffobj_mu(aa)
             t_mu = cdc_T(diffobj_mu(a))
             lhs = polymap_compose(
-                exchange_map(k, mode), polymap_compose(mu_aa, t_mu)
+                block_swap(k, k, k, k, mode), polymap_compose(mu_aa, t_mu)
             )
             rhs = polymap_compose(
                 polymap_compose(mu_aa, t_mu), cdc_flip(k, mode)

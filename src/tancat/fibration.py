@@ -12,17 +12,17 @@ directions, with the context direction frozen to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from . import scalars
 from .errors import DimensionMismatch, PreconditionFailure
-from .cdc import cdc_D
-from .model import LiftWitness, TangentModel, TnObject
+from .cdc import PolyTangentModel, cdc_D
 from .poly import (
-    Poly,
     PolyMap,
+    block_swap,
+    constant_map,
     identity_map,
-    permutation_map,
-    poly_add,
+    poly_shift_vars,
     polymap_add,
     polymap_compose,
     polymap_equal,
@@ -72,23 +72,12 @@ def simple_compose(m1: SimpleMor, m2: SimpleMor) -> SimpleMor:
     return SimpleMor(polymap_compose(m1.f, m2.f), polymap_compose(mixed, m2.g))
 
 
-def _ex_blocks(a: int, x: int, mode: str) -> PolyMap:
-    """(A, A, X, X) -> (A, X, A, X), swapping the middle two blocks."""
-    images = (
-        list(range(0, a))
-        + list(range(2 * a, 2 * a + x))
-        + list(range(a, 2 * a))
-        + list(range(2 * a + x, 2 * a + 2 * x))
-    )
-    return permutation_map(2 * a + 2 * x, images, mode)
-
-
 def simple_D(m: SimpleMor) -> SimpleMor:
     """D(f, g) := (D(f), ex D(g)) over the doubled object (A x A, X x X)."""
     a = m.f.dom
     x = m.g.dom - a
     return SimpleMor(
-        cdc_D(m.f), polymap_compose(_ex_blocks(a, x, m.f.mode), cdc_D(m.g))
+        cdc_D(m.f), polymap_compose(block_swap(a, a, x, x, m.f.mode), cdc_D(m.g))
     )
 
 
@@ -124,208 +113,119 @@ def vertical_T(context: int, m: SimpleMor) -> SimpleMor:
     return SimpleMor(m.f, vertical_tangent_map(context, m.g))
 
 
-# ---------------------------------------------------------------------------
-# Left-additive and product structure of the simple fibration, used by the
-# CD-axiom checks
-
-def simple_add(m1: SimpleMor, m2: SimpleMor) -> SimpleMor:
-    """Pointwise sum of parallel morphisms (contexts added pointwise too)."""
-    return SimpleMor(polymap_add(m1.f, m2.f), polymap_add(m1.g, m2.g))
-
-
-def simple_zero_mor(dom: SimpleObj, cod: SimpleObj, mode: str) -> SimpleMor:
-    return SimpleMor(
-        zero_map(dom.context, cod.context, mode),
-        zero_map(dom.context + dom.payload, cod.payload, mode),
-    )
-
-
-def simple_product(o1: SimpleObj, o2: SimpleObj) -> SimpleObj:
-    return SimpleObj(o1.context + o2.context, o1.payload + o2.payload)
-
-
-def simple_pair(m1: SimpleMor, m2: SimpleMor) -> SimpleMor:
-    """<m1, m2> : shared domain -> product of the codomains."""
-    if m1.f.dom != m2.f.dom or m1.g.dom != m2.g.dom:
-        raise DimensionMismatch("paired simple morphisms need a shared domain")
-    return SimpleMor(polymap_pair(m1.f, m2.f), polymap_pair(m1.g, m2.g))
-
-
-def simple_proj(o1: SimpleObj, o2: SimpleObj, which: int, mode: str) -> SimpleMor:
-    """Projection out of the product object."""
-    a, b = o1.context, o2.context
-    x, y = o1.payload, o2.payload
-    n = a + b + x + y
-    if which == 0:
-        f = polymap_proj(a + b, 0, a, mode)
-        g = polymap_proj(n, a + b, a + b + x, mode)
-    else:
-        f = polymap_proj(a + b, a, a + b, mode)
-        g = polymap_proj(n, a + b + x, n, mode)
-    return SimpleMor(f, g)
-
-
-def simple_equal(m1: SimpleMor, m2: SimpleMor) -> bool:
-    return polymap_equal(m1.f, m2.f) and polymap_equal(m1.g, m2.g)
-
-
 def simple_str(m: SimpleMor) -> str:
     return f"({polymap_to_str(m.f)} | {polymap_to_str(m.g)})"
+
+
+# ---------------------------------------------------------------------------
+# The simple fibration as a model of the CD axioms
+
+
+class SimpleCDModel:
+    """The simple fibration as a Cartesian differential category under simple_D.
+
+    Sums are pointwise on both components; products concatenate contexts
+    and payloads blockwise; points are morphisms out of the unit (0, 0).
+    Random objects have contexts 0-2 and payloads 1-2.
+    """
+
+    unit = SimpleObj(0, 0)
+
+    def __init__(self, mode: str = scalars.RATIONAL):
+        scalars.check_mode(mode)
+        self.mode = mode
+
+    def D(self, m: SimpleMor) -> SimpleMor:
+        return simple_D(m)
+
+    def compose(self, m1: SimpleMor, m2: SimpleMor) -> SimpleMor:
+        return simple_compose(m1, m2)
+
+    def pair(self, *mors: SimpleMor) -> SimpleMor:
+        return SimpleMor(
+            polymap_pair(*(m.f for m in mors)), polymap_pair(*(m.g for m in mors))
+        )
+
+    def product(self, *objs: SimpleObj) -> SimpleObj:
+        return SimpleObj(sum(o.context for o in objs), sum(o.payload for o in objs))
+
+    def proj(self, objs: Sequence[SimpleObj], i: int) -> SimpleMor:
+        """Projection out of product(*objs) onto its i-th factor."""
+        prod = self.product(*objs)
+        before = self.product(*objs[:i])
+        a, x = before.context, prod.context + before.payload
+        return SimpleMor(
+            polymap_proj(prod.context, a, a + objs[i].context, self.mode),
+            polymap_proj(prod.context + prod.payload, x, x + objs[i].payload, self.mode),
+        )
+
+    def add(self, m1: SimpleMor, m2: SimpleMor) -> SimpleMor:
+        return SimpleMor(polymap_add(m1.f, m2.f), polymap_add(m1.g, m2.g))
+
+    def zero(self, dom: SimpleObj, cod: SimpleObj) -> SimpleMor:
+        return SimpleMor(
+            zero_map(dom.context, cod.context, self.mode),
+            zero_map(dom.context + dom.payload, cod.payload, self.mode),
+        )
+
+    def identity(self, obj: SimpleObj) -> SimpleMor:
+        return simple_identity(obj, self.mode)
+
+    def random_obj(self, rng) -> SimpleObj:
+        return SimpleObj(rng.randint(0, 2), rng.randint(1, 2))
+
+    def random_mor(self, dom: SimpleObj, cod: SimpleObj, rng, max_degree: int, coeff_bound: int) -> SimpleMor:
+        n = dom.context + dom.payload
+        return SimpleMor(
+            random_polymap(dom.context, cod.context, max_degree, coeff_bound, rng, self.mode),
+            random_polymap(n, cod.payload, max_degree, coeff_bound, rng, self.mode),
+        )
+
+    def random_point(self, obj: SimpleObj, rng, coeff_bound: int) -> SimpleMor:
+        values = [
+            scalars.random_scalar(self.mode, rng, coeff_bound)
+            for _ in range(obj.context + obj.payload)
+        ]
+        return SimpleMor(
+            constant_map(0, values[: obj.context], self.mode),
+            constant_map(0, values[obj.context :], self.mode),
+        )
+
+    def render(self, m: SimpleMor) -> str:
+        return simple_str(m)
 
 
 # ---------------------------------------------------------------------------
 # The fibre over a fixed context as a tangent model
 
 
-class FibreTangentModel(TangentModel):
+class FibreTangentModel(PolyTangentModel):
     """Tangent structure of the fibre over a fixed context.
 
     Objects are payload dims; a morphism X -> Y is a PolyMap (A + X) -> Y.
-    Structural maps are payload-block analogues of the base model's with
-    the context passed through untouched, and the tangent of a morphism is
-    the partial derivative in the payload directions.
+    Structural maps are the base model's, shifted past the context so that
+    it passes through untouched, and the tangent of a morphism is the
+    partial derivative in the payload directions.
     """
 
     def __init__(self, context: int, mode: str = scalars.RATIONAL):
-        scalars.check_mode(mode)
+        super().__init__(mode)
         self.context = context
-        self.mode = mode
 
-    def _payload(self, x: int, lo: int, hi: int) -> PolyMap:
+    def _embed(self, f: PolyMap) -> PolyMap:
         a = self.context
-        return polymap_proj(a + x, a + lo, a + hi, self.mode)
-
-    def t_obj(self, x: int) -> int:
-        return 2 * x
+        comps = tuple(poly_shift_vars(c, a, a + f.dom) for c in f.components)
+        return PolyMap(a + f.dom, f.cod, comps, f.mode)
 
     def t_mor(self, g: PolyMap) -> PolyMap:
         return vertical_tangent_map(self.context, g)
 
-    def p(self, x: int) -> PolyMap:
-        return self._payload(2 * x, x, 2 * x)
-
-    def zero(self, x: int) -> PolyMap:
-        a = self.context
-        return polymap_pair(
-            zero_map(a + x, x, self.mode), self._payload(x, 0, x)
-        )
-
-    def plus(self, x: int) -> PolyMap:
-        a = self.context
-        dom = a + 3 * x
-        comps = [
-            poly_add_pair(dom, a + i, a + x + i, self.mode) for i in range(x)
-        ]
-        comps += [Poly.variable(dom, a + 2 * x + i, self.mode) for i in range(x)]
-        return PolyMap(dom, 2 * x, tuple(comps), self.mode)
-
-    def ell(self, x: int) -> PolyMap:
-        a = self.context
-        dom = a + 2 * x
-        comps = [Poly.variable(dom, a + i, self.mode) for i in range(x)]
-        comps += [Poly.zero(dom, self.mode) for _ in range(2 * x)]
-        comps += [Poly.variable(dom, a + x + i, self.mode) for i in range(x)]
-        return PolyMap(dom, 4 * x, tuple(comps), self.mode)
-
-    def flip(self, x: int) -> PolyMap:
-        a = self.context
-        dom = a + 4 * x
-        order = (
-            list(range(0, x))
-            + list(range(2 * x, 3 * x))
-            + list(range(x, 2 * x))
-            + list(range(3 * x, 4 * x))
-        )
-        comps = tuple(Poly.variable(dom, a + i, self.mode) for i in order)
-        return PolyMap(dom, 4 * x, comps, self.mode)
-
-    def t_n(self, x: int, n: int) -> TnObject:
-        a = self.context
-        dim = (n + 1) * x
-        projs = []
-        for i in range(n):
-            tangent = self._payload(dim, i * x, (i + 1) * x)
-            point = self._payload(dim, n * x, dim)
-            projs.append(polymap_pair(tangent, point))
-        return TnObject(base=x, arity=n, carrier=dim, projections=tuple(projs))
-
-    def pair_t2(self, x: int, f: PolyMap, g: PolyMap) -> PolyMap:
-        if f.components[x:] != g.components[x:]:
-            raise PreconditionFailure("fibre pair into T_2: point parts disagree")
-        comps = f.components[:x] + g.components[:x] + f.components[x:]
-        return PolyMap(f.dom, 3 * x, comps, self.mode)
-
-    def pair_t_t2(self, x: int, f: PolyMap, g: PolyMap) -> PolyMap:
-        same_dx = f.components[x : 2 * x] == g.components[x : 2 * x]
-        same_pt = f.components[3 * x :] == g.components[3 * x :]
-        if not (same_dx and same_pt):
-            raise PreconditionFailure("fibre pair into T(T_2): T(p) images disagree")
-        comps = (
-            f.components[:x]
-            + g.components[:x]
-            + f.components[x : 2 * x]
-            + f.components[2 * x : 3 * x]
-            + g.components[2 * x : 3 * x]
-            + f.components[3 * x :]
-        )
-        return PolyMap(f.dom, 6 * x, comps, self.mode)
-
     def compose(self, f: PolyMap, g: PolyMap) -> PolyMap:
-        a = self.context
-        ctx = polymap_proj(f.dom, 0, a, self.mode)
+        ctx = polymap_proj(f.dom, 0, self.context, self.mode)
         return polymap_compose(polymap_pair(ctx, f), g)
-
-    def identity(self, x: int) -> PolyMap:
-        return self._payload(x, 0, x)
-
-    def equal(self, f: PolyMap, g: PolyMap) -> bool:
-        return polymap_equal(f, g)
-
-    def mor_str(self, f: PolyMap) -> str:
-        return polymap_to_str(f)
 
     def random_mor(self, x: int, y: int, rng, max_degree: int = 3, coeff_bound: int = 5) -> PolyMap:
         return random_polymap(self.context + x, y, max_degree, coeff_bound, rng, self.mode)
-
-    def lift_witness(self, x: int) -> LiftWitness:
-        from .model import vertical_lift_v
-
-        a = self.context
-        dom = a + 4 * x
-        sel_order = list(range(3 * x, 4 * x)) + list(range(0, x)) + list(range(2 * x, 3 * x))
-        sel = PolyMap(
-            dom,
-            3 * x,
-            tuple(Poly.variable(dom, a + i, self.mode) for i in sel_order),
-            self.mode,
-        )
-        kappa = self.compose(vertical_lift_v(self, x), sel)
-        rdom = a + 3 * x
-        rho_order = list(range(x, 2 * x)) + list(range(2 * x, 3 * x)) + list(range(0, x))
-        rho = PolyMap(
-            rdom,
-            3 * x,
-            tuple(Poly.variable(rdom, a + i, self.mode) for i in rho_order),
-            self.mode,
-        )
-        into_tangent = polymap_pair(
-            self._payload(3 * x, x, 2 * x),
-            zero_map(rdom, x, self.mode),
-            self._payload(3 * x, 2 * x, 3 * x),
-            self._payload(3 * x, 0, x),
-        )
-        into_base = self._payload(3 * x, 0, x)
-        return LiftWitness(
-            carrier=3 * x,
-            kappa=kappa,
-            rho=rho,
-            into_tangent=into_tangent,
-            into_base=into_base,
-        )
-
-
-def poly_add_pair(dom: int, i: int, j: int, mode: str) -> Poly:
-    return poly_add(Poly.variable(dom, i, mode), Poly.variable(dom, j, mode))
 
 
 def verify_fibre_axioms(

@@ -92,9 +92,6 @@ class TangentModel:
     def identity(self, x):
         raise NotImplementedError
 
-    def equal(self, f, g) -> bool:
-        raise NotImplementedError
-
     def mor_str(self, f) -> str:
         raise NotImplementedError
 

@@ -301,6 +301,17 @@ def permutation_map(dom: int, images: Sequence[int], mode: str) -> PolyMap:
     return PolyMap(dom, len(comps), comps, mode)
 
 
+def block_swap(w: int, x: int, y: int, z: int, mode: str) -> PolyMap:
+    """(W, X, Y, Z) -> (W, Y, X, Z): swap the two middle coordinate blocks."""
+    images = (
+        list(range(0, w))
+        + list(range(w + x, w + x + y))
+        + list(range(w, w + x))
+        + list(range(w + x + y, w + x + y + z))
+    )
+    return permutation_map(w + x + y + z, images, mode)
+
+
 # ---------------------------------------------------------------------------
 # Printing (canonical form: graded-lex term order, explicit *)
 

@@ -27,7 +27,6 @@ from .bundles import (
     mu_characterization,
     mu_map,
     pair_into_e2,
-    pair_into_t2_total,
     pair_into_t_e2,
     pullback_bundle,
     pullback_mor,
@@ -41,10 +40,12 @@ from .bundles import (
     whitney_sum,
 )
 from .cdc import (
+    PolyCDModel,
     PolyTangentModel,
     cdc_D,
     cdc_T,
     cdc_flip,
+    pair_into_t2,
     point_proj,
     tangent_plus,
     tangent_zero,
@@ -59,17 +60,13 @@ from .diffobj import (
 )
 from .errors import DimensionMismatch, PreconditionFailure
 from .fibration import (
+    SimpleCDModel,
     SimpleMor,
     SimpleObj,
     simple_D,
-    simple_add,
     simple_compose,
     simple_identity,
-    simple_pair,
-    simple_proj,
-    simple_product,
     simple_str,
-    simple_zero_mor,
     vertical_T,
     vertical_tangent_map,
     verify_fibre_axioms,
@@ -79,15 +76,14 @@ from .numeric import NumericProgram, dual_eval, fd_check
 from .poly import (
     Poly,
     PolyMap,
+    block_swap,
     constant_map,
     eval_polymap,
     identity_map,
-    permutation_map,
     poly_add,
     poly_mul,
     poly_scale,
     poly_shift_vars,
-    polymap_add,
     polymap_compose,
     polymap_equal,
     polymap_pair,
@@ -99,7 +95,7 @@ from .poly import (
 from .report import PASS, CheckSet, Report
 
 FAULTS = ("identity-flip", "dropped-zero-block", "corrupted-lambda")
-_MODEL_FAULT_SUITES = {"tangent-axioms", "monad-laws"}
+_MODEL_FAULT_SUITES = {"tangent-axioms"}
 _BUNDLE_FAULT_SUITES = {"bundle", "bracket-laws"}
 
 DEFAULTS: Dict[str, object] = {
@@ -385,18 +381,11 @@ def _suite_tangent_axioms(params: Dict[str, object]) -> Report:
 
 
 # ---------------------------------------------------------------------------
-# Cartesian differential axioms, generic over the differential operator
-
-
-def _const_map(dim_out: int, rng: random.Random, bound: int, mode: str) -> PolyMap:
-    values = [scalars.random_scalar(mode, rng, bound) for _ in range(dim_out)]
-    return constant_map(0, values, mode)
+# Cartesian differential axioms, generic over the CD model
 
 
 def cdc_axioms_checks(
-    dfun: Callable[[PolyMap], PolyMap],
-    mode: str,
-    max_dim: int,
+    model,
     max_degree: int,
     coeff_bound: int,
     instances: int,
@@ -404,96 +393,90 @@ def cdc_axioms_checks(
     suite_name: str,
     checks: Optional[CheckSet] = None,
 ) -> CheckSet:
+    """CD1-CD7 (Blute, Cockett & Seely, TAC 2009) for the differential model.D.
+
+    The CD model supplies D, compose, n-ary pair/product/proj, add, zero,
+    identity, a ``unit`` object that points start from, seeded random
+    objects, maps and points, and render (see PolyCDModel, SimpleCDModel).
+    """
     if checks is None:
         checks = CheckSet()
+    D = model.D
 
     def eq(name, lhs, rhs, detail=""):
-        checks.equality(name, lhs, rhs, detail, render=polymap_to_str)
+        checks.equality(name, lhs, rhs, detail, render=model.render)
 
     rng = rng_for(suite_name, "cd", seed)
     for i in range(instances):
-        m = rng.randint(1, max_dim)
-        n = rng.randint(1, max_dim)
-        pdim = rng.randint(1, max_dim)
-        f = random_polymap(m, n, max_degree, coeff_bound, rng, mode)
-        g = random_polymap(m, n, max_degree, coeff_bound, rng, mode)
-        h = random_polymap(n, pdim, max_degree, coeff_bound, rng, mode)
-        desc = f"instance {i}: f = {polymap_to_str(f)}"
-        df = dfun(f)
+        m = model.random_obj(rng)
+        n = model.random_obj(rng)
+        pdim = model.random_obj(rng)
+        f = model.random_mor(m, n, rng, max_degree, coeff_bound)
+        g = model.random_mor(m, n, rng, max_degree, coeff_bound)
+        h = model.random_mor(n, pdim, rng, max_degree, coeff_bound)
+        desc = f"instance {i}: f = {model.render(f)}"
+        df = D(f)
+        tm = model.product(m, m)
+        pi_u, pi_x = model.proj((m, m), 0), model.proj((m, m), 1)
 
-        eq("cd1-additive", dfun(polymap_add(f, g)), polymap_add(df, dfun(g)), desc)
-        eq("cd1-zero", dfun(zero_map(m, n, mode)), zero_map(2 * m, n, mode), f"dims ({m},{n})")
+        eq("cd1-additive", D(model.add(f, g)), model.add(df, D(g)), desc)
+        eq("cd1-zero", D(model.zero(m, n)), model.zero(tm, n), f"dims ({m},{n})")
 
-        dom3 = 3 * m
-        a = polymap_proj(dom3, 0, m, mode)
-        b = polymap_proj(dom3, m, 2 * m, mode)
-        x = polymap_proj(dom3, 2 * m, dom3, mode)
-        lhs = polymap_compose(polymap_pair(polymap_add(a, b), x), df)
-        rhs = polymap_add(
-            polymap_compose(polymap_pair(a, x), df),
-            polymap_compose(polymap_pair(b, x), df),
+        a, b, x = (model.proj((m, m, m), k) for k in range(3))
+        lhs = model.compose(model.pair(model.add(a, b), x), df)
+        rhs = model.add(
+            model.compose(model.pair(a, x), df),
+            model.compose(model.pair(b, x), df),
         )
         eq("cd2-additive", lhs, rhs, desc)
-        eq("cd2-zero", polymap_compose(tangent_zero(m, mode), df), zero_map(m, n, mode), desc)
-        ca = _const_map(m, rng, coeff_bound, mode)
-        cb = _const_map(m, rng, coeff_bound, mode)
-        cx = _const_map(m, rng, coeff_bound, mode)
-        lhs_c = polymap_compose(polymap_pair(polymap_add(ca, cb), cx), df)
-        rhs_c = polymap_add(
-            polymap_compose(polymap_pair(ca, cx), df),
-            polymap_compose(polymap_pair(cb, cx), df),
+        zero_section = model.pair(model.zero(m, m), model.identity(m))
+        eq("cd2-zero", model.compose(zero_section, df), model.zero(m, n), desc)
+        ca, cb, cx = (model.random_point(m, rng, coeff_bound) for _ in range(3))
+        lhs_c = model.compose(model.pair(model.add(ca, cb), cx), df)
+        rhs_c = model.add(
+            model.compose(model.pair(ca, cx), df),
+            model.compose(model.pair(cb, cx), df),
         )
         eq("cd2-additive-points", lhs_c, rhs_c, desc)
 
-        eq(
-            "cd3-identity",
-            dfun(identity_map(m, mode)),
-            polymap_proj(2 * m, 0, m, mode),
-            f"dim {m}",
-        )
-        first = polymap_proj(2 * (m + n), 0, m + n, mode)
-        for lo, hi, which in ((0, m, "first"), (m, m + n, "second")):
-            pi = polymap_proj(m + n, lo, hi, mode)
+        eq("cd3-identity", D(model.identity(m)), pi_u, f"dim {m}")
+        mn = model.product(m, n)
+        first = model.proj((mn, mn), 0)
+        for k, which in ((0, "first"), (1, "second")):
+            pi = model.proj((m, n), k)
             eq(
                 "cd3-projection",
-                dfun(pi),
-                polymap_compose(first, pi),
+                D(pi),
+                model.compose(first, pi),
                 f"dims ({m},{n}), {which} factor",
             )
 
-        eq("cd4-pairing", dfun(polymap_pair(f, g)), polymap_pair(df, dfun(g)), desc)
+        eq("cd4-pairing", D(model.pair(f, g)), model.pair(df, D(g)), desc)
 
-        chain = polymap_compose(
-            polymap_pair(df, polymap_compose(point_proj(m, mode), f)), dfun(h)
-        )
-        eq("cd5-chain", dfun(polymap_compose(f, h)), chain, desc + f", h = {polymap_to_str(h)}")
+        chain = model.compose(model.pair(df, model.compose(pi_x, f)), D(h))
+        eq("cd5-chain", D(model.compose(f, h)), chain, desc + f", h = {model.render(h)}")
 
-        ddf = dfun(df)
-        dom2 = 2 * m
-        inject = polymap_pair(
-            polymap_proj(dom2, 0, m, mode),
-            zero_map(dom2, m, mode),
-            zero_map(dom2, m, mode),
-            polymap_proj(dom2, m, dom2, mode),
-        )
-        eq("cd6-lift", polymap_compose(inject, ddf), df, desc)
-        zero0 = zero_map(0, m, mode)
-        c6 = polymap_pair(ca, zero0, zero0, cx)
+        ddf = D(df)
+        zero_u = model.zero(tm, m)
+        inject = model.pair(pi_u, zero_u, zero_u, pi_x)
+        eq("cd6-lift", model.compose(inject, ddf), df, desc)
+        zero0 = model.zero(model.unit, m)
+        c6 = model.pair(ca, zero0, zero0, cx)
         eq(
             "cd6-lift-points",
-            polymap_compose(c6, ddf),
-            polymap_compose(polymap_pair(ca, cx), df),
+            model.compose(c6, ddf),
+            model.compose(model.pair(ca, cx), df),
             desc,
         )
 
-        ex = cdc_flip(m, mode)
-        eq("cd7-symmetry", polymap_compose(ex, ddf), ddf, desc)
-        cc = _const_map(m, rng, coeff_bound, mode)
-        c7 = polymap_pair(ca, cb, cc, cx)
+        ex = model.pair(*(model.proj((m, m, m, m), k) for k in (0, 2, 1, 3)))
+        eq("cd7-symmetry", model.compose(ex, ddf), ddf, desc)
+        cc = model.random_point(m, rng, coeff_bound)
+        c7 = model.pair(ca, cb, cc, cx)
         eq(
             "cd7-symmetry-points",
-            polymap_compose(c7, ddf),
-            polymap_compose(polymap_compose(c7, ex), ddf),
+            model.compose(c7, ddf),
+            model.compose(model.compose(c7, ex), ddf),
             desc,
         )
     return checks
@@ -501,9 +484,7 @@ def cdc_axioms_checks(
 
 def _suite_cdc_axioms(params: Dict[str, object]) -> Report:
     checks = cdc_axioms_checks(
-        cdc_D,
-        params["mode"],
-        params["max_dim"],
+        PolyCDModel(cdc_D, params["mode"], params["max_dim"]),
         params["max_degree"],
         params["coeff_bound"],
         params["instances"],
@@ -532,9 +513,7 @@ def _suite_derived_differential(params: Dict[str, object]) -> Report:
                     render=polymap_to_str,
                 )
     cdc_axioms_checks(
-        derived_D,
-        mode,
-        params["max_dim"],
+        PolyCDModel(derived_D, mode, params["max_dim"]),
         params["max_degree"],
         params["coeff_bound"],
         params["instances"],
@@ -814,7 +793,7 @@ def _suite_bracket_laws(params: Dict[str, object]) -> Report:
             f2 = assemble_tangent(b, zero_dx, xmap, rand(k), ashared)
             g2 = assemble_tangent(b, zero_dx, xmap, rand(k), ashared)
             plus_fg = polymap_compose(
-                pair_into_t2_total(e, f2, g2, mode), tangent_plus(e, mode)
+                pair_into_t2(e, f2, g2), tangent_plus(e, mode)
             )
             eq(
                 "bracket-plus",
@@ -886,13 +865,13 @@ def _suite_interchange(params: Dict[str, object]) -> Report:
             s12 = polymap_compose(pair_into_t_e2(b, v1, v2), cdc_T(b.sigma))
             s34 = polymap_compose(pair_into_t_e2(b, v3, v4), cdc_T(b.sigma))
             lhs = polymap_compose(
-                pair_into_t2_total(e, s12, s34, mode), tangent_plus(e, mode)
+                pair_into_t2(e, s12, s34), tangent_plus(e, mode)
             )
             p13 = polymap_compose(
-                pair_into_t2_total(e, v1, v3, mode), tangent_plus(e, mode)
+                pair_into_t2(e, v1, v3), tangent_plus(e, mode)
             )
             p24 = polymap_compose(
-                pair_into_t2_total(e, v2, v4, mode), tangent_plus(e, mode)
+                pair_into_t2(e, v2, v4), tangent_plus(e, mode)
             )
             rhs = polymap_compose(pair_into_t_e2(b, p13, p24), cdc_T(b.sigma))
             checks.equality("interchange", lhs, rhs, desc, render=polymap_to_str)
@@ -905,7 +884,7 @@ def _suite_interchange(params: Dict[str, object]) -> Report:
                 "interchange-shared-zero",
                 polymap_compose(pair_into_t_e2(b, w1, w2), cdc_T(b.sigma)),
                 polymap_compose(
-                    pair_into_t2_total(e, w1, w2, mode), tangent_plus(e, mode)
+                    pair_into_t2(e, w1, w2), tangent_plus(e, mode)
                 ),
                 desc,
                 render=polymap_to_str,
@@ -1014,16 +993,8 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
     lin_rows("whitney-pairing-linear", paired, bs, bs, "pairing of the projections")
     bs2 = whitney_sum(b2, b1)
     m, k1, k2 = 1, b1.fibre, b2.fibre
-    swap = permutation_map(
-        m + k1 + k2,
-        list(range(m)) + list(range(m + k1, m + k1 + k2)) + list(range(m, m + k1)),
-        mode,
-    )
-    swap_back = permutation_map(
-        m + k1 + k2,
-        list(range(m)) + list(range(m + k2, m + k1 + k2)) + list(range(m, m + k2)),
-        mode,
-    )
+    swap = block_swap(m, k1, k2, 0, mode)
+    swap_back = block_swap(m, k2, k1, 0, mode)
     ident = identity_map(m, mode)
     lin_rows("whitney-swap-linear", BundleMor(swap, ident), bs, bs2, "swap")
     lin_rows("whitney-swap-linear", BundleMor(swap_back, ident), bs2, bs, "swap inverse")
@@ -1176,24 +1147,17 @@ def _suite_fibration(params: Dict[str, object]) -> Report:
     seed = params["seed"]
     deg, bound = params["max_degree"], params["coeff_bound"]
     checks = CheckSet()
+    model = SimpleCDModel(mode)
 
     def eq(name, lhs, rhs, detail=""):
         checks.equality(name, lhs, rhs, detail, render=simple_str)
 
-    def rand_obj(rng: random.Random) -> SimpleObj:
-        return SimpleObj(rng.randint(0, 2), rng.randint(1, 2))
-
-    def rand_mor(dom: SimpleObj, cod: SimpleObj, rng: random.Random) -> SimpleMor:
-        f = random_polymap(dom.context, cod.context, deg, bound, rng, mode)
-        g = random_polymap(dom.context + dom.payload, cod.payload, deg, bound, rng, mode)
-        return SimpleMor(f, g)
-
     rng = rng_for("fibration", "composition", seed)
     for i in range(params["instances"]):
-        o1, o2, o3, o4 = (rand_obj(rng) for _ in range(4))
-        m1 = rand_mor(o1, o2, rng)
-        m2 = rand_mor(o2, o3, rng)
-        m3 = rand_mor(o3, o4, rng)
+        o1, o2, o3, o4 = (model.random_obj(rng) for _ in range(4))
+        m1 = model.random_mor(o1, o2, rng, deg, bound)
+        m2 = model.random_mor(o2, o3, rng, deg, bound)
+        m3 = model.random_mor(o3, o4, rng, deg, bound)
         desc = f"instance {i}: m1 = {simple_str(m1)}"
         eq(
             "compose-associative",
@@ -1204,100 +1168,8 @@ def _suite_fibration(params: Dict[str, object]) -> Report:
         eq("compose-unit-left", simple_compose(simple_identity(o1, mode), m1), m1, desc)
         eq("compose-unit-right", simple_compose(m1, simple_identity(o2, mode)), m1, desc)
 
-    rng = rng_for("fibration", "cd", seed)
-    for i in range(min(params["instances"], 25)):
-        v = rand_obj(rng)
-        w = rand_obj(rng)
-        o1 = rand_obj(rng)
-        o2 = rand_obj(rng)
-        f1 = rand_mor(w, o1, rng)
-        f2 = rand_mor(w, o1, rng)
-        g2 = rand_mor(w, o2, rng)
-        h = rand_mor(o1, o2, rng)
-        desc = f"instance {i}: f = {simple_str(f1)}"
-        ww = simple_product(w, w)
-        df1 = simple_D(f1)
-
-        eq(
-            "simple-cd1-additive",
-            simple_D(simple_add(f1, f2)),
-            simple_add(df1, simple_D(f2)),
-            desc,
-        )
-        eq(
-            "simple-cd1-zero",
-            simple_D(simple_zero_mor(w, o1, mode)),
-            simple_zero_mor(ww, o1, mode),
-            desc,
-        )
-
-        a = rand_mor(v, w, rng)
-        b = rand_mor(v, w, rng)
-        cpt = rand_mor(v, w, rng)
-        eq(
-            "simple-cd2-additive",
-            simple_compose(simple_pair(simple_add(a, b), cpt), df1),
-            simple_add(
-                simple_compose(simple_pair(a, cpt), df1),
-                simple_compose(simple_pair(b, cpt), df1),
-            ),
-            desc,
-        )
-        eq(
-            "simple-cd2-zero",
-            simple_compose(
-                simple_pair(simple_zero_mor(w, w, mode), simple_identity(w, mode)), df1
-            ),
-            simple_zero_mor(w, o1, mode),
-            desc,
-        )
-
-        eq(
-            "simple-cd3-identity",
-            simple_D(simple_identity(w, mode)),
-            simple_proj(w, w, 0, mode),
-            desc,
-        )
-        prod = simple_product(o1, o2)
-        for which in (0, 1):
-            pi = simple_proj(o1, o2, which, mode)
-            eq(
-                "simple-cd3-projection",
-                simple_D(pi),
-                simple_compose(simple_proj(prod, prod, 0, mode), pi),
-                desc + f", factor {which}",
-            )
-
-        eq(
-            "simple-cd4-pairing",
-            simple_D(simple_pair(f1, g2)),
-            simple_pair(df1, simple_D(g2)),
-            desc,
-        )
-
-        eq(
-            "simple-cd5-chain",
-            simple_D(simple_compose(f1, h)),
-            simple_compose(
-                simple_pair(df1, simple_compose(simple_proj(w, w, 1, mode), f1)),
-                simple_D(h),
-            ),
-            desc,
-        )
-
-        ddf = simple_D(df1)
-        pi0w = simple_proj(w, w, 0, mode)
-        pi1w = simple_proj(w, w, 1, mode)
-        zero_w = simple_zero_mor(ww, w, mode)
-        inj = simple_pair(simple_pair(pi0w, zero_w), simple_pair(zero_w, pi1w))
-        eq("simple-cd6-lift", simple_compose(inj, ddf), df1, desc)
-
-        q0 = simple_compose(simple_proj(ww, ww, 0, mode), pi0w)
-        q1 = simple_compose(simple_proj(ww, ww, 0, mode), pi1w)
-        q2 = simple_compose(simple_proj(ww, ww, 1, mode), pi0w)
-        q3 = simple_compose(simple_proj(ww, ww, 1, mode), pi1w)
-        ex = simple_pair(simple_pair(q0, q2), simple_pair(q1, q3))
-        eq("simple-cd7-symmetry", simple_compose(ex, ddf), ddf, desc)
+    cd = cdc_axioms_checks(model, deg, bound, min(params["instances"], 25), seed, "fibration")
+    checks.absorb(cd.report("fibration", params), prefix="simple-")
 
     for ctx in (1, 2):
         rep = verify_fibre_axioms(ctx, 2, min(params["instances"], 25), seed, mode)

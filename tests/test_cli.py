@@ -121,6 +121,27 @@ def test_bundle_missing_file_and_malformed_text(tmp_path, capsys):
     assert main(["bundle", "--file", str(bad), "--op", "verify"]) == 2
 
 
+def test_bundle_missing_key_exits_two(tmp_path, capsys):
+    path = tmp_path / "nofibre.ini"
+    path.write_text(BUNDLE_TEXT.replace("fibre = 1\n", ""))
+    assert main(["bundle", "--file", str(path), "--op", "verify"]) == 2
+    assert "'fibre'" in capsys.readouterr().err
+
+
+def test_bundle_negative_fibre_exits_two(tmp_path, capsys):
+    path = tmp_path / "negative.ini"
+    path.write_text(BUNDLE_TEXT.replace("fibre = 1", "fibre = -1"))
+    assert main(["bundle", "--file", str(path), "--op", "verify"]) == 2
+    assert "fibre must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_bundle_non_integer_base_exits_two(tmp_path, capsys):
+    path = tmp_path / "letter.ini"
+    path.write_text(BUNDLE_TEXT.replace("base = 1", "base = x"))
+    assert main(["bundle", "--file", str(path), "--op", "verify"]) == 2
+    assert "base must be a non-negative integer" in capsys.readouterr().err
+
+
 def test_bundle_pullback_needs_map(bundle_file, capsys):
     assert main(["bundle", "--file", bundle_file, "--op", "pullback"]) == 2
 

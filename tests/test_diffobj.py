@@ -17,15 +17,13 @@ from tancat.diffobj import (
     diffobj_from_bundle,
     diffobj_lambda,
     diffobj_mu,
-    exchange_map,
-    interleave,
-    interleave_inv,
     product_pairing,
     verify_diffobj,
 )
 from tancat.errors import PreconditionFailure
 from tancat.parser import parse_polymap
 from tancat.poly import (
+    block_swap,
     constant_map,
     identity_map,
     polymap_compose,
@@ -115,9 +113,10 @@ def test_product_pairing_shape():
 
 
 def test_interleave_roundtrip():
+    # T(A x B) -> T(A) x T(B), (da, db, a, b) |-> (da, a, db, b), and back
     for k1, k2 in ((1, 1), (1, 2), (2, 3)):
-        fwd = interleave(k1, k2, scalars.RATIONAL)
-        back = interleave_inv(k1, k2, scalars.RATIONAL)
+        fwd = block_swap(k1, k2, k1, k2, scalars.RATIONAL)
+        back = block_swap(k1, k1, k2, k2, scalars.RATIONAL)
         n = 2 * (k1 + k2)
         assert polymap_compose(fwd, back) == identity_map(n, scalars.RATIONAL)
         assert polymap_compose(back, fwd) == identity_map(n, scalars.RATIONAL)
@@ -125,9 +124,10 @@ def test_interleave_roundtrip():
 
 def test_exchange_is_involutive():
     for k in (1, 2):
-        ex = exchange_map(k, scalars.RATIONAL)
+        ex = block_swap(k, k, k, k, scalars.RATIONAL)
         assert polymap_compose(ex, ex) == identity_map(4 * k, scalars.RATIONAL)
-    assert polymap_to_str(exchange_map(1, scalars.RATIONAL)) == "x0; x2; x1; x3"
+        assert ex == cdc_flip(k, scalars.RATIONAL)
+    assert polymap_to_str(block_swap(1, 1, 1, 1, scalars.RATIONAL)) == "x0; x2; x1; x3"
 
 
 def test_diffobj_mu_reads_both_tangents():

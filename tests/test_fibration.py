@@ -14,14 +14,12 @@ from tancat.cdc import cdc_T
 from tancat.errors import DimensionMismatch, PreconditionFailure
 from tancat.fibration import (
     FibreTangentModel,
+    SimpleCDModel,
     SimpleMor,
     SimpleObj,
     simple_D,
     simple_compose,
-    simple_equal,
     simple_identity,
-    simple_pair,
-    simple_proj,
     simple_str,
     verify_fibre_axioms,
     vertical_T,
@@ -97,7 +95,7 @@ def test_vertical_chain_rule():
         m2 = SimpleMor(ident, random_polymap(a + y, z, 3, 5, rng, R))
         lhs = vertical_T(a, simple_compose(m1, m2))
         rhs = simple_compose(vertical_T(a, m1), vertical_T(a, m2))
-        assert simple_equal(lhs, rhs)
+        assert lhs == rhs
 
 
 def test_vertical_requires_identity_context():
@@ -109,11 +107,12 @@ def test_vertical_requires_identity_context():
 def test_pairing_and_projections():
     m1 = mor("x0", 1, "x0*x1", 2)
     m2 = mor("x0", 1, "x1^2", 2)
-    paired = simple_pair(m1, m2)
+    model = SimpleCDModel(R)
+    paired = model.pair(m1, m2)
     unit = SimpleObj(1, 1)
-    back0 = simple_compose(paired, simple_proj(unit, unit, 0, R))
-    back1 = simple_compose(paired, simple_proj(unit, unit, 1, R))
-    assert simple_equal(back0, m1) and simple_equal(back1, m2)
+    back0 = simple_compose(paired, model.proj((unit, unit), 0))
+    back1 = simple_compose(paired, model.proj((unit, unit), 1))
+    assert back0 == m1 and back1 == m2
 
 
 def test_fibre_axioms_smoke():

@@ -9,7 +9,10 @@ import json
 import pytest
 
 from tancat import scalars
-from tancat.suites import DEFAULTS, FAULTS, SUITE_NAMES, run_suite
+from tancat.cdc import PolyCDModel, cdc_D
+from tancat.diffobj import derived_D
+from tancat.fibration import SimpleCDModel
+from tancat.suites import DEFAULTS, FAULTS, SUITE_NAMES, cdc_axioms_checks, run_suite
 
 SMALL = dict(instances=5, max_dim=2)
 
@@ -133,6 +136,27 @@ def test_fault_suite_compatibility_is_enforced():
         run_suite("bundle", fault="dropped-zero-block")
     with pytest.raises(ValueError, match="invalid-params"):
         run_suite("tangent-axioms", fault="corrupted-lambda")
+    # monad-laws never reaches flip or ell, so these faults would be vacuous
+    for fault in ("identity-flip", "dropped-zero-block"):
+        with pytest.raises(ValueError, match="does not affect suite 'monad-laws'"):
+            run_suite("monad-laws", fault=fault)
+
+
+CD_MODELS = {
+    "cdc_D": lambda mode: PolyCDModel(cdc_D, mode, 2),
+    "derived_D": lambda mode: PolyCDModel(derived_D, mode, 2),
+    "simple_D": SimpleCDModel,
+}
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@pytest.mark.parametrize("name", sorted(CD_MODELS))
+def test_cd_checker_rejects_doubled_differential(name, mode):
+    model = CD_MODELS[name](mode)
+    plain = model.D
+    model.D = lambda f: model.add(plain(f), plain(f))
+    rep = cdc_axioms_checks(model, 2, 3, 4, 0, "cd-test").report("cd", {})
+    assert {"cd3-identity", "cd6-lift"} <= non_pass(rep)
 
 
 # -------------------------------------------------------------- validation
