@@ -36,18 +36,18 @@ from .cdc import (
     tangent_zero,
 )
 from .poly import (
-    Poly,
     PolyMap,
     block_swap,
     identity_map,
+    linear_map,
     permutation_map,
     poly_add,
     poly_scale,
+    polymap_add,
     polymap_compose,
-    polymap_equal,
     polymap_pair,
+    polymap_product,
     polymap_proj,
-    polymap_to_str,
     zero_map,
 )
 from .report import CheckSet, Report
@@ -100,23 +100,22 @@ def tangent_triv_inv(b: DiffBundle) -> PolyMap:
     return polymap_compose(block_swap(m, m, k, k, b.mode), cdc_T(b.triv_inv))
 
 
-def bundle_pi(b: DiffBundle, which: int) -> PolyMap:
-    """Projection E_2 -> E picking the first (0) or second (1) summand."""
+def bundle_pi(b: DiffBundle, which: int, n: int = 2) -> PolyMap:
+    """Projection E_n -> E onto summand ``which``; E_n carries (x, a_1, ..., a_n)."""
     m, k = b.base, b.fibre
-    x = polymap_proj(b.e2_dim, 0, m, b.mode)
-    fib = polymap_proj(b.e2_dim, m + which * k, m + (which + 1) * k, b.mode)
+    dim = m + n * k
+    x = polymap_proj(dim, 0, m, b.mode)
+    fib = polymap_proj(dim, m + which * k, m + (which + 1) * k, b.mode)
     return polymap_compose(polymap_pair(x, fib), b.triv_inv)
 
 
 def pair_into_e2(b: DiffBundle, u: PolyMap, v: PolyMap) -> PolyMap:
     """<u, v> : W -> E_2 for u, v : W -> E with u;q = v;q."""
-    if not polymap_equal(polymap_compose(u, b.q), polymap_compose(v, b.q)):
+    if polymap_compose(u, b.q) != polymap_compose(v, b.q):
         raise PreconditionFailure("pair into E_2: base images disagree")
     ut = polymap_compose(u, b.triv)
     vt = polymap_compose(v, b.triv)
-    m = b.base
-    comps = ut.components[:m] + ut.components[m:] + vt.components[m:]
-    return PolyMap(u.dom, b.e2_dim, comps, b.mode)
+    return PolyMap(u.dom, b.e2_dim, ut.components + vt.components[b.base :], b.mode)
 
 
 def pair_into_t_e2(b: DiffBundle, u: PolyMap, v: PolyMap) -> PolyMap:
@@ -200,7 +199,7 @@ def bracket(f: PolyMap, b: DiffBundle) -> PolyMap:
     rhs = polymap_compose(
         f, polymap_compose(p_e, polymap_compose(b.q, tangent_zero(b.base, b.mode)))
     )
-    if not polymap_equal(lhs, rhs):
+    if lhs != rhs:
         raise PreconditionFailure(
             "bracket precondition f;T(q) = f;p;q;0 fails; " + _residual(lhs, rhs, b.mode)
         )
@@ -210,7 +209,7 @@ def bracket(f: PolyMap, b: DiffBundle) -> PolyMap:
     left = polymap_compose(out, b.lam)
     right = polymap_compose(f, polymap_compose(p_e, tangent_zero(e, b.mode)))
     recon = polymap_compose(pair_into_t_e2(b, left, right), cdc_T(b.sigma))
-    if not polymap_equal(recon, f):
+    if recon != f:
         raise PreconditionFailure(
             "bracket defining equation failed; " + _residual(recon, f, b.mode)
         )
@@ -222,9 +221,8 @@ def _residual(lhs: PolyMap, rhs: PolyMap, mode: str) -> str:
         diff = tuple(
             poly_add(a, poly_scale(bb, Fraction(-1))) for a, bb in zip(lhs.components, rhs.components)
         )
-        text = polymap_to_str(PolyMap(lhs.dom, lhs.cod, diff, mode))
-        return f"residual = {text}"
-    return f"lhs = {polymap_to_str(lhs)}; rhs = {polymap_to_str(rhs)}"
+        return f"residual = {PolyMap(lhs.dom, lhs.cod, diff, mode)}"
+    return f"lhs = {lhs}; rhs = {rhs}"
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +241,8 @@ def _constant_matrix(block: PolyMap, m: int, k: int) -> Optional[List[List]]:
             row.append(dict(block.components[i].terms).get(tuple(unit), 0))
         mat.append(row)
     # the block must be exactly sum_j mat[i][j] * a_j
-    for i in range(k):
-        recon = Poly.zero(m + k, block.mode)
-        for j in range(k):
-            if mat[i][j] == 0:
-                continue
-            term = poly_scale(Poly.variable(m + k, m + j, block.mode), mat[i][j])
-            recon = poly_add(recon, term)
-        if recon != block.components[i]:
-            return None
+    if linear_map(m + k, m, mat, block.mode) != block:
+        return None
     return mat
 
 
@@ -296,28 +287,12 @@ def _derive_rho(m: int, k: int, lam_display: PolyMap, mode: str) -> PolyMap:
     r = m + 2 * k
     fib_proj = polymap_proj(m + k, m, m + k, mode)
     block = PolyMap(m + k, k, lam_display.components[2 * m : 2 * m + k], mode)
-    lam_inv: Optional[PolyMap] = None
-    if polymap_equal(block, fib_proj):
-        lam_inv = fib_proj
-    else:
-        mat = _constant_matrix(block, m, k)
-        if mat is not None:
-            inv = _invert_rational(mat) if mode == scalars.RATIONAL else _invert_natural(mat)
-            if inv is not None:
-                comps = []
-                for i in range(k):
-                    acc = Poly.zero(m + k, mode)
-                    for j in range(k):
-                        if inv[i][j] == 0:
-                            continue
-                        acc = poly_add(
-                            acc,
-                            poly_scale(Poly.variable(m + k, m + j, mode), inv[i][j]),
-                        )
-                    comps.append(acc)
-                lam_inv = PolyMap(m + k, k, tuple(comps), mode)
-    if lam_inv is None:
-        lam_inv = fib_proj
+    lam_inv = fib_proj
+    mat = None if block == fib_proj else _constant_matrix(block, m, k)
+    if mat is not None:
+        inv = _invert_rational(mat) if mode == scalars.RATIONAL else _invert_natural(mat)
+        if inv is not None:
+            lam_inv = linear_map(m + k, m, inv, mode)
     x = polymap_proj(r, 0, m, mode)
     alpha = polymap_proj(r, m, m + k, mode)
     beta = polymap_proj(r, m + k, r, mode)
@@ -327,6 +302,12 @@ def _derive_rho(m: int, k: int, lam_display: PolyMap, mode: str) -> PolyMap:
 
 # ---------------------------------------------------------------------------
 # Construction and verification
+
+
+def _lift_display(m: int, k: int, lam: PolyMap, t: PolyMap, t_inv: PolyMap) -> PolyMap:
+    """The lift in display coordinates: (x, a) |-> (dx, x, da, a)."""
+    shuffle = block_swap(m, k, m, k, lam.mode)
+    return polymap_compose(t_inv, polymap_compose(lam, polymap_compose(cdc_T(t), shuffle)))
 
 
 def make_bundle(
@@ -353,8 +334,8 @@ def make_bundle(
         if t.cod != base + fibre or t_inv.dom != base + fibre or t_inv.cod != total:
             raise DimensionMismatch("trivialization must map total <-> base+fibre")
         if not (
-            polymap_equal(polymap_compose(t, t_inv), identity_map(total, mode))
-            and polymap_equal(polymap_compose(t_inv, t), identity_map(base + fibre, mode))
+            polymap_compose(t, t_inv) == identity_map(total, mode)
+            and polymap_compose(t_inv, t) == identity_map(base + fibre, mode)
         ):
             raise PreconditionFailure("triv not two-sided inverse")
     q = polymap_compose(t, polymap_proj(base + fibre, 0, base, mode))
@@ -368,9 +349,7 @@ def make_bundle(
     for f in (sigma, zeta, lam, t, t_inv):
         if f.mode != mode:
             raise DimensionMismatch("bundle data must share one scalar mode")
-    shuffle = block_swap(base, fibre, base, fibre, mode)
-    lam_display = polymap_compose(t_inv, polymap_compose(lam, polymap_compose(cdc_T(t), shuffle)))
-    rho = _derive_rho(base, fibre, lam_display, mode)
+    rho = _derive_rho(base, fibre, _lift_display(base, fibre, lam, t, t_inv), mode)
     return DiffBundle(
         base=base,
         fibre=fibre,
@@ -395,12 +374,9 @@ def trivial_bundle(m: int, mode: str = scalars.RATIONAL) -> DiffBundle:
 def standard_bundle(m: int, k: int, mode: str = scalars.RATIONAL) -> DiffBundle:
     """Base m, fibre k, total m+k, fibrewise addition, lift (x,a) |-> (0,a,x,0)."""
     e2 = m + 2 * k
-    sigma_comps = [Poly.variable(e2, i, mode) for i in range(m)]
-    for i in range(k):
-        sigma_comps.append(
-            poly_add(Poly.variable(e2, m + i, mode), Poly.variable(e2, m + k + i, mode))
-        )
-    sigma = PolyMap(e2, m + k, tuple(sigma_comps), mode)
+    a = polymap_proj(e2, m, m + k, mode)
+    b = polymap_proj(e2, m + k, e2, mode)
+    sigma = polymap_pair(polymap_proj(e2, 0, m, mode), polymap_add(a, b))
     zeta = polymap_pair(identity_map(m, mode), zero_map(m, k, mode))
     total = m + k
     lam = polymap_pair(
@@ -415,13 +391,8 @@ def standard_bundle(m: int, k: int, mode: str = scalars.RATIONAL) -> DiffBundle:
 def tangent_bundle_of(m: int, mode: str = scalars.RATIONAL) -> DiffBundle:
     """(p : T(M) -> M, +, 0, ell) with the (u, x) -> (x, u) trivialization."""
     swap = block_swap(0, m, m, 0, mode)
-    e2 = 3 * m
-    sigma_comps = [
-        poly_add(Poly.variable(e2, m + i, mode), Poly.variable(e2, 2 * m + i, mode))
-        for i in range(m)
-    ]
-    sigma_comps += [Poly.variable(e2, i, mode) for i in range(m)]
-    sigma = PolyMap(e2, 2 * m, tuple(sigma_comps), mode)
+    x, a, b = (polymap_proj(3 * m, i * m, (i + 1) * m, mode) for i in range(3))
+    sigma = polymap_pair(polymap_add(a, b), x)
     return make_bundle(
         m,
         m,
@@ -443,8 +414,7 @@ def verify_bundle(b: DiffBundle, label: str = "bundle") -> Report:
     zero_e = tangent_zero(e, b.mode)
     zero_m = tangent_zero(m, b.mode)
 
-    def eq(name: str, lhs: PolyMap, rhs: PolyMap, detail: str = ""):
-        checks.equality(name, lhs, rhs, detail, render=polymap_to_str)
+    eq = checks.equality
 
     eq("triv-left-inverse", polymap_compose(b.triv, b.triv_inv), ident_e)
     eq(
@@ -478,13 +448,7 @@ def verify_bundle(b: DiffBundle, label: str = "bundle") -> Report:
         swap = pair_into_e2(b, pi1, pi0)
         eq("sigma-commutative", polymap_compose(swap, b.sigma), b.sigma)
     with checks.guard("sigma-associative"):
-        k = b.fibre
-        e3 = m + 3 * k
-        legs = []
-        for i in range(3):
-            x = polymap_proj(e3, 0, m, b.mode)
-            fib = polymap_proj(e3, m + i * k, m + (i + 1) * k, b.mode)
-            legs.append(polymap_compose(polymap_pair(x, fib), b.triv_inv))
+        legs = [bundle_pi(b, i, 3) for i in range(3)]
         s12 = polymap_compose(pair_into_e2(b, legs[0], legs[1]), b.sigma)
         s23 = polymap_compose(pair_into_e2(b, legs[1], legs[2]), b.sigma)
         eq(
@@ -574,9 +538,7 @@ def verify_bundle(b: DiffBundle, label: str = "bundle") -> Report:
 
 
 def is_bundle_morphism(mor: BundleMor, b: DiffBundle, b2: DiffBundle) -> bool:
-    return polymap_equal(
-        polymap_compose(mor.f, b2.q), polymap_compose(b.q, mor.g)
-    )
+    return polymap_compose(mor.f, b2.q) == polymap_compose(b.q, mor.g)
 
 
 def _require_morphism(mor: BundleMor, b: DiffBundle, b2: DiffBundle):
@@ -591,38 +553,31 @@ def _require_morphism(mor: BundleMor, b: DiffBundle, b2: DiffBundle):
 def is_linear(mor: BundleMor, b: DiffBundle, b2: DiffBundle) -> bool:
     """fq' = qg and f;lambda' = lambda;T(f)."""
     _require_morphism(mor, b, b2)
-    return polymap_equal(
-        polymap_compose(mor.f, b2.lam), polymap_compose(b.lam, cdc_T(mor.f))
+    return polymap_compose(mor.f, b2.lam) == polymap_compose(b.lam, cdc_T(mor.f))
+
+
+def _e2_image(mor: BundleMor, b: DiffBundle, b2: DiffBundle) -> PolyMap:
+    """<pi0 f, pi1 f> : E_2 -> E'_2."""
+    return pair_into_e2(
+        b2, polymap_compose(bundle_pi(b, 0), mor.f), polymap_compose(bundle_pi(b, 1), mor.f)
     )
 
 
 def is_additive(mor: BundleMor, b: DiffBundle, b2: DiffBundle) -> bool:
     """Preserves sigma and zeta over g."""
     _require_morphism(mor, b, b2)
-    f2 = pair_into_e2(
-        b2, polymap_compose(bundle_pi(b, 0), mor.f), polymap_compose(bundle_pi(b, 1), mor.f)
-    )
-    adds = polymap_equal(
-        polymap_compose(b.sigma, mor.f), polymap_compose(f2, b2.sigma)
-    )
-    zeros = polymap_equal(
-        polymap_compose(b.zeta, mor.f), polymap_compose(mor.g, b2.zeta)
-    )
+    adds = polymap_compose(b.sigma, mor.f) == polymap_compose(_e2_image(mor, b, b2), b2.sigma)
+    zeros = polymap_compose(b.zeta, mor.f) == polymap_compose(mor.g, b2.zeta)
     return adds and zeros
 
 
 def mu_characterization(mor: BundleMor, b: DiffBundle, b2: DiffBundle) -> bool:
     """mu;T(f) = <pi0 f, pi1 f> mu' together with zeta preservation."""
     _require_morphism(mor, b, b2)
-    f2 = pair_into_e2(
-        b2, polymap_compose(bundle_pi(b, 0), mor.f), polymap_compose(bundle_pi(b, 1), mor.f)
+    main = polymap_compose(mu_map(b), cdc_T(mor.f)) == polymap_compose(
+        _e2_image(mor, b, b2), mu_map(b2)
     )
-    main = polymap_equal(
-        polymap_compose(mu_map(b), cdc_T(mor.f)), polymap_compose(f2, mu_map(b2))
-    )
-    zeros = polymap_equal(
-        polymap_compose(b.zeta, mor.f), polymap_compose(mor.g, b2.zeta)
-    )
+    zeros = polymap_compose(b.zeta, mor.f) == polymap_compose(mor.g, b2.zeta)
     return main and zeros
 
 
@@ -632,7 +587,7 @@ def mu_characterization(mor: BundleMor, b: DiffBundle, b2: DiffBundle) -> bool:
 
 def tangent_of_bundle(b: DiffBundle) -> DiffBundle:
     """T of a bundle: (T(q), T(sigma), T(zeta), T(lambda) c), transported."""
-    m, k, e = b.base, b.fibre, b.total
+    m, k = b.base, b.fibre
     mode = b.mode
     # E'_2 carries (dx, x, da, a, db, b); permute into T(E_2) order
     # (dx, da, db, x, a, b) before applying T(sigma)
@@ -647,10 +602,9 @@ def tangent_of_bundle(b: DiffBundle) -> DiffBundle:
     perm = permutation_map(2 * m + 4 * k, images, mode)
     sigma2 = polymap_compose(perm, cdc_T(b.sigma))
     zeta2 = cdc_T(b.zeta)
-    lam2 = polymap_compose(cdc_T(b.lam), cdc_flip(e, mode))
-    triv2 = polymap_compose(cdc_T(b.triv), block_swap(m, k, m, k, mode))
-    triv2_inv = polymap_compose(block_swap(m, m, k, k, mode), cdc_T(b.triv_inv))
-    return make_bundle(2 * m, 2 * k, sigma2, zeta2, lam2, (triv2, triv2_inv), mode)
+    lam2 = polymap_compose(cdc_T(b.lam), cdc_flip(b.total, mode))
+    triv2 = (tangent_triv(b), tangent_triv_inv(b))
+    return make_bundle(2 * m, 2 * k, sigma2, zeta2, lam2, triv2, mode)
 
 
 def bundle_projection_mor(b: DiffBundle) -> BundleMor:
@@ -663,22 +617,24 @@ def bundle_zero_mor(b: DiffBundle) -> BundleMor:
     return BundleMor(tangent_zero(b.total, b.mode), tangent_zero(b.base, b.mode))
 
 
+def zeta_fibre(b: DiffBundle) -> PolyMap:
+    """The fibre part of the zero section, M -> F, in display coordinates."""
+    n = b.base + b.fibre
+    return polymap_compose(
+        b.zeta, polymap_compose(b.triv, polymap_proj(n, b.base, n, b.mode))
+    )
+
+
 def _display_blocks(b: DiffBundle):
     """Trivialized structural data: sigma, zeta and lift blocks over (x, a)."""
     m, k = b.base, b.fibre
     sigma_fib = polymap_compose(
         polymap_compose(b.sigma, b.triv), polymap_proj(m + k, m, m + k, b.mode)
     )
-    zeta_fib = polymap_compose(
-        polymap_compose(b.zeta, b.triv), polymap_proj(m + k, m, m + k, b.mode)
-    )
-    shuffle = block_swap(m, k, m, k, b.mode)
-    lam_display = polymap_compose(
-        b.triv_inv, polymap_compose(b.lam, polymap_compose(cdc_T(b.triv), shuffle))
-    )
+    lam_display = _lift_display(m, k, b.lam, b.triv, b.triv_inv)
     lam_tan = PolyMap(m + k, k, lam_display.components[2 * m : 2 * m + k], b.mode)
     lam_pt = PolyMap(m + k, k, lam_display.components[2 * m + k :], b.mode)
-    return sigma_fib, zeta_fib, lam_tan, lam_pt
+    return sigma_fib, zeta_fibre(b), lam_tan, lam_pt
 
 
 def pullback_bundle(f: PolyMap, b: DiffBundle) -> DiffBundle:
@@ -691,17 +647,12 @@ def pullback_bundle(f: PolyMap, b: DiffBundle) -> DiffBundle:
     mode = b.mode
     sigma_fib, zeta_fib, lam_tan, lam_pt = _display_blocks(b)
     # sigma'(x', a, b) = (x', s(f(x'), a, b))
-    e2 = x + 2 * k
-    base_of = polymap_proj(e2, 0, x, mode)
-    fx = polymap_compose(base_of, f)
-    args = polymap_pair(fx, polymap_proj(e2, x, e2, mode))
+    base_of = polymap_proj(x + 2 * k, 0, x, mode)
+    args = polymap_product(f, identity_map(2 * k, mode))
     sigma2 = polymap_pair(base_of, polymap_compose(args, sigma_fib))
     zeta2 = polymap_pair(identity_map(x, mode), polymap_compose(f, zeta_fib))
     total = x + k
-    fx1 = polymap_pair(
-        polymap_compose(polymap_proj(total, 0, x, mode), f),
-        polymap_proj(total, x, total, mode),
-    )
+    fx1 = polymap_product(f, identity_map(k, mode))
     lam2 = polymap_pair(
         zero_map(total, x, mode),
         polymap_compose(fx1, lam_tan),
@@ -713,11 +664,7 @@ def pullback_bundle(f: PolyMap, b: DiffBundle) -> DiffBundle:
 
 def pullback_mor(f: PolyMap, b: DiffBundle, pulled: DiffBundle) -> BundleMor:
     """The Cartesian projection (f*_E, f) : f*(bundle) -> bundle."""
-    total = pulled.total
-    fx1 = polymap_pair(
-        polymap_compose(polymap_proj(total, 0, pulled.base, pulled.mode), f),
-        polymap_proj(total, pulled.base, total, pulled.mode),
-    )
+    fx1 = polymap_product(f, identity_map(pulled.fibre, pulled.mode))
     return BundleMor(polymap_compose(fx1, b.triv_inv), f)
 
 
@@ -781,7 +728,7 @@ def whitney_pair(
     mor1: BundleMor, mor2: BundleMor, b1: DiffBundle, b2: DiffBundle, bsum: DiffBundle
 ) -> BundleMor:
     """<mor1, mor2> into the sum, for morphisms over a shared base map."""
-    if not polymap_equal(mor1.g, mor2.g):
+    if mor1.g != mor2.g:
         raise PreconditionFailure("Whitney pairing needs a shared base map")
     f1t = polymap_compose(mor1.f, b1.triv)
     f2t = polymap_compose(mor2.f, b2.triv)

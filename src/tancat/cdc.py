@@ -14,7 +14,7 @@ T(f) = <D(f), pi1 f> : 2m -> 2n.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, List, Sequence
+from typing import Callable, Sequence
 
 from . import scalars
 from .errors import DimensionMismatch, PreconditionFailure
@@ -32,10 +32,8 @@ from .poly import (
     poly_shift_vars,
     polymap_add,
     polymap_compose,
-    polymap_equal,
     polymap_pair,
     polymap_proj,
-    polymap_to_str,
     random_polymap,
     zero_map,
 )
@@ -72,24 +70,15 @@ def tangent_zero(m: int, mode: str) -> PolyMap:
 
 def tangent_plus(m: int, mode: str) -> PolyMap:
     """Fibre addition + : T_2(m) -> T(m), (u1, u2, x) |-> (u1 + u2, x)."""
-    comps: List[Poly] = []
-    for i in range(m):
-        comps.append(poly_add(Poly.variable(3 * m, i, mode), Poly.variable(3 * m, m + i, mode)))
-    for i in range(m):
-        comps.append(Poly.variable(3 * m, 2 * m + i, mode))
-    return PolyMap(3 * m, 2 * m, tuple(comps), mode)
+    u1 = polymap_proj(3 * m, 0, m, mode)
+    u2 = polymap_proj(3 * m, m, 2 * m, mode)
+    return polymap_pair(polymap_add(u1, u2), polymap_proj(3 * m, 2 * m, 3 * m, mode))
 
 
 def cdc_ell(m: int, mode: str) -> PolyMap:
     """Vertical lift ell : T(m) -> T^2(m), (u, x) |-> (u, 0, 0, x)."""
-    comps: List[Poly] = []
-    for i in range(m):
-        comps.append(Poly.variable(2 * m, i, mode))
-    for _ in range(2 * m):
-        comps.append(Poly.zero(2 * m, mode))
-    for i in range(m):
-        comps.append(Poly.variable(2 * m, m + i, mode))
-    return PolyMap(2 * m, 4 * m, tuple(comps), mode)
+    u, x = polymap_proj(2 * m, 0, m, mode), polymap_proj(2 * m, m, 2 * m, mode)
+    return polymap_pair(u, zero_map(2 * m, 2 * m, mode), x)
 
 
 def cdc_flip(m: int, mode: str) -> PolyMap:
@@ -116,7 +105,7 @@ def pair_into_t2(m: int, f: PolyMap, g: PolyMap) -> PolyMap:
     """<f, g> : W -> T_2(m) for f, g : W -> T(m) with f;p = g;p."""
     if f.cod != 2 * m or g.cod != 2 * m or f.dom != g.dom:
         raise DimensionMismatch("pair_into_t2 needs two maps into T(%d)" % m)
-    if not polymap_equal(_block(f, m, 2 * m), _block(g, m, 2 * m)):
+    if _block(f, m, 2 * m) != _block(g, m, 2 * m):
         raise PreconditionFailure("pair into T_2: point parts disagree")
     comps = f.components[:m] + g.components[:m] + f.components[m:]
     return PolyMap(f.dom, 3 * m, comps, f.mode)
@@ -129,8 +118,8 @@ def pair_into_t_t2(m: int, f: PolyMap, g: PolyMap) -> PolyMap:
     """
     if f.cod != 4 * m or g.cod != 4 * m or f.dom != g.dom:
         raise DimensionMismatch("pair_into_t_t2 needs two maps into T^2(%d)" % m)
-    same_dx = polymap_equal(_block(f, m, 2 * m), _block(g, m, 2 * m))
-    same_x = polymap_equal(_block(f, 3 * m, 4 * m), _block(g, 3 * m, 4 * m))
+    same_dx = _block(f, m, 2 * m) == _block(g, m, 2 * m)
+    same_x = _block(f, 3 * m, 4 * m) == _block(g, 3 * m, 4 * m)
     if not (same_dx and same_x):
         raise PreconditionFailure("pair into T(T_2): T(p) images disagree")
     comps = (
@@ -191,9 +180,6 @@ class PolyTangentModel(TangentModel):
 
     def identity(self, m: int) -> PolyMap:
         return self._embed(identity_map(m, self.mode))
-
-    def mor_str(self, f: PolyMap) -> str:
-        return polymap_to_str(f)
 
     def random_mor(self, m: int, n: int, rng, max_degree: int = 3, coeff_bound: int = 5) -> PolyMap:
         return random_polymap(m, n, max_degree, coeff_bound, rng, self.mode)
@@ -268,6 +254,3 @@ class PolyCDModel:
     def random_point(self, obj: int, rng, coeff_bound: int) -> PolyMap:
         values = [scalars.random_scalar(self.mode, rng, coeff_bound) for _ in range(obj)]
         return constant_map(0, values, self.mode)
-
-    def render(self, f: PolyMap) -> str:
-        return polymap_to_str(f)

@@ -84,9 +84,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
 
 def _print_bundle(label: str, b) -> None:
     print(f"{label}: base {b.base}, fibre {b.fibre}, mode {b.mode}")
-    print(f"  sigma: {polymap_to_str(b.sigma)}")
-    print(f"  zeta: {polymap_to_str(b.zeta)}")
-    print(f"  lambda: {polymap_to_str(b.lam)}")
+    print(f"  sigma: {b.sigma}")
+    print(f"  zeta: {b.zeta}")
+    print(f"  lambda: {b.lam}")
 
 
 def _cmd_bundle(args: argparse.Namespace) -> int:
@@ -115,7 +115,7 @@ def _cmd_bundle(args: argparse.Namespace) -> int:
     if args.map is None or args.map_dom is None:
         raise ValueError("--op bracket needs --map and --map-dom")
     f = parse_polymap(args.map, args.map_dom, b.mode)
-    print(polymap_to_str(bracket(f, b)))
+    print(bracket(f, b))
     return 0
 
 

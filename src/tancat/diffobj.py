@@ -21,10 +21,10 @@ from .poly import (
     PolyMap,
     block_swap,
     identity_map,
+    polymap_add,
     polymap_compose,
     polymap_pair,
     polymap_proj,
-    polymap_to_str,
     terminal_map,
     zero_map,
 )
@@ -42,11 +42,7 @@ class DiffObject:
 
 def canonical_diffobj(k: int, mode: str = scalars.RATIONAL) -> DiffObject:
     """Coordinatewise addition, zero, and tangent-block projection."""
-    sigma_comps = tuple(
-        polymap_proj(2 * k, 0, k, mode).components[i] + polymap_proj(2 * k, k, 2 * k, mode).components[i]
-        for i in range(k)
-    )
-    sigma = PolyMap(2 * k, k, sigma_comps, mode)
+    sigma = polymap_add(polymap_proj(2 * k, 0, k, mode), polymap_proj(2 * k, k, 2 * k, mode))
     return DiffObject(
         carrier=k,
         sigma=sigma,
@@ -110,8 +106,7 @@ def verify_diffobj(o: DiffObject, label: str = "diffobj") -> Report:
     mode = o.mode
     ident2k = identity_map(2 * k, mode)
 
-    def eq(name, lhs, rhs, detail=""):
-        checks.equality(name, lhs, rhs, detail, render=polymap_to_str)
+    eq = checks.equality
 
     zhat = polymap_compose(terminal_map(k, mode), o.zeta)
     eq(
@@ -228,8 +223,7 @@ def check_cds(
             o = DiffObject(k, o.sigma, o.zeta, phat_for(k), mode)
         return o
 
-    def eq(name, lhs, rhs, detail=""):
-        checks.equality(name, lhs, rhs, detail, render=polymap_to_str)
+    eq = checks.equality
 
     dims = range(1, bound + 1)
     for k1 in dims:

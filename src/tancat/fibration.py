@@ -25,10 +25,8 @@ from .poly import (
     poly_shift_vars,
     polymap_add,
     polymap_compose,
-    polymap_equal,
     polymap_pair,
     polymap_proj,
-    polymap_to_str,
     random_polymap,
     zero_map,
 )
@@ -53,6 +51,9 @@ class SimpleMor:
     @property
     def cod(self) -> SimpleObj:
         return SimpleObj(self.f.cod, self.g.cod)
+
+    def __str__(self) -> str:
+        return f"({self.f} | {self.g})"
 
 
 def simple_identity(obj: SimpleObj, mode: str = scalars.RATIONAL) -> SimpleMor:
@@ -108,13 +109,9 @@ def vertical_tangent_map(a: int, g: PolyMap) -> PolyMap:
 
 def vertical_T(context: int, m: SimpleMor) -> SimpleMor:
     """Fibrewise tangent of a vertical morphism; payload dims double."""
-    if not polymap_equal(m.f, identity_map(context, m.f.mode)):
+    if m.f != identity_map(context, m.f.mode):
         raise PreconditionFailure("not-vertical: first component must be the identity")
     return SimpleMor(m.f, vertical_tangent_map(context, m.g))
-
-
-def simple_str(m: SimpleMor) -> str:
-    return f"({polymap_to_str(m.f)} | {polymap_to_str(m.g)})"
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +188,6 @@ class SimpleCDModel:
             constant_map(0, values[obj.context :], self.mode),
         )
 
-    def render(self, m: SimpleMor) -> str:
-        return simple_str(m)
-
 
 # ---------------------------------------------------------------------------
 # The fibre over a fixed context as a tangent model
@@ -237,6 +231,14 @@ def verify_fibre_axioms(
 ) -> Report:
     """Run the full tangent-axioms suite inside the fibre over a context."""
     from .suites import tangent_axioms_checks
+
+    for key, value, least in (
+        ("context", context, 0),
+        ("payload_bound", payload_bound, 1),
+        ("instances", instances, 1),
+    ):
+        if not isinstance(value, int) or value < least:
+            raise ValueError(f"invalid-params: {key} must be an integer >= {least}")
 
     model = FibreTangentModel(context, mode)
     checks = tangent_axioms_checks(model, payload_bound, 3, 5, instances, seed)

@@ -92,9 +92,6 @@ class TangentModel:
     def identity(self, x):
         raise NotImplementedError
 
-    def mor_str(self, f) -> str:
-        raise NotImplementedError
-
     def random_mor(self, x, y, rng, max_degree: int = 3, coeff_bound: int = 5):
         raise NotImplementedError
 

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
-from . import scalars
 from .errors import DimensionMismatch, NonFiniteError
-from .parser import Add, Const, Mul, Neg, Node, Pow, Var, parse_components
+from .parser import Add, Const, Mul, Neg, Node, Pow, Var, left_spine
 from .poly import Poly, PolyMap
 
 
@@ -56,10 +55,16 @@ def _eval_node(node: Node, env: Sequence[Dual]) -> Dual:
         return Dual(float(node.value), 0.0)
     if isinstance(node, Var):
         return env[node.index]
-    if isinstance(node, Add):
-        return _eval_node(node.left, env) + _eval_node(node.right, env)
-    if isinstance(node, Mul):
-        return _eval_node(node.left, env) * _eval_node(node.right, env)
+    if isinstance(node, (Add, Mul)):
+        kind = type(node)
+        # most products are a single coefficient times a factor: skip the walk
+        short = type(node.left) is not kind
+        operands = (node.left, node.right) if short else left_spine(node)
+        acc = _eval_node(operands[0], env)
+        for operand in operands[1:]:
+            rhs = _eval_node(operand, env)
+            acc = acc + rhs if kind is Add else acc * rhs
+        return acc
     if isinstance(node, Pow):
         return _eval_node(node.base, env) ** node.exponent
     if isinstance(node, Neg):
@@ -72,11 +77,6 @@ class NumericProgram:
     dom: int
     cod: int
     outputs: Tuple[Node, ...]
-
-    @staticmethod
-    def from_text(text: str, dom: int) -> "NumericProgram":
-        nodes = parse_components(text, dom, scalars.RATIONAL)
-        return NumericProgram(dom, len(nodes), tuple(nodes))
 
     @staticmethod
     def from_polymap(f: PolyMap) -> "NumericProgram":

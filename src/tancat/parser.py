@@ -66,6 +66,25 @@ class Neg:
 
 Node = Union[Const, Var, Add, Mul, Pow, Neg]
 
+# Parentheses and unary minus nest by recursion; deeper input is refused.
+MAX_NESTING = 100
+
+
+def left_spine(node: Node) -> List[Node]:
+    """Operands of a left-nested chain of ``type(node)``, leftmost first.
+
+    Sums and products parse into left-nested chains as long as the input,
+    so consumers fold them with a loop instead of recursing down them.
+    """
+    kind = type(node)
+    rights = []
+    while isinstance(node, kind):
+        rights.append(node.right)
+        node = node.left
+    rights.append(node)
+    return rights[::-1]
+
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([+\-*^/();])|(\S))")
 
 
@@ -95,6 +114,12 @@ class _Parser:
         self.i = 0
         self.dom = dom
         self.mode = scalars.check_mode(mode)
+        self.depth = 0
+
+    def nest(self, pos: int):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise PolyParseError(f"parentheses and unary minus nest deeper than {MAX_NESTING}", pos)
 
     def peek(self):
         return self.tokens[self.i]
@@ -153,7 +178,10 @@ class _Parser:
             if self.mode == scalars.NATURAL:
                 raise SemiringViolation(f"'-' is not available in natural mode (position {pos})")
             self.advance()
-            return Neg(self.parse_factor())
+            self.nest(pos)
+            node = Neg(self.parse_factor())
+            self.depth -= 1
+            return node
         node = self.parse_atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -187,8 +215,10 @@ class _Parser:
                 raise PolyParseError(f"variable {val} out of range for domain {self.dom}", pos)
             return Var(index)
         if kind == "op" and val == "(":
+            self.nest(pos)
             node = self.parse_expr()
             self.expect_op(")")
+            self.depth -= 1
             return node
         raise PolyParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
 
@@ -203,10 +233,13 @@ def ast_to_poly(node: Node, dom: int, mode: str) -> Poly:
         return Poly.constant(dom, scalars.coerce(mode, node.value), mode)
     if isinstance(node, Var):
         return Poly.variable(dom, node.index, mode)
-    if isinstance(node, Add):
-        return ast_to_poly(node.left, dom, mode) + ast_to_poly(node.right, dom, mode)
-    if isinstance(node, Mul):
-        return ast_to_poly(node.left, dom, mode) * ast_to_poly(node.right, dom, mode)
+    if isinstance(node, (Add, Mul)):
+        operands = left_spine(node)
+        acc = ast_to_poly(operands[0], dom, mode)
+        for operand in operands[1:]:
+            rhs = ast_to_poly(operand, dom, mode)
+            acc = acc + rhs if type(node) is Add else acc * rhs
+        return acc
     if isinstance(node, Pow):
         base = ast_to_poly(node.base, dom, mode)
         out = Poly.constant(dom, 1, mode)

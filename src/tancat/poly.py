@@ -67,12 +67,6 @@ class Poly:
         ev = tuple(1 if j == i else 0 for j in range(nvars))
         return Poly.from_terms(nvars, [(ev, 1)], mode)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def total_degree(self) -> int:
-        return max((sum(ev) for ev, _ in self.terms), default=0)
-
     def __add__(self, other: "Poly") -> "Poly":
         return poly_add(self, other)
 
@@ -206,10 +200,6 @@ class PolyMap:
         return polymap_to_str(self)
 
 
-def polymap(components: Sequence[Poly], dom: int, mode: str) -> PolyMap:
-    return PolyMap(dom, len(components), tuple(components), mode)
-
-
 def identity_map(m: int, mode: str) -> PolyMap:
     return PolyMap(m, m, tuple(Poly.variable(m, i, mode) for i in range(m)), mode)
 
@@ -282,13 +272,17 @@ def polymap_add(f: PolyMap, g: PolyMap) -> PolyMap:
     return PolyMap(f.dom, f.cod, comps, f.mode)
 
 
-def polymap_equal(f: PolyMap, g: PolyMap) -> bool:
-    return (
-        f.dom == g.dom
-        and f.cod == g.cod
-        and f.mode == g.mode
-        and f.components == g.components
-    )
+def linear_map(dom: int, lo: int, matrix: Sequence[Sequence], mode: str) -> PolyMap:
+    """The map whose i-th output is sum_j matrix[i][j] * x_{lo + j}."""
+    comps = []
+    for row in matrix:
+        items = []
+        for j, c in enumerate(row):
+            ev = [0] * dom
+            ev[lo + j] = 1
+            items.append((tuple(ev), c))
+        comps.append(Poly.from_terms(dom, items, mode))
+    return PolyMap(dom, len(comps), tuple(comps), mode)
 
 
 def eval_polymap(f: PolyMap, point: Sequence) -> tuple:

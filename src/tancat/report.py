@@ -12,7 +12,7 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .errors import (
     DimensionMismatch,
@@ -103,19 +103,12 @@ class CheckSet:
             self._fail(name, FAIL, detail or "condition violated")
         return ok
 
-    def equality(
-        self,
-        name: str,
-        lhs,
-        rhs,
-        detail: str = "",
-        render: Callable[[object], str] = str,
-    ) -> bool:
+    def equality(self, name: str, lhs, rhs, detail: str = "") -> bool:
         if lhs == rhs:
             self._touch(name)
             return True
         prefix = f"{detail}; " if detail else ""
-        self._fail(name, FAIL, f"{prefix}lhs = {render(lhs)}; rhs = {render(rhs)}")
+        self._fail(name, FAIL, f"{prefix}lhs = {lhs}; rhs = {rhs}")
         return False
 
     def numeric(self, name: str, value: float, tol: float, detail: str = "") -> bool:

@@ -38,6 +38,7 @@ from .bundles import (
     whitney_pair,
     whitney_proj,
     whitney_sum,
+    zeta_fibre,
 )
 from .cdc import (
     PolyCDModel,
@@ -66,7 +67,6 @@ from .fibration import (
     simple_D,
     simple_compose,
     simple_identity,
-    simple_str,
     vertical_T,
     vertical_tangent_map,
     verify_fibre_axioms,
@@ -80,15 +80,14 @@ from .poly import (
     constant_map,
     eval_polymap,
     identity_map,
+    linear_map,
     poly_add,
     poly_mul,
-    poly_scale,
     poly_shift_vars,
+    polymap_add,
     polymap_compose,
-    polymap_equal,
     polymap_pair,
     polymap_proj,
-    polymap_to_str,
     random_polymap,
     zero_map,
 )
@@ -166,8 +165,7 @@ def tangent_axioms_checks(
 ) -> CheckSet:
     checks = CheckSet()
 
-    def eq(name, lhs, rhs, detail=""):
-        checks.equality(name, lhs, rhs, detail, render=model.mor_str)
+    eq = checks.equality
 
     for m in range(1, max_dim + 1):
         d = f"dim {m}"
@@ -316,7 +314,7 @@ def tangent_axioms_checks(
         dx = rng.randint(1, max_dim)
         dy = rng.randint(1, max_dim)
         f = model.random_mor(dx, dy, rng, max_degree, coeff_bound)
-        desc = f"instance {i}: f = {model.mor_str(f)}"
+        desc = f"instance {i}: f = {f}"
         tf = model.t_mor(f)
         eq("naturality-p", model.compose(tf, model.p(dy)), model.compose(model.p(dx), f), desc)
         eq("naturality-zero", model.compose(f, model.zero(dy)), model.compose(model.zero(dx), tf), desc)
@@ -362,7 +360,7 @@ def tangent_axioms_checks(
             "functor-compose",
             model.t_mor(model.compose(f, g)),
             model.compose(model.t_mor(f), model.t_mor(g)),
-            f"instance {i}: f = {model.mor_str(f)}; g = {model.mor_str(g)}",
+            f"instance {i}: f = {f}; g = {g}",
         )
     return checks
 
@@ -397,14 +395,14 @@ def cdc_axioms_checks(
 
     The CD model supplies D, compose, n-ary pair/product/proj, add, zero,
     identity, a ``unit`` object that points start from, seeded random
-    objects, maps and points, and render (see PolyCDModel, SimpleCDModel).
+    objects, maps and points (see PolyCDModel, SimpleCDModel).  Morphisms
+    print themselves through ``str``.
     """
     if checks is None:
         checks = CheckSet()
     D = model.D
 
-    def eq(name, lhs, rhs, detail=""):
-        checks.equality(name, lhs, rhs, detail, render=model.render)
+    eq = checks.equality
 
     rng = rng_for(suite_name, "cd", seed)
     for i in range(instances):
@@ -414,7 +412,7 @@ def cdc_axioms_checks(
         f = model.random_mor(m, n, rng, max_degree, coeff_bound)
         g = model.random_mor(m, n, rng, max_degree, coeff_bound)
         h = model.random_mor(n, pdim, rng, max_degree, coeff_bound)
-        desc = f"instance {i}: f = {model.render(f)}"
+        desc = f"instance {i}: f = {f}"
         df = D(f)
         tm = model.product(m, m)
         pi_u, pi_x = model.proj((m, m), 0), model.proj((m, m), 1)
@@ -454,7 +452,7 @@ def cdc_axioms_checks(
         eq("cd4-pairing", D(model.pair(f, g)), model.pair(df, D(g)), desc)
 
         chain = model.compose(model.pair(df, model.compose(pi_x, f)), D(h))
-        eq("cd5-chain", D(model.compose(f, h)), chain, desc + f", h = {model.render(h)}")
+        eq("cd5-chain", D(model.compose(f, h)), chain, desc + f", h = {h}")
 
         ddf = D(df)
         zero_u = model.zero(tm, m)
@@ -509,8 +507,7 @@ def _suite_derived_differential(params: Dict[str, object]) -> Report:
                     "derived-equals-direct",
                     derived_D(f),
                     cdc_D(f),
-                    f"dom {m}, cod {n}, instance {i}: f = {polymap_to_str(f)}",
-                    render=polymap_to_str,
+                    f"dom {m}, cod {n}, instance {i}: f = {f}",
                 )
     cdc_axioms_checks(
         PolyCDModel(derived_D, mode, params["max_dim"]),
@@ -528,16 +525,17 @@ def _suite_derived_differential(params: Dict[str, object]) -> Report:
 # Bundle constructors
 
 
+def _standard_1_1(mode: str, fault: Optional[str]) -> DiffBundle:
+    if fault == "corrupted-lambda":
+        return corrupted_standard_bundle(mode)
+    return standard_bundle(1, 1, mode)
+
+
 def _bundle_families(mode: str, fault: Optional[str]):
-    std11 = (
-        corrupted_standard_bundle(mode)
-        if fault == "corrupted-lambda"
-        else standard_bundle(1, 1, mode)
-    )
     return [
         ("trivial-1", trivial_bundle(1, mode)),
         ("trivial-2", trivial_bundle(2, mode)),
-        ("standard-1-1", std11),
+        ("standard-1-1", _standard_1_1(mode, fault)),
         ("standard-2-1", standard_bundle(2, 1, mode)),
         ("standard-1-2", standard_bundle(1, 2, mode)),
         ("tangent-1", tangent_bundle_of(1, mode)),
@@ -573,7 +571,7 @@ def _suite_bundle(params: Dict[str, object]) -> Report:
     t_triv = tangent_of_bundle(by_label["trivial-1"])
     plain = trivial_bundle(2, mode)
     same = all(
-        polymap_equal(getattr(t_triv, fld), getattr(plain, fld))
+        getattr(t_triv, fld) == getattr(plain, fld)
         for fld in ("q", "sigma", "zeta", "lam", "triv", "triv_inv")
     )
     checks.condition(
@@ -592,7 +590,7 @@ def _suite_bundle(params: Dict[str, object]) -> Report:
         fmap = random_polymap(
             xdim, b.base, params["max_degree"], params["coeff_bound"], rng, mode
         )
-        detail = f"instance {i} over {label}, f = {polymap_to_str(fmap)}"
+        detail = f"instance {i} over {label}, f = {fmap}"
         with checks.guard("pullback-verify"):
             pb = pullback_bundle(fmap, b)
             rep = verify_bundle(pb, "pullback")
@@ -605,7 +603,7 @@ def _suite_bundle(params: Dict[str, object]) -> Report:
     b = by_label["standard-2-1"]
     pb = pullback_bundle(identity_map(2, mode), b)
     same = all(
-        polymap_equal(getattr(pb, fld), getattr(b, fld))
+        getattr(pb, fld) == getattr(b, fld)
         for fld in ("q", "sigma", "zeta", "lam")
     )
     checks.condition("pullback-along-identity", same, "pullback along 1 must reproduce the bundle")
@@ -645,12 +643,11 @@ def _suite_bundle(params: Dict[str, object]) -> Report:
                     paired.f,
                     identity_map(bs.total, mode),
                     detail,
-                    render=polymap_to_str,
                 )
 
     bs = whitney_sum(by_label["standard-1-1"], by_label["trivial-1"])
     same = all(
-        polymap_equal(getattr(bs, fld), getattr(by_label["standard-1-1"], fld))
+        getattr(bs, fld) == getattr(by_label["standard-1-1"], fld)
         for fld in ("q", "sigma", "zeta", "lam")
     )
     checks.condition("whitney-unit", same, "sum with the empty-fibre bundle changes nothing")
@@ -670,21 +667,9 @@ def _suite_bundle(params: Dict[str, object]) -> Report:
 # The bracket and its laws
 
 
-def _zeta_fibre(b: DiffBundle) -> PolyMap:
-    n = b.base + b.fibre
-    return polymap_compose(
-        b.zeta, polymap_compose(b.triv, polymap_proj(n, b.base, n, b.mode))
-    )
-
-
 def _bracket_bundles(mode: str, fault: Optional[str]):
-    std11 = (
-        corrupted_standard_bundle(mode)
-        if fault == "corrupted-lambda"
-        else standard_bundle(1, 1, mode)
-    )
     return [
-        ("standard-1-1", std11),
+        ("standard-1-1", _standard_1_1(mode, fault)),
         ("standard-2-1", standard_bundle(2, 1, mode)),
         ("tangent-1", tangent_bundle_of(1, mode)),
     ]
@@ -699,8 +684,7 @@ def _suite_bracket_laws(params: Dict[str, object]) -> Report:
     bundles = _bracket_bundles(mode, params["fault"])
     tangents = {label: tangent_of_bundle(b) for label, b in bundles}
 
-    def eq(name, lhs, rhs, detail=""):
-        checks.equality(name, lhs, rhs, detail, render=polymap_to_str)
+    eq = checks.equality
 
     for label, b in bundles:
         e = b.total
@@ -812,7 +796,7 @@ def _suite_bracket_laws(params: Dict[str, object]) -> Report:
             )
 
             f3 = assemble_tangent(
-                b, zero_dx, xmap, rand(k), polymap_compose(xmap, _zeta_fibre(b))
+                b, zero_dx, xmap, rand(k), polymap_compose(xmap, zeta_fibre(b))
             )
             eq(
                 "bracket-section-form",
@@ -822,10 +806,8 @@ def _suite_bracket_laws(params: Dict[str, object]) -> Report:
             )
 
         y = polymap_compose(xmap, b.zeta)
-        hyp = polymap_equal(
-            polymap_compose(y, tangent_zero(e, mode)), polymap_compose(y, b.lam)
-        )
-        concl = polymap_equal(y, polymap_compose(polymap_compose(y, b.q), b.zeta))
+        hyp = polymap_compose(y, tangent_zero(e, mode)) == polymap_compose(y, b.lam)
+        concl = y == polymap_compose(polymap_compose(y, b.q), b.zeta)
         checks.condition("zero-lambda-forces-section", (not hyp) or concl, desc)
     return checks.report("bracket-laws", params)
 
@@ -874,9 +856,9 @@ def _suite_interchange(params: Dict[str, object]) -> Report:
                 pair_into_t2(e, v2, v4), tangent_plus(e, mode)
             )
             rhs = polymap_compose(pair_into_t_e2(b, p13, p24), cdc_T(b.sigma))
-            checks.equality("interchange", lhs, rhs, desc, render=polymap_to_str)
+            checks.equality("interchange", lhs, rhs, desc)
         with checks.guard("interchange-shared-zero"):
-            azero = polymap_compose(xmap, _zeta_fibre(b))
+            azero = polymap_compose(xmap, zeta_fibre(b))
             zero_dx = zero_map(xdim, m, mode)
             w1 = assemble_tangent(b, zero_dx, xmap, da[0], azero)
             w2 = assemble_tangent(b, zero_dx, xmap, da[1], azero)
@@ -887,7 +869,6 @@ def _suite_interchange(params: Dict[str, object]) -> Report:
                     pair_into_t2(e, w1, w2), tangent_plus(e, mode)
                 ),
                 desc,
-                render=polymap_to_str,
             )
     return checks.report("interchange", params)
 
@@ -965,7 +946,7 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
             BundleMor(cdc_T(f), f),
             tangent_over(dn),
             tangent_over(dm),
-            f"instance {i}: f = {polymap_to_str(f)}",
+            f"instance {i}: f = {f}",
         )
 
     rng = rng_for("linearity", "pullback", seed)
@@ -979,7 +960,7 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
             pullback_mor(f, b, pb),
             pb,
             b,
-            f"instance {i}: f = {polymap_to_str(f)}",
+            f"instance {i}: f = {f}",
         )
 
     b1 = dict(families)["standard-1-1"]
@@ -1011,7 +992,7 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
         mor = BundleMor(f_total, g)
         lam_ok = is_linear(mor, b_src, b_src)
         mu_ok = mu_characterization(mor, b_src, b_src)
-        detail = f"instance {i}: fibre part {polymap_to_str(fib)}; lift-form {lam_ok}, mu-form {mu_ok}"
+        detail = f"instance {i}: fibre part {fib}; lift-form {lam_ok}, mu-form {mu_ok}"
         checks.condition("linearity-mu-equivalence", lam_ok == mu_ok, detail)
         if lam_ok:
             checks.condition(
@@ -1046,14 +1027,8 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
         k1 = rng.randint(1, 2)
         k2 = rng.randint(1, 2)
         if i % 2 == 0:
-            comps = []
-            for _ in range(k2):
-                acc = Poly.zero(k1, mode)
-                for j in range(k1):
-                    cval = scalars.random_scalar(mode, rng, bound)
-                    acc = poly_add(acc, poly_scale(Poly.variable(k1, j, mode), cval))
-                comps.append(acc)
-            f = PolyMap(k1, k2, tuple(comps), mode)
+            matrix = [[scalars.random_scalar(mode, rng, bound) for _ in range(k1)] for _ in range(k2)]
+            f = linear_map(k1, 0, matrix, mode)
         else:
             f = random_polymap(k1, k2, deg, bound, rng, mode)
         o1 = canonical_diffobj(k1, mode)
@@ -1062,13 +1037,11 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
         d2 = bundle_from_diffobj(o2)
         mor = BundleMor(f, identity_map(0, mode))
         lam_ok = is_linear(mor, d1, d2)
-        phat_ok = polymap_equal(
-            polymap_compose(cdc_T(f), o2.phat), polymap_compose(o1.phat, f)
-        )
+        phat_ok = polymap_compose(cdc_T(f), o2.phat) == polymap_compose(o1.phat, f)
         checks.condition(
             "diffobj-linearity-equivalence",
             lam_ok == phat_ok,
-            f"instance {i}: f = {polymap_to_str(f)}; lift-form {lam_ok}, phat-form {phat_ok}",
+            f"instance {i}: f = {f}; lift-form {lam_ok}, phat-form {phat_ok}",
         )
     return checks.report("linearity", params)
 
@@ -1087,25 +1060,19 @@ def _suite_diffobj(params: Dict[str, object]) -> Report:
         checks.absorb(verify_bundle(b, f"as-bundle-{k}"), prefix=f"as-bundle-{k}:")
         with checks.guard("roundtrip-through-bundle"):
             o2 = diffobj_from_bundle(b)
-            same = (
-                polymap_equal(o2.sigma, o.sigma)
-                and polymap_equal(o2.zeta, o.zeta)
-                and polymap_equal(o2.phat, o.phat)
-            )
+            same = o2.sigma == o.sigma and o2.zeta == o.zeta and o2.phat == o.phat
             checks.condition("roundtrip-through-bundle", same, f"dim {k}")
             checks.equality(
                 "phat-is-first-projection",
                 o2.phat,
                 polymap_proj(2 * k, 0, k, mode),
                 f"dim {k}",
-                render=polymap_to_str,
             )
         checks.equality(
             "derived-identity",
             derived_D(identity_map(k, mode)),
             polymap_proj(2 * k, 0, k, mode),
             f"dim {k}",
-            render=polymap_to_str,
         )
         const = constant_map(k, [scalars.coerce(mode, 3)] * k, mode)
         checks.equality(
@@ -1113,7 +1080,6 @@ def _suite_diffobj(params: Dict[str, object]) -> Report:
             derived_D(const),
             zero_map(2 * k, k, mode),
             f"dim {k}",
-            render=polymap_to_str,
         )
 
     raised = False
@@ -1149,8 +1115,7 @@ def _suite_fibration(params: Dict[str, object]) -> Report:
     checks = CheckSet()
     model = SimpleCDModel(mode)
 
-    def eq(name, lhs, rhs, detail=""):
-        checks.equality(name, lhs, rhs, detail, render=simple_str)
+    eq = checks.equality
 
     rng = rng_for("fibration", "composition", seed)
     for i in range(params["instances"]):
@@ -1158,7 +1123,7 @@ def _suite_fibration(params: Dict[str, object]) -> Report:
         m1 = model.random_mor(o1, o2, rng, deg, bound)
         m2 = model.random_mor(o2, o3, rng, deg, bound)
         m3 = model.random_mor(o3, o4, rng, deg, bound)
-        desc = f"instance {i}: m1 = {simple_str(m1)}"
+        desc = f"instance {i}: m1 = {m1}"
         eq(
             "compose-associative",
             simple_compose(simple_compose(m1, m2), m3),
@@ -1187,7 +1152,7 @@ def _suite_fibration(params: Dict[str, object]) -> Report:
         ident_a = identity_map(a, mode)
         m1 = SimpleMor(ident_a, g1)
         m2 = SimpleMor(ident_a, g2)
-        desc = f"instance {i}: context {a}, g = {polymap_to_str(g1)}"
+        desc = f"instance {i}: context {a}, g = {g1}"
         eq(
             "vertical-functorial",
             vertical_T(a, simple_compose(m1, m2)),
@@ -1203,9 +1168,7 @@ def _suite_fibration(params: Dict[str, object]) -> Report:
         )
         vt = vertical_tangent_map(a, g1)
         if a == 0:
-            checks.equality(
-                "vertical-context-free", vt, cdc_T(g1), desc, render=polymap_to_str
-            )
+            checks.equality("vertical-context-free", vt, cdc_T(g1), desc)
         dom = a + 2 * x
         inj = polymap_pair(
             zero_map(dom, a, mode),
@@ -1218,7 +1181,6 @@ def _suite_fibration(params: Dict[str, object]) -> Report:
             polymap_compose(vt, polymap_proj(2 * y, 0, y, mode)),
             polymap_compose(inj, simple_D(m1).g),
             desc,
-            render=polymap_to_str,
         )
 
     raised = False
@@ -1240,8 +1202,7 @@ def _suite_monad_laws(params: Dict[str, object]) -> Report:
     model = poly_model(params["mode"], params["fault"])
     checks = CheckSet()
 
-    def eq(name, lhs, rhs, detail=""):
-        checks.equality(name, lhs, rhs, detail, render=model.mor_str)
+    eq = checks.equality
 
     for m in range(1, params["max_dim"] + 1):
         d = f"dim {m}"
@@ -1277,7 +1238,7 @@ def _suite_monad_laws(params: Dict[str, object]) -> Report:
         dx = rng.randint(1, params["max_dim"])
         dy = rng.randint(1, params["max_dim"])
         f = model.random_mor(dx, dy, rng, params["max_degree"], params["coeff_bound"])
-        desc = f"instance {i}: f = {model.mor_str(f)}"
+        desc = f"instance {i}: f = {f}"
         eq(
             "monad-naturality",
             model.compose(model.t_mor(model.t_mor(f)), monad_mult(model, dy)),
@@ -1330,19 +1291,11 @@ def _suite_numeric_consistency(params: Dict[str, object]) -> Report:
     rng = rng_for("numeric-consistency", "affine", seed)
     for i in range(10):
         m = rng.randint(1, 3)
-        comps = []
-        for _ in range(m):
-            acc = Poly.constant(m, Fraction(rng.randint(-bound, bound)), scalars.RATIONAL)
-            for v in range(m):
-                acc = poly_add(
-                    acc,
-                    poly_scale(
-                        Poly.variable(m, v, scalars.RATIONAL),
-                        Fraction(rng.randint(-bound, bound)),
-                    ),
-                )
-            comps.append(acc)
-        prog = NumericProgram.from_polymap(PolyMap(m, m, tuple(comps), scalars.RATIONAL))
+        # row i holds the constant, then the coefficients, of output i
+        rows = [[Fraction(rng.randint(-bound, bound)) for _ in range(m + 1)] for _ in range(m)]
+        shift = constant_map(m, [row[0] for row in rows], scalars.RATIONAL)
+        slope = linear_map(m, 0, [row[1:] for row in rows], scalars.RATIONAL)
+        prog = NumericProgram.from_polymap(polymap_add(shift, slope))
         point = [rng.uniform(-2.0, 2.0) for _ in range(m)]
         direction = [rng.uniform(-2.0, 2.0) for _ in range(m)]
         err = fd_check(prog, point, direction)

@@ -12,6 +12,7 @@ import pytest
 from tancat import scalars
 from tancat.bundles import (
     BundleMor,
+    _display_blocks,
     bracket,
     bundle_pi,
     bundle_projection_mor,
@@ -34,6 +35,7 @@ from tancat.bundles import (
     whitney_pair,
     whitney_proj,
     whitney_sum,
+    zeta_fibre,
 )
 from tancat.cdc import cdc_T, point_proj
 from tancat.errors import (
@@ -45,6 +47,8 @@ from tancat.parser import parse_polymap
 from tancat.poly import (
     identity_map,
     polymap_compose,
+    polymap_pair,
+    polymap_proj,
     polymap_to_str,
     random_polymap,
     zero_map,
@@ -104,6 +108,35 @@ def test_tangent_bundle_of_object_is_tangent_structure():
     assert tb.base == 1 and tb.fibre == 1
     assert polymap_to_str(tb.q) == "x1"  # point projection of (u, x)
     assert polymap_to_str(tb.lam) == "x0; 0; 0; x1"  # the vertical lift
+
+
+@pytest.mark.parametrize("b", [standard_bundle(2, 1), tangent_bundle_of(1)])
+def test_bundle_pi_projects_out_of_e3(b):
+    m, k = b.base, b.fibre
+    e3 = m + 3 * k
+    for i in range(3):
+        x = polymap_proj(e3, 0, m, b.mode)
+        fib = polymap_proj(e3, m + i * k, m + (i + 1) * k, b.mode)
+        assert bundle_pi(b, i, 3) == polymap_compose(polymap_pair(x, fib), b.triv_inv)
+    assert bundle_pi(b, 1) == bundle_pi(b, 1, 2)
+
+
+def test_zeta_fibre_is_the_display_zeta_block():
+    # triv (x, a) |-> (x, a + x) moves the section x |-> (x, x) to fibre value 2x
+    R = scalars.RATIONAL
+    t = parse_polymap("x0; x1 + x0", 2, R)
+    t_inv = parse_polymap("x0; x1 - x0", 2, R)
+    zeta = parse_polymap("x0; x0", 1, R)
+    sigma = parse_polymap("x0; x1 + x2", 3, R)
+    lam = parse_polymap("0; x1; x0; 0", 2, R)
+    b = make_bundle(1, 1, sigma, zeta, lam, (t, t_inv), R)
+    assert polymap_to_str(zeta_fibre(b)) == "2*x0"
+    for other in (b, standard_bundle(2, 1), tangent_bundle_of(2)):
+        n = other.base + other.fibre
+        display = polymap_compose(
+            polymap_compose(other.zeta, other.triv), polymap_proj(n, other.base, n, other.mode)
+        )
+        assert zeta_fibre(other) == display == _display_blocks(other)[1]
 
 
 def test_mu_map_frozen_and_derived_identities():

@@ -41,6 +41,19 @@ def test_diff_natural_mode_rejects_subtraction(capsys):
     assert "natural" in capsys.readouterr().err
 
 
+def test_diff_long_sum_exits_zero(capsys):
+    assert main(["diff", "--expr", "+".join(["x0"] * 3000)]) == 0
+    assert capsys.readouterr().out.strip() == "3000*u0"
+
+
+@pytest.mark.parametrize(
+    "expr", ["(" * 3000 + "x0" + ")" * 3000, "-" * 3000 + "x0"], ids=["parens", "minus"]
+)
+def test_diff_deep_nesting_exits_two(expr, capsys):
+    assert main(["diff", f"--expr={expr}"]) == 2
+    assert "nest deeper" in capsys.readouterr().err
+
+
 def test_check_writes_schema_valid_json(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main([
@@ -149,6 +162,21 @@ def test_bundle_pullback_needs_map(bundle_file, capsys):
 def test_fibre_runs_tangent_axioms(capsys):
     assert main(["fibre", "--context-dim", "1", "--instances", "5"]) == 0
     assert "fibre-tangent-axioms" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--context-dim", "-1", "context"),
+        ("--max-dim", "0", "payload_bound"),
+        ("--instances", "0", "instances"),
+        ("--instances", "-1", "instances"),
+    ],
+)
+def test_fibre_rejects_out_of_range_values(flag, value, field, capsys):
+    argv = ["fibre", "--context-dim", "1", flag, value]
+    assert main(argv) == 2
+    assert f"invalid-params: {field} " in capsys.readouterr().err
 
 
 def test_fibre_rejects_other_suites(capsys):

@@ -9,7 +9,6 @@ from tancat import scalars
 from tancat.bundles import pullback_bundle, standard_bundle, verify_bundle
 from tancat.cdc import cdc_D, cdc_T, cdc_flip, point_proj
 from tancat.diffobj import (
-    DiffObject,
     bundle_from_diffobj,
     canonical_diffobj,
     check_cds,

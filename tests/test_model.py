@@ -12,7 +12,6 @@ from tancat.poly import (
     polymap_compose,
     polymap_to_str,
     random_polymap,
-    zero_map,
 )
 
 

@@ -1,14 +1,16 @@
 """Dual-number evaluation and the finite-difference harness."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
 
 from tancat import scalars
+from tancat.cdc import cdc_D
 from tancat.errors import NonFiniteError
 from tancat.numeric import Dual, NumericProgram, dual_eval, eval_program, fd_check
 from tancat.parser import parse_polymap
-from tancat.poly import random_polymap
+from tancat.poly import eval_polymap, random_polymap
 
 
 def test_square_at_three():
@@ -78,3 +80,13 @@ def test_fractional_coefficients_evaluate():
     prog = NumericProgram.from_polymap(parse_polymap("1/2*x0", 1, scalars.RATIONAL))
     values, tangents = dual_eval(prog, [4.0], [2.0])
     assert values == (2.0,) and tangents == (1.0,)
+
+
+def test_dense_program_evaluates_without_recursion():
+    # 1,771 terms: the sum is one long left-nested chain of additions
+    f = parse_polymap("(x0+x1+x2+1)^20", 3, scalars.RATIONAL)
+    assert len(f.components[0].terms) == 1771
+    point, direction = [0.25, 0.5, 0.125], [1.0, -0.5, 2.0]
+    _, tangents = dual_eval(NumericProgram.from_polymap(f), point, direction)
+    exact = eval_polymap(cdc_D(f), [Fraction(v) for v in direction + point])
+    assert tangents[0] == pytest.approx(float(exact[0]), rel=1e-9)

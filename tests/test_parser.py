@@ -6,7 +6,7 @@ import pytest
 
 from tancat import scalars
 from tancat.errors import PolyParseError, SemiringViolation
-from tancat.parser import parse_poly, parse_polymap
+from tancat.parser import MAX_NESTING, parse_poly, parse_polymap
 from tancat.poly import (
     Poly,
     polymap_to_str,
@@ -85,3 +85,22 @@ def test_parentheses_and_powers():
     assert poly_to_str(p) == "x0^2 + 2*x0 + 1"
     q = parse_poly("2*(x0 + x1)*(x0)", 2, scalars.RATIONAL)
     assert poly_to_str(q) == "2*x0^2 + 2*x0*x1"
+
+
+def test_long_sums_and_products_fold_without_recursion():
+    p = parse_poly("+".join(["x0"] * 3000), 1, scalars.RATIONAL)
+    assert poly_to_str(p) == "3000*x0"
+    q = parse_poly("*".join(["x0"] * 3000), 1, scalars.RATIONAL)
+    assert poly_to_str(q) == "x0^3000"
+
+
+def test_nesting_is_capped():
+    depth = MAX_NESTING
+    assert parse_poly("(" * depth + "x0" + ")" * depth, 1, scalars.RATIONAL) == parse_poly("x0", 1)
+    assert poly_to_str(parse_poly("-" * depth + "x0", 1, scalars.RATIONAL)) == "x0"
+    with pytest.raises(PolyParseError) as e:
+        parse_poly("(" * (depth + 1) + "x0" + ")" * (depth + 1), 1, scalars.RATIONAL)
+    assert e.value.pos == depth
+    with pytest.raises(PolyParseError) as e:
+        parse_poly("-(" * depth + "x0" + ")" * depth, 1, scalars.RATIONAL)
+    assert e.value.pos == depth

@@ -20,6 +20,7 @@ from tancat.poly import (
     eval_poly,
     eval_polymap,
     identity_map,
+    linear_map,
     partial_derivative,
     permutation_map,
     poly_add,
@@ -29,7 +30,6 @@ from tancat.poly import (
     poly_subst,
     poly_to_str,
     polymap_compose,
-    polymap_equal,
     polymap_pair,
     polymap_proj,
     polymap_to_str,
@@ -278,7 +278,17 @@ def test_equality_is_canonical():
     assert poly_mul(x0, x0) != x0
     f = PolyMap(2, 1, (poly_add(x0, x1),), scalars.RATIONAL)
     g = PolyMap(2, 1, (poly_add(x1, x0),), scalars.RATIONAL)
-    assert polymap_equal(f, g)
+    assert f == g
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_linear_map_reads_a_matrix_at_an_offset(mode):
+    # rows over x1, x2 inside three variables; the zero entries are dropped
+    f = linear_map(3, 1, [[2, 0], [0, 0], [1, 3]], mode)
+    assert (f.dom, f.cod, f.mode) == (3, 3, mode)
+    assert polymap_to_str(f) == "2*x1; 0; x1 + 3*x2"
+    assert f.components[0].terms == (((0, 1, 0), 2),)
+    assert linear_map(2, 0, [[1, 0], [0, 1]], mode) == identity_map(2, mode)
 
 
 def test_natural_mode_closure():

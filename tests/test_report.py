@@ -20,7 +20,7 @@ def test_rows_aggregate_by_name_first_failure_wins():
 
 def test_equality_rows_render_counterexamples():
     cs = CheckSet()
-    cs.equality("eq", 1, 2, "ints", render=str)
+    cs.equality("eq", 1, 2, "ints")
     row = cs.report("demo", {}).checks[0]
     assert "lhs = 1" in row.counterexample and "rhs = 2" in row.counterexample
 
