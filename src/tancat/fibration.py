@@ -230,15 +230,12 @@ def verify_fibre_axioms(
     mode: str = scalars.RATIONAL,
 ) -> Report:
     """Run the full tangent-axioms suite inside the fibre over a context."""
-    from .suites import tangent_axioms_checks
+    from .suites import _require_int, tangent_axioms_checks
 
-    for key, value, least in (
-        ("context", context, 0),
-        ("payload_bound", payload_bound, 1),
-        ("instances", instances, 1),
-    ):
-        if not isinstance(value, int) or value < least:
-            raise ValueError(f"invalid-params: {key} must be an integer >= {least}")
+    # named as the CLI's fibre command sets them
+    _require_int("context_dim", context, 0)
+    _require_int("max_dim", payload_bound, 1)
+    _require_int("instances", instances, 1)
 
     model = FibreTangentModel(context, mode)
     checks = tangent_axioms_checks(model, payload_bound, 3, 5, instances, seed)

@@ -56,14 +56,11 @@ def _eval_node(node: Node, env: Sequence[Dual]) -> Dual:
     if isinstance(node, Var):
         return env[node.index]
     if isinstance(node, (Add, Mul)):
-        kind = type(node)
-        # most products are a single coefficient times a factor: skip the walk
-        short = type(node.left) is not kind
-        operands = (node.left, node.right) if short else left_spine(node)
+        operands = left_spine(node)
         acc = _eval_node(operands[0], env)
         for operand in operands[1:]:
             rhs = _eval_node(operand, env)
-            acc = acc + rhs if kind is Add else acc * rhs
+            acc = acc + rhs if type(node) is Add else acc * rhs
         return acc
     if isinstance(node, Pow):
         return _eval_node(node.base, env) ** node.exponent

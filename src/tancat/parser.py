@@ -78,7 +78,7 @@ def left_spine(node: Node) -> List[Node]:
     """
     kind = type(node)
     rights = []
-    while isinstance(node, kind):
+    while type(node) is kind:
         rights.append(node.right)
         node = node.left
     rights.append(node)

@@ -1346,6 +1346,12 @@ _SUITES: Dict[str, Callable[[Dict[str, object]], Report]] = {
 SUITE_NAMES = tuple(sorted(_SUITES))
 
 
+def _require_int(key: str, value, least: int) -> None:
+    """Refuse a parameter that is not an integer >= least, naming it by key."""
+    if not isinstance(value, int) or value < least:
+        raise ValueError(f"invalid-params: {key} must be an integer >= {least}")
+
+
 def run_suite(name: str, **overrides) -> Report:
     """Run a named suite; raises ValueError for unknown names or parameters."""
     if name not in _SUITES:
@@ -1362,9 +1368,7 @@ def run_suite(name: str, **overrides) -> Report:
     if params["mode"] not in scalars.MODES:
         raise ValueError(f"invalid-params: unknown mode {params['mode']!r}")
     for key in ("max_dim", "max_degree", "instances", "coeff_bound"):
-        value = params[key]
-        if not isinstance(value, int) or value < 1:
-            raise ValueError(f"invalid-params: {key} must be a positive integer")
+        _require_int(key, params[key], 1)
     if not isinstance(params["seed"], int):
         raise ValueError("invalid-params: seed must be an integer")
     fault = params["fault"]

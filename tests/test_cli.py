@@ -167,8 +167,8 @@ def test_fibre_runs_tangent_axioms(capsys):
 @pytest.mark.parametrize(
     "flag, value, field",
     [
-        ("--context-dim", "-1", "context"),
-        ("--max-dim", "0", "payload_bound"),
+        ("--context-dim", "-1", "context_dim"),
+        ("--max-dim", "0", "max_dim"),
         ("--instances", "0", "instances"),
         ("--instances", "-1", "instances"),
     ],
