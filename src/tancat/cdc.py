@@ -22,14 +22,12 @@ from .model import LiftWitness, TangentModel, TnObject, vertical_lift_v
 from .poly import (
     Poly,
     PolyMap,
+    _canonical,
     block_swap,
     constant_map,
     identity_map,
     partial_derivative,
     permutation_map,
-    poly_add,
-    poly_mul,
-    poly_shift_vars,
     polymap_add,
     polymap_compose,
     polymap_pair,
@@ -42,13 +40,12 @@ from .poly import (
 def cdc_D(f: PolyMap) -> PolyMap:
     """Differential of f : m -> n as a map 2m -> n over coordinates (u, x)."""
     m = f.dom
+    units = [(0,) * j + (1,) + (0,) * (m - j - 1) for j in range(m)]
     comps = []
     for comp in f.components:
-        acc = Poly.zero(2 * m, f.mode)
-        for j in range(m):
-            dj = poly_shift_vars(partial_derivative(comp, j), m, 2 * m)
-            acc = poly_add(acc, poly_mul(dj, Poly.variable(2 * m, j, f.mode)))
-        comps.append(acc)
+        # u_j * d comp / d x_j: the u-block exponent is the unit vector e_j
+        acc = {units[j] + ev: c for j in range(m) for ev, c in partial_derivative(comp, j).terms}
+        comps.append(Poly(2 * m, _canonical(acc), f.mode))
     return PolyMap(2 * m, f.cod, tuple(comps), f.mode)
 
 

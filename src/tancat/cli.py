@@ -1,7 +1,8 @@
 """Command-line front end: suite runner, differential printer, bundle tools.
 
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 usage,
-parse or precondition errors.
+parse or precondition errors, 3 an unexpected internal error (one line on
+stderr, no traceback).
 """
 
 from __future__ import annotations
@@ -179,10 +180,19 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _bind_expressions(argv: List[str]) -> List[str]:
+    """Join --expr/--map with the item after it: an expression such as "-x0" is not an option."""
+    out, items = [], iter(argv)
+    for item in items:
+        value = next(items, None) if item in ("--expr", "--map") else None
+        out.append(item if value is None else f"{item}={value}")
+    return out
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_bind_expressions(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -190,6 +200,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        message = str(exc).replace("\n", " ")
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -13,6 +13,8 @@ tuples coincides with mathematical equality over the chosen semiring.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import add
 from random import Random
 from typing import Dict, Iterable, Sequence, Tuple
 
@@ -20,19 +22,32 @@ from . import scalars
 from .errors import DimensionMismatch
 
 Exponent = Tuple[int, ...]
+_ONE = {scalars.RATIONAL: Fraction(1), scalars.NATURAL: 1}
 
 
-def _grlex_key(ev: Exponent):
-    return (sum(ev), ev)
-
-
-def _canonical(nvars: int, acc: Dict[Exponent, object]) -> tuple:
-    terms = [(ev, c) for ev, c in acc.items() if c != 0]
-    for ev, _ in terms:
-        if len(ev) != nvars:
-            raise DimensionMismatch(f"exponent vector {ev} does not have {nvars} entries")
-    terms.sort(key=lambda t: _grlex_key(t[0]), reverse=True)
+def _canonical(acc: Dict[Exponent, object]) -> tuple:
+    """The nonzero terms of an accumulator, graded-lex descending: the one sort per result."""
+    terms = [(ev, c) for ev, c in acc.items() if c]
+    terms.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
     return tuple(terms)
+
+
+def _add_terms(acc: Dict[Exponent, object], items: Iterable) -> Dict[Exponent, object]:
+    """Add the (exponent, coefficient) pairs of ``items`` into ``acc``."""
+    for ev, c in items:
+        got = acc.get(ev)
+        acc[ev] = c if got is None else got + c
+    return acc
+
+
+def _mul_terms(acc: Dict[Exponent, object], a: Iterable, b: Iterable) -> Dict[Exponent, object]:
+    """Add every product of a term of ``a`` and a term of ``b`` into ``acc``."""
+    for ev1, c1 in a:
+        for ev2, c2 in b:
+            ev = tuple(map(add, ev1, ev2))
+            got = acc.get(ev)
+            acc[ev] = c1 * c2 if got is None else got + c1 * c2
+    return acc
 
 
 @dataclass(frozen=True)
@@ -44,12 +59,11 @@ class Poly:
     @staticmethod
     def from_terms(nvars: int, items: Iterable[Tuple[Exponent, object]], mode: str) -> "Poly":
         scalars.check_mode(mode)
-        acc: Dict[Exponent, object] = {}
-        for ev, c in items:
-            ev = tuple(ev)
-            c = scalars.coerce(mode, c)
-            acc[ev] = acc.get(ev, 0) + c
-        return Poly(nvars, _canonical(nvars, acc), mode)
+        terms = _canonical(_add_terms({}, ((tuple(ev), scalars.coerce(mode, c)) for ev, c in items)))
+        for ev, _ in terms:
+            if len(ev) != nvars:
+                raise DimensionMismatch(f"exponent vector {ev} does not have {nvars} entries")
+        return Poly(nvars, terms, mode)
 
     @staticmethod
     def zero(nvars: int, mode: str) -> "Poly":
@@ -64,8 +78,8 @@ class Poly:
     def variable(nvars: int, i: int, mode: str) -> "Poly":
         if not 0 <= i < nvars:
             raise DimensionMismatch(f"variable index {i} out of range for {nvars} variables")
-        ev = tuple(1 if j == i else 0 for j in range(nvars))
-        return Poly.from_terms(nvars, [(ev, 1)], mode)
+        ev = (0,) * i + (1,) + (0,) * (nvars - i - 1)
+        return Poly(nvars, ((ev, _ONE[scalars.check_mode(mode)]),), mode)
 
     def __add__(self, other: "Poly") -> "Poly":
         return poly_add(self, other)
@@ -86,20 +100,12 @@ def _check_same_shape(a: Poly, b: Poly):
 
 def poly_add(a: Poly, b: Poly) -> Poly:
     _check_same_shape(a, b)
-    acc = dict(a.terms)
-    for ev, c in b.terms:
-        acc[ev] = acc.get(ev, 0) + c
-    return Poly(a.nvars, _canonical(a.nvars, acc), a.mode)
+    return Poly(a.nvars, _canonical(_add_terms(dict(a.terms), b.terms)), a.mode)
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
     _check_same_shape(a, b)
-    acc: Dict[Exponent, object] = {}
-    for ev1, c1 in a.terms:
-        for ev2, c2 in b.terms:
-            ev = tuple(e1 + e2 for e1, e2 in zip(ev1, ev2))
-            acc[ev] = acc.get(ev, 0) + c1 * c2
-    return Poly(a.nvars, _canonical(a.nvars, acc), a.mode)
+    return Poly(a.nvars, _canonical(_mul_terms({}, a.terms, b.terms)), a.mode)
 
 
 def poly_scale(a: Poly, value) -> Poly:
@@ -108,31 +114,32 @@ def poly_scale(a: Poly, value) -> Poly:
 
 
 def partial_derivative(p: Poly, i: int) -> Poly:
-    """Formal partial derivative; the k*c coefficients stay inside either semiring."""
+    """Formal partial derivative; the k*c coefficients stay inside either semiring.
+
+    Lowering x_i in every surviving term keeps their graded-lex order.
+    """
     if not 0 <= i < p.nvars:
         raise DimensionMismatch(f"variable index {i} out of range for {p.nvars} variables")
-    items = []
-    for ev, c in p.terms:
-        if ev[i] == 0:
-            continue
-        dev = tuple(e - 1 if j == i else e for j, e in enumerate(ev))
-        items.append((dev, c * ev[i]))
-    return Poly.from_terms(p.nvars, items, p.mode)
+    terms = tuple((ev[:i] + (ev[i] - 1,) + ev[i + 1 :], c * ev[i]) for ev, c in p.terms if ev[i])
+    return Poly(p.nvars, terms, p.mode)
 
 
 def poly_shift_vars(p: Poly, offset: int, new_nvars: int) -> Poly:
-    """Reindex variable i to variable i + offset inside a wider variable block."""
+    """Reindex variable i to variable i + offset inside a wider variable block.
+
+    Padding every exponent vector with the same zeros keeps the term order.
+    """
     if offset < 0 or p.nvars + offset > new_nvars:
         raise DimensionMismatch("shifted variables fall outside the new block")
-    items = [
-        ((0,) * offset + ev + (0,) * (new_nvars - p.nvars - offset), c)
-        for ev, c in p.terms
-    ]
-    return Poly.from_terms(new_nvars, items, p.mode)
+    before, after = (0,) * offset, (0,) * (new_nvars - p.nvars - offset)
+    return Poly(new_nvars, tuple((before + ev + after, c) for ev, c in p.terms), p.mode)
 
 
 def poly_subst(p: Poly, args: Sequence[Poly]) -> Poly:
-    """Substitute args[i] for variable i.  All args share a domain width."""
+    """Substitute args[i] for variable i.  All args share a domain width.
+
+    Every term is expanded into one accumulator, which is sorted once.
+    """
     if len(args) != p.nvars:
         raise DimensionMismatch(f"{p.nvars} variables but {len(args)} substitutions")
     if p.nvars == 0:
@@ -142,25 +149,24 @@ def poly_subst(p: Poly, args: Sequence[Poly]) -> Poly:
         for q in args:
             if q.nvars != widths or q.mode != p.mode:
                 raise DimensionMismatch("substitution arguments disagree in shape")
-    out = Poly.zero(widths if p.nvars else 0, p.mode)
-    powers: Dict[Tuple[int, int], Poly] = {}
+    powers: Dict[Tuple[int, int], Iterable] = {}
 
-    def power(i: int, e: int) -> Poly:
-        if e == 0:
-            return Poly.constant(args[i].nvars, 1, p.mode)
+    def power(i: int, e: int) -> Iterable:
         got = powers.get((i, e))
         if got is None:
-            got = poly_mul(power(i, e - 1), args[i]) if e > 1 else args[i]
+            got = args[i].terms if e == 1 else _mul_terms({}, power(i, e - 1), args[i].terms).items()
             powers[(i, e)] = got
         return got
 
+    one = (0,) * widths
+    acc: Dict[Exponent, object] = {}
     for ev, c in p.terms:
-        term = Poly.constant(widths if p.nvars else 0, c, p.mode)
+        term = {one: c}
         for i, e in enumerate(ev):
             if e:
-                term = poly_mul(term, power(i, e))
-        out = poly_add(out, term)
-    return out
+                term = _mul_terms({}, term.items(), power(i, e))
+        _add_terms(acc, term.items())
+    return Poly(widths, _canonical(acc), p.mode)
 
 
 def eval_poly(p: Poly, point: Sequence) -> object:
@@ -218,19 +224,44 @@ def terminal_map(dom: int, mode: str) -> PolyMap:
     return PolyMap(dom, 0, (), mode)
 
 
+def _var_indices(f: PolyMap):
+    """[i_0, i_1, ...] when component k of f is the bare variable x_{i_k}, else None."""
+    out = []
+    for comp in f.components:
+        if len(comp.terms) != 1:
+            return None
+        ev, c = comp.terms[0]
+        if c != 1 or sum(ev) != 1:
+            return None
+        out.append(ev.index(1))
+    return out
+
+
 def polymap_compose(f: PolyMap, g: PolyMap) -> PolyMap:
     """Diagrammatic composite f;g (apply f first)."""
     if f.cod != g.dom:
         raise DimensionMismatch(f"cannot compose cod {f.cod} with dom {g.dom}")
     if f.mode != g.mode:
         raise DimensionMismatch(f"mixed scalar modes {f.mode!r} and {g.mode!r}")
+    g_vars = _var_indices(g)
+    if g_vars is not None:
+        # g only selects, repeats or permutes coordinates: pick f's components
+        return PolyMap(f.dom, g.cod, tuple(f.components[i] for i in g_vars), f.mode)
+    f_vars = _var_indices(f)
+    if f_vars is not None:
+        # f sends variable j of g to variable f_vars[j] (vacuously when g.dom is
+        # 0, which widens g's constants): move exponents, add colliding terms
+        comps = []
+        for comp in g.components:
+            moved = []
+            for ev, c in comp.terms:
+                renamed = [0] * f.dom
+                for j, e in enumerate(ev):
+                    renamed[f_vars[j]] += e
+                moved.append((tuple(renamed), c))
+            comps.append(Poly(f.dom, _canonical(_add_terms({}, moved)), f.mode))
+        return PolyMap(f.dom, g.cod, tuple(comps), f.mode)
     comps = tuple(poly_subst(comp, f.components) for comp in g.components)
-    # poly_subst of a 0-variable polynomial keeps nvars 0; re-widen constants
-    if g.dom == 0:
-        comps = tuple(
-            Poly.from_terms(f.dom, [((0,) * f.dom, c) for _, c in comp.terms], f.mode)
-            for comp in comps
-        )
     return PolyMap(f.dom, g.cod, comps, f.mode)
 
 

@@ -54,6 +54,26 @@ def test_diff_deep_nesting_exits_two(expr, capsys):
     assert "nest deeper" in capsys.readouterr().err
 
 
+def test_diff_expression_starting_with_minus(capsys):
+    assert main(["diff", "--expr", "-x0"]) == 0
+    assert capsys.readouterr().out.strip() == "-u0"
+
+
+def test_bundle_map_starting_with_minus(bundle_file, capsys):
+    argv = ["bundle", "--file", bundle_file, "--op", "pullback", "--map", "-x0", "--map-dom", "1"]
+    assert main(argv) == 0
+    assert "pullback bundle: base 1, fibre 1" in capsys.readouterr().out
+
+
+def test_unexpected_exception_exits_three(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("kernel\nbroke")
+
+    monkeypatch.setattr("tancat.cli.run_suite", broken)
+    assert main(["check", "--suite", "cdc-axioms"]) == 3
+    assert capsys.readouterr().err == "internal error: RuntimeError: kernel broke\n"
+
+
 def test_check_writes_schema_valid_json(tmp_path, capsys):
     out = tmp_path / "r.json"
     code = main([

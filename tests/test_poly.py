@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from tancat import scalars
 from tancat.errors import DimensionMismatch, SemiringViolation
+from tancat.cdc import cdc_D
 from tancat.poly import (
     Poly,
     PolyMap,
@@ -334,3 +335,87 @@ def test_display_order_and_names():
     p = Poly.from_terms(2, [((1, 1), 2), ((0, 2), 1)], scalars.RATIONAL)
     s = poly_to_str(p, var_names=["u", "x"], display_order=[1, 0])
     assert s == "2*x*u + x^2"
+
+
+# ------------------------------------------- oracles outside the canonical form
+
+def maps_between(dom, cod, mode):
+    """General maps dom -> cod and, when dom > 0, variable maps (projections,
+    permutations and duplications such as <x0, x0>)."""
+    general = st.lists(polys_at(dom, mode), min_size=cod, max_size=cod).map(
+        lambda comps: PolyMap(dom, cod, tuple(comps), mode)
+    )
+    if dom == 0:
+        return general
+    images = st.lists(st.integers(0, dom - 1), min_size=cod, max_size=cod)
+    return st.one_of(general, images.map(lambda im: permutation_map(dom, im, mode)))
+
+
+def points(n, mode):
+    if mode == scalars.NATURAL:
+        return st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    scalar = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    return st.lists(scalar, min_size=n, max_size=n)
+
+
+@st.composite
+def composable(draw, mode):
+    a, b, c = (draw(st.integers(0, 3), label=name) for name in "abc")
+    f = draw(maps_between(a, b, mode), label="f")
+    g = draw(maps_between(b, c, mode), label="g")
+    return f, g, draw(points(a, mode), label="x")
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_compose_agrees_with_evaluation(mode, data):
+    """f;g at a point is g of f of the point, for every shape of f and g."""
+    f, g, x = data.draw(composable(mode))
+    fg = polymap_compose(f, g)
+    assert (fg.dom, fg.cod) == (f.dom, g.cod)
+    assert eval_polymap(fg, x) == eval_polymap(g, eval_polymap(f, x))
+    for comp in fg.components:
+        keys = [(sum(ev), ev) for ev, c in comp.terms if c != 0]
+        assert len(keys) == len(comp.terms) and keys == sorted(keys, reverse=True)
+
+
+def test_duplicating_variable_map_adds_colliding_terms():
+    # <x0, x0> ; (x0*x1 + x0^2 - x1) = 2*x0^2 - x0
+    diag = permutation_map(1, (0, 0), scalars.RATIONAL)
+    g = Poly.from_terms(2, [((1, 1), 1), ((2, 0), 1), ((0, 1), -1)], scalars.RATIONAL)
+    fg = polymap_compose(diag, PolyMap(2, 1, (g,), scalars.RATIONAL))
+    assert polymap_to_str(fg) == "2*x0^2 - x0"
+    # g cancels to 0 under <x0, x0>
+    h = Poly.from_terms(2, [((1, 0), 1), ((0, 1), -1)], scalars.RATIONAL)
+    assert polymap_compose(diag, PolyMap(2, 1, (h,), scalars.RATIONAL)).components[0].terms == ()
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_cdc_d_agrees_with_sympy(sympy, mode, data):
+    """Each component of D f is sum_j d f_i/d x_j * u_j, with sympy's derivative."""
+    m = data.draw(st.integers(1, 3), label="dom")
+    f = data.draw(maps_between(m, 2, mode), label="f")
+    us, xs = sympy.symbols(f"u0:{m}"), sympy.symbols(f"x0:{m}")
+
+    def expr(p, names):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(v ** e for v, e in zip(names, ev)))
+             for ev, c in p.terms),
+            sympy.Integer(0),
+        )
+
+    d = cdc_D(f)
+    for comp, dcomp in zip(f.components, d.components):
+        fi = expr(comp, xs)
+        want = sympy.expand(sum((sympy.diff(fi, x) * u for x, u in zip(xs, us)), sympy.Integer(0)))
+        assert sympy.expand(expr(dcomp, us + xs)) == want
+        keys = [(sum(ev), ev) for ev, _ in dcomp.terms]
+        assert keys == sorted(keys, reverse=True) and all(c != 0 for _, c in dcomp.terms)
