@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from . import scalars
@@ -365,12 +366,14 @@ def make_bundle(
     )
 
 
+@lru_cache(maxsize=None)
 def trivial_bundle(m: int, mode: str = scalars.RATIONAL) -> DiffBundle:
     """The bundle (1_M, 1_M, 1_M, 0-lift) with empty fibre."""
     ident = identity_map(m, mode)
     return make_bundle(m, 0, ident, ident, tangent_zero(m, mode), None, mode)
 
 
+@lru_cache(maxsize=None)
 def standard_bundle(m: int, k: int, mode: str = scalars.RATIONAL) -> DiffBundle:
     """Base m, fibre k, total m+k, fibrewise addition, lift (x,a) |-> (0,a,x,0)."""
     e2 = m + 2 * k
@@ -388,6 +391,7 @@ def standard_bundle(m: int, k: int, mode: str = scalars.RATIONAL) -> DiffBundle:
     return make_bundle(m, k, sigma, zeta, lam, None, mode)
 
 
+@lru_cache(maxsize=None)
 def tangent_bundle_of(m: int, mode: str = scalars.RATIONAL) -> DiffBundle:
     """(p : T(M) -> M, +, 0, ell) with the (u, x) -> (x, u) trivialization."""
     swap = block_swap(0, m, m, 0, mode)

@@ -13,7 +13,9 @@ T(f) = <D(f), pi1 f> : 2m -> 2n.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
+from functools import lru_cache, wraps
 from typing import Callable, Sequence
 
 from . import scalars
@@ -37,6 +39,25 @@ from .poly import (
 )
 
 
+def memo_by_input(fn: Callable) -> Callable:
+    """Cache ``fn(x)`` for as long as ``x``, or an equal live value, is alive.
+
+    The inputs are frozen, so an equal input gets the same result, and the
+    cache holds them weakly, so an entry goes when its input is collected.
+    """
+    cache = weakref.WeakKeyDictionary()
+
+    @wraps(fn)
+    def memo(x):
+        got = cache.get(x)
+        if got is None:
+            got = cache[x] = fn(x)
+        return got
+
+    return memo
+
+
+@memo_by_input
 def cdc_D(f: PolyMap) -> PolyMap:
     """Differential of f : m -> n as a map 2m -> n over coordinates (u, x)."""
     m = f.dom
@@ -49,22 +70,26 @@ def cdc_D(f: PolyMap) -> PolyMap:
     return PolyMap(2 * m, f.cod, tuple(comps), f.mode)
 
 
+@lru_cache(maxsize=None)
 def point_proj(m: int, mode: str) -> PolyMap:
     """Projection p : T(m) -> m onto the point block."""
     return polymap_proj(2 * m, m, 2 * m, mode)
 
 
+@memo_by_input
 def cdc_T(f: PolyMap) -> PolyMap:
     """Tangent functor action T(f) = <D(f), pi1 f> : 2m -> 2n."""
     tail = polymap_compose(point_proj(f.dom, f.mode), f)
     return polymap_pair(cdc_D(f), tail)
 
 
+@lru_cache(maxsize=None)
 def tangent_zero(m: int, mode: str) -> PolyMap:
     """Zero section 0 : m -> T(m), x |-> (0, x)."""
     return polymap_pair(zero_map(m, m, mode), identity_map(m, mode))
 
 
+@lru_cache(maxsize=None)
 def tangent_plus(m: int, mode: str) -> PolyMap:
     """Fibre addition + : T_2(m) -> T(m), (u1, u2, x) |-> (u1 + u2, x)."""
     u1 = polymap_proj(3 * m, 0, m, mode)
@@ -72,17 +97,20 @@ def tangent_plus(m: int, mode: str) -> PolyMap:
     return polymap_pair(polymap_add(u1, u2), polymap_proj(3 * m, 2 * m, 3 * m, mode))
 
 
+@lru_cache(maxsize=None)
 def cdc_ell(m: int, mode: str) -> PolyMap:
     """Vertical lift ell : T(m) -> T^2(m), (u, x) |-> (u, 0, 0, x)."""
     u, x = polymap_proj(2 * m, 0, m, mode), polymap_proj(2 * m, m, 2 * m, mode)
     return polymap_pair(u, zero_map(2 * m, 2 * m, mode), x)
 
 
+@lru_cache(maxsize=None)
 def cdc_flip(m: int, mode: str) -> PolyMap:
     """Canonical symmetry c : T^2(m) -> T^2(m), (du, dx, u, x) |-> (du, u, dx, x)."""
     return block_swap(m, m, m, m, mode)
 
 
+@lru_cache(maxsize=None)
 def t_n_carrier(m: int, n: int, mode: str) -> TnObject:
     """The n-fold fibred power T_n(m) with coordinates (u_1, ..., u_n, x)."""
     dim = (n + 1) * m

@@ -11,12 +11,13 @@ D[f] = mu;T(f);phat.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 from . import scalars
 from .errors import DimensionMismatch, PreconditionFailure
 from .bundles import DiffBundle, bracket, make_bundle
-from .cdc import cdc_T, cdc_ell, cdc_flip, point_proj, tangent_plus, tangent_zero
+from .cdc import cdc_T, cdc_ell, cdc_flip, memo_by_input, point_proj, tangent_plus, tangent_zero
 from .poly import (
     PolyMap,
     block_swap,
@@ -40,6 +41,7 @@ class DiffObject:
     mode: str
 
 
+@lru_cache(maxsize=None)
 def canonical_diffobj(k: int, mode: str = scalars.RATIONAL) -> DiffObject:
     """Coordinatewise addition, zero, and tangent-block projection."""
     sigma = polymap_add(polymap_proj(2 * k, 0, k, mode), polymap_proj(2 * k, k, 2 * k, mode))
@@ -58,6 +60,7 @@ def diffobj_lambda(o: DiffObject) -> PolyMap:
     return polymap_pair(identity_map(o.carrier, o.mode), tail)
 
 
+@memo_by_input
 def diffobj_mu(o: DiffObject) -> PolyMap:
     """mu := <pi0 lambda, pi1 0> T(sigma) : A x A -> T(A)."""
     k = o.carrier

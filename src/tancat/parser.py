@@ -7,11 +7,11 @@ One component per ';'-separated field.  Within a component:
     factor := '-' factor | atom ('^' INT)?
     atom   := INT ('/' INT)? | VAR | '(' expr ')'
 
-Variables are ``x0 .. x{dom-1}``; '^' takes a nonnegative integer literal;
-'a/b' is a rational literal.  '-' (unary or binary) is only legal in
-rational mode; natural mode reports it as a semiring violation.  Whitespace
-is insignificant.  Parentheses are accepted on input; the canonical printer
-never emits them.
+Variables are ``x0 .. x{dom-1}``; '^' takes an integer literal from 0 to
+``MAX_EXPONENT``; 'a/b' is a rational literal.  '-' (unary or binary) is
+only legal in rational mode; natural mode reports it as a semiring
+violation.  Whitespace is insignificant.  Parentheses are accepted on
+input; the canonical printer never emits them.
 
 Parsing builds a small expression AST first (reused verbatim by the numeric
 dual-number model), then folds it into a canonical Poly.
@@ -68,6 +68,8 @@ Node = Union[Const, Var, Add, Mul, Pow, Neg]
 
 # Parentheses and unary minus nest by recursion; deeper input is refused.
 MAX_NESTING = 100
+# '^' expands by repeated multiplication; a larger literal exponent is refused.
+MAX_EXPONENT = 1000
 
 
 def left_spine(node: Node) -> List[Node]:
@@ -190,7 +192,10 @@ class _Parser:
             if kind != "int":
                 raise PolyParseError("'^' needs a nonnegative integer literal", pos)
             self.advance()
-            node = Pow(node, int(val))
+            exponent = int(val)
+            if exponent > MAX_EXPONENT:
+                raise PolyParseError(f"exponent exceeds {MAX_EXPONENT}", pos)
+            node = Pow(node, exponent)
         return node
 
     def parse_atom(self) -> Node:

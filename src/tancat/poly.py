@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import add
 from random import Random
 from typing import Dict, Iterable, Sequence, Tuple
@@ -50,7 +51,7 @@ def _mul_terms(acc: Dict[Exponent, object], a: Iterable, b: Iterable) -> Dict[Ex
     return acc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Poly:
     nvars: int
     terms: tuple  # ((exponent, coefficient), ...) graded-lex descending
@@ -75,6 +76,7 @@ class Poly:
         return Poly.from_terms(nvars, [((0,) * nvars, value)], mode)
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def variable(nvars: int, i: int, mode: str) -> "Poly":
         if not 0 <= i < nvars:
             raise DimensionMismatch(f"variable index {i} out of range for {nvars} variables")
@@ -206,10 +208,12 @@ class PolyMap:
         return polymap_to_str(self)
 
 
+@lru_cache(maxsize=None)
 def identity_map(m: int, mode: str) -> PolyMap:
     return PolyMap(m, m, tuple(Poly.variable(m, i, mode) for i in range(m)), mode)
 
 
+@lru_cache(maxsize=None)
 def zero_map(dom: int, cod: int, mode: str) -> PolyMap:
     return PolyMap(dom, cod, tuple(Poly.zero(dom, mode) for _ in range(cod)), mode)
 
@@ -277,6 +281,7 @@ def polymap_pair(*maps: PolyMap) -> PolyMap:
     return PolyMap(dom, len(comps), comps, mode)
 
 
+@lru_cache(maxsize=None)
 def polymap_proj(dom: int, lo: int, hi: int, mode: str) -> PolyMap:
     """Coordinate-slice projection onto [lo, hi)."""
     if not 0 <= lo <= hi <= dom:
@@ -326,6 +331,7 @@ def permutation_map(dom: int, images: Sequence[int], mode: str) -> PolyMap:
     return PolyMap(dom, len(comps), comps, mode)
 
 
+@lru_cache(maxsize=None)
 def block_swap(w: int, x: int, y: int, z: int, mode: str) -> PolyMap:
     """(W, X, Y, Z) -> (W, Y, X, Z): swap the two middle coordinate blocks."""
     images = (

@@ -902,18 +902,6 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
         ("standard-1-2", standard_bundle(1, 2, mode)),
         ("tangent-1", tangent_bundle_of(1, mode)),
     ]
-    trivials: Dict[int, DiffBundle] = {}
-    tangent_cache: Dict[int, DiffBundle] = {}
-
-    def trivial_over(m: int) -> DiffBundle:
-        if m not in trivials:
-            trivials[m] = trivial_bundle(m, mode)
-        return trivials[m]
-
-    def tangent_over(m: int) -> DiffBundle:
-        if m not in tangent_cache:
-            tangent_cache[m] = tangent_bundle_of(m, mode)
-        return tangent_cache[m]
 
     def lin_rows(name: str, mor: BundleMor, src: DiffBundle, dst: DiffBundle, detail: str):
         with checks.guard(name):
@@ -928,7 +916,7 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
                 )
 
     for label, b in families:
-        unit = trivial_over(b.base)
+        unit = trivial_bundle(b.base, mode)
         ident = identity_map(b.base, mode)
         lin_rows("projection-to-unit-linear", BundleMor(b.q, ident), b, unit, label)
         lin_rows("zero-section-linear", BundleMor(b.zeta, ident), unit, b, label)
@@ -944,8 +932,8 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
         lin_rows(
             "tangent-functor-linear",
             BundleMor(cdc_T(f), f),
-            tangent_over(dn),
-            tangent_over(dm),
+            tangent_bundle_of(dn, mode),
+            tangent_bundle_of(dm, mode),
             f"instance {i}: f = {f}",
         )
 

@@ -54,6 +54,11 @@ def test_diff_deep_nesting_exits_two(expr, capsys):
     assert "nest deeper" in capsys.readouterr().err
 
 
+def test_diff_huge_exponent_exits_two(capsys):
+    assert main(["diff", "--expr", "x0^99999999999"]) == 2
+    assert "exponent exceeds" in capsys.readouterr().err
+
+
 def test_diff_expression_starting_with_minus(capsys):
     assert main(["diff", "--expr", "-x0"]) == 0
     assert capsys.readouterr().out.strip() == "-u0"

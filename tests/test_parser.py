@@ -6,7 +6,7 @@ import pytest
 
 from tancat import scalars
 from tancat.errors import PolyParseError, SemiringViolation
-from tancat.parser import MAX_NESTING, parse_poly, parse_polymap
+from tancat.parser import MAX_EXPONENT, MAX_NESTING, parse_poly, parse_polymap
 from tancat.poly import (
     Poly,
     polymap_to_str,
@@ -104,3 +104,10 @@ def test_nesting_is_capped():
     with pytest.raises(PolyParseError) as e:
         parse_poly("-(" * depth + "x0" + ")" * depth, 1, scalars.RATIONAL)
     assert e.value.pos == depth
+
+
+def test_literal_exponent_is_capped():
+    assert poly_to_str(parse_poly(f"x0^{MAX_EXPONENT}", 1, scalars.RATIONAL)) == "x0^1000"
+    with pytest.raises(PolyParseError) as e:
+        parse_poly(f"x0^{MAX_EXPONENT + 1}", 1, scalars.RATIONAL)
+    assert e.value.pos == 3
