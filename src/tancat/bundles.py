@@ -6,8 +6,8 @@ carries an explicit trivialization t : E ~ M x F ("display normal form").
 The trivialization is what makes everything else mechanical: the fibred
 square E_2 is realized as the carrier (x, a, b) of dimension m + 2k, the
 canonical pullback R of T(q) along 0 as (x, alpha, beta) of the same
-dimension, and the universality witness rho : R -> E_2 is derived by
-inverting the fibre-tangent block of the trivialized lift.
+dimension, and the universality witness rho : R -> E_2 is the identity on
+those shared coordinates (see make_bundle for why).
 
 Nothing is trusted: make_bundle only derives data, verify_bundle checks
 every axiom and the witness identities, reporting counterexamples in
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from . import scalars
 from .errors import (
@@ -40,7 +40,6 @@ from .poly import (
     PolyMap,
     block_swap,
     identity_map,
-    linear_map,
     permutation_map,
     poly_add,
     poly_scale,
@@ -74,7 +73,8 @@ class DiffBundle:
 
     @property
     def r_dim(self) -> int:
-        # R = (x, alpha, beta): same carrier size as E_2 by coincidence
+        # R = (x, alpha, beta) shares E_2's coordinates (x, a, b), so rho is
+        # the identity: lift coherence rules out any other constant witness
         return self.base + 2 * self.fibre
 
 
@@ -227,81 +227,6 @@ def _residual(lhs: PolyMap, rhs: PolyMap, mode: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Witness derivation (display normal form)
-
-
-def _constant_matrix(block: PolyMap, m: int, k: int) -> Optional[List[List]]:
-    """Read block : (m+k) -> k as a constant k x k matrix in the fibre
-    variables, or None if it is not of that shape."""
-    mat: List[List] = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            unit = [0] * (m + k)
-            unit[m + j] = 1
-            row.append(dict(block.components[i].terms).get(tuple(unit), 0))
-        mat.append(row)
-    # the block must be exactly sum_j mat[i][j] * a_j
-    if linear_map(m + k, m, mat, block.mode) != block:
-        return None
-    return mat
-
-
-def _invert_rational(mat: List[List]) -> Optional[List[List[Fraction]]]:
-    k = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(k)] + [Fraction(int(i == j)) for j in range(k)] for i in range(k)]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [a - factor * c for a, c in zip(aug[r], aug[col])]
-    return [row[k:] for row in aug]
-
-
-def _invert_natural(mat: List[List]) -> Optional[List[List[int]]]:
-    # units of the natural-number semiring are just {1}; invertible
-    # constant matrices are exactly the permutation matrices
-    k = len(mat)
-    for row in mat:
-        if sorted(row) != [0] * (k - 1) + [1]:
-            return None
-    for j in range(k):
-        if sum(mat[i][j] for i in range(k)) != 1:
-            return None
-    return [[mat[j][i] for j in range(k)] for i in range(k)]
-
-
-def _derive_rho(m: int, k: int, lam_display: PolyMap, mode: str) -> PolyMap:
-    """rho : R -> E_2 by inverting the fibre-tangent block of the lift.
-
-    For display-normal-form data the trivialized lift has fibre-tangent
-    block Lambda(x, a); rho sends (x, alpha, beta) to (x, Lambda^{-1}(x,
-    alpha), beta).  When the block is not recognizably invertible we fall
-    back to the identity relabelling; verify_bundle then reports honestly.
-    """
-    r = m + 2 * k
-    fib_proj = polymap_proj(m + k, m, m + k, mode)
-    block = PolyMap(m + k, k, lam_display.components[2 * m : 2 * m + k], mode)
-    lam_inv = fib_proj
-    mat = None if block == fib_proj else _constant_matrix(block, m, k)
-    if mat is not None:
-        inv = _invert_rational(mat) if mode == scalars.RATIONAL else _invert_natural(mat)
-        if inv is not None:
-            lam_inv = linear_map(m + k, m, inv, mode)
-    x = polymap_proj(r, 0, m, mode)
-    alpha = polymap_proj(r, m, m + k, mode)
-    beta = polymap_proj(r, m + k, r, mode)
-    middle = polymap_compose(polymap_pair(x, alpha), lam_inv)
-    return polymap_pair(x, middle, beta)
-
-
-# ---------------------------------------------------------------------------
 # Construction and verification
 
 
@@ -322,7 +247,13 @@ def make_bundle(
 ) -> DiffBundle:
     """Assemble a DiffBundle; derives q, E_2 data and the witness rho.
 
-    No axiom is assumed here: run verify_bundle on the result.
+    In display normal form R and E_2 share the coordinates (x, a, b), and
+    rho is the identity between them.  Lift coherence lambda;ell =
+    lambda;T(lambda) forces a constant fibre-tangent block M of the
+    displayed lift to satisfy M^2 = M, so an invertible M is 1: a lift that
+    would need another constant witness fails lambda-lift-coherence anyway.
+    No axiom is assumed here: run verify_bundle on the result, whose
+    universality rows check rho.
     """
     scalars.check_mode(mode)
     if triv is None:
@@ -350,7 +281,6 @@ def make_bundle(
     for f in (sigma, zeta, lam, t, t_inv):
         if f.mode != mode:
             raise DimensionMismatch("bundle data must share one scalar mode")
-    rho = _derive_rho(base, fibre, _lift_display(base, fibre, lam, t, t_inv), mode)
     return DiffBundle(
         base=base,
         fibre=fibre,
@@ -361,7 +291,7 @@ def make_bundle(
         lam=lam,
         triv=t,
         triv_inv=t_inv,
-        rho=rho,
+        rho=identity_map(e2, mode),
         mode=mode,
     )
 

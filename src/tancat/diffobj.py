@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from . import scalars
-from .errors import DimensionMismatch, PreconditionFailure
+from .errors import PreconditionFailure
 from .bundles import DiffBundle, bracket, make_bundle
 from .cdc import cdc_T, cdc_ell, cdc_flip, memo_by_input, point_proj, tangent_plus, tangent_zero
 from .poly import (
@@ -188,20 +188,11 @@ def verify_diffobj(o: DiffObject, label: str = "diffobj") -> Report:
     return checks.report(f"diffobj[{label}]", {"carrier": k, "mode": mode})
 
 
-def derived_D(
-    f: PolyMap,
-    dom_obj: Optional[DiffObject] = None,
-    cod_obj: Optional[DiffObject] = None,
-) -> PolyMap:
-    """D[f] := mu T(f) phat, the differential recovered from the objects."""
-    if dom_obj is None:
-        dom_obj = canonical_diffobj(f.dom, f.mode)
-    if cod_obj is None:
-        cod_obj = canonical_diffobj(f.cod, f.mode)
-    if dom_obj.carrier != f.dom or cod_obj.carrier != f.cod:
-        raise DimensionMismatch("differential objects must match the map's endpoints")
+def derived_D(f: PolyMap) -> PolyMap:
+    """D[f] := mu T(f) phat, the differential recovered from the canonical objects."""
     return polymap_compose(
-        diffobj_mu(dom_obj), polymap_compose(cdc_T(f), cod_obj.phat)
+        diffobj_mu(canonical_diffobj(f.dom, f.mode)),
+        polymap_compose(cdc_T(f), canonical_diffobj(f.cod, f.mode).phat),
     )
 
 

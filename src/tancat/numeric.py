@@ -1,23 +1,22 @@
 """Forward-mode numeric differentiation via dual numbers.
 
-A NumericProgram is a tuple of expression trees (the same AST the text
-parser produces) evaluated over floats.  dual_eval pushes a (point,
-direction) pair through the program and returns values together with
-directional derivatives; fd_check compares those tangents against central
-finite differences.  Non-finite intermediates raise NonFiniteError rather
-than propagating silently.
+A NumericProgram holds the terms of each output of a polynomial map, each
+coefficient converted to a float once, and evaluates them over dual
+numbers.  It never calls the symbolic D, so it is an independent oracle
+for it.  dual_eval pushes a (point, direction) pair through the program
+and returns values together with directional derivatives; fd_check
+compares those tangents against central finite differences.  Non-finite
+intermediates raise NonFiniteError rather than propagating silently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 from .errors import DimensionMismatch, NonFiniteError
-from .parser import Add, Const, Mul, Neg, Node, Pow, Var, left_spine
-from .poly import Poly, PolyMap
+from .poly import PolyMap
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,6 @@ class Dual:
             self.primal * other.tangent + other.primal * self.tangent,
         )
 
-    def __neg__(self) -> "Dual":
-        return Dual(-self.primal, -self.tangent)
-
     def __pow__(self, e: int) -> "Dual":
         if e < 0:
             raise ValueError("negative exponents are not supported")
@@ -50,51 +46,31 @@ class Dual:
         )
 
 
-def _eval_node(node: Node, env: Sequence[Dual]) -> Dual:
-    if isinstance(node, Const):
-        return Dual(float(node.value), 0.0)
-    if isinstance(node, Var):
-        return env[node.index]
-    if isinstance(node, (Add, Mul)):
-        operands = left_spine(node)
-        acc = _eval_node(operands[0], env)
-        for operand in operands[1:]:
-            rhs = _eval_node(operand, env)
-            acc = acc + rhs if type(node) is Add else acc * rhs
-        return acc
-    if isinstance(node, Pow):
-        return _eval_node(node.base, env) ** node.exponent
-    if isinstance(node, Neg):
-        return -_eval_node(node.arg, env)
-    raise TypeError(f"unknown expression node {node!r}")
-
-
 @dataclass(frozen=True)
 class NumericProgram:
     dom: int
     cod: int
-    outputs: Tuple[Node, ...]
+    outputs: Tuple[tuple, ...]  # per output, ((exponent, float coefficient), ...)
 
     @staticmethod
     def from_polymap(f: PolyMap) -> "NumericProgram":
-        return NumericProgram(f.dom, f.cod, tuple(_poly_node(c) for c in f.components))
+        outputs = tuple(tuple((ev, float(c)) for ev, c in p.terms) for p in f.components)
+        return NumericProgram(f.dom, f.cod, outputs)
 
 
-def _poly_node(p: Poly) -> Node:
-    acc: Node | None = None
-    for ev, coeff in p.terms:
-        term: Node | None = None
-        for i, e in enumerate(ev):
-            if e == 0:
-                continue
-            factor: Node = Var(i) if e == 1 else Pow(Var(i), e)
-            term = factor if term is None else Mul(term, factor)
-        c = Fraction(coeff)
+def _eval_terms(terms, env: Sequence[Dual]) -> Dual:
+    """Sum of c * x_i^e_i * ..., folded left to right in term order."""
+    acc = None
+    for ev, c in terms:
+        term = None
+        for x, e in zip(env, ev):
+            if e:
+                factor = x if e == 1 else x**e
+                term = factor if term is None else term * factor
         if term is None or c != 1:
-            const: Node = Const(c)
-            term = const if term is None else Mul(const, term)
-        acc = term if acc is None else Add(acc, term)
-    return acc if acc is not None else Const(Fraction(0))
+            term = Dual(c, 0.0) if term is None else Dual(c, 0.0) * term
+        acc = term if acc is None else acc + term
+    return acc if acc is not None else Dual(0.0, 0.0)
 
 
 def _run(prog: NumericProgram, point: Sequence[float], direction: Sequence[float]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
@@ -102,9 +78,9 @@ def _run(prog: NumericProgram, point: Sequence[float], direction: Sequence[float
         raise DimensionMismatch(f"program expects {prog.dom} input coordinates")
     env = [Dual(float(x), float(v)) for x, v in zip(point, direction)]
     values, tangents = [], []
-    for i, node in enumerate(prog.outputs):
+    for i, terms in enumerate(prog.outputs):
         try:
-            out = _eval_node(node, env)
+            out = _eval_terms(terms, env)
         except OverflowError as exc:
             raise NonFiniteError(f"overflow in output {i}") from exc
         if not (math.isfinite(out.primal) and math.isfinite(out.tangent)):

@@ -13,79 +13,27 @@ only legal in rational mode; natural mode reports it as a semiring
 violation.  Whitespace is insignificant.  Parentheses are accepted on
 input; the canonical printer never emits them.
 
-Parsing builds a small expression AST first (reused verbatim by the numeric
-dual-number model), then folds it into a canonical Poly.
+Parsing checks the whole text first, writing each component as a flat
+postfix list of ops: ``("c", Fraction)``, ``("x", i)``, ``("neg",)``,
+``("^", e)``, ``("+",)`` and ``("*",)``; binary minus is ``neg`` then ``+``.
+Only then does one loop fold each list on a stack of Polys, left to right,
+so every syntax error is reported before any arithmetic is done.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 from . import scalars
 from .errors import PolyParseError, SemiringViolation
 from .poly import Poly, PolyMap
 
-# --- expression AST ---------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class Var:
-    index: int
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-
-
-Node = Union[Const, Var, Add, Mul, Pow, Neg]
-
 # Parentheses and unary minus nest by recursion; deeper input is refused.
 MAX_NESTING = 100
 # '^' expands by repeated multiplication; a larger literal exponent is refused.
 MAX_EXPONENT = 1000
-
-
-def left_spine(node: Node) -> List[Node]:
-    """Operands of a left-nested chain of ``type(node)``, leftmost first.
-
-    Sums and products parse into left-nested chains as long as the input,
-    so consumers fold them with a loop instead of recursing down them.
-    """
-    kind = type(node)
-    rights = []
-    while type(node) is kind:
-        rights.append(node.right)
-        node = node.left
-    rights.append(node)
-    return rights[::-1]
-
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([+\-*^/();])|(\S))")
 
@@ -117,6 +65,7 @@ class _Parser:
         self.dom = dom
         self.mode = scalars.check_mode(mode)
         self.depth = 0
+        self.ops: List[tuple] = []  # postfix ops of the component being parsed
 
     def nest(self, pos: int):
         self.depth += 1
@@ -137,56 +86,58 @@ class _Parser:
             raise PolyParseError(f"expected {op!r}", pos)
         return self.advance()
 
-    def parse_components(self) -> List[Node]:
-        comps = [self.parse_expr()]
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val == ";":
-                self.advance()
-                comps.append(self.parse_expr())
-            elif kind == "end":
-                return comps
-            else:
-                raise PolyParseError(f"unexpected token {val!r}", pos)
+    def minus(self, pos: int):
+        if self.mode == scalars.NATURAL:
+            raise SemiringViolation(f"'-' is not available in natural mode (position {pos})")
+        self.advance()
 
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
+    def parse_text(self) -> List[List[tuple]]:
+        """The postfix op list of every ';'-separated component."""
+        comps = []
+        while True:
+            self.ops = []
+            self.parse_expr()
+            comps.append(self.ops)
+            kind, val, pos = self.peek()
+            if kind == "end":
+                return comps
+            if kind != "op" or val != ";":
+                raise PolyParseError(f"unexpected token {val!r}", pos)
+            self.advance()
+
+    def parse_expr(self):
+        self.parse_term()
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val == "+":
                 self.advance()
-                node = Add(node, self.parse_term())
+                self.parse_term()
+                self.ops.append(("+",))
             elif kind == "op" and val == "-":
-                if self.mode == scalars.NATURAL:
-                    raise SemiringViolation(f"'-' is not available in natural mode (position {pos})")
-                self.advance()
-                node = Add(node, Neg(self.parse_term()))
+                self.minus(pos)
+                self.parse_term()
+                self.ops += [("neg",), ("+",)]
             else:
-                return node
+                return
 
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "*":
-                self.advance()
-                node = Mul(node, self.parse_factor())
-            else:
-                return node
+    def parse_term(self):
+        self.parse_factor()
+        while self.peek()[:2] == ("op", "*"):
+            self.advance()
+            self.parse_factor()
+            self.ops.append(("*",))
 
-    def parse_factor(self) -> Node:
+    def parse_factor(self):
         kind, val, pos = self.peek()
         if kind == "op" and val == "-":
-            if self.mode == scalars.NATURAL:
-                raise SemiringViolation(f"'-' is not available in natural mode (position {pos})")
-            self.advance()
+            self.minus(pos)
             self.nest(pos)
-            node = Neg(self.parse_factor())
+            self.parse_factor()
             self.depth -= 1
-            return node
-        node = self.parse_atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
+            self.ops.append(("neg",))
+            return
+        self.parse_atom()
+        if self.peek()[:2] == ("op", "^"):
             self.advance()
             kind, val, pos = self.peek()
             if kind != "int":
@@ -195,15 +146,13 @@ class _Parser:
             exponent = int(val)
             if exponent > MAX_EXPONENT:
                 raise PolyParseError(f"exponent exceeds {MAX_EXPONENT}", pos)
-            node = Pow(node, exponent)
-        return node
+            self.ops.append(("^", exponent))
 
-    def parse_atom(self) -> Node:
+    def parse_atom(self):
         kind, val, pos = self.advance()
         if kind == "int":
-            numerator = int(val)
-            kind2, _, _ = self.peek()
-            if kind2 == "op" and self.peek()[1] == "/":
+            value = Fraction(int(val))
+            if self.peek()[:2] == ("op", "/"):
                 self.advance()
                 kind3, val3, pos3 = self.advance()
                 if kind3 != "int":
@@ -212,59 +161,52 @@ class _Parser:
                     raise SemiringViolation(f"rational literal in natural mode (position {pos})")
                 if int(val3) == 0:
                     raise PolyParseError("zero denominator", pos3)
-                return Const(Fraction(numerator, int(val3)))
-            return Const(Fraction(numerator))
-        if kind == "var":
+                value = Fraction(int(val), int(val3))
+            self.ops.append(("c", value))
+        elif kind == "var":
             index = int(val[1:])
             if index >= self.dom:
                 raise PolyParseError(f"variable {val} out of range for domain {self.dom}", pos)
-            return Var(index)
-        if kind == "op" and val == "(":
+            self.ops.append(("x", index))
+        elif kind == "op" and val == "(":
             self.nest(pos)
-            node = self.parse_expr()
+            self.parse_expr()
             self.expect_op(")")
             self.depth -= 1
-            return node
-        raise PolyParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+        else:
+            raise PolyParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
 
 
-def parse_components(text: str, dom: int, mode: str = scalars.RATIONAL) -> List[Node]:
-    """Parse to raw expression ASTs, one per ';'-separated component."""
-    return _Parser(text, dom, mode).parse_components()
-
-
-def ast_to_poly(node: Node, dom: int, mode: str) -> Poly:
-    if isinstance(node, Const):
-        return Poly.constant(dom, scalars.coerce(mode, node.value), mode)
-    if isinstance(node, Var):
-        return Poly.variable(dom, node.index, mode)
-    if isinstance(node, (Add, Mul)):
-        operands = left_spine(node)
-        acc = ast_to_poly(operands[0], dom, mode)
-        for operand in operands[1:]:
-            rhs = ast_to_poly(operand, dom, mode)
-            acc = acc + rhs if type(node) is Add else acc * rhs
-        return acc
-    if isinstance(node, Pow):
-        base = ast_to_poly(node.base, dom, mode)
-        out = Poly.constant(dom, 1, mode)
-        for _ in range(node.exponent):
-            out = out * base
-        return out
-    if isinstance(node, Neg):
-        inner = ast_to_poly(node.arg, dom, mode)
-        return Poly.from_terms(dom, [(ev, scalars.negate(mode, c)) for ev, c in inner.terms], mode)
-    raise TypeError(f"unknown node {node!r}")
+def _fold(ops: List[tuple], dom: int, mode: str) -> Poly:
+    """Evaluate one component's postfix ops on a stack of Polys."""
+    stack: List[Poly] = []
+    for op in ops:
+        tag = op[0]
+        if tag == "c":
+            stack.append(Poly.constant(dom, scalars.coerce(mode, op[1]), mode))
+        elif tag == "x":
+            stack.append(Poly.variable(dom, op[1], mode))
+        elif tag == "neg":
+            terms = stack.pop().terms
+            stack.append(Poly.from_terms(dom, [(ev, scalars.negate(mode, c)) for ev, c in terms], mode))
+        elif tag == "^":
+            base, out = stack.pop(), Poly.constant(dom, 1, mode)
+            for _ in range(op[1]):
+                out = out * base
+            stack.append(out)
+        else:
+            rhs = stack.pop()
+            stack[-1] = stack[-1] + rhs if tag == "+" else stack[-1] * rhs
+    return stack.pop()
 
 
 def parse_poly(text: str, dom: int, mode: str = scalars.RATIONAL) -> Poly:
-    nodes = parse_components(text, dom, mode)
-    if len(nodes) != 1:
+    comps = _Parser(text, dom, mode).parse_text()
+    if len(comps) != 1:
         raise PolyParseError("expected a single component", text.index(";"))
-    return ast_to_poly(nodes[0], dom, mode)
+    return _fold(comps[0], dom, mode)
 
 
 def parse_polymap(text: str, dom: int, mode: str = scalars.RATIONAL) -> PolyMap:
-    nodes = parse_components(text, dom, mode)
-    comps = tuple(ast_to_poly(n, dom, mode) for n in nodes)
+    comps = tuple(_fold(ops, dom, mode) for ops in _Parser(text, dom, mode).parse_text())
     return PolyMap(dom, len(comps), comps, mode)

@@ -200,6 +200,8 @@ class PolyMap:
     def __post_init__(self):
         if len(self.components) != self.cod:
             raise DimensionMismatch(f"{self.cod} components expected, got {len(self.components)}")
+        if not self.components:
+            scalars.check_mode(self.mode)  # otherwise each component's mode vouches for it
         for comp in self.components:
             if comp.nvars != self.dom or comp.mode != self.mode:
                 raise DimensionMismatch("component does not match the map's domain or mode")

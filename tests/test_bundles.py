@@ -52,6 +52,7 @@ from tancat.poly import (
     random_polymap,
     zero_map,
 )
+from tancat.suites import _bundle_families
 
 
 def failing_names(report):
@@ -167,6 +168,34 @@ def test_make_bundle_rejects_fake_trivialization():
     swap = parse_polymap("x1; x0", 2, scalars.RATIONAL)
     with pytest.raises(PreconditionFailure):
         make_bundle(1, 1, b.sigma, b.zeta, b.lam, (swap, identity_map(2, b.mode)), b.mode)
+
+
+@pytest.mark.parametrize(
+    "mode, k, lam_text",
+    [(scalars.RATIONAL, 1, "0; 2*x1; x0; 0"), (scalars.NATURAL, 2, "0; x2; x1; x0; 0; 0")],
+)
+def test_constant_non_identity_lift_block_fails_coherence_and_universality(mode, k, lam_text):
+    # the fibre-tangent block M (2, or the swap of a1 and a2) is invertible but
+    # M^2 != M, so lift coherence fails; rho stays the identity, so
+    # universality fails with it
+    base = standard_bundle(1, k, mode)
+    lam = parse_polymap(lam_text, 1 + k, mode)
+    bad = make_bundle(1, k, base.sigma, base.zeta, lam, None, mode)
+    assert bad.rho == identity_map(bad.e2_dim, mode)
+    bad_rows = failing_names(verify_bundle(bad))
+    assert "lambda-lift-coherence" in bad_rows
+    assert {"universality-left", "universality-right", "universality-cone"} <= bad_rows
+
+
+@pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.NATURAL])
+def test_rho_is_the_identity_for_every_suite_bundle(mode):
+    fams = [b for _, b in _bundle_families(mode, None) + _bundle_families(mode, "corrupted-lambda")]
+    fams += [
+        pullback_bundle(identity_map(2, mode), standard_bundle(2, 1, mode)),
+        whitney_sum(standard_bundle(1, 1, mode), tangent_bundle_of(1, mode)),
+    ]
+    for b in fams + [tangent_of_bundle(b) for b in fams]:
+        assert b.rho == identity_map(b.e2_dim, mode)
 
 
 # ----------------------------------------------------------------- bracket

@@ -100,3 +100,8 @@ def test_bad_arguments_raise_on_every_call():
             point_proj(2, "complex")
         with pytest.raises(ValueError, match="invalid for dimension"):
             polymap_proj(2, 0, 3, scalars.RATIONAL)
+        # maps with no components check their mode too
+        with pytest.raises(ValueError, match="unknown scalar mode"):
+            polymap_proj(4, 2, 2, "bogus")
+        with pytest.raises(ValueError, match="unknown scalar mode"):
+            point_proj(0, "bogus")

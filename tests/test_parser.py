@@ -111,3 +111,16 @@ def test_literal_exponent_is_capped():
     with pytest.raises(PolyParseError) as e:
         parse_poly(f"x0^{MAX_EXPONENT + 1}", 1, scalars.RATIONAL)
     assert e.value.pos == 3
+
+
+def test_syntax_is_checked_before_any_arithmetic(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("multiplied before the whole text parsed")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    with pytest.raises(PolyParseError) as e:
+        parse_poly("(x0+1)^2 )", 1, scalars.RATIONAL)
+    assert e.value.pos == 9
+    with pytest.raises(PolyParseError) as e:
+        parse_polymap("(x0+1)^2; x0 )", 1, scalars.RATIONAL)
+    assert e.value.pos == 13
