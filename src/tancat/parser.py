@@ -15,9 +15,12 @@ input; the canonical printer never emits them.
 
 Parsing checks the whole text first, writing each component as a flat
 postfix list of ops: ``("c", Fraction)``, ``("x", i)``, ``("neg",)``,
-``("^", e)``, ``("+",)`` and ``("*",)``; binary minus is ``neg`` then ``+``.
-Only then does one loop fold each list on a stack of Polys, left to right,
-so every syntax error is reported before any arithmetic is done.
+``("^", e, pos)``, ``("+",)`` and ``("*", pos)``, where ``pos`` is the
+operator's position; binary minus is ``neg`` then ``+``.  Only then does one
+loop fold each list on a stack of Polys, left to right, so every syntax error
+is reported before any arithmetic is done.  Before each product and power the
+fold bounds the size of the result, and refuses one that could pass
+``MAX_TERMS`` terms at the operator's position.
 """
 
 from __future__ import annotations
@@ -28,12 +31,14 @@ from typing import List, Tuple
 
 from . import scalars
 from .errors import PolyParseError, SemiringViolation
-from .poly import Poly, PolyMap
+from .poly import Poly, PolyMap, poly_degree, poly_pow
 
 # Parentheses and unary minus nest by recursion; deeper input is refused.
 MAX_NESTING = 100
 # '^' expands by repeated multiplication; a larger literal exponent is refused.
 MAX_EXPONENT = 1000
+# A product or power that could have more terms than this is refused.
+MAX_TERMS = 10_000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([+\-*^/();])|(\S))")
 
@@ -123,9 +128,9 @@ class _Parser:
     def parse_term(self):
         self.parse_factor()
         while self.peek()[:2] == ("op", "*"):
-            self.advance()
+            pos = self.advance()[2]
             self.parse_factor()
-            self.ops.append(("*",))
+            self.ops.append(("*", pos))
 
     def parse_factor(self):
         kind, val, pos = self.peek()
@@ -138,7 +143,7 @@ class _Parser:
             return
         self.parse_atom()
         if self.peek()[:2] == ("op", "^"):
-            self.advance()
+            op_pos = self.advance()[2]
             kind, val, pos = self.peek()
             if kind != "int":
                 raise PolyParseError("'^' needs a nonnegative integer literal", pos)
@@ -146,7 +151,7 @@ class _Parser:
             exponent = int(val)
             if exponent > MAX_EXPONENT:
                 raise PolyParseError(f"exponent exceeds {MAX_EXPONENT}", pos)
-            self.ops.append(("^", exponent))
+            self.ops.append(("^", exponent, op_pos))
 
     def parse_atom(self):
         kind, val, pos = self.advance()
@@ -177,8 +182,30 @@ class _Parser:
             raise PolyParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
 
 
+def _capped_comb(n: int, k: int) -> int:
+    """C(n, k) for 0 <= k <= n, or a number past MAX_TERMS as soon as C(n, k) is."""
+    k = min(k, n - k)
+    out = 1
+    for i in range(1, k + 1):
+        out = out * (n - k + i) // i  # C(n - k + i, i), which grows with i
+        if out > MAX_TERMS:
+            break
+    return out
+
+
+def _check_terms(count: int, degree: int, dom: int, what: str, pos: int):
+    """Refuse a result bounded by ``count`` terms and by total degree ``degree``."""
+    if count > MAX_TERMS and _capped_comb(dom + degree, dom) > MAX_TERMS:
+        raise PolyParseError(f"{what} could have more than {MAX_TERMS} terms", pos)
+
+
 def _fold(ops: List[tuple], dom: int, mode: str) -> Poly:
-    """Evaluate one component's postfix ops on a stack of Polys."""
+    """Evaluate one component's postfix ops on a stack of Polys.
+
+    A product of a and b has at most |a|*|b| terms, and a power p^e at most
+    C(|p|+e-1, e), the number of multisets of e terms of p; neither has more
+    than C(dom+d, dom), the number of monomials of degree at most d.
+    """
     stack: List[Poly] = []
     for op in ops:
         tag = op[0]
@@ -190,13 +217,18 @@ def _fold(ops: List[tuple], dom: int, mode: str) -> Poly:
             terms = stack.pop().terms
             stack.append(Poly.from_terms(dom, [(ev, scalars.negate(mode, c)) for ev, c in terms], mode))
         elif tag == "^":
-            base, out = stack.pop(), Poly.constant(dom, 1, mode)
-            for _ in range(op[1]):
-                out = out * base
-            stack.append(out)
-        else:
+            base, e = stack[-1], op[1]
+            count = _capped_comb(max(len(base.terms), 1) + e - 1, e)
+            _check_terms(count, e * poly_degree(base), dom, "power", op[2])
+            stack[-1] = poly_pow(base, e)
+        elif tag == "+":
             rhs = stack.pop()
-            stack[-1] = stack[-1] + rhs if tag == "+" else stack[-1] * rhs
+            stack[-1] = stack[-1] + rhs
+        else:
+            lhs, rhs = stack[-2], stack.pop()
+            count = len(lhs.terms) * len(rhs.terms)
+            _check_terms(count, poly_degree(lhs) + poly_degree(rhs), dom, "product", op[1])
+            stack[-1] = lhs * rhs
     return stack.pop()
 
 

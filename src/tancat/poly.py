@@ -7,7 +7,9 @@ written in diagrammatic order throughout: ``polymap_compose(f, g)`` is
 
 Terms are kept in graded-lexicographic order (total degree first, then the
 exponent vector, both descending), so structural equality of the stored
-tuples coincides with mathematical equality over the chosen semiring.
+tuples coincides with mathematical equality over the chosen semiring.  An
+integral coefficient is stored as an ``int`` in both modes (see
+``scalars.coerce``); a ``Fraction`` coefficient is never integral.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import add
 from random import Random
 from typing import Dict, Iterable, Sequence, Tuple
@@ -23,12 +26,14 @@ from . import scalars
 from .errors import DimensionMismatch
 
 Exponent = Tuple[int, ...]
-_ONE = {scalars.RATIONAL: Fraction(1), scalars.NATURAL: 1}
 
 
 def _canonical(acc: Dict[Exponent, object]) -> tuple:
-    """The nonzero terms of an accumulator, graded-lex descending: the one sort per result."""
-    terms = [(ev, c) for ev, c in acc.items() if c]
+    """The nonzero terms of an accumulator, graded-lex descending: the one sort per result.
+
+    A sum or product of Fractions can be integral; it is stored as its int.
+    """
+    terms = [(ev, c if c.denominator != 1 else c.numerator) for ev, c in acc.items() if c]
     terms.sort(key=lambda t: (sum(t[0]), t[0]), reverse=True)
     return tuple(terms)
 
@@ -81,7 +86,7 @@ class Poly:
         if not 0 <= i < nvars:
             raise DimensionMismatch(f"variable index {i} out of range for {nvars} variables")
         ev = (0,) * i + (1,) + (0,) * (nvars - i - 1)
-        return Poly(nvars, ((ev, _ONE[scalars.check_mode(mode)]),), mode)
+        return Poly(nvars, ((ev, 1),), scalars.check_mode(mode))
 
     def __add__(self, other: "Poly") -> "Poly":
         return poly_add(self, other)
@@ -105,9 +110,75 @@ def poly_add(a: Poly, b: Poly) -> Poly:
     return Poly(a.nvars, _canonical(_add_terms(dict(a.terms), b.terms)), a.mode)
 
 
+def poly_degree(p: Poly) -> int:
+    """Total degree; 0 for the zero polynomial."""
+    return max((sum(ev) for ev, _ in p.terms), default=0)
+
+
+def _packed_product(p: Poly, factors: Sequence[Poly]) -> Poly:
+    """p * factors[0] * factors[1] * ..., multiplied one factor at a time.
+
+    Each exponent vector is packed into one int: a field for the total degree,
+    then one per variable, from the high bits down, each wide enough for the
+    product's total degree.  Exponents are never negative, so a field never
+    carries into the next, adding packed ints adds exponent vectors, and the
+    packed ints sort in graded-lex order.  Each factor is scaled by the least
+    common multiple of its denominators, so the loop multiplies ints only, and
+    each result coefficient is divided by the product of the scales once.  The
+    result is unpacked and sorted once, at the end.
+    """
+    if not p.terms or any(not f.terms for f in factors):
+        return Poly(p.nvars, (), p.mode)
+    degree = sum(map(poly_degree, (p, *factors)))
+    width = max(degree.bit_length(), 1)
+    shifts = range(width * p.nvars, -1, -width)
+
+    def packed(q: Poly) -> Tuple[int, list]:
+        d = lcm(*(c.denominator for _, c in q.terms))
+        items = [(sum(e << s for e, s in zip((sum(ev), *ev), shifts)), c.numerator * (d // c.denominator))
+                 for ev, c in q.terms]
+        return d, items
+
+    scale, items = packed(p)
+    acc, last = dict(items), None
+    for f in factors:
+        if f is not last:
+            d, items = packed(f)
+            last = f
+        scale *= d
+        prod: Dict[int, int] = {}
+        for k1, c1 in acc.items():
+            for k2, c2 in items:
+                k = k1 + k2
+                if k in prod:
+                    prod[k] += c1 * c2
+                else:
+                    prod[k] = c1 * c2
+        acc = prod
+    mask, var_shifts = (1 << width) - 1, shifts[1:]
+    terms = []
+    for k in sorted(acc, reverse=True):
+        c = acc[k]
+        if c:
+            c = Fraction(c, scale) if c % scale else c // scale
+            terms.append((tuple((k >> s) & mask for s in var_shifts), c))
+    return Poly(p.nvars, tuple(terms), p.mode)
+
+
 def poly_mul(a: Poly, b: Poly) -> Poly:
     _check_same_shape(a, b)
-    return Poly(a.nvars, _canonical(_mul_terms({}, a.terms, b.terms)), a.mode)
+    return _packed_product(a, (b,))
+
+
+def poly_pow(p: Poly, e: int) -> Poly:
+    """p to the power e >= 0, multiplying by p e times; p^0 is 1, 0^0 included.
+
+    Not by repeated squaring: the bases are sparse and their powers dense, so
+    squaring multiplies two dense halves and does more term products.
+    """
+    if e < 0:
+        raise ValueError(f"negative exponent {e}")
+    return _packed_product(Poly(p.nvars, (((0,) * p.nvars, 1),), p.mode), (p,) * e)
 
 
 def poly_scale(a: Poly, value) -> Poly:
@@ -122,8 +193,12 @@ def partial_derivative(p: Poly, i: int) -> Poly:
     """
     if not 0 <= i < p.nvars:
         raise DimensionMismatch(f"variable index {i} out of range for {p.nvars} variables")
-    terms = tuple((ev[:i] + (ev[i] - 1,) + ev[i + 1 :], c * ev[i]) for ev, c in p.terms if ev[i])
-    return Poly(p.nvars, terms, p.mode)
+    terms = []
+    for ev, c in p.terms:
+        if ev[i]:
+            c *= ev[i]
+            terms.append((ev[:i] + (ev[i] - 1,) + ev[i + 1 :], c if c.denominator != 1 else c.numerator))
+    return Poly(p.nvars, tuple(terms), p.mode)
 
 
 def poly_shift_vars(p: Poly, offset: int, new_nvars: int) -> Poly:

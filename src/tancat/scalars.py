@@ -1,10 +1,11 @@
 """Scalar semirings: exact rationals, and naturals without subtraction.
 
-A scalar is a plain ``Fraction`` (rational mode) or a nonnegative ``int``
-(natural mode); the mode tag lives on the enclosing polynomial, not on the
-scalar itself.  Addition and multiplication are the built-in operators, which
-both semirings are closed under; only negation, coercion, parsing, printing
-and random drawing need to consult the mode.
+A scalar is an ``int``, or a ``Fraction`` when it is not integral (rational
+mode), or a nonnegative ``int`` (natural mode); the mode tag lives on the
+enclosing polynomial, not on the scalar itself.  Addition and multiplication
+are the built-in operators, which both semirings are closed under; only
+negation, coercion, parsing, printing and random drawing need to consult the
+mode.
 """
 
 from __future__ import annotations
@@ -28,21 +29,20 @@ def check_mode(mode: str) -> str:
 def coerce(mode: str, value) -> "Fraction | int":
     """Normalize an int or Fraction into the semiring of ``mode``.
 
-    Rational scalars are Fractions (lowest terms, positive denominator is
-    what Fraction guarantees).  Natural scalars are nonnegative ints; a
+    An integral value comes back as an ``int`` in both modes, and any other
+    rational as a ``Fraction`` (lowest terms, positive denominator is what
+    Fraction guarantees).  ``Fraction(2) == 2`` and the two hash the same, so
+    mixing the types changes no comparison or lookup; ``int`` arithmetic is
+    just the cheaper common case.  Natural scalars are nonnegative ints; a
     fractional or negative input is a semiring violation, not a rounding.
     """
     check_mode(mode)
-    if isinstance(value, Fraction):
-        pass
-    elif isinstance(value, int):
-        value = Fraction(value)
-    else:
+    if not isinstance(value, (int, Fraction)):
         raise TypeError(f"scalar must be int or Fraction, got {type(value).__name__}")
-    if mode == NATURAL:
-        if value.denominator != 1 or value < 0:
-            raise SemiringViolation(f"{value} is not a natural number")
-        return value.numerator
+    if value.denominator == 1:
+        value = value.numerator
+    if mode == NATURAL and (isinstance(value, Fraction) or value < 0):
+        raise SemiringViolation(f"{value} is not a natural number")
     return value
 
 
@@ -55,9 +55,7 @@ def negate(mode: str, value):
 def random_scalar(mode: str, rng: Random, bound: int):
     """Uniform draw from the bounded range: [0, bound] natural, [-bound, bound] rational."""
     check_mode(mode)
-    if mode == NATURAL:
-        return rng.randint(0, bound)
-    return Fraction(rng.randint(-bound, bound))
+    return rng.randint(0 if mode == NATURAL else -bound, bound)
 
 
 def format_scalar(value) -> str:

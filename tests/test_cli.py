@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from time import perf_counter
 
 import pytest
 
@@ -57,6 +58,13 @@ def test_diff_deep_nesting_exits_two(expr, capsys):
 def test_diff_huge_exponent_exits_two(capsys):
     assert main(["diff", "--expr", "x0^99999999999"]) == 2
     assert "exponent exceeds" in capsys.readouterr().err
+
+
+def test_diff_term_budget_exits_two_quickly(capsys):
+    start = perf_counter()
+    assert main(["diff", "--expr", "(x0+x1+1)^300", "--dom", "2"]) == 2
+    assert perf_counter() - start < 1.0
+    assert "more than 10000 terms" in capsys.readouterr().err
 
 
 def test_diff_expression_starting_with_minus(capsys):

@@ -4,9 +4,9 @@ from random import Random
 
 import pytest
 
-from tancat import scalars
+from tancat import parser, poly, scalars
 from tancat.errors import PolyParseError, SemiringViolation
-from tancat.parser import MAX_EXPONENT, MAX_NESTING, parse_poly, parse_polymap
+from tancat.parser import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, parse_poly, parse_polymap
 from tancat.poly import (
     Poly,
     polymap_to_str,
@@ -113,11 +113,41 @@ def test_literal_exponent_is_capped():
     assert e.value.pos == 3
 
 
+def test_term_budget_refuses_large_products_and_powers_at_the_operator():
+    assert MAX_TERMS == 10_000
+    # C(302, 2) = 45,451 terms; '^' is at position 9
+    with pytest.raises(PolyParseError) as e:
+        parse_poly("(x0+x1+1)^300", 2, scalars.RATIONAL)
+    assert e.value.pos == 9 and "10000 terms" in str(e.value)
+    # 1,820 * 1,820 term pairs and C(28, 4) = 20,475 monomials of degree <= 24
+    power = "(x0+x1+x2+x3+1)^12"
+    with pytest.raises(PolyParseError) as e:
+        parse_poly(f"{power}*{power}", 4, scalars.NATURAL)
+    assert e.value.pos == len(power)
+    # 210 * 210 pairs, but only C(16, 4) = 1,820 monomials of degree <= 12
+    power = "(x0+x1+x2+x3+1)^6"
+    assert len(parse_poly(f"{power}*{power}", 4, scalars.NATURAL).terms) == 1820
+
+
+def test_term_budget_is_inclusive(monkeypatch):
+    monkeypatch.setattr(parser, "MAX_TERMS", 10)
+    assert len(parse_poly("(x0+1)^9", 1, scalars.RATIONAL).terms) == 10
+    assert len(parse_poly("(x0+1)^4*(x0+1)^4", 1, scalars.RATIONAL).terms) == 9  # 25 pairs, degree <= 8
+    with pytest.raises(PolyParseError) as e:
+        parse_poly("(x0+1)^10", 1, scalars.RATIONAL)
+    assert e.value.pos == 6
+    with pytest.raises(PolyParseError) as e:
+        parse_poly("(x0+x1+x2)^2 * (x0+x1+x2)^2", 3, scalars.RATIONAL)  # 36 pairs, C(7, 3) = 35
+    assert e.value.pos == 13
+
+
 def test_syntax_is_checked_before_any_arithmetic(monkeypatch):
-    def refuse(self, other):
+    def refuse(*args):
         raise AssertionError("multiplied before the whole text parsed")
 
     monkeypatch.setattr(Poly, "__mul__", refuse)
+    monkeypatch.setattr(poly, "poly_mul", refuse)
+    monkeypatch.setattr(parser, "poly_pow", refuse)
     with pytest.raises(PolyParseError) as e:
         parse_poly("(x0+1)^2 )", 1, scalars.RATIONAL)
     assert e.value.pos == 9

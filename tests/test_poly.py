@@ -17,6 +17,8 @@ from tancat.errors import DimensionMismatch, SemiringViolation
 from tancat.cdc import cdc_D
 from tancat.poly import (
     Poly,
+    _canonical,
+    _mul_terms,
     PolyMap,
     eval_poly,
     eval_polymap,
@@ -26,6 +28,7 @@ from tancat.poly import (
     permutation_map,
     poly_add,
     poly_mul,
+    poly_pow,
     poly_scale,
     poly_shift_vars,
     poly_subst,
@@ -130,6 +133,86 @@ def test_add_matches_reference(pq):
 def test_mul_matches_reference(pq):
     p, q = pq
     assert ref_terms(poly_mul(p, q)) == ref_mul(ref_terms(p), ref_terms(q), p.nvars)
+
+
+def old_pow(p, e):
+    """p^e by the tuple-keyed product loop the parser used before poly_pow."""
+    out = Poly.constant(p.nvars, 1, p.mode)
+    for _ in range(e):
+        out = Poly(p.nvars, _canonical(_mul_terms({}, out.terms, p.terms)), p.mode)
+    return out
+
+
+def rational_polys(nvars):
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
+    items = st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars), coeff), max_size=4)
+    return items.map(lambda its: Poly.from_terms(nvars, [(tuple(ev), c) for ev, c in its], scalars.RATIONAL))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3).flatmap(lambda n: st.tuples(rational_polys(n), points(n, scalars.RATIONAL))),
+       st.integers(0, 5))
+def test_pow_agrees_with_evaluation_and_the_tuple_keyed_loop(p_pt, e):
+    p, pt = p_pt
+    got = poly_pow(p, e)
+    assert eval_poly(got, pt) == eval_poly(p, pt) ** e
+    assert got == old_pow(p, e)
+
+
+def test_pow_and_mul_edge_cases():
+    for mode in scalars.MODES:
+        zero, one = Poly.zero(2, mode), Poly.constant(2, 1, mode)
+        x = Poly.from_terms(2, [((1, 0), 1), ((0, 1), 2), ((0, 0), 3)], mode)
+        assert poly_pow(x, 0) == one and poly_pow(zero, 0) == one
+        assert poly_pow(zero, 3) == zero and poly_pow(x, 1) == x
+        assert poly_mul(x, zero) == zero == poly_mul(zero, x)
+        c = Poly.constant(0, 3, mode)  # no variables: every exponent vector is ()
+        assert poly_pow(c, 3) == Poly.constant(0, 27, mode) == poly_mul(c, poly_pow(c, 2))
+    with pytest.raises(ValueError):
+        poly_pow(Poly.variable(1, 0, scalars.RATIONAL), -1)
+    # (x0 + 1)*(x0 - 1) and (x0/2 + 1/2)*(2*x0 - 2) cancel their middle terms
+    a = Poly.from_terms(1, [((1,), 1), ((0,), 1)], scalars.RATIONAL)
+    b = Poly.from_terms(1, [((1,), 1), ((0,), -1)], scalars.RATIONAL)
+    assert poly_to_str(poly_mul(a, b)) == "x0^2 - 1"
+    assert poly_mul(poly_scale(a, Fraction(1, 2)), poly_scale(b, 2)).terms == (((2,), 1), ((0,), -1))
+
+
+@pytest.mark.parametrize("bits", range(1, 7))
+def test_packed_exponent_fields_never_carry(bits):
+    """Products whose exponents fill a field exactly (2**bits - 1) or need one
+    more bit (2**bits), checked against the reference and the old loop."""
+    for degree in (2**bits - 1, 2**bits):
+        j = degree // 2
+        a = Poly.from_terms(3, [((j, 0, 0), 1), ((0, degree - j, 0), 2), ((0, 0, 1), -1)], scalars.RATIONAL)
+        b = Poly.from_terms(3, [((degree - j, 0, 0), 3), ((0, j, 0), 1), ((0, 0, 0), 1)], scalars.RATIONAL)
+        assert ref_terms(poly_mul(a, b)) == ref_mul(ref_terms(a), ref_terms(b), 3)
+        assert (degree, 0, 0) in ref_terms(poly_mul(a, b))
+        s = Poly.from_terms(2, [((1, 0), 1), ((0, 1), 1)], scalars.NATURAL)
+        assert poly_pow(s, degree) == old_pow(s, degree)
+        assert poly_pow(s, degree).terms[0] == ((degree, 0), 1)
+
+
+def test_rational_terms_hold_int_for_integral_coefficients():
+    half = Fraction(1, 2)
+    p = Poly.from_terms(2, [((2, 0), half), ((1, 1), Fraction(4, 2)), ((0, 0), 3)], scalars.RATIONAL)
+    q = Poly.from_terms(2, [((0, 1), half), ((0, 0), Fraction(3, 2))], scalars.RATIONAL)
+    results = [
+        p,
+        q,
+        poly_add(q, q),
+        poly_mul(p, poly_scale(q, 2)),
+        poly_pow(poly_scale(q, 2), 3),
+        poly_pow(q, 3),
+        partial_derivative(p, 0),
+        poly_subst(p, [poly_scale(q, 2), q]),
+        cdc_D(PolyMap(2, 2, (p, q), scalars.RATIONAL)).components[0],
+        polymap_compose(permutation_map(1, (0, 0), scalars.RATIONAL), PolyMap(2, 1, (q,), scalars.RATIONAL)).components[0],
+    ]
+    for r in results:
+        for _, c in r.terms:
+            assert type(c) is (int if c.denominator == 1 else Fraction)
+    assert {type(c) for r in results for _, c in r.terms} == {int, Fraction}
+    assert partial_derivative(p, 0).terms == (((1, 0), 1), ((0, 1), 2))
 
 
 @settings(max_examples=60)

@@ -18,6 +18,10 @@ def test_modes_inventory():
 def test_coerce_rational_accepts_ints_and_fractions():
     assert scalars.coerce(scalars.RATIONAL, 3) == Fraction(3)
     assert scalars.coerce(scalars.RATIONAL, Fraction(-7, 2)) == Fraction(-7, 2)
+    # integral values are stored as int: equal, and hashed the same, as the Fraction
+    for value in (3, Fraction(6, 2), Fraction(-4), True):
+        got = scalars.coerce(scalars.RATIONAL, value)
+        assert type(got) is int and got == value and hash(got) == hash(Fraction(value))
 
 
 def test_coerce_natural_rejects_negative_and_fractional():
@@ -45,7 +49,7 @@ def test_random_scalar_ranges_and_determinism():
         draws = [scalars.random_scalar(mode, Random(11), 5) for _ in range(50)]
         again = [scalars.random_scalar(mode, Random(11), 5) for _ in range(50)]
         assert draws == again
-        assert all(lo <= d <= 5 for d in draws)
+        assert all(lo <= d <= 5 and type(d) is int for d in draws)
 
 
 def test_format_scalar():
