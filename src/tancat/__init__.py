@@ -64,7 +64,7 @@ from .fibration import (
     vertical_T,
     verify_fibre_axioms,
 )
-from .model import LiftWitness, TangentModel, TnObject, monad_mult, vertical_lift_v
+from .model import LiftWitness, TnObject, monad_mult, monoid_checks, vertical_lift_v
 from .numeric import Dual, NumericProgram, dual_eval, eval_program, fd_check
 from .parser import parse_poly, parse_polymap
 from .poly import Poly, PolyMap, eval_polymap, polymap_to_str, random_polymap
@@ -101,7 +101,6 @@ __all__ = [
     "SimpleCDModel",
     "SimpleMor",
     "SimpleObj",
-    "TangentModel",
     "TnObject",
     "bracket",
     "bundle_from_diffobj",
@@ -123,6 +122,7 @@ __all__ = [
     "load_bundle",
     "make_bundle",
     "monad_mult",
+    "monoid_checks",
     "mu_characterization",
     "parse_bundle_text",
     "parse_poly",

@@ -4,10 +4,10 @@ A differential bundle packages an additive bundle (q : E -> M, sigma, zeta)
 with a lift lambda : E -> T(E) subject to the lift axioms, and here always
 carries an explicit trivialization t : E ~ M x F ("display normal form").
 The trivialization is what makes everything else mechanical: the fibred
-square E_2 is realized as the carrier (x, a, b) of dimension m + 2k, the
-canonical pullback R of T(q) along 0 as (x, alpha, beta) of the same
-dimension, and the universality witness rho : R -> E_2 is the identity on
-those shared coordinates (see make_bundle for why).
+square E_2 is realized as the carrier (x, a, b) of dimension m + 2k, and
+the canonical pullback R of T(q) along 0 as (x, alpha, beta) on the same
+coordinates, so the lift is universal exactly when the comparison
+kappa : E_2 -> R is the identity (see make_bundle for why).
 
 Nothing is trusted: make_bundle only derives data, verify_bundle checks
 every axiom and the witness identities, reporting counterexamples in
@@ -50,6 +50,7 @@ from .poly import (
     polymap_proj,
     zero_map,
 )
+from .model import monoid_checks
 from .report import CheckSet, Report
 
 
@@ -64,17 +65,10 @@ class DiffBundle:
     lam: PolyMap
     triv: PolyMap
     triv_inv: PolyMap
-    rho: PolyMap
     mode: str
 
     @property
     def e2_dim(self) -> int:
-        return self.base + 2 * self.fibre
-
-    @property
-    def r_dim(self) -> int:
-        # R = (x, alpha, beta) shares E_2's coordinates (x, a, b), so rho is
-        # the identity: lift coherence rules out any other constant witness
         return self.base + 2 * self.fibre
 
 
@@ -168,14 +162,13 @@ def sel_map(b: DiffBundle) -> PolyMap:
 
 
 def kappa_map(b: DiffBundle) -> PolyMap:
-    """The comparison E_2 -> R against which rho is a two-sided inverse."""
+    """The comparison E_2 -> R, which the universal lift makes the identity."""
     return polymap_compose(mu_map(b), sel_map(b))
 
 
 def r_into_tangent(b: DiffBundle) -> PolyMap:
     """Cone leg R -> T(E): (x, alpha, beta) |-> tau^{-1}(0, x, alpha, beta)."""
-    m, k = b.base, b.fibre
-    r = b.r_dim
+    m, r = b.base, b.e2_dim
     return polymap_compose(
         polymap_pair(zero_map(r, m, b.mode), polymap_proj(r, 0, r, b.mode)),
         tangent_triv_inv(b),
@@ -183,14 +176,14 @@ def r_into_tangent(b: DiffBundle) -> PolyMap:
 
 
 def r_into_base(b: DiffBundle) -> PolyMap:
-    return polymap_proj(b.r_dim, 0, b.base, b.mode)
+    return polymap_proj(b.e2_dim, 0, b.base, b.mode)
 
 
 def bracket(f: PolyMap, b: DiffBundle) -> PolyMap:
     """The unique {f} with f = <{f} lambda, f p 0> T(sigma).
 
     Accepts f : X -> T(E) in the equalizer f;T(q) = f;p;q;0 and reads the
-    answer off through rho; the defining equation is re-verified exactly.
+    answer off through R = E_2; the defining equation is re-verified exactly.
     """
     e = b.total
     if f.cod != 2 * e:
@@ -204,8 +197,7 @@ def bracket(f: PolyMap, b: DiffBundle) -> PolyMap:
         raise PreconditionFailure(
             "bracket precondition f;T(q) = f;p;q;0 fails; " + _residual(lhs, rhs, b.mode)
         )
-    mediate = polymap_compose(polymap_compose(f, sel_map(b)), b.rho)
-    out = polymap_compose(mediate, bundle_pi(b, 0))
+    out = polymap_compose(polymap_compose(f, sel_map(b)), bundle_pi(b, 0))
     # defining equation, re-checked from scratch
     left = polymap_compose(out, b.lam)
     right = polymap_compose(f, polymap_compose(p_e, tangent_zero(e, b.mode)))
@@ -245,15 +237,15 @@ def make_bundle(
     triv: Optional[Tuple[PolyMap, PolyMap]] = None,
     mode: str = scalars.RATIONAL,
 ) -> DiffBundle:
-    """Assemble a DiffBundle; derives q, E_2 data and the witness rho.
+    """Assemble a DiffBundle; derives q from the trivialization.
 
     In display normal form R and E_2 share the coordinates (x, a, b), and
-    rho is the identity between them.  Lift coherence lambda;ell =
-    lambda;T(lambda) forces a constant fibre-tangent block M of the
-    displayed lift to satisfy M^2 = M, so an invertible M is 1: a lift that
-    would need another constant witness fails lambda-lift-coherence anyway.
-    No axiom is assumed here: run verify_bundle on the result, whose
-    universality rows check rho.
+    the inverse of kappa is the identity between them.  Lift coherence
+    lambda;ell = lambda;T(lambda) forces a constant fibre-tangent block M
+    of the displayed lift to satisfy M^2 = M, so an invertible M is 1: a
+    lift that would need another constant inverse fails
+    lambda-lift-coherence anyway.  No axiom is assumed here: run
+    verify_bundle on the result, whose universality rows check kappa.
     """
     scalars.check_mode(mode)
     if triv is None:
@@ -291,7 +283,6 @@ def make_bundle(
         lam=lam,
         triv=t,
         triv_inv=t_inv,
-        rho=identity_map(e2, mode),
         mode=mode,
     )
 
@@ -364,32 +355,18 @@ def verify_bundle(b: DiffBundle, label: str = "bundle") -> Report:
     eq("sigma-over-base", polymap_compose(b.sigma, b.q), polymap_compose(pi0, b.q))
     eq("sigma-base-agreement", polymap_compose(pi0, b.q), polymap_compose(pi1, b.q))
     eq("zeta-section", polymap_compose(b.zeta, b.q), identity_map(m, b.mode))
-    with checks.guard("sigma-unit"):
-        qz = polymap_compose(b.q, b.zeta)
-        eq(
-            "sigma-unit",
-            polymap_compose(pair_into_e2(b, ident_e, qz), b.sigma),
-            ident_e,
-            "unit on the right",
-        )
-        eq(
-            "sigma-unit",
-            polymap_compose(pair_into_e2(b, qz, ident_e), b.sigma),
-            ident_e,
-            "unit on the left",
-        )
-    with checks.guard("sigma-commutative"):
-        swap = pair_into_e2(b, pi1, pi0)
-        eq("sigma-commutative", polymap_compose(swap, b.sigma), b.sigma)
-    with checks.guard("sigma-associative"):
-        legs = [bundle_pi(b, i, 3) for i in range(3)]
-        s12 = polymap_compose(pair_into_e2(b, legs[0], legs[1]), b.sigma)
-        s23 = polymap_compose(pair_into_e2(b, legs[1], legs[2]), b.sigma)
-        eq(
-            "sigma-associative",
-            polymap_compose(pair_into_e2(b, s12, legs[2]), b.sigma),
-            polymap_compose(pair_into_e2(b, legs[0], s23), b.sigma),
-        )
+    monoid_checks(
+        checks,
+        "sigma",
+        "",
+        polymap_compose,
+        lambda u, v: pair_into_e2(b, u, v),
+        b.sigma,
+        ident_e,
+        polymap_compose(b.q, b.zeta),
+        (pi0, pi1),
+        [bundle_pi(b, i, 3) for i in range(3)],
+    )
     eq(
         "lambda-zero-square",
         polymap_compose(b.lam, cdc_T(b.q)),
@@ -434,17 +411,11 @@ def verify_bundle(b: DiffBundle, label: str = "bundle") -> Report:
         polymap_compose(b.lam, cdc_T(b.lam)),
     )
     with checks.guard("universality"):
+        # R shares E_2's coordinates, so kappa's inverse is the identity
         kap = kappa_map(b)
-        eq(
-            "universality-left",
-            polymap_compose(kap, b.rho),
-            identity_map(b.e2_dim, b.mode),
-        )
-        eq(
-            "universality-right",
-            polymap_compose(b.rho, kap),
-            identity_map(b.r_dim, b.mode),
-        )
+        ident_e2 = identity_map(b.e2_dim, b.mode)
+        eq("universality-left", kap, ident_e2)
+        eq("universality-right", kap, ident_e2)
         mu = mu_map(b)
         into_t = r_into_tangent(b)
         eq("universality-cone", polymap_compose(kap, into_t), mu, "kappa over T(E)")
@@ -454,13 +425,8 @@ def verify_bundle(b: DiffBundle, label: str = "bundle") -> Report:
             polymap_compose(pi0, b.q),
             "kappa over the base",
         )
-        eq("universality-cone", polymap_compose(b.rho, mu), into_t, "rho over T(E)")
-        eq(
-            "universality-cone",
-            polymap_compose(b.rho, polymap_compose(pi0, b.q)),
-            r_into_base(b),
-            "rho over the base",
-        )
+        eq("universality-cone", mu, into_t, "rho over T(E)")
+        eq("universality-cone", polymap_compose(pi0, b.q), r_into_base(b), "rho over the base")
         eq("mu-projection", polymap_compose(mu, p_e), pi1)
         section = pair_into_e2(b, ident_e, polymap_compose(b.q, b.zeta))
         eq("mu-section", polymap_compose(section, mu), b.lam)

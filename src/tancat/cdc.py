@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from . import scalars
 from .errors import DimensionMismatch, PreconditionFailure
-from .model import LiftWitness, TangentModel, TnObject, vertical_lift_v
+from .model import LiftWitness, TnObject, vertical_lift_v
 from .poly import (
     Poly,
     PolyMap,
@@ -158,8 +158,8 @@ def pair_into_t_t2(m: int, f: PolyMap, g: PolyMap) -> PolyMap:
     return PolyMap(f.dom, 6 * m, comps, f.mode)
 
 
-class PolyTangentModel(TangentModel):
-    """Polynomial maps over a fixed scalar mode, with T(m) = 2m."""
+class PolyTangentModel:
+    """Polynomial maps over a fixed scalar mode, with T(m) = 2m (model.py's contract)."""
 
     def __init__(self, mode: str = scalars.RATIONAL):
         scalars.check_mode(mode)

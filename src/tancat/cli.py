@@ -121,8 +121,6 @@ def _cmd_bundle(args: argparse.Namespace) -> int:
 
 
 def _cmd_fibre(args: argparse.Namespace) -> int:
-    if args.suite != "tangent-axioms":
-        raise ValueError("the fibre runner supports only the tangent-axioms suite")
     report = verify_fibre_axioms(
         args.context_dim, args.max_dim, args.instances, args.seed, args.mode
     )
@@ -170,7 +168,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fibre = sub.add_parser("fibre", help="run the tangent axioms inside a fibre")
     fibre.add_argument("--context-dim", type=int, required=True, dest="context_dim")
-    fibre.add_argument("--suite", default="tangent-axioms")
     fibre.add_argument("--max-dim", type=int, default=2, dest="max_dim")
     fibre.add_argument("--instances", type=int, default=25)
     fibre.add_argument("--seed", type=int, default=0)

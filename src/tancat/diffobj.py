@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
 
 from . import scalars
 from .errors import PreconditionFailure
@@ -29,6 +28,7 @@ from .poly import (
     terminal_map,
     zero_map,
 )
+from .model import monoid_checks
 from .report import CheckSet, Report
 
 
@@ -112,27 +112,17 @@ def verify_diffobj(o: DiffObject, label: str = "diffobj") -> Report:
     eq = checks.equality
 
     zhat = polymap_compose(terminal_map(k, mode), o.zeta)
-    eq(
-        "monoid-unit",
-        polymap_compose(polymap_pair(identity_map(k, mode), zhat), o.sigma),
+    monoid_checks(
+        checks,
+        "monoid",
+        "",
+        polymap_compose,
+        polymap_pair,
+        o.sigma,
         identity_map(k, mode),
-        "unit on the right",
-    )
-    eq(
-        "monoid-unit",
-        polymap_compose(polymap_pair(zhat, identity_map(k, mode)), o.sigma),
-        identity_map(k, mode),
-        "unit on the left",
-    )
-    swap = block_swap(0, k, k, 0, mode)
-    eq("monoid-commutative", polymap_compose(swap, o.sigma), o.sigma)
-    p1 = polymap_proj(3 * k, 0, k, mode)
-    p2 = polymap_proj(3 * k, k, 2 * k, mode)
-    p3 = polymap_proj(3 * k, 2 * k, 3 * k, mode)
-    eq(
-        "monoid-associative",
-        polymap_compose(polymap_pair(polymap_compose(polymap_pair(p1, p2), o.sigma), p3), o.sigma),
-        polymap_compose(polymap_pair(p1, polymap_compose(polymap_pair(p2, p3), o.sigma)), o.sigma),
+        zhat,
+        [polymap_proj(2 * k, i * k, (i + 1) * k, mode) for i in range(2)],
+        [polymap_proj(3 * k, i * k, (i + 1) * k, mode) for i in range(3)],
     )
     with checks.guard("product-witness"):
         mu = diffobj_mu(o)
@@ -196,33 +186,22 @@ def derived_D(f: PolyMap) -> PolyMap:
     )
 
 
-def check_cds(
-    bound: int,
-    mode: str = scalars.RATIONAL,
-    phat_for: Optional[Callable[[int], PolyMap]] = None,
-) -> Report:
+def check_cds(bound: int, mode: str = scalars.RATIONAL) -> Report:
     """Coherence of the canonical differential-object assignment.
 
     Verifies the product compatibility (lambda- and phat-forms), the
     T-compatibility (both forms), the flip identity c T(phat) phat =
     T(phat) phat, the exchange identity, and the product witness at every
-    dimension <= bound.  phat_for substitutes an alternative projection
-    assignment; only the canonical one is claimed coherent.
+    dimension <= bound.
     """
     checks = CheckSet()
-
-    def obj(k: int) -> DiffObject:
-        o = canonical_diffobj(k, mode)
-        if phat_for is not None:
-            o = DiffObject(k, o.sigma, o.zeta, phat_for(k), mode)
-        return o
 
     eq = checks.equality
 
     dims = range(1, bound + 1)
     for k1 in dims:
         for k2 in dims:
-            a, b2, ab = obj(k1), obj(k2), obj(k1 + k2)
+            a, b2, ab = (canonical_diffobj(d, mode) for d in (k1, k2, k1 + k2))
             n = k1 + k2
             pi_a = polymap_proj(n, 0, k1, mode)
             pi_b = polymap_proj(n, k1, n, mode)
@@ -242,7 +221,7 @@ def check_cds(
             )
             eq("cds1-phat", ab.phat, phat_pair, f"dims ({k1},{k2})")
     for k in dims:
-        a, ta = obj(k), obj(2 * k)
+        a, ta = canonical_diffobj(k, mode), canonical_diffobj(2 * k, mode)
         eq(
             "cds2-lambda",
             diffobj_lambda(ta),
@@ -256,7 +235,7 @@ def check_cds(
             f"dim {k}",
         )
     for k in range(1, max(bound, 3) + 1):
-        a = obj(k)
+        a = canonical_diffobj(k, mode)
         tp = polymap_compose(cdc_T(a.phat), a.phat)
         eq(
             "flip-phat",
@@ -265,7 +244,7 @@ def check_cds(
             f"dim {k}",
         )
     for k in range(1, max(bound, 2) + 1):
-        a, aa = obj(k), obj(2 * k)
+        a, aa = canonical_diffobj(k, mode), canonical_diffobj(2 * k, mode)
         with checks.guard("exchange"):
             mu_aa = diffobj_mu(aa)
             t_mu = cdc_T(diffobj_mu(a))
@@ -277,7 +256,7 @@ def check_cds(
             )
             eq("exchange", lhs, rhs, f"dim {k}")
     for k in dims:
-        a = obj(k)
+        a = canonical_diffobj(k, mode)
         with checks.guard("product-witness"):
             mu = diffobj_mu(a)
             pairing = product_pairing(a)

@@ -44,14 +44,6 @@ class SimpleMor:
     f: PolyMap
     g: PolyMap
 
-    @property
-    def dom(self) -> SimpleObj:
-        return SimpleObj(self.f.dom, self.g.dom - self.f.dom)
-
-    @property
-    def cod(self) -> SimpleObj:
-        return SimpleObj(self.f.cod, self.g.cod)
-
     def __str__(self) -> str:
         return f"({self.f} | {self.g})"
 

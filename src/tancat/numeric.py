@@ -73,7 +73,8 @@ def _eval_terms(terms, env: Sequence[Dual]) -> Dual:
     return acc if acc is not None else Dual(0.0, 0.0)
 
 
-def _run(prog: NumericProgram, point: Sequence[float], direction: Sequence[float]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+def dual_eval(prog: NumericProgram, point: Sequence[float], direction: Sequence[float]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """Values and exact directional derivatives at (point, direction)."""
     if len(point) != prog.dom or len(direction) != prog.dom:
         raise DimensionMismatch(f"program expects {prog.dom} input coordinates")
     env = [Dual(float(x), float(v)) for x, v in zip(point, direction)]
@@ -91,17 +92,13 @@ def _run(prog: NumericProgram, point: Sequence[float], direction: Sequence[float
 
 
 def eval_program(prog: NumericProgram, point: Sequence[float]) -> Tuple[float, ...]:
-    values, _ = _run(prog, point, [0.0] * prog.dom)
+    values, _ = dual_eval(prog, point, [0.0] * prog.dom)
     return values
 
 
-def dual_eval(prog: NumericProgram, point: Sequence[float], direction: Sequence[float]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Values and exact directional derivatives at (point, direction)."""
-    return _run(prog, point, direction)
-
-
-def fd_check(prog: NumericProgram, point: Sequence[float], direction: Sequence[float], h: float = 1e-6) -> float:
-    """Max relative gap between dual tangents and central differences."""
+def fd_check(prog: NumericProgram, point: Sequence[float], direction: Sequence[float]) -> float:
+    """Max relative gap between dual tangents and central differences of step 1e-6."""
+    h = 1e-6
     _, tangents = dual_eval(prog, point, direction)
     ahead = eval_program(prog, [x + h * v for x, v in zip(point, direction)])
     behind = eval_program(prog, [x - h * v for x, v in zip(point, direction)])

@@ -13,14 +13,15 @@ only legal in rational mode; natural mode reports it as a semiring
 violation.  Whitespace is insignificant.  Parentheses are accepted on
 input; the canonical printer never emits them.
 
-Parsing checks the whole text first, writing each component as a flat
-postfix list of ops: ``("c", Fraction)``, ``("x", i)``, ``("neg",)``,
-``("^", e, pos)``, ``("+",)`` and ``("*", pos)``, where ``pos`` is the
-operator's position; binary minus is ``neg`` then ``+``.  Only then does one
-loop fold each list on a stack of Polys, left to right, so every syntax error
-is reported before any arithmetic is done.  Before each product and power the
-fold bounds the size of the result, and refuses one that could pass
-``MAX_TERMS`` terms at the operator's position.
+Parsing checks the whole text first, writing it as one flat postfix list of
+ops: ``("c", Fraction)``, ``("x", i)``, ``("neg",)``, ``("^", e, pos)``,
+``("+",)`` and ``("*", pos)``, where ``pos`` is the operator's position;
+binary minus is ``neg`` then ``+``.  Only then does one loop fold the list on
+a stack of Polys, left to right, each component leaving one Poly, so every
+syntax error is reported before any arithmetic is done.  Before each product
+and power the fold bounds the size of the result and adds the bound to one
+running sum over the text, refusing the operator at which that sum could
+pass ``MAX_TERMS`` terms.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from .poly import Poly, PolyMap, poly_degree, poly_pow
 MAX_NESTING = 100
 # '^' expands by repeated multiplication; a larger literal exponent is refused.
 MAX_EXPONENT = 1000
-# A product or power that could have more terms than this is refused.
+# Products and powers whose results could have more terms than this in all,
+# summed over one text, are refused.
 MAX_TERMS = 10_000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([+\-*^/();])|(\S))")
@@ -70,7 +72,7 @@ class _Parser:
         self.dom = dom
         self.mode = scalars.check_mode(mode)
         self.depth = 0
-        self.ops: List[tuple] = []  # postfix ops of the component being parsed
+        self.ops: List[tuple] = []  # postfix ops of the text
 
     def nest(self, pos: int):
         self.depth += 1
@@ -96,16 +98,13 @@ class _Parser:
             raise SemiringViolation(f"'-' is not available in natural mode (position {pos})")
         self.advance()
 
-    def parse_text(self) -> List[List[tuple]]:
-        """The postfix op list of every ';'-separated component."""
-        comps = []
+    def parse_text(self) -> List[tuple]:
+        """The postfix op list of the text, one pushed Poly per component."""
         while True:
-            self.ops = []
             self.parse_expr()
-            comps.append(self.ops)
             kind, val, pos = self.peek()
             if kind == "end":
-                return comps
+                return self.ops
             if kind != "op" or val != ";":
                 raise PolyParseError(f"unexpected token {val!r}", pos)
             self.advance()
@@ -193,20 +192,29 @@ def _capped_comb(n: int, k: int) -> int:
     return out
 
 
-def _check_terms(count: int, degree: int, dom: int, what: str, pos: int):
-    """Refuse a result bounded by ``count`` terms and by total degree ``degree``."""
-    if count > MAX_TERMS and _capped_comb(dom + degree, dom) > MAX_TERMS:
-        raise PolyParseError(f"{what} could have more than {MAX_TERMS} terms", pos)
+def _charge(spent: int, count: int, degree: int, dom: int, what: str, pos: int) -> int:
+    """Add a result's bound to the running sum ``spent``; refuse past MAX_TERMS.
+
+    The result has at most ``count`` terms, and total degree ``degree``.
+    """
+    spent += min(count, _capped_comb(dom + degree, dom))
+    if spent > MAX_TERMS:
+        raise PolyParseError(
+            f"{what} could have more than {MAX_TERMS} terms, summed over the text", pos
+        )
+    return spent
 
 
-def _fold(ops: List[tuple], dom: int, mode: str) -> Poly:
-    """Evaluate one component's postfix ops on a stack of Polys.
+def _fold(ops: List[tuple], dom: int, mode: str) -> List[Poly]:
+    """Evaluate the postfix ops on a stack of Polys, one left per component.
 
     A product of a and b has at most |a|*|b| terms, and a power p^e at most
     C(|p|+e-1, e), the number of multisets of e terms of p; neither has more
-    than C(dom+d, dom), the number of monomials of degree at most d.
+    than C(dom+d, dom), the number of monomials of degree at most d.  The
+    smaller bound of each product and power goes into one running sum.
     """
     stack: List[Poly] = []
+    spent = 0
     for op in ops:
         tag = op[0]
         if tag == "c":
@@ -219,7 +227,7 @@ def _fold(ops: List[tuple], dom: int, mode: str) -> Poly:
         elif tag == "^":
             base, e = stack[-1], op[1]
             count = _capped_comb(max(len(base.terms), 1) + e - 1, e)
-            _check_terms(count, e * poly_degree(base), dom, "power", op[2])
+            spent = _charge(spent, count, e * poly_degree(base), dom, "power", op[2])
             stack[-1] = poly_pow(base, e)
         elif tag == "+":
             rhs = stack.pop()
@@ -227,18 +235,18 @@ def _fold(ops: List[tuple], dom: int, mode: str) -> Poly:
         else:
             lhs, rhs = stack[-2], stack.pop()
             count = len(lhs.terms) * len(rhs.terms)
-            _check_terms(count, poly_degree(lhs) + poly_degree(rhs), dom, "product", op[1])
+            spent = _charge(spent, count, poly_degree(lhs) + poly_degree(rhs), dom, "product", op[1])
             stack[-1] = lhs * rhs
-    return stack.pop()
+    return stack
 
 
 def parse_poly(text: str, dom: int, mode: str = scalars.RATIONAL) -> Poly:
-    comps = _Parser(text, dom, mode).parse_text()
-    if len(comps) != 1:
+    ops = _Parser(text, dom, mode).parse_text()
+    if ";" in text:
         raise PolyParseError("expected a single component", text.index(";"))
-    return _fold(comps[0], dom, mode)
+    return _fold(ops, dom, mode)[0]
 
 
 def parse_polymap(text: str, dom: int, mode: str = scalars.RATIONAL) -> PolyMap:
-    comps = tuple(_fold(ops, dom, mode) for ops in _Parser(text, dom, mode).parse_text())
+    comps = tuple(_fold(_Parser(text, dom, mode).parse_text(), dom, mode))
     return PolyMap(dom, len(comps), comps, mode)

@@ -94,9 +94,6 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         return poly_mul(self, other)
 
-    def __str__(self) -> str:
-        return poly_to_str(self)
-
 
 def _check_same_shape(a: Poly, b: Poly):
     if a.nvars != b.nvars:
@@ -462,9 +459,10 @@ def polymap_to_str(f: PolyMap, var_names: Sequence[str] | None = None, display_o
 # Seeded random generation
 
 
-def random_poly(nvars: int, max_degree: int, coeff_bound: int, rng: Random, mode: str, max_terms: int = 3) -> Poly:
+def random_poly(nvars: int, max_degree: int, coeff_bound: int, rng: Random, mode: str) -> Poly:
+    """One to three random terms of degree <= max_degree."""
     items = []
-    for _ in range(rng.randint(1, max_terms)):
+    for _ in range(rng.randint(1, 3)):
         degree = rng.randint(0, max_degree)
         ev = [0] * nvars
         if nvars:

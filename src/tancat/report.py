@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
 from .errors import (
@@ -47,21 +47,7 @@ class Report:
         return self.failed == 0
 
     def to_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "params": self.params,
-            "checks": [
-                {
-                    "name": c.name,
-                    "status": c.status,
-                    "counterexample": c.counterexample,
-                }
-                for c in self.checks
-            ],
-            "passed": self.passed,
-            "failed": self.failed,
-            "duration_ms": self.duration_ms,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)

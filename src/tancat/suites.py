@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from . import scalars
 from .bundles import (
@@ -71,7 +71,7 @@ from .fibration import (
     vertical_tangent_map,
     verify_fibre_axioms,
 )
-from .model import TangentModel, monad_mult, vertical_lift_v
+from .model import monad_mult, monoid_checks, vertical_lift_v
 from .numeric import NumericProgram, dual_eval, fd_check
 from .poly import (
     Poly,
@@ -93,9 +93,13 @@ from .poly import (
 )
 from .report import PASS, CheckSet, Report
 
-FAULTS = ("identity-flip", "dropped-zero-block", "corrupted-lambda")
-_MODEL_FAULT_SUITES = {"tangent-axioms"}
-_BUNDLE_FAULT_SUITES = {"bundle", "bracket-laws"}
+# each injectable defect, and the suites whose checks it affects
+FAULT_SUITES: Dict[str, Tuple[str, ...]] = {
+    "identity-flip": ("tangent-axioms",),
+    "dropped-zero-block": ("tangent-axioms",),
+    "corrupted-lambda": ("bundle", "bracket-laws"),
+}
+FAULTS = tuple(FAULT_SUITES)
 
 DEFAULTS: Dict[str, object] = {
     "mode": scalars.RATIONAL,
@@ -155,14 +159,9 @@ def corrupted_standard_bundle(mode: str = scalars.RATIONAL) -> DiffBundle:
 
 
 def tangent_axioms_checks(
-    model: TangentModel,
-    max_dim: int,
-    max_degree: int,
-    coeff_bound: int,
-    instances: int,
-    seed: int,
-    suite_name: str = "tangent-axioms",
+    model, max_dim: int, max_degree: int, coeff_bound: int, instances: int, seed: int
 ) -> CheckSet:
+    """The tangent-category axioms for any tangent model (see model.py)."""
     checks = CheckSet()
 
     eq = checks.equality
@@ -180,26 +179,18 @@ def tangent_axioms_checks(
 
         eq("p-section", model.compose(z, p), model.identity(m), d)
         eq("plus-over-base", model.compose(pl, p), model.compose(pi0, p), d)
-        with checks.guard("plus-unit"):
-            pz = model.compose(p, z)
-            right_unit = model.pair_t2(m, model.identity(tm), pz)
-            left_unit = model.pair_t2(m, pz, model.identity(tm))
-            eq("plus-unit", model.compose(right_unit, pl), model.identity(tm), d + ", unit on the right")
-            eq("plus-unit", model.compose(left_unit, pl), model.identity(tm), d + ", unit on the left")
-        with checks.guard("plus-commutative"):
-            swap = model.pair_t2(m, pi1, pi0)
-            eq("plus-commutative", model.compose(swap, pl), pl, d)
-        with checks.guard("plus-associative"):
-            t3 = model.t_n(m, 3)
-            q0, q1, q2 = t3.projections
-            s01 = model.compose(model.pair_t2(m, q0, q1), pl)
-            s12 = model.compose(model.pair_t2(m, q1, q2), pl)
-            eq(
-                "plus-associative",
-                model.compose(model.pair_t2(m, s01, q2), pl),
-                model.compose(model.pair_t2(m, q0, s12), pl),
-                d,
-            )
+        monoid_checks(
+            checks,
+            "plus",
+            d,
+            model.compose,
+            lambda f, g: model.pair_t2(m, f, g),
+            pl,
+            model.identity(tm),
+            model.compose(p, z),
+            (pi0, pi1),
+            model.t_n(m, 3).projections,
+        )
 
         eq("flip-involution", model.compose(c, c), model.identity(model.t_obj(tm)), d)
         eq("ell-flip", model.compose(el, c), el, d)
@@ -309,7 +300,7 @@ def tangent_axioms_checks(
                     d + ", T^2 level",
                 )
 
-    rng = rng_for(suite_name, "naturality", seed)
+    rng = rng_for("tangent-axioms", "naturality", seed)
     for i in range(instances):
         dx = rng.randint(1, max_dim)
         dy = rng.randint(1, max_dim)
@@ -342,7 +333,7 @@ def tangent_axioms_checks(
         )
 
     # functoriality carries every identity above to its image under T
-    rng = rng_for(suite_name, "functor", seed)
+    rng = rng_for("tangent-axioms", "functor", seed)
     for m in range(1, max_dim + 1):
         eq(
             "functor-identity",
@@ -1187,7 +1178,7 @@ def _suite_fibration(params: Dict[str, object]) -> Report:
 
 
 def _suite_monad_laws(params: Dict[str, object]) -> Report:
-    model = poly_model(params["mode"], params["fault"])
+    model = PolyTangentModel(params["mode"])
     checks = CheckSet()
 
     eq = checks.equality
@@ -1361,17 +1352,11 @@ def run_suite(name: str, **overrides) -> Report:
         raise ValueError("invalid-params: seed must be an integer")
     fault = params["fault"]
     if fault is not None:
-        if fault not in FAULTS:
+        if fault not in FAULT_SUITES:
             raise ValueError(
                 f"invalid-params: unknown fault {fault!r}; choose from {', '.join(FAULTS)}"
             )
-        if name in _MODEL_FAULT_SUITES:
-            applicable = fault in ("identity-flip", "dropped-zero-block")
-        elif name in _BUNDLE_FAULT_SUITES:
-            applicable = fault == "corrupted-lambda"
-        else:
-            applicable = False
-        if not applicable:
+        if name not in FAULT_SUITES[fault]:
             raise ValueError(
                 f"invalid-params: fault {fault!r} does not affect suite {name!r}"
             )

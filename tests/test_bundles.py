@@ -52,7 +52,6 @@ from tancat.poly import (
     random_polymap,
     zero_map,
 )
-from tancat.suites import _bundle_families
 
 
 def failing_names(report):
@@ -176,26 +175,28 @@ def test_make_bundle_rejects_fake_trivialization():
 )
 def test_constant_non_identity_lift_block_fails_coherence_and_universality(mode, k, lam_text):
     # the fibre-tangent block M (2, or the swap of a1 and a2) is invertible but
-    # M^2 != M, so lift coherence fails; rho stays the identity, so
+    # M^2 != M, so lift coherence fails; kappa is not the identity, so
     # universality fails with it
     base = standard_bundle(1, k, mode)
     lam = parse_polymap(lam_text, 1 + k, mode)
     bad = make_bundle(1, k, base.sigma, base.zeta, lam, None, mode)
-    assert bad.rho == identity_map(bad.e2_dim, mode)
     bad_rows = failing_names(verify_bundle(bad))
     assert "lambda-lift-coherence" in bad_rows
     assert {"universality-left", "universality-right", "universality-cone"} <= bad_rows
 
 
 @pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.NATURAL])
-def test_rho_is_the_identity_for_every_suite_bundle(mode):
-    fams = [b for _, b in _bundle_families(mode, None) + _bundle_families(mode, "corrupted-lambda")]
-    fams += [
-        pullback_bundle(identity_map(2, mode), standard_bundle(2, 1, mode)),
-        whitney_sum(standard_bundle(1, 1, mode), tangent_bundle_of(1, mode)),
-    ]
-    for b in fams + [tangent_of_bundle(b) for b in fams]:
-        assert b.rho == identity_map(b.e2_dim, mode)
+def test_first_summand_sigma_fails_left_unit_and_commutativity(mode):
+    base = standard_bundle(1, 1, mode)
+    first = parse_polymap("x0; x1", 3, mode)  # (x, a) + (x, b) = (x, a)
+    bad = make_bundle(1, 1, first, base.zeta, base.lam, None, mode)
+    rows = {c.name: c for c in verify_bundle(bad).checks if c.name.startswith("sigma-")}
+    assert {name for name, c in rows.items() if c.status != "pass"} == {
+        "sigma-unit",
+        "sigma-commutative",
+    }
+    assert rows["sigma-unit"].counterexample.startswith("unit on the left; ")
+    assert rows["sigma-associative"].status == "pass"
 
 
 # ----------------------------------------------------------------- bracket

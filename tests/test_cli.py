@@ -67,6 +67,13 @@ def test_diff_term_budget_exits_two_quickly(capsys):
     assert "more than 10000 terms" in capsys.readouterr().err
 
 
+def test_diff_summed_term_budget_exits_two_quickly(capsys):
+    start = perf_counter()
+    assert main(["diff", "--expr", "(x0+x1+1)^139+(x0+x1+1)^139", "--dom", "2"]) == 2
+    assert perf_counter() - start < 1.0
+    assert "more than 10000 terms, summed over the text" in capsys.readouterr().err
+
+
 def test_diff_expression_starting_with_minus(capsys):
     assert main(["diff", "--expr", "-x0"]) == 0
     assert capsys.readouterr().out.strip() == "-u0"

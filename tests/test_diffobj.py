@@ -5,10 +5,11 @@ from random import Random
 
 import pytest
 
-from tancat import scalars
+from tancat import diffobj, scalars
 from tancat.bundles import pullback_bundle, standard_bundle, verify_bundle
 from tancat.cdc import cdc_D, cdc_T, cdc_flip, point_proj
 from tancat.diffobj import (
+    DiffObject,
     bundle_from_diffobj,
     canonical_diffobj,
     check_cds,
@@ -134,13 +135,27 @@ def test_diffobj_mu_reads_both_tangents():
     assert polymap_to_str(diffobj_mu(o)) == "x0; x1"
 
 
-def test_cds_canonical_passes_and_corrupted_fails():
+def test_cds_canonical_passes_and_corrupted_fails(monkeypatch):
     good = check_cds(2, scalars.RATIONAL)
     assert good.all_passed
 
-    def bad_phat(k):
-        return polymap_proj(2 * k, k, 2 * k, scalars.RATIONAL)
+    def bad_obj(k, mode):
+        o = canonical_diffobj(k, mode)
+        return DiffObject(k, o.sigma, o.zeta, polymap_proj(2 * k, k, 2 * k, mode), mode)
 
-    bad = check_cds(2, scalars.RATIONAL, phat_for=bad_phat)
+    monkeypatch.setattr(diffobj, "canonical_diffobj", bad_obj)
+    bad = check_cds(2, scalars.RATIONAL)
     names = {c.name for c in bad.checks if c.status != "pass"}
     assert "product-witness" in names
+
+
+@pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.NATURAL])
+def test_first_projection_sigma_fails_unit_and_commutativity(mode):
+    o = canonical_diffobj(2, mode)
+    first = DiffObject(2, polymap_proj(4, 0, 2, mode), o.zeta, o.phat, mode)
+    rows = {c.name: c.status for c in verify_diffobj(first).checks if c.name.startswith("monoid-")}
+    assert rows == {
+        "monoid-unit": "fail",
+        "monoid-commutative": "fail",
+        "monoid-associative": "pass",
+    }

@@ -7,9 +7,12 @@ import pytest
 from tancat import scalars
 from tancat.cdc import PolyTangentModel, pair_into_t2, point_proj
 from tancat.errors import PreconditionFailure
+from tancat.suites import tangent_axioms_checks
 from tancat.poly import (
     identity_map,
     polymap_compose,
+    polymap_pair,
+    polymap_proj,
     polymap_to_str,
     random_polymap,
 )
@@ -57,3 +60,26 @@ def test_random_mor_is_seed_stable():
 def test_model_rejects_unknown_mode():
     with pytest.raises(ValueError):
         PolyTangentModel("integer")
+
+
+class FirstSummandModel(PolyTangentModel):
+    """plus keeps the first tangent vector: (u1, u2, x) |-> (u1, x)."""
+
+    def plus(self, m):
+        u1, x = polymap_proj(3 * m, 0, m, self.mode), polymap_proj(3 * m, 2 * m, 3 * m, self.mode)
+        return polymap_pair(u1, x)
+
+
+def test_first_summand_plus_fails_left_unit_and_commutativity():
+    rows = {
+        c.name: c
+        for c in tangent_axioms_checks(FirstSummandModel(scalars.RATIONAL), 1, 1, 2, 1, 0)
+        .report("tangent-axioms", {})
+        .checks
+        if c.name.startswith("plus-")
+    }
+    assert {name for name, c in rows.items() if c.status != "pass"} == {
+        "plus-unit",
+        "plus-commutative",
+    }
+    assert rows["plus-unit"].counterexample.startswith("dim 1, unit on the left; ")

@@ -132,13 +132,36 @@ def test_term_budget_refuses_large_products_and_powers_at_the_operator():
 def test_term_budget_is_inclusive(monkeypatch):
     monkeypatch.setattr(parser, "MAX_TERMS", 10)
     assert len(parse_poly("(x0+1)^9", 1, scalars.RATIONAL).terms) == 10
-    assert len(parse_poly("(x0+1)^4*(x0+1)^4", 1, scalars.RATIONAL).terms) == 9  # 25 pairs, degree <= 8
+    # three powers of bound 1, then 12 pairs but only 6 monomials of degree <= 5: 9 in all
+    assert len(parse_poly("(x0+x0^2+x0^3+1)*(x0+x0^2+1)", 1, scalars.RATIONAL).terms) == 6
     with pytest.raises(PolyParseError) as e:
         parse_poly("(x0+1)^10", 1, scalars.RATIONAL)
     assert e.value.pos == 6
+    # two products of bound 1, then 24 pairs and C(6, 3) = 20 monomials of degree <= 3
     with pytest.raises(PolyParseError) as e:
-        parse_poly("(x0+x1+x2)^2 * (x0+x1+x2)^2", 3, scalars.RATIONAL)  # 36 pairs, C(7, 3) = 35
+        parse_poly("(x0+x1+x2+1) * (x0*x1+x1*x2+x0+x1+x2+1)", 3, scalars.RATIONAL)
     assert e.value.pos == 13
+
+
+def test_term_budget_is_summed_over_the_whole_text(monkeypatch):
+    # (x0+x1+1)^139 has C(141, 139) = 9,870 terms: one fits, the second '^' passes 10,000
+    power = "(x0+x1+1)^139"
+    assert len(parse_poly(power, 2, scalars.RATIONAL).terms) == 9870
+    with pytest.raises(PolyParseError) as e:
+        parse_poly(f"{power}+{power}", 2, scalars.RATIONAL)
+    assert e.value.pos == len(power) + 1 + 9 and "more than 10000 terms" in str(e.value)
+    with pytest.raises(PolyParseError) as e:
+        parse_polymap(f"{power}; {power}", 2, scalars.RATIONAL)
+    assert e.value.pos == len(power) + 2 + 9
+    monkeypatch.setattr(parser, "MAX_TERMS", 10)
+    # 5 + 5 terms, then the product's 9 monomials make 19
+    with pytest.raises(PolyParseError) as e:
+        parse_poly("(x0+1)^4*(x0+1)^4", 1, scalars.RATIONAL)
+    assert e.value.pos == 8
+    # 6 + 6 terms: the second power passes 10 before the product is bounded
+    with pytest.raises(PolyParseError) as e:
+        parse_poly("(x0+x1+x2)^2 * (x0+x1+x2)^2", 3, scalars.RATIONAL)
+    assert e.value.pos == 25
 
 
 def test_syntax_is_checked_before_any_arithmetic(monkeypatch):
