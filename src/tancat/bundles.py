@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional, Tuple
 
 from . import scalars
@@ -31,16 +31,15 @@ from .cdc import (
     cdc_T,
     cdc_ell,
     cdc_flip,
-    pair_into_t2,
     point_proj,
-    tangent_plus,
+    t_pair,
+    tangent_sum,
     tangent_zero,
 )
 from .poly import (
     PolyMap,
     block_swap,
     identity_map,
-    permutation_map,
     poly_add,
     poly_scale,
     polymap_add,
@@ -104,37 +103,34 @@ def bundle_pi(b: DiffBundle, which: int, n: int = 2) -> PolyMap:
     return polymap_compose(polymap_pair(x, fib), b.triv_inv)
 
 
+def _display_pair(m: int, u: PolyMap, v: PolyMap) -> PolyMap:
+    """(x, a), (x, b) |-> (x, a, b): the fibred pairing over a base of dimension m."""
+    if u.dom != v.dom:
+        raise DimensionMismatch("a fibred pairing needs two maps out of one domain")
+    if u.components[:m] != v.components[:m]:
+        raise PreconditionFailure("pair into E_2: base images disagree")
+    return PolyMap(u.dom, u.cod + v.cod - m, u.components + v.components[m:], u.mode)
+
+
 def pair_into_e2(b: DiffBundle, u: PolyMap, v: PolyMap) -> PolyMap:
     """<u, v> : W -> E_2 for u, v : W -> E with u;q = v;q."""
-    if polymap_compose(u, b.q) != polymap_compose(v, b.q):
-        raise PreconditionFailure("pair into E_2: base images disagree")
-    ut = polymap_compose(u, b.triv)
-    vt = polymap_compose(v, b.triv)
-    return PolyMap(u.dom, b.e2_dim, ut.components + vt.components[b.base :], b.mode)
+    return _display_pair(b.base, polymap_compose(u, b.triv), polymap_compose(v, b.triv))
 
 
 def pair_into_t_e2(b: DiffBundle, u: PolyMap, v: PolyMap) -> PolyMap:
-    """<u, v> : W -> T(E_2) for u, v : W -> T(E) with u;T(q) = v;T(q).
+    """<u, v> : W -> T(E_2) for u, v : W -> T(E) with u;T(q) = v;T(q)."""
+    t = cdc_T(b.triv)
+    return t_pair(partial(_display_pair, b.base), polymap_compose(u, t), polymap_compose(v, t))
 
-    T(E_2) carries coordinates (dx, da, db, x, a, b).
-    """
-    tau = tangent_triv(b)
-    ut = polymap_compose(u, tau)
-    vt = polymap_compose(v, tau)
-    m, k = b.base, b.fibre
-    same_dx = ut.components[:m] == vt.components[:m]
-    same_x = ut.components[m : 2 * m] == vt.components[m : 2 * m]
-    if not (same_dx and same_x):
-        raise PreconditionFailure("pair into T(E_2): T(q) images disagree")
-    comps = (
-        ut.components[:m]
-        + ut.components[2 * m : 2 * m + k]
-        + vt.components[2 * m : 2 * m + k]
-        + ut.components[m : 2 * m]
-        + ut.components[2 * m + k :]
-        + vt.components[2 * m + k :]
-    )
-    return PolyMap(u.dom, 2 * b.e2_dim, comps, b.mode)
+
+def fibre_sum(b: DiffBundle, u: PolyMap, v: PolyMap) -> PolyMap:
+    """<u, v>;sigma : W -> E for u, v : W -> E with u;q = v;q."""
+    return polymap_compose(pair_into_e2(b, u, v), b.sigma)
+
+
+def t_fibre_sum(b: DiffBundle, u: PolyMap, v: PolyMap) -> PolyMap:
+    """<u, v>;T(sigma) : W -> T(E) for u, v : W -> T(E) with u;T(q) = v;T(q)."""
+    return polymap_compose(pair_into_t_e2(b, u, v), cdc_T(b.sigma))
 
 
 def assemble_tangent(b: DiffBundle, dx: PolyMap, x: PolyMap, da: PolyMap, a: PolyMap) -> PolyMap:
@@ -150,7 +146,7 @@ def mu_map(b: DiffBundle) -> PolyMap:
     """mu := <pi0 lambda, pi1 0> T(sigma) : E_2 -> T(E)."""
     left = polymap_compose(bundle_pi(b, 0), b.lam)
     right = polymap_compose(bundle_pi(b, 1), tangent_zero(b.total, b.mode))
-    return polymap_compose(pair_into_t_e2(b, left, right), cdc_T(b.sigma))
+    return t_fibre_sum(b, left, right)
 
 
 def sel_map(b: DiffBundle) -> PolyMap:
@@ -201,7 +197,7 @@ def bracket(f: PolyMap, b: DiffBundle) -> PolyMap:
     # defining equation, re-checked from scratch
     left = polymap_compose(out, b.lam)
     right = polymap_compose(f, polymap_compose(p_e, tangent_zero(e, b.mode)))
-    recon = polymap_compose(pair_into_t_e2(b, left, right), cdc_T(b.sigma))
+    recon = t_fibre_sum(b, left, right)
     if recon != f:
         raise PreconditionFailure(
             "bracket defining equation failed; " + _residual(recon, f, b.mode)
@@ -220,12 +216,6 @@ def _residual(lhs: PolyMap, rhs: PolyMap, mode: str) -> str:
 
 # ---------------------------------------------------------------------------
 # Construction and verification
-
-
-def _lift_display(m: int, k: int, lam: PolyMap, t: PolyMap, t_inv: PolyMap) -> PolyMap:
-    """The lift in display coordinates: (x, a) |-> (dx, x, da, a)."""
-    shuffle = block_swap(m, k, m, k, lam.mode)
-    return polymap_compose(t_inv, polymap_compose(lam, polymap_compose(cdc_T(t), shuffle)))
 
 
 def make_bundle(
@@ -287,11 +277,9 @@ def make_bundle(
     )
 
 
-@lru_cache(maxsize=None)
 def trivial_bundle(m: int, mode: str = scalars.RATIONAL) -> DiffBundle:
     """The bundle (1_M, 1_M, 1_M, 0-lift) with empty fibre."""
-    ident = identity_map(m, mode)
-    return make_bundle(m, 0, ident, ident, tangent_zero(m, mode), None, mode)
+    return standard_bundle(m, 0, mode)
 
 
 @lru_cache(maxsize=None)
@@ -373,13 +361,10 @@ def verify_bundle(b: DiffBundle, label: str = "bundle") -> Report:
         polymap_compose(b.q, zero_m),
     )
     with checks.guard("lambda-additive-over-zero"):
-        paired = pair_into_t_e2(
-            b, polymap_compose(pi0, b.lam), polymap_compose(pi1, b.lam)
-        )
         eq(
             "lambda-additive-over-zero",
             polymap_compose(b.sigma, b.lam),
-            polymap_compose(paired, cdc_T(b.sigma)),
+            t_fibre_sum(b, polymap_compose(pi0, b.lam), polymap_compose(pi1, b.lam)),
         )
     eq(
         "lambda-zero-over-zero",
@@ -392,13 +377,10 @@ def verify_bundle(b: DiffBundle, label: str = "bundle") -> Report:
         polymap_compose(b.q, b.zeta),
     )
     with checks.guard("lambda-additive-over-zeta"):
-        paired = pair_into_t2(
-            e, polymap_compose(pi0, b.lam), polymap_compose(pi1, b.lam)
-        )
         eq(
             "lambda-additive-over-zeta",
             polymap_compose(b.sigma, b.lam),
-            polymap_compose(paired, tangent_plus(e, b.mode)),
+            tangent_sum(e, polymap_compose(pi0, b.lam), polymap_compose(pi1, b.lam)),
         )
     eq(
         "lambda-zero-over-zeta",
@@ -489,17 +471,9 @@ def tangent_of_bundle(b: DiffBundle) -> DiffBundle:
     """T of a bundle: (T(q), T(sigma), T(zeta), T(lambda) c), transported."""
     m, k = b.base, b.fibre
     mode = b.mode
-    # E'_2 carries (dx, x, da, a, db, b); permute into T(E_2) order
-    # (dx, da, db, x, a, b) before applying T(sigma)
-    images = (
-        list(range(0, m))
-        + list(range(2 * m, 2 * m + k))
-        + list(range(2 * m + 2 * k, 2 * m + 3 * k))
-        + list(range(m, 2 * m))
-        + list(range(2 * m + k, 2 * m + 2 * k))
-        + list(range(2 * m + 3 * k, 2 * m + 4 * k))
-    )
-    perm = permutation_map(2 * m + 4 * k, images, mode)
+    # E'_2 carries (dx, x, da, a, db, b); swap into T(E_2) order
+    # (dx, da, x, a, db, b), then (dx, da, db, x, a, b), before T(sigma)
+    perm = polymap_compose(block_swap(m, m, k, 3 * k, mode), block_swap(m + k, m + k, k, k, mode))
     sigma2 = polymap_compose(perm, cdc_T(b.sigma))
     zeta2 = cdc_T(b.zeta)
     lam2 = polymap_compose(cdc_T(b.lam), cdc_flip(b.total, mode))
@@ -531,7 +505,8 @@ def _display_blocks(b: DiffBundle):
     sigma_fib = polymap_compose(
         polymap_compose(b.sigma, b.triv), polymap_proj(m + k, m, m + k, b.mode)
     )
-    lam_display = _lift_display(m, k, b.lam, b.triv, b.triv_inv)
+    # the lift in display coordinates: (x, a) |-> (dx, x, da, a)
+    lam_display = polymap_compose(b.triv_inv, polymap_compose(b.lam, tangent_triv(b)))
     lam_tan = PolyMap(m + k, k, lam_display.components[2 * m : 2 * m + k], b.mode)
     lam_pt = PolyMap(m + k, k, lam_display.components[2 * m + k :], b.mode)
     return sigma_fib, zeta_fibre(b), lam_tan, lam_pt
@@ -610,18 +585,10 @@ def whitney_sum(b1: DiffBundle, b2: DiffBundle) -> DiffBundle:
 
 def whitney_proj(bsum: DiffBundle, b1: DiffBundle, b2: DiffBundle, which: int) -> BundleMor:
     """(pi_i, 1_M) out of the Whitney sum."""
-    m, k1 = bsum.base, b1.fibre
-    total = bsum.total
-    mode = bsum.mode
-    tx = polymap_proj(total, 0, m, mode)
-    if which == 0:
-        fib = polymap_proj(total, m, m + k1, mode)
-        target = b1
-    else:
-        fib = polymap_proj(total, m + k1, total, mode)
-        target = b2
-    f = polymap_compose(polymap_pair(tx, fib), target.triv_inv)
-    return BundleMor(f, identity_map(m, mode))
+    m, k1, total, mode = bsum.base, b1.fibre, bsum.total, bsum.mode
+    lo, hi, target = (m, m + k1, b1) if which == 0 else (m + k1, total, b2)
+    display = polymap_pair(polymap_proj(total, 0, m, mode), polymap_proj(total, lo, hi, mode))
+    return BundleMor(polymap_compose(display, target.triv_inv), identity_map(m, mode))
 
 
 def whitney_pair(
@@ -630,13 +597,8 @@ def whitney_pair(
     """<mor1, mor2> into the sum, for morphisms over a shared base map."""
     if mor1.g != mor2.g:
         raise PreconditionFailure("Whitney pairing needs a shared base map")
-    f1t = polymap_compose(mor1.f, b1.triv)
-    f2t = polymap_compose(mor2.f, b2.triv)
-    m = bsum.base
-    x_block = PolyMap(f1t.dom, m, f1t.components[:m], bsum.mode)
-    fib1 = PolyMap(f1t.dom, b1.fibre, f1t.components[m:], bsum.mode)
-    fib2 = PolyMap(f2t.dom, b2.fibre, f2t.components[m:], bsum.mode)
-    return BundleMor(polymap_pair(x_block, fib1, fib2), mor1.g)
+    f = _display_pair(bsum.base, polymap_compose(mor1.f, b1.triv), polymap_compose(mor2.f, b2.triv))
+    return BundleMor(f, mor1.g)
 
 
 # ---------------------------------------------------------------------------

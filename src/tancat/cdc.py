@@ -6,6 +6,11 @@ Layout conventions, used consistently everywhere:
   T_n(m)      coordinates (u_1, ..., u_n, x).
   T^2(m) = 4m coordinates (du, dx, u, x), obtained by applying T blockwise.
 
+T preserves the pullbacks P paired into (T_2(m), a bundle's E_2), so T(P)
+carries the tangent block of P, then its point block: T(T_2(m)) is (du1, du2,
+dx, u1, u2, x), T(E_2) is (dx, da, db, x, a, b), and t_pair derives the
+pairing into T(P) from the one into P.
+
 The differential of f : m -> n is the map D(f) : 2m -> n whose i-th
 component is sum_j d f_i / d x_j (x) * u_j, and the tangent functor acts by
 T(f) = <D(f), pi1 f> : 2m -> 2n.
@@ -15,7 +20,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import replace
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 from typing import Callable, Sequence
 
 from . import scalars
@@ -114,48 +119,39 @@ def cdc_flip(m: int, mode: str) -> PolyMap:
 def t_n_carrier(m: int, n: int, mode: str) -> TnObject:
     """The n-fold fibred power T_n(m) with coordinates (u_1, ..., u_n, x)."""
     dim = (n + 1) * m
-    projs = []
-    for i in range(n):
-        tangent = polymap_proj(dim, i * m, (i + 1) * m, mode)
-        point = polymap_proj(dim, n * m, dim, mode)
-        projs.append(polymap_pair(tangent, point))
-    return TnObject(base=m, arity=n, carrier=dim, projections=tuple(projs))
-
-
-def _block(f: PolyMap, lo: int, hi: int) -> PolyMap:
-    return PolyMap(f.dom, hi - lo, f.components[lo:hi], f.mode)
+    point = polymap_proj(dim, n * m, dim, mode)
+    projs = (polymap_pair(polymap_proj(dim, i * m, (i + 1) * m, mode), point) for i in range(n))
+    return TnObject(carrier=dim, projections=tuple(projs))
 
 
 def pair_into_t2(m: int, f: PolyMap, g: PolyMap) -> PolyMap:
     """<f, g> : W -> T_2(m) for f, g : W -> T(m) with f;p = g;p."""
     if f.cod != 2 * m or g.cod != 2 * m or f.dom != g.dom:
         raise DimensionMismatch("pair_into_t2 needs two maps into T(%d)" % m)
-    if _block(f, m, 2 * m) != _block(g, m, 2 * m):
+    if f.components[m:] != g.components[m:]:
         raise PreconditionFailure("pair into T_2: point parts disagree")
     comps = f.components[:m] + g.components[:m] + f.components[m:]
     return PolyMap(f.dom, 3 * m, comps, f.mode)
 
 
-def pair_into_t_t2(m: int, f: PolyMap, g: PolyMap) -> PolyMap:
-    """<f, g> : W -> T(T_2(m)) for f, g : W -> T^2(m) with f;T(p) = g;T(p).
+def t_pair(pair: Callable[[PolyMap, PolyMap], PolyMap], f: PolyMap, g: PolyMap) -> PolyMap:
+    """<f, g> : W -> T(P) for f, g : W -> T(X), where pair(f0, g0) : W -> P.
 
-    T(T_2(m)) carries coordinates (du1, du2, dx, u1, u2, x).
+    T(P) carries the pairing of the tangent halves of f and g, then that of
+    their point halves; pair refuses halves that disagree where P needs it.
     """
-    if f.cod != 4 * m or g.cod != 4 * m or f.dom != g.dom:
-        raise DimensionMismatch("pair_into_t_t2 needs two maps into T^2(%d)" % m)
-    same_dx = _block(f, m, 2 * m) == _block(g, m, 2 * m)
-    same_x = _block(f, 3 * m, 4 * m) == _block(g, 3 * m, 4 * m)
-    if not (same_dx and same_x):
-        raise PreconditionFailure("pair into T(T_2): T(p) images disagree")
-    comps = (
-        f.components[:m]
-        + g.components[:m]
-        + f.components[m : 2 * m]
-        + f.components[2 * m : 3 * m]
-        + g.components[2 * m : 3 * m]
-        + f.components[3 * m :]
-    )
-    return PolyMap(f.dom, 6 * m, comps, f.mode)
+
+    def halves(h: PolyMap):
+        n = h.cod // 2
+        return [PolyMap(h.dom, len(c), c, h.mode) for c in (h.components[:n], h.components[n:])]
+
+    (df, xf), (dg, xg) = halves(f), halves(g)
+    return polymap_pair(pair(df, dg), pair(xf, xg))
+
+
+def tangent_sum(m: int, f: PolyMap, g: PolyMap) -> PolyMap:
+    """<f, g>;+ : W -> T(m), the sum of f, g : W -> T(m) over a shared point."""
+    return polymap_compose(pair_into_t2(m, f, g), tangent_plus(m, f.mode))
 
 
 class PolyTangentModel:
@@ -198,7 +194,7 @@ class PolyTangentModel:
         return pair_into_t2(m, f, g)
 
     def pair_t_t2(self, m: int, f: PolyMap, g: PolyMap) -> PolyMap:
-        return pair_into_t_t2(m, f, g)
+        return t_pair(partial(pair_into_t2, m), f, g)
 
     def compose(self, f: PolyMap, g: PolyMap) -> PolyMap:
         return polymap_compose(f, g)

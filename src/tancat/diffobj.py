@@ -16,7 +16,7 @@ from functools import lru_cache
 from . import scalars
 from .errors import PreconditionFailure
 from .bundles import DiffBundle, bracket, make_bundle
-from .cdc import cdc_T, cdc_ell, cdc_flip, memo_by_input, point_proj, tangent_plus, tangent_zero
+from .cdc import cdc_T, cdc_ell, cdc_flip, memo_by_input, point_proj, t_n_carrier, t_pair, tangent_plus, tangent_zero
 from .poly import (
     PolyMap,
     block_swap,
@@ -64,13 +64,9 @@ def diffobj_lambda(o: DiffObject) -> PolyMap:
 def diffobj_mu(o: DiffObject) -> PolyMap:
     """mu := <pi0 lambda, pi1 0> T(sigma) : A x A -> T(A)."""
     k = o.carrier
-    lam = diffobj_lambda(o)
-    left = polymap_compose(polymap_proj(2 * k, 0, k, o.mode), lam)
+    left = polymap_compose(polymap_proj(2 * k, 0, k, o.mode), diffobj_lambda(o))
     right = polymap_compose(polymap_proj(2 * k, k, 2 * k, o.mode), tangent_zero(k, o.mode))
-    paired = polymap_compose(
-        polymap_pair(left, right), block_swap(k, k, k, k, o.mode)
-    )
-    return polymap_compose(paired, cdc_T(o.sigma))
+    return polymap_compose(t_pair(polymap_pair, left, right), cdc_T(o.sigma))
 
 
 def product_pairing(o: DiffObject) -> PolyMap:
@@ -112,6 +108,7 @@ def verify_diffobj(o: DiffObject, label: str = "diffobj") -> Report:
     eq = checks.equality
 
     zhat = polymap_compose(terminal_map(k, mode), o.zeta)
+    legs2 = [polymap_proj(2 * k, i * k, (i + 1) * k, mode) for i in range(2)]
     monoid_checks(
         checks,
         "monoid",
@@ -121,7 +118,7 @@ def verify_diffobj(o: DiffObject, label: str = "diffobj") -> Report:
         o.sigma,
         identity_map(k, mode),
         zhat,
-        [polymap_proj(2 * k, i * k, (i + 1) * k, mode) for i in range(2)],
+        legs2,
         [polymap_proj(3 * k, i * k, (i + 1) * k, mode) for i in range(3)],
     )
     with checks.guard("product-witness"):
@@ -134,29 +131,15 @@ def verify_diffobj(o: DiffObject, label: str = "diffobj") -> Report:
             ident2k,
             "<phat, p> after mu",
         )
-    eq(
-        "phat-additive",
-        polymap_compose(cdc_T(o.sigma), o.phat),
-        polymap_compose(
-            polymap_pair(
-                polymap_compose(cdc_T(polymap_proj(2 * k, 0, k, mode)), o.phat),
-                polymap_compose(cdc_T(polymap_proj(2 * k, k, 2 * k, mode)), o.phat),
-            ),
-            o.sigma,
-        ),
-    )
+
+    def phat_sum(legs):
+        """<leg_0 phat, leg_1 phat> sigma."""
+        return polymap_compose(polymap_pair(*(polymap_compose(leg, o.phat) for leg in legs)), o.sigma)
+
+    eq("phat-additive", polymap_compose(cdc_T(o.sigma), o.phat), phat_sum(map(cdc_T, legs2)))
     eq("phat-zero", polymap_compose(cdc_T(o.zeta), o.phat), o.zeta)
-    eq(
-        "phat-plus",
-        polymap_compose(tangent_plus(k, mode), o.phat),
-        polymap_compose(
-            polymap_pair(
-                polymap_compose(polymap_pair(polymap_proj(3 * k, 0, k, mode), polymap_proj(3 * k, 2 * k, 3 * k, mode)), o.phat),
-                polymap_compose(polymap_pair(polymap_proj(3 * k, k, 2 * k, mode), polymap_proj(3 * k, 2 * k, 3 * k, mode)), o.phat),
-            ),
-            o.sigma,
-        ),
-    )
+    plus_legs = t_n_carrier(k, 2, mode).projections
+    eq("phat-plus", polymap_compose(tangent_plus(k, mode), o.phat), phat_sum(plus_legs))
     eq(
         "phat-zero-section",
         polymap_compose(tangent_zero(k, mode), o.phat),

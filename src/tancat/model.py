@@ -30,8 +30,6 @@ from typing import Tuple
 class TnObject:
     """The n-wide pullback power of p over an object, with its projections."""
 
-    base: object
-    arity: int
     carrier: object
     projections: Tuple[object, ...]
 

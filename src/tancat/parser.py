@@ -18,10 +18,11 @@ ops: ``("c", Fraction)``, ``("x", i)``, ``("neg",)``, ``("^", e, pos)``,
 ``("+",)`` and ``("*", pos)``, where ``pos`` is the operator's position;
 binary minus is ``neg`` then ``+``.  Only then does one loop fold the list on
 a stack of Polys, left to right, each component leaving one Poly, so every
-syntax error is reported before any arithmetic is done.  Before each product
-and power the fold bounds the size of the result and adds the bound to one
-running sum over the text, refusing the operator at which that sum could
-pass ``MAX_TERMS`` terms.
+syntax error is reported before any arithmetic is done.  So is an
+over-budget text: one pass bounds the size of every product and power from
+bounds on its operands, and adds each bound to one running sum over the
+text, refusing the operator at which that sum could pass ``MAX_TERMS``
+terms.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import List, Tuple
 
 from . import scalars
 from .errors import PolyParseError, SemiringViolation
-from .poly import Poly, PolyMap, poly_degree, poly_pow
+from .poly import Poly, PolyMap, poly_pow
 
 # Parentheses and unary minus nest by recursion; deeper input is refused.
 MAX_NESTING = 100
@@ -192,29 +193,45 @@ def _capped_comb(n: int, k: int) -> int:
     return out
 
 
-def _charge(spent: int, count: int, degree: int, dom: int, what: str, pos: int) -> int:
-    """Add a result's bound to the running sum ``spent``; refuse past MAX_TERMS.
+def _check_budget(ops: List[tuple], dom: int) -> None:
+    """Refuse the first product or power at which the text could pass MAX_TERMS terms.
 
-    The result has at most ``count`` terms, and total degree ``degree``.
+    One pass over the ops bounds each stack entry by (terms, total degree),
+    without any arithmetic.  A product of a and b has at most |a|*|b| terms,
+    and a power p^e at most C(|p|+e-1, e), the number of multisets of e terms
+    of p; neither has more than C(dom+d, dom), the number of monomials of
+    degree at most d.  The smaller bound of each product and power is its
+    entry's term bound, and goes into one running sum over the text.
     """
-    spent += min(count, _capped_comb(dom + degree, dom))
-    if spent > MAX_TERMS:
-        raise PolyParseError(
-            f"{what} could have more than {MAX_TERMS} terms, summed over the text", pos
-        )
-    return spent
+    stack: List[Tuple[int, int]] = []
+    spent = 0
+    for op in ops:
+        tag = op[0]
+        if tag in ("c", "x"):
+            stack.append((1, int(tag == "x")))
+        elif tag == "+":
+            count, degree = stack.pop()
+            stack[-1] = (stack[-1][0] + count, max(stack[-1][1], degree))
+        elif tag in ("^", "*"):
+            if tag == "^":
+                (n, d), e, what = stack.pop(), op[1], "power"
+                count, degree = _capped_comb(max(n, 1) + e - 1, e), e * d
+            else:
+                (n2, d2), (n1, d1), what = stack.pop(), stack.pop(), "product"
+                count, degree = n1 * n2, d1 + d2
+            count = min(count, _capped_comb(dom + degree, dom))
+            stack.append((count, degree))
+            spent += count
+            if spent > MAX_TERMS:
+                raise PolyParseError(
+                    f"{what} could have more than {MAX_TERMS} terms, summed over the text", op[-1]
+                )
 
 
 def _fold(ops: List[tuple], dom: int, mode: str) -> List[Poly]:
-    """Evaluate the postfix ops on a stack of Polys, one left per component.
-
-    A product of a and b has at most |a|*|b| terms, and a power p^e at most
-    C(|p|+e-1, e), the number of multisets of e terms of p; neither has more
-    than C(dom+d, dom), the number of monomials of degree at most d.  The
-    smaller bound of each product and power goes into one running sum.
-    """
+    """Check the term budget, then evaluate the ops on a stack of Polys, one left per component."""
+    _check_budget(ops, dom)
     stack: List[Poly] = []
-    spent = 0
     for op in ops:
         tag = op[0]
         if tag == "c":
@@ -225,18 +242,11 @@ def _fold(ops: List[tuple], dom: int, mode: str) -> List[Poly]:
             terms = stack.pop().terms
             stack.append(Poly.from_terms(dom, [(ev, scalars.negate(mode, c)) for ev, c in terms], mode))
         elif tag == "^":
-            base, e = stack[-1], op[1]
-            count = _capped_comb(max(len(base.terms), 1) + e - 1, e)
-            spent = _charge(spent, count, e * poly_degree(base), dom, "power", op[2])
-            stack[-1] = poly_pow(base, e)
+            stack[-1] = poly_pow(stack[-1], op[1])
         elif tag == "+":
-            rhs = stack.pop()
-            stack[-1] = stack[-1] + rhs
+            stack[-2:] = [stack[-2] + stack[-1]]
         else:
-            lhs, rhs = stack[-2], stack.pop()
-            count = len(lhs.terms) * len(rhs.terms)
-            spent = _charge(spent, count, poly_degree(lhs) + poly_degree(rhs), dom, "product", op[1])
-            stack[-1] = lhs * rhs
+            stack[-2:] = [stack[-2] * stack[-1]]
     return stack
 
 

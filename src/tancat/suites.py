@@ -21,16 +21,16 @@ from .bundles import (
     bundle_pi,
     bundle_projection_mor,
     bundle_zero_mor,
+    fibre_sum,
     is_additive,
     is_linear,
     make_bundle,
     mu_characterization,
     mu_map,
-    pair_into_e2,
-    pair_into_t_e2,
     pullback_bundle,
     pullback_mor,
     standard_bundle,
+    t_fibre_sum,
     tangent_bundle_of,
     tangent_of_bundle,
     trivial_bundle,
@@ -46,9 +46,8 @@ from .cdc import (
     cdc_D,
     cdc_T,
     cdc_flip,
-    pair_into_t2,
     point_proj,
-    tangent_plus,
+    tangent_sum,
     tangent_zero,
 )
 from .diffobj import (
@@ -713,15 +712,10 @@ def _suite_bracket_laws(params: Dict[str, object]) -> Report:
         desc = f"{label}, instance {i}"
         with checks.guard("bracket-defining"):
             bf = bracket(f, b)
-            recon = polymap_compose(
-                pair_into_t_e2(
-                    b,
-                    polymap_compose(bf, b.lam),
-                    polymap_compose(
-                        f, polymap_compose(point_proj(e, mode), tangent_zero(e, mode))
-                    ),
-                ),
-                cdc_T(b.sigma),
+            recon = t_fibre_sum(
+                b,
+                polymap_compose(bf, b.lam),
+                polymap_compose(f, polymap_compose(point_proj(e, mode), tangent_zero(e, mode))),
             )
             eq("bracket-defining", recon, f, desc)
 
@@ -759,23 +753,18 @@ def _suite_bracket_laws(params: Dict[str, object]) -> Report:
             bg = bracket(g, b)
             eq(
                 "bracket-sigma",
-                polymap_compose(pair_into_e2(b, bf, bg), b.sigma),
-                bracket(polymap_compose(pair_into_t_e2(b, f, g), cdc_T(b.sigma)), b),
+                fibre_sum(b, bf, bg),
+                bracket(t_fibre_sum(b, f, g), b),
                 desc,
             )
 
             ashared = rand(k)
             f2 = assemble_tangent(b, zero_dx, xmap, rand(k), ashared)
             g2 = assemble_tangent(b, zero_dx, xmap, rand(k), ashared)
-            plus_fg = polymap_compose(
-                pair_into_t2(e, f2, g2), tangent_plus(e, mode)
-            )
             eq(
                 "bracket-plus",
-                polymap_compose(
-                    pair_into_e2(b, bracket(f2, b), bracket(g2, b)), b.sigma
-                ),
-                bracket(plus_fg, b),
+                fibre_sum(b, bracket(f2, b), bracket(g2, b)),
+                bracket(tangent_sum(e, f2, g2), b),
                 desc,
             )
 
@@ -835,18 +824,8 @@ def _suite_interchange(params: Dict[str, object]) -> Report:
         v4 = assemble_tangent(b, dx34, xmap, da[3], a24)
         desc = f"instance {i}: base {m}, fibre {k}"
         with checks.guard("interchange"):
-            s12 = polymap_compose(pair_into_t_e2(b, v1, v2), cdc_T(b.sigma))
-            s34 = polymap_compose(pair_into_t_e2(b, v3, v4), cdc_T(b.sigma))
-            lhs = polymap_compose(
-                pair_into_t2(e, s12, s34), tangent_plus(e, mode)
-            )
-            p13 = polymap_compose(
-                pair_into_t2(e, v1, v3), tangent_plus(e, mode)
-            )
-            p24 = polymap_compose(
-                pair_into_t2(e, v2, v4), tangent_plus(e, mode)
-            )
-            rhs = polymap_compose(pair_into_t_e2(b, p13, p24), cdc_T(b.sigma))
+            lhs = tangent_sum(e, t_fibre_sum(b, v1, v2), t_fibre_sum(b, v3, v4))
+            rhs = t_fibre_sum(b, tangent_sum(e, v1, v3), tangent_sum(e, v2, v4))
             checks.equality("interchange", lhs, rhs, desc)
         with checks.guard("interchange-shared-zero"):
             azero = polymap_compose(xmap, zeta_fibre(b))
@@ -854,12 +833,7 @@ def _suite_interchange(params: Dict[str, object]) -> Report:
             w1 = assemble_tangent(b, zero_dx, xmap, da[0], azero)
             w2 = assemble_tangent(b, zero_dx, xmap, da[1], azero)
             checks.equality(
-                "interchange-shared-zero",
-                polymap_compose(pair_into_t_e2(b, w1, w2), cdc_T(b.sigma)),
-                polymap_compose(
-                    pair_into_t2(e, w1, w2), tangent_plus(e, mode)
-                ),
-                desc,
+                "interchange-shared-zero", t_fibre_sum(b, w1, w2), tangent_sum(e, w1, w2), desc
             )
     return checks.report("interchange", params)
 

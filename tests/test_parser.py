@@ -177,3 +177,16 @@ def test_syntax_is_checked_before_any_arithmetic(monkeypatch):
     with pytest.raises(PolyParseError) as e:
         parse_polymap("(x0+1)^2; x0 )", 1, scalars.RATIONAL)
     assert e.value.pos == 13
+
+
+def test_over_budget_text_is_refused_before_any_arithmetic(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("multiplied before the term budget was checked")
+
+    monkeypatch.setattr(Poly, "__mul__", refuse)
+    monkeypatch.setattr(poly, "poly_mul", refuse)
+    monkeypatch.setattr(parser, "poly_pow", refuse)
+    power = "(x0+x1+1)^139"
+    with pytest.raises(PolyParseError) as e:
+        parse_poly(f"{power}+{power}", 2, scalars.RATIONAL)
+    assert e.value.pos == len(power) + 1 + 9 and "summed over the text" in str(e.value)
