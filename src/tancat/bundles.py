@@ -277,6 +277,34 @@ def make_bundle(
     )
 
 
+def display_blocks(b: DiffBundle):
+    """(sigma_fib, zeta_fib, lam_tan, lam_pt): sigma, zeta and lift blocks over (x, a)."""
+    m, k = b.base, b.fibre
+    sigma_fib = polymap_compose(
+        polymap_compose(b.sigma, b.triv), polymap_proj(m + k, m, m + k, b.mode)
+    )
+    # the lift in display coordinates: (x, a) |-> (dx, x, da, a)
+    lam_display = polymap_compose(b.triv_inv, polymap_compose(b.lam, tangent_triv(b)))
+    lam_tan = PolyMap(m + k, k, lam_display.components[2 * m : 2 * m + k], b.mode)
+    lam_pt = PolyMap(m + k, k, lam_display.components[2 * m + k :], b.mode)
+    return sigma_fib, zeta_fibre(b), lam_tan, lam_pt
+
+
+def display_bundle(
+    m: int, k: int, sigma_fib: PolyMap, zeta_fib: PolyMap, lam_tan: PolyMap, lam_pt: PolyMap
+) -> DiffBundle:
+    """The inverse of display_blocks: the bundle on (x, a) with the identity trivialization.
+
+    sigma = (x, sigma_fib), zeta = (1, zeta_fib), lambda = (0, lam_tan, x, lam_pt).
+    """
+    mode, total = sigma_fib.mode, m + k
+    sigma = polymap_pair(polymap_proj(m + 2 * k, 0, m, mode), sigma_fib)
+    zeta = polymap_pair(identity_map(m, mode), zeta_fib)
+    x = polymap_proj(total, 0, m, mode)
+    lam = polymap_pair(zero_map(total, m, mode), lam_tan, x, lam_pt)
+    return make_bundle(m, k, sigma, zeta, lam, None, mode)
+
+
 def trivial_bundle(m: int, mode: str = scalars.RATIONAL) -> DiffBundle:
     """The bundle (1_M, 1_M, 1_M, 0-lift) with empty fibre."""
     return standard_bundle(m, 0, mode)
@@ -285,19 +313,13 @@ def trivial_bundle(m: int, mode: str = scalars.RATIONAL) -> DiffBundle:
 @lru_cache(maxsize=None)
 def standard_bundle(m: int, k: int, mode: str = scalars.RATIONAL) -> DiffBundle:
     """Base m, fibre k, total m+k, fibrewise addition, lift (x,a) |-> (0,a,x,0)."""
-    e2 = m + 2 * k
+    e2, total = m + 2 * k, m + k
     a = polymap_proj(e2, m, m + k, mode)
     b = polymap_proj(e2, m + k, e2, mode)
-    sigma = polymap_pair(polymap_proj(e2, 0, m, mode), polymap_add(a, b))
-    zeta = polymap_pair(identity_map(m, mode), zero_map(m, k, mode))
-    total = m + k
-    lam = polymap_pair(
-        zero_map(total, m, mode),
-        polymap_proj(total, m, total, mode),
-        polymap_proj(total, 0, m, mode),
-        zero_map(total, k, mode),
+    fibre = polymap_proj(total, m, total, mode)
+    return display_bundle(
+        m, k, polymap_add(a, b), zero_map(m, k, mode), fibre, zero_map(total, k, mode)
     )
-    return make_bundle(m, k, sigma, zeta, lam, None, mode)
 
 
 @lru_cache(maxsize=None)
@@ -499,42 +521,25 @@ def zeta_fibre(b: DiffBundle) -> PolyMap:
     )
 
 
-def _display_blocks(b: DiffBundle):
-    """Trivialized structural data: sigma, zeta and lift blocks over (x, a)."""
-    m, k = b.base, b.fibre
-    sigma_fib = polymap_compose(
-        polymap_compose(b.sigma, b.triv), polymap_proj(m + k, m, m + k, b.mode)
-    )
-    # the lift in display coordinates: (x, a) |-> (dx, x, da, a)
-    lam_display = polymap_compose(b.triv_inv, polymap_compose(b.lam, tangent_triv(b)))
-    lam_tan = PolyMap(m + k, k, lam_display.components[2 * m : 2 * m + k], b.mode)
-    lam_pt = PolyMap(m + k, k, lam_display.components[2 * m + k :], b.mode)
-    return sigma_fib, zeta_fibre(b), lam_tan, lam_pt
-
-
 def pullback_bundle(f: PolyMap, b: DiffBundle) -> DiffBundle:
     """f*(bundle) over the domain of f, total realized as (x', a)."""
     if f.cod != b.base:
         raise DimensionMismatch("pullback map must land in the base")
     if f.mode != b.mode:
         raise DimensionMismatch("pullback map must share the scalar mode")
-    x, k = f.dom, b.fibre
-    mode = b.mode
-    sigma_fib, zeta_fib, lam_tan, lam_pt = _display_blocks(b)
-    # sigma'(x', a, b) = (x', s(f(x'), a, b))
-    base_of = polymap_proj(x + 2 * k, 0, x, mode)
-    args = polymap_product(f, identity_map(2 * k, mode))
-    sigma2 = polymap_pair(base_of, polymap_compose(args, sigma_fib))
-    zeta2 = polymap_pair(identity_map(x, mode), polymap_compose(f, zeta_fib))
-    total = x + k
+    k, mode = b.fibre, b.mode
+    sigma_fib, zeta_fib, lam_tan, lam_pt = display_blocks(b)
+    # each block of b, read at (f(x'), a, ...)
+    fx2 = polymap_product(f, identity_map(2 * k, mode))
     fx1 = polymap_product(f, identity_map(k, mode))
-    lam2 = polymap_pair(
-        zero_map(total, x, mode),
+    return display_bundle(
+        f.dom,
+        k,
+        polymap_compose(fx2, sigma_fib),
+        polymap_compose(f, zeta_fib),
         polymap_compose(fx1, lam_tan),
-        polymap_proj(total, 0, x, mode),
         polymap_compose(fx1, lam_pt),
     )
-    return make_bundle(x, k, sigma2, zeta2, lam2, None, mode)
 
 
 def pullback_mor(f: PolyMap, b: DiffBundle, pulled: DiffBundle) -> BundleMor:
@@ -549,38 +554,17 @@ def whitney_sum(b1: DiffBundle, b2: DiffBundle) -> DiffBundle:
         raise DimensionMismatch("base-mismatch: Whitney sum needs a common base")
     if b1.mode != b2.mode:
         raise DimensionMismatch("Whitney sum needs a common scalar mode")
-    m, k1, k2 = b1.base, b1.fibre, b2.fibre
-    mode = b1.mode
-    s1, z1, l1t, l1p = _display_blocks(b1)
-    s2, z2, l2t, l2p = _display_blocks(b2)
-    k = k1 + k2
-    e2 = m + 2 * k
-    x = polymap_proj(e2, 0, m, mode)
-    a1 = polymap_proj(e2, m, m + k1, mode)
-    a2 = polymap_proj(e2, m + k1, m + k, mode)
-    c1 = polymap_proj(e2, m + k, m + k + k1, mode)
-    c2 = polymap_proj(e2, m + k + k1, e2, mode)
-    sigma = polymap_pair(
-        x,
-        polymap_compose(polymap_pair(x, a1, c1), s1),
-        polymap_compose(polymap_pair(x, a2, c2), s2),
-    )
-    zeta = polymap_pair(identity_map(m, mode), z1, z2)
-    total = m + k
-    tx = polymap_proj(total, 0, m, mode)
-    ta1 = polymap_proj(total, m, m + k1, mode)
-    ta2 = polymap_proj(total, m + k1, total, mode)
-    pair1 = polymap_pair(tx, ta1)
-    pair2 = polymap_pair(tx, ta2)
-    lam = polymap_pair(
-        zero_map(total, m, mode),
-        polymap_compose(pair1, l1t),
-        polymap_compose(pair2, l2t),
-        tx,
-        polymap_compose(pair1, l1p),
-        polymap_compose(pair2, l2p),
-    )
-    return make_bundle(m, k, sigma, zeta, lam, None, mode)
+    m, k, mode = b1.base, b1.fibre + b2.fibre, b1.mode
+    e2, total = m + 2 * k, m + k
+    x, tx = polymap_proj(e2, 0, m, mode), polymap_proj(total, 0, m, mode)
+    blocks = []
+    # summand i reads (x, a_i, c_i) off (x, a_1, a_2, c_1, c_2), and (x, a_i) off (x, a_1, a_2)
+    for b, lo, hi in ((b1, m, m + b1.fibre), (b2, m + b1.fibre, total)):
+        s, z, lt, lp = display_blocks(b)
+        over = polymap_pair(x, polymap_proj(e2, lo, hi, mode), polymap_proj(e2, lo + k, hi + k, mode))
+        at = polymap_pair(tx, polymap_proj(total, lo, hi, mode))
+        blocks.append((polymap_compose(over, s), z, polymap_compose(at, lt), polymap_compose(at, lp)))
+    return display_bundle(m, k, *(polymap_pair(u, v) for u, v in zip(*blocks)))
 
 
 def whitney_proj(bsum: DiffBundle, b1: DiffBundle, b2: DiffBundle, which: int) -> BundleMor:

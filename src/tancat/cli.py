@@ -22,28 +22,14 @@ from .bundles import (
     whitney_sum,
 )
 from .cdc import cdc_D
-from .errors import (
-    DimensionMismatch,
-    NotABundleMorphism,
-    PolyParseError,
-    PreconditionFailure,
-    SemiringViolation,
-)
 from .fibration import verify_fibre_axioms
 from .parser import parse_polymap
 from .poly import polymap_to_str
 from .report import Report
 from .suites import DEFAULTS, FAULTS, SUITE_NAMES, run_suite
 
-_USAGE_ERRORS = (
-    PolyParseError,
-    SemiringViolation,
-    PreconditionFailure,
-    DimensionMismatch,
-    NotABundleMorphism,
-    ValueError,
-    OSError,
-)
+# every error of errors.py but NonFiniteError subclasses ValueError
+_USAGE_ERRORS = (ValueError, OSError)
 
 
 def _emit_report(report: Report, out: Optional[str]) -> int:

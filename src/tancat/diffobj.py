@@ -15,8 +15,8 @@ from functools import lru_cache
 
 from . import scalars
 from .errors import PreconditionFailure
-from .bundles import DiffBundle, bracket, make_bundle
-from .cdc import cdc_T, cdc_ell, cdc_flip, memo_by_input, point_proj, t_n_carrier, t_pair, tangent_plus, tangent_zero
+from .bundles import DiffBundle, bracket, display_bundle, mu_map
+from .cdc import cdc_T, cdc_ell, cdc_flip, memo_by_input, point_proj, t_n_carrier, tangent_plus, tangent_zero
 from .poly import (
     PolyMap,
     block_swap,
@@ -54,24 +54,35 @@ def canonical_diffobj(k: int, mode: str = scalars.RATIONAL) -> DiffObject:
     )
 
 
+def _zhat(o: DiffObject) -> PolyMap:
+    """! zeta : A -> A, the constant map at the zero."""
+    return polymap_compose(terminal_map(o.carrier, o.mode), o.zeta)
+
+
 def diffobj_lambda(o: DiffObject) -> PolyMap:
     """The lift <1, ! zeta> : A -> T(A), a |-> (a, zeta())."""
-    tail = polymap_compose(terminal_map(o.carrier, o.mode), o.zeta)
-    return polymap_pair(identity_map(o.carrier, o.mode), tail)
+    return polymap_pair(identity_map(o.carrier, o.mode), _zhat(o))
 
 
 @memo_by_input
 def diffobj_mu(o: DiffObject) -> PolyMap:
-    """mu := <pi0 lambda, pi1 0> T(sigma) : A x A -> T(A)."""
-    k = o.carrier
-    left = polymap_compose(polymap_proj(2 * k, 0, k, o.mode), diffobj_lambda(o))
-    right = polymap_compose(polymap_proj(2 * k, k, 2 * k, o.mode), tangent_zero(k, o.mode))
-    return polymap_compose(t_pair(polymap_pair, left, right), cdc_T(o.sigma))
+    """mu := <pi0 lambda, pi1 0> T(sigma) : A x A -> T(A), the bundle mu over the point."""
+    return mu_map(bundle_from_diffobj(o))
 
 
 def product_pairing(o: DiffObject) -> PolyMap:
     """<phat, p> : T(A) -> A x A."""
     return polymap_pair(o.phat, point_proj(o.carrier, o.mode))
+
+
+def _product_witness(checks: CheckSet, o: DiffObject, prefix: str = "") -> None:
+    """The two product-witness rows: mu and <phat, p> are mutually inverse."""
+    eq = checks.equality
+    with checks.guard("product-witness"):
+        mu, pairing = diffobj_mu(o), product_pairing(o)
+        ident = identity_map(2 * o.carrier, o.mode)
+        eq("product-witness", polymap_compose(pairing, mu), ident, prefix + "mu after <phat, p>")
+        eq("product-witness", polymap_compose(mu, pairing), ident, prefix + "<phat, p> after mu")
 
 
 def diffobj_from_bundle(b: DiffBundle) -> DiffObject:
@@ -95,7 +106,7 @@ def diffobj_from_bundle(b: DiffBundle) -> DiffObject:
 def bundle_from_diffobj(o: DiffObject) -> DiffBundle:
     """The bundle over the empty base with lift <1, ! zeta>."""
     k = o.carrier
-    return make_bundle(0, k, o.sigma, o.zeta, diffobj_lambda(o), None, o.mode)
+    return display_bundle(0, k, o.sigma, o.zeta, identity_map(k, o.mode), _zhat(o))
 
 
 def verify_diffobj(o: DiffObject, label: str = "diffobj") -> Report:
@@ -103,11 +114,10 @@ def verify_diffobj(o: DiffObject, label: str = "diffobj") -> Report:
     checks = CheckSet()
     k = o.carrier
     mode = o.mode
-    ident2k = identity_map(2 * k, mode)
 
     eq = checks.equality
 
-    zhat = polymap_compose(terminal_map(k, mode), o.zeta)
+    zhat = _zhat(o)
     legs2 = [polymap_proj(2 * k, i * k, (i + 1) * k, mode) for i in range(2)]
     monoid_checks(
         checks,
@@ -121,16 +131,7 @@ def verify_diffobj(o: DiffObject, label: str = "diffobj") -> Report:
         legs2,
         [polymap_proj(3 * k, i * k, (i + 1) * k, mode) for i in range(3)],
     )
-    with checks.guard("product-witness"):
-        mu = diffobj_mu(o)
-        pairing = product_pairing(o)
-        eq("product-witness", polymap_compose(pairing, mu), ident2k, "mu after <phat, p>")
-        eq(
-            "product-witness",
-            polymap_compose(mu, pairing),
-            ident2k,
-            "<phat, p> after mu",
-        )
+    _product_witness(checks, o)
 
     def phat_sum(legs):
         """<leg_0 phat, leg_1 phat> sigma."""
@@ -239,20 +240,5 @@ def check_cds(bound: int, mode: str = scalars.RATIONAL) -> Report:
             )
             eq("exchange", lhs, rhs, f"dim {k}")
     for k in dims:
-        a = canonical_diffobj(k, mode)
-        with checks.guard("product-witness"):
-            mu = diffobj_mu(a)
-            pairing = product_pairing(a)
-            eq(
-                "product-witness",
-                polymap_compose(pairing, mu),
-                identity_map(2 * k, mode),
-                f"dim {k}: mu after <phat, p>",
-            )
-            eq(
-                "product-witness",
-                polymap_compose(mu, pairing),
-                identity_map(2 * k, mode),
-                f"dim {k}: <phat, p> after mu",
-            )
+        _product_witness(checks, canonical_diffobj(k, mode), f"dim {k}: ")
     return checks.report("cds", {"bound": bound, "mode": mode})

@@ -21,10 +21,11 @@ from .bundles import (
     bundle_pi,
     bundle_projection_mor,
     bundle_zero_mor,
+    display_blocks,
+    display_bundle,
     fibre_sum,
     is_additive,
     is_linear,
-    make_bundle,
     mu_characterization,
     mu_map,
     pullback_bundle,
@@ -142,15 +143,6 @@ def poly_model(mode: str, fault: Optional[str] = None) -> PolyTangentModel:
     if fault == "dropped-zero-block":
         return DroppedZeroModel(mode)
     return PolyTangentModel(mode)
-
-
-def corrupted_standard_bundle(mode: str = scalars.RATIONAL) -> DiffBundle:
-    """standard(1,1) whose lift leaks the fibre value, (x,a) |-> (0,a,x,a)."""
-    base = standard_bundle(1, 1, mode)
-    x = polymap_proj(2, 0, 1, mode)
-    a = polymap_proj(2, 1, 2, mode)
-    lam = polymap_pair(zero_map(2, 1, mode), a, x, a)
-    return make_bundle(1, 1, base.sigma, base.zeta, lam, None, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -515,22 +507,30 @@ def _suite_derived_differential(params: Dict[str, object]) -> Report:
 # Bundle constructors
 
 
-def _standard_1_1(mode: str, fault: Optional[str]) -> DiffBundle:
+def _bundle_families(mode: str, fault: Optional[str] = None) -> Dict[str, DiffBundle]:
+    """Every bundle the suites check, by label.
+
+    The corrupted-lambda fault gives standard-1-1 a lift that leaks the fibre
+    value, (x, a) |-> (0, a, x, a).
+    """
+    std = standard_bundle(1, 1, mode)
     if fault == "corrupted-lambda":
-        return corrupted_standard_bundle(mode)
-    return standard_bundle(1, 1, mode)
+        sigma_fib, zeta_fib, lam_tan, _ = display_blocks(std)
+        std = display_bundle(1, 1, sigma_fib, zeta_fib, lam_tan, lam_tan)
+    return {
+        "trivial-1": trivial_bundle(1, mode),
+        "trivial-2": trivial_bundle(2, mode),
+        "standard-1-1": std,
+        "standard-2-1": standard_bundle(2, 1, mode),
+        "standard-1-2": standard_bundle(1, 2, mode),
+        "tangent-1": tangent_bundle_of(1, mode),
+        "tangent-2": tangent_bundle_of(2, mode),
+    }
 
 
-def _bundle_families(mode: str, fault: Optional[str]):
-    return [
-        ("trivial-1", trivial_bundle(1, mode)),
-        ("trivial-2", trivial_bundle(2, mode)),
-        ("standard-1-1", _standard_1_1(mode, fault)),
-        ("standard-2-1", standard_bundle(2, 1, mode)),
-        ("standard-1-2", standard_bundle(1, 2, mode)),
-        ("tangent-1", tangent_bundle_of(1, mode)),
-        ("tangent-2", tangent_bundle_of(2, mode)),
-    ]
+def _fibre_one(fams: Dict[str, DiffBundle]):
+    """standard-1-1, standard-2-1 and tangent-1, the families that random instances cycle over."""
+    return [(label, b) for label, b in fams.items() if b.fibre == 1]
 
 
 def _first_failure(report: Report) -> str:
@@ -540,14 +540,20 @@ def _first_failure(report: Report) -> str:
     return ""
 
 
+def _point_fibre_report(b: DiffBundle) -> Report:
+    """verify_diffobj of the fibre of b over the point (1, 2) of its 2-dimensional base."""
+    mode = b.mode
+    pt = constant_map(0, [scalars.coerce(mode, 1), scalars.coerce(mode, 2)], mode)
+    return verify_diffobj(diffobj_from_bundle(pullback_bundle(pt, b)), "pullback-point")
+
+
 def _suite_bundle(params: Dict[str, object]) -> Report:
     mode = params["mode"]
     seed = params["seed"]
     checks = CheckSet()
     fams = _bundle_families(mode, params["fault"])
-    by_label = dict(fams)
 
-    for label, b in fams:
+    for label, b in fams.items():
         checks.absorb(verify_bundle(b, label), prefix=f"{label}:")
         tb = tangent_of_bundle(b)
         checks.absorb(verify_bundle(tb, f"T[{label}]"), prefix=f"T[{label}]:")
@@ -558,22 +564,13 @@ def _suite_bundle(params: Dict[str, object]) -> Report:
         with checks.guard("tangent-zero-linear"):
             checks.condition("tangent-zero-linear", is_linear(bundle_zero_mor(b), b, tb), label)
 
-    t_triv = tangent_of_bundle(by_label["trivial-1"])
-    plain = trivial_bundle(2, mode)
-    same = all(
-        getattr(t_triv, fld) == getattr(plain, fld)
-        for fld in ("q", "sigma", "zeta", "lam", "triv", "triv_inv")
-    )
+    same = tangent_of_bundle(fams["trivial-1"]) == fams["trivial-2"]
     checks.condition(
         "tangent-of-trivial", same, "T of the empty-fibre bundle must again be empty-fibre"
     )
 
     rng = rng_for("bundle", "pullback", seed)
-    targets = [
-        ("standard-1-1", by_label["standard-1-1"]),
-        ("standard-2-1", by_label["standard-2-1"]),
-        ("tangent-1", by_label["tangent-1"]),
-    ]
+    targets = _fibre_one(fams)
     for i in range(params["instances"]):
         label, b = targets[i % len(targets)]
         xdim = rng.randint(1, 2)
@@ -590,26 +587,19 @@ def _suite_bundle(params: Dict[str, object]) -> Report:
             mor = pullback_mor(fmap, b, pb)
             checks.condition("pullback-cartesian-linear", is_linear(mor, pb, b), detail)
 
-    b = by_label["standard-2-1"]
-    pb = pullback_bundle(identity_map(2, mode), b)
-    same = all(
-        getattr(pb, fld) == getattr(b, fld)
-        for fld in ("q", "sigma", "zeta", "lam")
-    )
+    b = fams["standard-2-1"]
+    same = pullback_bundle(identity_map(2, mode), b) == b
     checks.condition("pullback-along-identity", same, "pullback along 1 must reproduce the bundle")
 
     with checks.guard("pullback-point-diffobj"):
-        pt = constant_map(0, [scalars.coerce(mode, 1), scalars.coerce(mode, 2)], mode)
-        pb0 = pullback_bundle(pt, b)
-        o = diffobj_from_bundle(pb0)
-        rep = verify_diffobj(o, "pullback-point")
+        rep = _point_fibre_report(b)
         checks.condition(
             "pullback-point-diffobj",
             rep.all_passed,
             "fibre over a point" + _first_failure(rep),
         )
 
-    base1 = [(label, bb) for label, bb in fams if bb.base == 1]
+    base1 = [(label, bb) for label, bb in fams.items() if bb.base == 1]
     for l1, b1 in base1:
         for l2, b2 in base1:
             detail = f"{l1} (+) {l2}"
@@ -635,16 +625,12 @@ def _suite_bundle(params: Dict[str, object]) -> Report:
                     detail,
                 )
 
-    bs = whitney_sum(by_label["standard-1-1"], by_label["trivial-1"])
-    same = all(
-        getattr(bs, fld) == getattr(by_label["standard-1-1"], fld)
-        for fld in ("q", "sigma", "zeta", "lam")
-    )
+    same = whitney_sum(fams["standard-1-1"], fams["trivial-1"]) == fams["standard-1-1"]
     checks.condition("whitney-unit", same, "sum with the empty-fibre bundle changes nothing")
 
     raised = False
     try:
-        whitney_sum(by_label["standard-1-1"], by_label["standard-2-1"])
+        whitney_sum(fams["standard-1-1"], fams["standard-2-1"])
     except DimensionMismatch:
         raised = True
     checks.condition(
@@ -657,21 +643,13 @@ def _suite_bundle(params: Dict[str, object]) -> Report:
 # The bracket and its laws
 
 
-def _bracket_bundles(mode: str, fault: Optional[str]):
-    return [
-        ("standard-1-1", _standard_1_1(mode, fault)),
-        ("standard-2-1", standard_bundle(2, 1, mode)),
-        ("tangent-1", tangent_bundle_of(1, mode)),
-    ]
-
-
 def _suite_bracket_laws(params: Dict[str, object]) -> Report:
     mode = params["mode"]
     seed = params["seed"]
     deg = params["max_degree"]
     bound = params["coeff_bound"]
     checks = CheckSet()
-    bundles = _bracket_bundles(mode, params["fault"])
+    bundles = _fibre_one(_bundle_families(mode, params["fault"]))
     tangents = {label: tangent_of_bundle(b) for label, b in bundles}
 
     eq = checks.equality
@@ -799,15 +777,11 @@ def _suite_bracket_laws(params: Dict[str, object]) -> Report:
 def _suite_interchange(params: Dict[str, object]) -> Report:
     mode = params["mode"]
     checks = CheckSet()
-    bundles = [
-        standard_bundle(1, 1, mode),
-        standard_bundle(2, 1, mode),
-        tangent_bundle_of(1, mode),
-    ]
+    bundles = _fibre_one(_bundle_families(mode))
     rng = rng_for("interchange", "instances", params["seed"])
     deg, bound = params["max_degree"], params["coeff_bound"]
     for i in range(params["instances"]):
-        b = bundles[i % len(bundles)]
+        _, b = bundles[i % len(bundles)]
         m, k, e = b.base, b.fibre, b.total
         xdim = rng.randint(1, 2)
 
@@ -861,12 +835,7 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
     seed = params["seed"]
     deg, bound = params["max_degree"], params["coeff_bound"]
     checks = CheckSet()
-    families = [
-        ("standard-1-1", standard_bundle(1, 1, mode)),
-        ("standard-2-1", standard_bundle(2, 1, mode)),
-        ("standard-1-2", standard_bundle(1, 2, mode)),
-        ("tangent-1", tangent_bundle_of(1, mode)),
-    ]
+    fams = _bundle_families(mode)
 
     def lin_rows(name: str, mor: BundleMor, src: DiffBundle, dst: DiffBundle, detail: str):
         with checks.guard(name):
@@ -880,7 +849,8 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
                     "linear-matches-mu-form", mu_characterization(mor, src, dst), detail
                 )
 
-    for label, b in families:
+    for label in ("standard-1-1", "standard-2-1", "standard-1-2", "tangent-1"):
+        b = fams[label]
         unit = trivial_bundle(b.base, mode)
         ident = identity_map(b.base, mode)
         lin_rows("projection-to-unit-linear", BundleMor(b.q, ident), b, unit, label)
@@ -903,7 +873,7 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
         )
 
     rng = rng_for("linearity", "pullback", seed)
-    b = dict(families)["standard-2-1"]
+    b = fams["standard-2-1"]
     for i in range(10):
         xdim = rng.randint(1, 2)
         f = random_polymap(xdim, b.base, deg, bound, rng, mode)
@@ -916,8 +886,7 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
             f"instance {i}: f = {f}",
         )
 
-    b1 = dict(families)["standard-1-1"]
-    b2 = dict(families)["standard-1-2"]
+    b1, b2 = fams["standard-1-1"], fams["standard-1-2"]
     bs = whitney_sum(b1, b2)
     pr0 = whitney_proj(bs, b1, b2, 0)
     pr1 = whitney_proj(bs, b1, b2, 1)
@@ -934,7 +903,7 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
     lin_rows("whitney-swap-linear", BundleMor(swap_back, ident), bs2, bs, "swap inverse")
 
     rng = rng_for("linearity", "equivalence", seed)
-    b_src = standard_bundle(1, 1, mode)
+    b_src = fams["standard-1-1"]
     for i in range(params["instances"]):
         g = random_polymap(1, 1, deg, bound, rng, mode)
         if i % 2 == 0:
@@ -1043,11 +1012,7 @@ def _suite_diffobj(params: Dict[str, object]) -> Report:
     checks.condition("diffobj-needs-point-base", raised, "nonzero base must be rejected")
 
     with checks.guard("pullback-point-diffobj"):
-        b = standard_bundle(2, 2, mode)
-        pt = constant_map(0, [scalars.coerce(mode, 1), scalars.coerce(mode, 2)], mode)
-        pb = pullback_bundle(pt, b)
-        o = diffobj_from_bundle(pb)
-        checks.absorb(verify_diffobj(o, "pullback-point"), prefix="pullback-point:")
+        checks.absorb(_point_fibre_report(standard_bundle(2, 2, mode)), prefix="pullback-point:")
     return checks.report("diffobj", params)
 
 

@@ -16,6 +16,8 @@ from tancat.bundles import (
     bundle_pi,
     bundle_projection_mor,
     bundle_zero_mor,
+    display_blocks,
+    display_bundle,
     is_additive,
     is_bundle_morphism,
     is_linear,
@@ -37,6 +39,7 @@ from tancat.bundles import (
     zeta_fibre,
 )
 from tancat.cdc import cdc_T, point_proj
+from tancat.diffobj import bundle_from_diffobj, canonical_diffobj, diffobj_mu
 from tancat.errors import (
     DimensionMismatch,
     NotABundleMorphism,
@@ -52,6 +55,9 @@ from tancat.poly import (
     random_polymap,
     zero_map,
 )
+from tancat.suites import _bundle_families
+
+MODES = (scalars.RATIONAL, scalars.NATURAL)
 
 
 def failing_names(report):
@@ -397,3 +403,34 @@ def test_parse_bundle_text_errors():
         parse_bundle_text("[other]\nx = 1\n")
     with pytest.raises(PreconditionFailure):
         parse_bundle_text(BUNDLE_TEXT + "triv = x0; x1\n")
+
+
+# ------------------------------------------------------------ display normal form
+
+
+def _display_cases(mode):
+    """The suites' identity-trivialized bundles, clean and faulted, and three constructions."""
+    cases = {}
+    for fault in (None, "corrupted-lambda"):
+        for label, b in _bundle_families(mode, fault).items():
+            if b.triv == identity_map(b.total, mode):
+                cases[f"{label}:{fault or 'clean'}"] = b
+    f = parse_polymap("x0^2; x0 + 1", 1, mode)
+    cases["pullback"] = pullback_bundle(f, standard_bundle(2, 1, mode))
+    cases["whitney"] = whitney_sum(standard_bundle(1, 1, mode), standard_bundle(1, 2, mode))
+    for k in (1, 2, 3):
+        cases[f"diffobj-{k}"] = bundle_from_diffobj(canonical_diffobj(k, mode))
+    return cases
+
+
+@pytest.mark.parametrize("mode, name", [(mode, name) for mode in MODES for name in _display_cases(mode)])
+def test_display_bundle_inverts_display_blocks(mode, name):
+    b = _display_cases(mode)[name]
+    assert display_bundle(b.base, b.fibre, *display_blocks(b)) == b
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_canonical_diffobj_mu_is_the_identity(mode, k):
+    # mu(a, b) = (a, 0) + (0, b) in T(A) = (tangent, point)
+    assert diffobj_mu(canonical_diffobj(k, mode)) == identity_map(2 * k, mode)
