@@ -598,7 +598,7 @@ def parse_bundle_text(text: str) -> DiffBundle:
     """
     import configparser
 
-    from .parser import parse_polymap
+    from .parser import MAX_VARIABLES, parse_polymap
 
     cfg = configparser.ConfigParser()
     cfg.read_string(text)
@@ -616,6 +616,8 @@ def parse_bundle_text(text: str) -> DiffBundle:
             raise PreconditionFailure(f"{key} must be a non-negative integer, got {value!r}")
     base = int(sec["base"])
     fibre = int(sec["fibre"])
+    if base + 2 * fibre > MAX_VARIABLES:  # sigma's domain, the widest map read
+        raise PreconditionFailure(f"base + 2 * fibre must be at most {MAX_VARIABLES}, got {base + 2 * fibre}")
     total = base + fibre
     triv = None
     if "triv" in sec or "triv_inv" in sec:

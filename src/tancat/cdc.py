@@ -202,7 +202,7 @@ class PolyTangentModel:
     def identity(self, m: int) -> PolyMap:
         return self._embed(identity_map(m, self.mode))
 
-    def random_mor(self, m: int, n: int, rng, max_degree: int = 3, coeff_bound: int = 5) -> PolyMap:
+    def random_mor(self, m: int, n: int, rng, max_degree: int, coeff_bound: int) -> PolyMap:
         return random_polymap(m, n, max_degree, coeff_bound, rng, self.mode)
 
     def lift_witness(self, m: int) -> LiftWitness:

@@ -23,7 +23,7 @@ from .bundles import (
 )
 from .cdc import cdc_D
 from .fibration import verify_fibre_axioms
-from .parser import parse_polymap
+from .parser import MAX_VARIABLES, parse_polymap
 from .poly import polymap_to_str
 from .report import Report
 from .suites import DEFAULTS, FAULTS, SUITE_NAMES, run_suite
@@ -113,6 +113,14 @@ def _cmd_fibre(args: argparse.Namespace) -> int:
     return _emit_report(report, args.out)
 
 
+def dimension(text: str) -> int:
+    """The argparse type of --dom and --map-dom: an int from 0 to MAX_VARIABLES."""
+    n = int(text)
+    if not 0 <= n <= MAX_VARIABLES:
+        raise argparse.ArgumentTypeError(f"{n} is not a dimension from 0 to {MAX_VARIABLES}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="tancat",
@@ -135,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     diff = sub.add_parser("diff", help="print the differential of a polynomial map")
     diff.add_argument("--expr", required=True, help="components separated by ';'")
-    diff.add_argument("--dom", type=int, default=None, help="domain dimension (inferred if omitted)")
+    diff.add_argument("--dom", type=dimension, default=None, help="domain dimension (inferred if omitted)")
     diff.add_argument("--mode", default=scalars.RATIONAL, choices=list(scalars.MODES))
     diff.set_defaults(func=_cmd_diff)
 
@@ -147,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("verify", "tangent", "pullback", "whitney", "bracket"),
     )
     bundle.add_argument("--map", default=None, help="auxiliary map (pullback, bracket)")
-    bundle.add_argument("--map-dom", type=int, default=None, dest="map_dom")
+    bundle.add_argument("--map-dom", type=dimension, default=None, dest="map_dom")
     bundle.add_argument("--file2", default=None, help="second bundle file (whitney)")
     bundle.add_argument("--out", default=None)
     bundle.set_defaults(func=_cmd_bundle)

@@ -210,7 +210,7 @@ class FibreTangentModel(PolyTangentModel):
         ctx = polymap_proj(f.dom, 0, self.context, self.mode)
         return polymap_compose(polymap_pair(ctx, f), g)
 
-    def random_mor(self, x: int, y: int, rng, max_degree: int = 3, coeff_bound: int = 5) -> PolyMap:
+    def random_mor(self, x: int, y: int, rng, max_degree: int, coeff_bound: int) -> PolyMap:
         return random_polymap(self.context + x, y, max_degree, coeff_bound, rng, self.mode)
 
 

@@ -7,11 +7,12 @@ One component per ';'-separated field.  Within a component:
     factor := '-' factor | atom ('^' INT)?
     atom   := INT ('/' INT)? | VAR | '(' expr ')'
 
-Variables are ``x0 .. x{dom-1}``; '^' takes an integer literal from 0 to
-``MAX_EXPONENT``; 'a/b' is a rational literal.  '-' (unary or binary) is
-only legal in rational mode; natural mode reports it as a semiring
-violation.  Whitespace is insignificant.  Parentheses are accepted on
-input; the canonical printer never emits them.
+Variables are ``x0 .. x{dom-1}``, with indices below ``MAX_VARIABLES``;
+'^' takes an integer literal from 0 to ``MAX_EXPONENT``; 'a/b' is a
+rational literal.  '-' (unary or binary) is only legal in rational mode;
+natural mode reports it as a semiring violation.  Whitespace is
+insignificant.  Parentheses are accepted on input; the canonical printer
+never emits them.
 
 Parsing checks the whole text first, writing it as one flat postfix list of
 ops: ``("c", Fraction)``, ``("x", i)``, ``("neg",)``, ``("^", e, pos)``,
@@ -42,6 +43,9 @@ MAX_EXPONENT = 1000
 # Products and powers whose results could have more terms than this in all,
 # summed over one text, are refused.
 MAX_TERMS = 10_000
+# A domain has at most this many variables, x0 .. x999: a larger index, and a
+# wider domain named on the command line or in a bundle file, are refused.
+MAX_VARIABLES = 1000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([+\-*^/();])|(\S))")
 
@@ -170,6 +174,8 @@ class _Parser:
             self.ops.append(("c", value))
         elif kind == "var":
             index = int(val[1:])
+            if index >= MAX_VARIABLES:
+                raise PolyParseError(f"variable {val} exceeds the bound of {MAX_VARIABLES} variables", pos)
             if index >= self.dom:
                 raise PolyParseError(f"variable {val} out of range for domain {self.dom}", pos)
             self.ops.append(("x", index))

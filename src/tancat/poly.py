@@ -302,45 +302,55 @@ def terminal_map(dom: int, mode: str) -> PolyMap:
     return PolyMap(dom, 0, (), mode)
 
 
+def _var_index(p: Poly):
+    """j when p is the bare variable x_j, else None."""
+    if len(p.terms) == 1:
+        ev, c = p.terms[0]
+        if c == 1 and sum(ev) == 1:
+            return ev.index(1)
+    return None
+
+
 def _var_indices(f: PolyMap):
     """[i_0, i_1, ...] when component k of f is the bare variable x_{i_k}, else None."""
-    out = []
-    for comp in f.components:
-        if len(comp.terms) != 1:
-            return None
-        ev, c = comp.terms[0]
-        if c != 1 or sum(ev) != 1:
-            return None
-        out.append(ev.index(1))
-    return out
+    out = [_var_index(comp) for comp in f.components]
+    return None if None in out else out
+
+
+def _rename(p: Poly, images: Sequence[int], nvars: int) -> Poly:
+    """p with variable j renamed to variable images[j] of nvars: move exponents, add colliding terms."""
+    moved = []
+    for ev, c in p.terms:
+        renamed = [0] * nvars
+        for j, e in enumerate(ev):
+            renamed[images[j]] += e
+        moved.append((tuple(renamed), c))
+    return Poly(nvars, _canonical(_add_terms({}, moved)), p.mode)
 
 
 def polymap_compose(f: PolyMap, g: PolyMap) -> PolyMap:
-    """Diagrammatic composite f;g (apply f first)."""
+    """Diagrammatic composite f;g (apply f first), one component of g at a time.
+
+    A bare variable x_j is f's component j and a zero stays zero, with no
+    arithmetic.  Any other component is renamed when f is a variable map (as
+    f is vacuously when g.dom is 0), and has f substituted into it otherwise.
+    """
     if f.cod != g.dom:
         raise DimensionMismatch(f"cannot compose cod {f.cod} with dom {g.dom}")
     if f.mode != g.mode:
         raise DimensionMismatch(f"mixed scalar modes {f.mode!r} and {g.mode!r}")
-    g_vars = _var_indices(g)
-    if g_vars is not None:
-        # g only selects, repeats or permutes coordinates: pick f's components
-        return PolyMap(f.dom, g.cod, tuple(f.components[i] for i in g_vars), f.mode)
-    f_vars = _var_indices(f)
-    if f_vars is not None:
-        # f sends variable j of g to variable f_vars[j] (vacuously when g.dom is
-        # 0, which widens g's constants): move exponents, add colliding terms
-        comps = []
-        for comp in g.components:
-            moved = []
-            for ev, c in comp.terms:
-                renamed = [0] * f.dom
-                for j, e in enumerate(ev):
-                    renamed[f_vars[j]] += e
-                moved.append((tuple(renamed), c))
-            comps.append(Poly(f.dom, _canonical(_add_terms({}, moved)), f.mode))
-        return PolyMap(f.dom, g.cod, tuple(comps), f.mode)
-    comps = tuple(poly_subst(comp, f.components) for comp in g.components)
-    return PolyMap(f.dom, g.cod, comps, f.mode)
+    comps, f_vars = [], False  # False: f not examined yet
+    for comp in g.components:
+        j = _var_index(comp)
+        if j is not None:
+            comps.append(f.components[j])
+        elif not comp.terms:
+            comps.append(Poly(f.dom, (), f.mode))
+        else:
+            if f_vars is False:
+                f_vars = _var_indices(f)
+            comps.append(poly_subst(comp, f.components) if f_vars is None else _rename(comp, f_vars, f.dom))
+    return PolyMap(f.dom, g.cod, tuple(comps), f.mode)
 
 
 def polymap_pair(*maps: PolyMap) -> PolyMap:

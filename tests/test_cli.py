@@ -74,6 +74,24 @@ def test_diff_summed_term_budget_exits_two_quickly(capsys):
     assert "more than 10000 terms, summed over the text" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", ["x10000", "x30000"])
+def test_diff_variable_past_the_bound_exits_two_quickly(expr, capsys):
+    start = perf_counter()
+    assert main(["diff", "--expr", expr]) == 2
+    assert perf_counter() - start < 0.1
+    assert f"variable {expr} exceeds the bound of 1000 variables (at position 0)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["diff", "--expr", "x0", "--dom", "1001"],
+    ["diff", "--expr", "x0", "--dom", "-1"],
+    ["bundle", "--file", "unread.ini", "--op", "pullback", "--map", "x0", "--map-dom", "10000"],
+])
+def test_dimension_past_the_bound_exits_two(argv, capsys):
+    assert main(argv) == 2
+    assert "is not a dimension from 0 to 1000" in capsys.readouterr().err
+
+
 def test_diff_expression_starting_with_minus(capsys):
     assert main(["diff", "--expr", "-x0"]) == 0
     assert capsys.readouterr().out.strip() == "-u0"
@@ -193,6 +211,15 @@ def test_bundle_non_integer_base_exits_two(tmp_path, capsys):
     path.write_text(BUNDLE_TEXT.replace("base = 1", "base = x"))
     assert main(["bundle", "--file", str(path), "--op", "verify"]) == 2
     assert "base must be a non-negative integer" in capsys.readouterr().err
+
+
+def test_bundle_past_the_bound_exits_two_quickly(tmp_path, capsys):
+    path = tmp_path / "wide.ini"
+    path.write_text(BUNDLE_TEXT.replace("base = 1", "base = 10000"))
+    start = perf_counter()
+    assert main(["bundle", "--file", str(path), "--op", "verify"]) == 2
+    assert perf_counter() - start < 0.1
+    assert "base + 2 * fibre must be at most 1000, got 10002" in capsys.readouterr().err
 
 
 def test_bundle_pullback_needs_map(bundle_file, capsys):

@@ -52,8 +52,8 @@ def test_lift_witness_inverse_pair():
 
 def test_random_mor_is_seed_stable():
     m = PolyTangentModel(scalars.NATURAL)
-    a = m.random_mor(2, 2, Random(8))
-    b = m.random_mor(2, 2, Random(8))
+    a = m.random_mor(2, 2, Random(8), 3, 5)
+    b = m.random_mor(2, 2, Random(8), 3, 5)
     assert a == b and a.dom == 2 and a.cod == 2
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from tancat import parser, poly, scalars
 from tancat.errors import PolyParseError, SemiringViolation
-from tancat.parser import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, parse_poly, parse_polymap
+from tancat.parser import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, MAX_VARIABLES, parse_poly, parse_polymap
 from tancat.poly import (
     Poly,
     polymap_to_str,
@@ -111,6 +111,14 @@ def test_literal_exponent_is_capped():
     with pytest.raises(PolyParseError) as e:
         parse_poly(f"x0^{MAX_EXPONENT + 1}", 1, scalars.RATIONAL)
     assert e.value.pos == 3
+
+
+def test_variable_index_is_capped_at_the_token():
+    last = f"x{MAX_VARIABLES - 1}"
+    assert poly_to_str(parse_poly(last, MAX_VARIABLES, scalars.RATIONAL)) == last
+    with pytest.raises(PolyParseError) as e:
+        parse_polymap(f"x0; 1 + x{MAX_VARIABLES}", MAX_VARIABLES + 1, scalars.RATIONAL)
+    assert e.value.pos == 8 and f"bound of {MAX_VARIABLES} variables" in str(e.value)
 
 
 def test_term_budget_refuses_large_products_and_powers_at_the_operator():

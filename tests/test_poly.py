@@ -474,6 +474,30 @@ def test_duplicating_variable_map_adds_colliding_terms():
     assert polymap_compose(diag, PolyMap(2, 1, (h,), scalars.RATIONAL)).components[0].terms == ()
 
 
+@pytest.mark.parametrize("mode", scalars.MODES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_compose_of_mixed_components_is_componentwise_substitution(mode, data):
+    """Whatever mix of bare variables, zeros, constants, scaled variables and
+    other polynomials g has, f;g is f substituted into each component (widened
+    when g.dom is 0), and a bare variable x_j of g gives back f's component j."""
+    a, b, c = (data.draw(st.integers(0, 3), label=name) for name in "abc")
+    f = data.draw(maps_between(a, b, mode), label="f")
+    scalar = st.integers(0 if mode == scalars.NATURAL else -3, 3)
+    kinds = [st.just(Poly.zero(b, mode)), polys_at(b, mode), scalar.map(lambda v: Poly.constant(b, v, mode))]
+    if b:
+        var = st.integers(0, b - 1).map(lambda j: Poly.variable(b, j, mode))
+        kinds += [var, st.builds(poly_scale, var, scalar)]
+    comps = data.draw(st.lists(st.one_of(kinds), min_size=c, max_size=c), label="g")
+    g = PolyMap(b, c, tuple(comps), mode)
+    fg = polymap_compose(f, g)
+    want = (poly_subst(q, f.components) if b else poly_shift_vars(q, 0, a) for q in comps)
+    assert fg.components == tuple(want)
+    for q, out in zip(comps, fg.components):
+        if len(q.terms) == 1 and q.terms[0][1] == 1 and sum(q.terms[0][0]) == 1:
+            assert out is f.components[q.terms[0][0].index(1)]
+
+
 @pytest.fixture(scope="module")
 def sympy():
     return pytest.importorskip("sympy")
