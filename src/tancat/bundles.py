@@ -600,8 +600,12 @@ def parse_bundle_text(text: str) -> DiffBundle:
 
     from .parser import MAX_VARIABLES, parse_polymap
 
-    cfg = configparser.ConfigParser()
-    cfg.read_string(text)
+    # no interpolation: '%' is an ordinary character of a map
+    cfg = configparser.ConfigParser(interpolation=None)
+    try:
+        cfg.read_string(text)
+    except configparser.Error as exc:
+        raise PreconditionFailure(f"bundle file is not valid INI: {exc}".replace("\n", " ")) from None
     if "bundle" not in cfg:
         raise PreconditionFailure("missing [bundle] section")
     sec = cfg["bundle"]
@@ -614,6 +618,10 @@ def parse_bundle_text(text: str) -> DiffBundle:
         value = sec[key].strip()
         if not (value.isascii() and value.isdigit()):
             raise PreconditionFailure(f"{key} must be a non-negative integer, got {value!r}")
+        if len(value) > 18:  # refused before int() reads it; 18 digits still fit in 63 bits
+            raise PreconditionFailure(
+                f"{key} has {len(value)} digits; base + 2 * fibre must be at most {MAX_VARIABLES}"
+            )
     base = int(sec["base"])
     fibre = int(sec["fibre"])
     if base + 2 * fibre > MAX_VARIABLES:  # sigma's domain, the widest map read

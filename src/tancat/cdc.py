@@ -69,8 +69,9 @@ def cdc_D(f: PolyMap) -> PolyMap:
     units = [(0,) * j + (1,) + (0,) * (m - j - 1) for j in range(m)]
     comps = []
     for comp in f.components:
-        # u_j * d comp / d x_j: the u-block exponent is the unit vector e_j
-        acc = {units[j] + ev: c for j in range(m) for ev, c in partial_derivative(comp, j).terms}
+        # u_j * d comp / d x_j, for each x_j that occurs: the u-block exponent is the unit vector e_j
+        occurring = [j for j, column in enumerate(zip(*(ev for ev, _ in comp.terms))) if any(column)]
+        acc = {units[j] + ev: c for j in occurring for ev, c in partial_derivative(comp, j).terms}
         comps.append(Poly(2 * m, _canonical(acc), f.mode))
     return PolyMap(2 * m, f.cod, tuple(comps), f.mode)
 

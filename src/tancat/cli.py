@@ -23,10 +23,10 @@ from .bundles import (
 )
 from .cdc import cdc_D
 from .fibration import verify_fibre_axioms
-from .parser import MAX_VARIABLES, parse_polymap
+from .parser import MAX_VARIABLES, bounded_int, parse_polymap
 from .poly import polymap_to_str
 from .report import Report
-from .suites import DEFAULTS, FAULTS, SUITE_NAMES, run_suite
+from .suites import FAULTS, SUITE_NAMES, SuiteParams, run_suite
 
 # every error of errors.py but NonFiniteError subclasses ValueError
 _USAGE_ERRORS = (ValueError, OSError)
@@ -55,7 +55,10 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _infer_dom(text: str) -> int:
-    indices = [int(tok) for tok in re.findall(r"x(\d+)", text)]
+    """One past the largest index in text, capped at MAX_VARIABLES: the parser names larger ones."""
+    indices = [bounded_int(tok, MAX_VARIABLES - 1) for tok in re.findall(r"x(\d+)", text)]
+    if None in indices:
+        return MAX_VARIABLES
     return max(indices) + 1 if indices else 1
 
 
@@ -107,9 +110,8 @@ def _cmd_bundle(args: argparse.Namespace) -> int:
 
 
 def _cmd_fibre(args: argparse.Namespace) -> int:
-    report = verify_fibre_axioms(
-        args.context_dim, args.max_dim, args.instances, args.seed, args.mode
-    )
+    params = SuiteParams(mode=args.mode, max_dim=args.max_dim, instances=args.instances, seed=args.seed)
+    report = verify_fibre_axioms(args.context_dim, params)
     return _emit_report(report, args.out)
 
 
@@ -131,12 +133,10 @@ def build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="run a named verification suite")
     check.add_argument("--suite", required=True, choices=SUITE_NAMES)
     check.add_argument("--mode", default=scalars.RATIONAL, choices=list(scalars.MODES))
-    check.add_argument("--max-dim", type=int, default=DEFAULTS["max_dim"], dest="max_dim")
-    check.add_argument(
-        "--max-degree", type=int, default=DEFAULTS["max_degree"], dest="max_degree"
-    )
-    check.add_argument("--instances", type=int, default=DEFAULTS["instances"])
-    check.add_argument("--seed", type=int, default=DEFAULTS["seed"])
+    check.add_argument("--max-dim", type=int, default=SuiteParams.max_dim, dest="max_dim")
+    check.add_argument("--max-degree", type=int, default=SuiteParams.max_degree, dest="max_degree")
+    check.add_argument("--instances", type=int, default=SuiteParams.instances)
+    check.add_argument("--seed", type=int, default=SuiteParams.seed)
     check.add_argument("--out", default=None, help="write the JSON report to this path")
     check.add_argument("--fault", default=None, choices=FAULTS, help="inject a named defect")
     check.set_defaults(func=_cmd_check)

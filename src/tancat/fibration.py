@@ -17,6 +17,8 @@ from typing import Sequence
 from . import scalars
 from .errors import DimensionMismatch, PreconditionFailure
 from .cdc import PolyTangentModel, cdc_D
+from .model import tangent_axioms_checks
+from .params import SuiteParams
 from .poly import (
     PolyMap,
     block_swap,
@@ -214,30 +216,22 @@ class FibreTangentModel(PolyTangentModel):
         return random_polymap(self.context + x, y, max_degree, coeff_bound, rng, self.mode)
 
 
-def verify_fibre_axioms(
-    context: int,
-    payload_bound: int = 2,
-    instances: int = 25,
-    seed: int = 0,
-    mode: str = scalars.RATIONAL,
-) -> Report:
-    """Run the full tangent-axioms suite inside the fibre over a context."""
-    from .suites import _require_int, tangent_axioms_checks
+def verify_fibre_axioms(context: int, params: SuiteParams = SuiteParams(max_dim=2, instances=25)) -> Report:
+    """Run the full tangent-axioms suite inside the fibre over a context.
 
-    # named as the CLI's fibre command sets them
-    _require_int("context_dim", context, 0)
-    _require_int("max_dim", payload_bound, 1)
-    _require_int("instances", instances, 1)
-
-    model = FibreTangentModel(context, mode)
-    checks = tangent_axioms_checks(model, payload_bound, 3, 5, instances, seed)
+    Payload dimensions go up to params.max_dim; the report echoes it as payload_bound.
+    """
+    if not isinstance(context, int) or context < 0:
+        # named as the CLI's fibre command sets it
+        raise ValueError("invalid-params: context_dim must be an integer >= 0")
+    checks = tangent_axioms_checks(FibreTangentModel(context, params.mode), params)
     return checks.report(
         "fibre-tangent-axioms",
         {
             "context": context,
-            "payload_bound": payload_bound,
-            "instances": instances,
-            "seed": seed,
-            "mode": mode,
+            "payload_bound": params.max_dim,
+            "instances": params.instances,
+            "seed": params.seed,
+            "mode": params.mode,
         },
     )

@@ -17,13 +17,17 @@ methods, which the axiom suites are written against once:
 cdc.PolyTangentModel is the polynomial model, and fibration's
 FibreTangentModel, the fibre over a fixed context, derives from it.
 Objects are plain ints (dimensions).  Nothing in this module assumes
-morphisms are PolyMaps.
+morphisms are PolyMaps.  ``tangent_axioms_checks`` checks every axiom of
+the contract against any such model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Tuple
+
+from .params import COEFF_BOUND, SuiteParams, draws
+from .report import CheckSet
 
 
 @dataclass(frozen=True)
@@ -95,3 +99,198 @@ def monoid_checks(checks, name, detail, compose, pair, plus, ident, unit, legs2,
             compose(pair(q0, s12), plus),
             detail,
         )
+
+
+def tangent_axioms_checks(model, params: SuiteParams) -> CheckSet:
+    """The tangent-category axioms for any tangent model, objects up to params.max_dim."""
+    checks = CheckSet()
+    max_dim, max_degree = params.max_dim, params.max_degree
+
+    eq = checks.equality
+
+    for m in range(1, max_dim + 1):
+        d = f"dim {m}"
+        tm = model.t_obj(m)
+        p = model.p(m)
+        z = model.zero(m)
+        pl = model.plus(m)
+        el = model.ell(m)
+        c = model.flip(m)
+        t2 = model.t_n(m, 2)
+        pi0, pi1 = t2.projections
+
+        eq("p-section", model.compose(z, p), model.identity(m), d)
+        eq("plus-over-base", model.compose(pl, p), model.compose(pi0, p), d)
+        monoid_checks(
+            checks,
+            "plus",
+            d,
+            model.compose,
+            lambda f, g: model.pair_t2(m, f, g),
+            pl,
+            model.identity(tm),
+            model.compose(p, z),
+            (pi0, pi1),
+            model.t_n(m, 3).projections,
+        )
+
+        eq("flip-involution", model.compose(c, c), model.identity(model.t_obj(tm)), d)
+        eq("ell-flip", model.compose(el, c), el, d)
+        eq("ell-projection", model.compose(el, model.t_mor(p)), model.compose(p, z), d)
+        with checks.guard("ell-additive"):
+            paired = model.pair_t_t2(m, model.compose(pi0, el), model.compose(pi1, el))
+            eq(
+                "ell-additive",
+                model.compose(pl, el),
+                model.compose(paired, model.t_mor(pl)),
+                d,
+            )
+        eq("ell-zero", model.compose(z, el), model.compose(z, model.t_mor(z)), d)
+        eq("flip-vs-tangent-projection", model.compose(c, model.p(tm)), model.t_mor(p), d)
+        with checks.guard("flip-additive"):
+            a = model.compose(model.t_mor(pi0), c)
+            b = model.compose(model.t_mor(pi1), c)
+            paired = model.pair_t2(tm, a, b)
+            eq(
+                "flip-additive",
+                model.compose(model.t_mor(pl), c),
+                model.compose(paired, model.plus(tm)),
+                d,
+            )
+        eq("flip-zero", model.compose(model.t_mor(z), c), model.zero(tm), d)
+        eq(
+            "ell-coassociative",
+            model.compose(el, model.t_mor(el)),
+            model.compose(el, model.ell(tm)),
+            d,
+        )
+        c_t = model.flip(tm)
+        t_c = model.t_mor(c)
+        eq(
+            "yang-baxter",
+            model.compose(t_c, model.compose(c_t, t_c)),
+            model.compose(c_t, model.compose(t_c, c_t)),
+            d,
+        )
+        ell_t = model.ell(tm)
+        eq(
+            "ell-flip-braid",
+            model.compose(c, model.compose(ell_t, t_c)),
+            model.compose(model.t_mor(el), c_t),
+            d + ", form c ell_T T(c) = T(ell) c_T",
+        )
+        eq(
+            "ell-flip-braid",
+            model.compose(ell_t, model.compose(t_c, c_t)),
+            model.compose(c, model.t_mor(el)),
+            d + ", form ell_T T(c) c_T = c T(ell)",
+        )
+
+        with checks.guard("lift-v-projection"):
+            v = vertical_lift_v(model, m)
+            eq(
+                "lift-v-projection",
+                model.compose(v, model.t_mor(p)),
+                model.compose(pi0, model.compose(p, z)),
+                d,
+            )
+            eq("lift-v-point", model.compose(v, model.p(tm)), pi1, d)
+        with checks.guard("lift-witness"):
+            v = vertical_lift_v(model, m)
+            w = model.lift_witness(m)
+            eq(
+                "lift-witness-inverse",
+                model.compose(w.kappa, w.rho),
+                model.identity(t2.carrier),
+                d + ", kappa;rho",
+            )
+            eq(
+                "lift-witness-inverse",
+                model.compose(w.rho, w.kappa),
+                model.identity(w.carrier),
+                d + ", rho;kappa",
+            )
+            eq("lift-witness-cone", model.compose(w.kappa, w.into_tangent), v, d + ", kappa over T")
+            eq(
+                "lift-witness-cone",
+                model.compose(w.kappa, w.into_base),
+                model.compose(pi0, p),
+                d + ", kappa over the base",
+            )
+            eq("lift-witness-cone", model.compose(w.rho, v), w.into_tangent, d + ", rho over T")
+            t_kappa = model.t_mor(w.kappa)
+            t_rho = model.t_mor(w.rho)
+            eq(
+                "lift-witness-tangent",
+                model.compose(t_kappa, t_rho),
+                model.identity(model.t_obj(t2.carrier)),
+                d + ", T level",
+            )
+            eq(
+                "lift-witness-tangent",
+                model.compose(t_rho, t_kappa),
+                model.identity(model.t_obj(w.carrier)),
+                d + ", T level",
+            )
+            if m == 1:
+                tt_kappa = model.t_mor(t_kappa)
+                tt_rho = model.t_mor(t_rho)
+                eq(
+                    "lift-witness-tangent",
+                    model.compose(tt_kappa, tt_rho),
+                    model.identity(model.t_obj(model.t_obj(t2.carrier))),
+                    d + ", T^2 level",
+                )
+
+    for i, rng in draws("tangent-axioms", "naturality", params):
+        dx = rng.randint(1, max_dim)
+        dy = rng.randint(1, max_dim)
+        f = model.random_mor(dx, dy, rng, max_degree, COEFF_BOUND)
+        desc = f"instance {i}: f = {f}"
+        tf = model.t_mor(f)
+        eq("naturality-p", model.compose(tf, model.p(dy)), model.compose(model.p(dx), f), desc)
+        eq("naturality-zero", model.compose(f, model.zero(dy)), model.compose(model.zero(dx), tf), desc)
+        with checks.guard("naturality-plus"):
+            pi0x, pi1x = model.t_n(dx, 2).projections
+            t2f = model.pair_t2(dy, model.compose(pi0x, tf), model.compose(pi1x, tf))
+            eq(
+                "naturality-plus",
+                model.compose(t2f, model.plus(dy)),
+                model.compose(model.plus(dx), tf),
+                desc,
+            )
+        eq(
+            "naturality-ell",
+            model.compose(tf, model.ell(dy)),
+            model.compose(model.ell(dx), model.t_mor(tf)),
+            desc,
+        )
+        t2f = model.t_mor(tf)
+        eq(
+            "naturality-flip",
+            model.compose(t2f, model.flip(dy)),
+            model.compose(model.flip(dx), t2f),
+            desc,
+        )
+
+    # functoriality carries every identity above to its image under T
+    for m in range(1, max_dim + 1):
+        eq(
+            "functor-identity",
+            model.t_mor(model.identity(m)),
+            model.identity(model.t_obj(m)),
+            f"dim {m}",
+        )
+    for i, rng in draws("tangent-axioms", "functor", params):
+        dx = rng.randint(1, max_dim)
+        dy = rng.randint(1, max_dim)
+        dz = rng.randint(1, max_dim)
+        f = model.random_mor(dx, dy, rng, max_degree, COEFF_BOUND)
+        g = model.random_mor(dy, dz, rng, max_degree, COEFF_BOUND)
+        eq(
+            "functor-compose",
+            model.t_mor(model.compose(f, g)),
+            model.compose(model.t_mor(f), model.t_mor(g)),
+            f"instance {i}: f = {f}; g = {g}",
+        )
+    return checks

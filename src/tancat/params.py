@@ -1,0 +1,56 @@
+"""The parameters a suite runs under, and the seeded streams its instances draw from.
+
+SuiteParams validates itself on construction, so every checker that takes
+one can trust its fields.  All randomness comes from ``draws``: one stream
+per (suite, check group, seed), seeded as "<suite>:<group>:<seed>", so
+reports are reproducible byte for byte (modulo wall time) for fixed
+parameters.
+"""
+
+from __future__ import annotations
+
+import random
+from dataclasses import dataclass
+from typing import Iterator, Optional, Tuple
+
+from . import scalars
+
+# random coefficients lie in [-COEFF_BOUND, COEFF_BOUND], or [0, COEFF_BOUND] in natural mode
+COEFF_BOUND = 5
+
+
+@dataclass(frozen=True)
+class SuiteParams:
+    """Scalar mode, random-instance bounds, seed and injected fault of one run.
+
+    The fault is a name that suites.run_suite checks against the suite.
+    """
+
+    mode: str = scalars.RATIONAL
+    max_dim: int = 3
+    max_degree: int = 3
+    instances: int = 50
+    seed: int = 0
+    fault: Optional[str] = None
+
+    def __post_init__(self):
+        if self.mode not in scalars.MODES:
+            raise ValueError(f"invalid-params: unknown mode {self.mode!r}")
+        for key in ("max_dim", "max_degree", "instances"):
+            value = getattr(self, key)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"invalid-params: {key} must be an integer >= 1")
+        if not isinstance(self.seed, int):
+            raise ValueError("invalid-params: seed must be an integer")
+
+
+def draws(
+    suite: str, group: str, params: SuiteParams, count: Optional[int] = None
+) -> Iterator[Tuple[int, random.Random]]:
+    """(i, rng) for instances 0 .. count - 1 (params.instances by default).
+
+    Every instance of a (suite, group) draws from one stream, in order.
+    """
+    rng = random.Random(f"{suite}:{group}:{params.seed}")
+    for i in range(params.instances if count is None else count):
+        yield i, rng

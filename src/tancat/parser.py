@@ -16,21 +16,25 @@ never emits them.
 
 Parsing checks the whole text first, writing it as one flat postfix list of
 ops: ``("c", Fraction)``, ``("x", i)``, ``("neg",)``, ``("^", e, pos)``,
-``("+",)`` and ``("*", pos)``, where ``pos`` is the operator's position;
+``("+", pos)`` and ``("*", pos)``, where ``pos`` is the operator's position;
 binary minus is ``neg`` then ``+``.  Only then does one loop fold the list on
 a stack of Polys, left to right, each component leaving one Poly, so every
 syntax error is reported before any arithmetic is done.  So is an
 over-budget text: one pass bounds the size of every product and power from
 bounds on its operands, and adds each bound to one running sum over the
 text, refusing the operator at which that sum could pass ``MAX_TERMS``
-terms.
+terms.  The same pass bounds the bits of every coefficient, refusing the
+operator at which they could pass ``MAX_COEFF_BITS``.  A literal index,
+exponent or coefficient is measured by its digit count before ``int()``
+reads it.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from . import scalars
 from .errors import PolyParseError, SemiringViolation
@@ -46,8 +50,27 @@ MAX_TERMS = 10_000
 # A domain has at most this many variables, x0 .. x999: a larger index, and a
 # wider domain named on the command line or in a bundle file, are refused.
 MAX_VARIABLES = 1000
+# Sums, products and powers whose coefficients could need more bits than this,
+# in numerator or common denominator, are refused.  A coefficient then prints
+# in at most 3,011 digits, under CPython's 4,300-digit int-to-str limit, and
+# so does its derivative's.
+MAX_COEFF_BITS = 10_000
+# A literal of this many digits is below 2**MAX_COEFF_BITS; a longer one is refused.
+_LITERAL_DIGITS = int(MAX_COEFF_BITS * math.log10(2))
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|(x\d+)|([+\-*^/();])|(\S))")
+
+
+def bounded_int(digits: str, bound: int) -> Optional[int]:
+    """The value of a string of ASCII digits, or None if it is above bound.
+
+    The digit count decides first, so int() never reads a long string: that
+    is quadratic in its length, or refused past 4,300 digits.
+    """
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(bound)) or int(digits) > bound:
+        return None
+    return int(digits)
 
 
 def _tokenize(text: str) -> List[Tuple[str, str, int]]:
@@ -121,11 +144,11 @@ class _Parser:
             if kind == "op" and val == "+":
                 self.advance()
                 self.parse_term()
-                self.ops.append(("+",))
+                self.ops.append(("+", pos))
             elif kind == "op" and val == "-":
                 self.minus(pos)
                 self.parse_term()
-                self.ops += [("neg",), ("+",)]
+                self.ops += [("neg",), ("+", pos)]
             else:
                 return
 
@@ -152,15 +175,21 @@ class _Parser:
             if kind != "int":
                 raise PolyParseError("'^' needs a nonnegative integer literal", pos)
             self.advance()
-            exponent = int(val)
-            if exponent > MAX_EXPONENT:
+            exponent = bounded_int(val, MAX_EXPONENT)
+            if exponent is None:
                 raise PolyParseError(f"exponent exceeds {MAX_EXPONENT}", pos)
             self.ops.append(("^", exponent, op_pos))
+
+    def literal(self, val: str, pos: int) -> int:
+        digits = val.lstrip("0") or "0"
+        if len(digits) > _LITERAL_DIGITS:
+            raise PolyParseError(f"literal has more than {_LITERAL_DIGITS} digits", pos)
+        return int(digits)
 
     def parse_atom(self):
         kind, val, pos = self.advance()
         if kind == "int":
-            value = Fraction(int(val))
+            value = Fraction(self.literal(val, pos))
             if self.peek()[:2] == ("op", "/"):
                 self.advance()
                 kind3, val3, pos3 = self.advance()
@@ -168,13 +197,14 @@ class _Parser:
                     raise PolyParseError("rational literal needs an integer denominator", pos3)
                 if self.mode == scalars.NATURAL:
                     raise SemiringViolation(f"rational literal in natural mode (position {pos})")
-                if int(val3) == 0:
+                denominator = self.literal(val3, pos3)
+                if denominator == 0:
                     raise PolyParseError("zero denominator", pos3)
-                value = Fraction(int(val), int(val3))
+                value /= denominator
             self.ops.append(("c", value))
         elif kind == "var":
-            index = int(val[1:])
-            if index >= MAX_VARIABLES:
+            index = bounded_int(val[1:], MAX_VARIABLES - 1)
+            if index is None:
                 raise PolyParseError(f"variable {val} exceeds the bound of {MAX_VARIABLES} variables", pos)
             if index >= self.dom:
                 raise PolyParseError(f"variable {val} out of range for domain {self.dom}", pos)
@@ -200,38 +230,58 @@ def _capped_comb(n: int, k: int) -> int:
 
 
 def _check_budget(ops: List[tuple], dom: int) -> None:
-    """Refuse the first product or power at which the text could pass MAX_TERMS terms.
+    """Refuse the first operator at which the text could pass MAX_TERMS terms or MAX_COEFF_BITS bits.
 
-    One pass over the ops bounds each stack entry by (terms, total degree),
-    without any arithmetic.  A product of a and b has at most |a|*|b| terms,
-    and a power p^e at most C(|p|+e-1, e), the number of multisets of e terms
-    of p; neither has more than C(dom+d, dom), the number of monomials of
-    degree at most d.  The smaller bound of each product and power is its
-    entry's term bound, and goes into one running sum over the text.
+    One pass over the ops bounds each stack entry by (terms, total degree,
+    numerator sum, common denominator), without any polynomial arithmetic.
+    A product of a and b has at most |a|*|b| terms, and a power p^e at most
+    C(|p|+e-1, e), the number of multisets of e terms of p; neither has more
+    than C(dom+d, dom), the number of monomials of degree at most d.  The
+    smaller bound of each product and power is its entry's term bound, and
+    goes into one running sum over the text.
+
+    Every coefficient of an entry is A/K for its common denominator K, with
+    |A| at most the entry's numerator sum S, so S and K bound the numerator
+    and denominator of every coefficient in lowest terms.  A sum is over
+    lcm(K_a, K_b); a product has S_a*S_b over K_a*K_b, and p^e has S^e over
+    K^e, each computed only once log2 shows it stays within 2^MAX_COEFF_BITS.
     """
-    stack: List[Tuple[int, int]] = []
+    stack: List[Tuple[int, int, int, int]] = []
     spent = 0
     for op in ops:
         tag = op[0]
-        if tag in ("c", "x"):
-            stack.append((1, int(tag == "x")))
+        if tag == "c":
+            stack.append((1, 0, abs(op[1].numerator), op[1].denominator))
+        elif tag == "x":
+            stack.append((1, 1, 1, 1))
         elif tag == "+":
-            count, degree = stack.pop()
-            stack[-1] = (stack[-1][0] + count, max(stack[-1][1], degree))
+            (n2, d2, s2, k2), (n1, d1, s1, k1) = stack.pop(), stack.pop()
+            k = math.lcm(k1, k2)
+            s = s1 * (k // k1) + s2 * (k // k2)
+            if max(s, k).bit_length() > MAX_COEFF_BITS:
+                raise PolyParseError(f"sum could have coefficients of more than {MAX_COEFF_BITS} bits", op[1])
+            stack.append((n1 + n2, max(d1, d2), s, k))
         elif tag in ("^", "*"):
             if tag == "^":
-                (n, d), e, what = stack.pop(), op[1], "power"
+                (n, d, s, k), e, what = stack.pop(), op[1], "power"
                 count, degree = _capped_comb(max(n, 1) + e - 1, e), e * d
+                bits = e * math.log2(max(s, k))
             else:
-                (n2, d2), (n1, d1), what = stack.pop(), stack.pop(), "product"
+                (n2, d2, s2, k2), (n1, d1, s1, k1), what = stack.pop(), stack.pop(), "product"
                 count, degree = n1 * n2, d1 + d2
+                bits = math.log2(max(s1, k1)) + math.log2(max(s2, k2))
             count = min(count, _capped_comb(dom + degree, dom))
-            stack.append((count, degree))
             spent += count
             if spent > MAX_TERMS:
                 raise PolyParseError(
                     f"{what} could have more than {MAX_TERMS} terms, summed over the text", op[-1]
                 )
+            if bits > MAX_COEFF_BITS:
+                raise PolyParseError(
+                    f"{what} could have coefficients of more than {MAX_COEFF_BITS} bits", op[-1]
+                )
+            s, k = (s**e, k**e) if tag == "^" else (s1 * s2, k1 * k2)
+            stack.append((count, degree, s, k))
 
 
 def _fold(ops: List[tuple], dom: int, mode: str) -> List[Poly]:

@@ -108,9 +108,14 @@ class CheckSet:
     def error(self, name: str, message: str):
         self._fail(name, ERROR, message)
 
-    def absorb(self, report: "Report", prefix: str = ""):
-        """Fold another report's rows into this set under a prefix."""
-        for c in report.checks:
+    @property
+    def checks(self) -> List[CheckResult]:
+        """The rows so far, sorted by name, as a Report lists them."""
+        return [self._rows[name] for name in sorted(self._rows)]
+
+    def absorb(self, source: "Report | CheckSet", prefix: str = ""):
+        """Fold the rows of a Report or another CheckSet into this set under a prefix."""
+        for c in source.checks:
             name = f"{prefix}{c.name}"
             if c.status == PASS:
                 self._touch(name)
@@ -131,7 +136,7 @@ class CheckSet:
             self.error(name, f"{type(exc).__name__}: {exc}")
 
     def report(self, suite: str, params: Dict[str, object]) -> Report:
-        checks = [self._rows[name] for name in sorted(self._rows)]
+        checks = self.checks
         passed = sum(1 for c in checks if c.status == PASS)
         duration = (time.perf_counter() - self._start) * 1000.0
         return Report(

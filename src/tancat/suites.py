@@ -1,14 +1,14 @@
 """Named verification suites over the symbolic and numeric models.
 
-Every suite runs a fixed list of named checks, aggregating repeated random
-instances under one row per check name.  All randomness is drawn from
-per-check streams seeded as "<suite>:<group>:<seed>", so reports are
-reproducible byte for byte (modulo wall time) for fixed parameters.
+Every suite runs a fixed list of named checks under one SuiteParams,
+aggregating repeated random instances under one row per check name.  All
+randomness comes from ``params.draws``, so reports are reproducible byte
+for byte (modulo wall time) for fixed parameters.
 """
 
 from __future__ import annotations
 
-import random
+from dataclasses import asdict, replace
 from fractions import Fraction
 from typing import Callable, Dict, Optional, Tuple
 
@@ -71,7 +71,7 @@ from .fibration import (
     vertical_tangent_map,
     verify_fibre_axioms,
 )
-from .model import monad_mult, monoid_checks, vertical_lift_v
+from .model import monad_mult, tangent_axioms_checks
 from .numeric import NumericProgram, dual_eval, fd_check
 from .poly import (
     Poly,
@@ -91,6 +91,7 @@ from .poly import (
     random_polymap,
     zero_map,
 )
+from .params import COEFF_BOUND, SuiteParams, draws
 from .report import PASS, CheckSet, Report
 
 # each injectable defect, and the suites whose checks it affects
@@ -100,21 +101,6 @@ FAULT_SUITES: Dict[str, Tuple[str, ...]] = {
     "corrupted-lambda": ("bundle", "bracket-laws"),
 }
 FAULTS = tuple(FAULT_SUITES)
-
-DEFAULTS: Dict[str, object] = {
-    "mode": scalars.RATIONAL,
-    "max_dim": 3,
-    "max_degree": 3,
-    "instances": 50,
-    "seed": 0,
-    "coeff_bound": 5,
-    "fault": None,
-}
-
-
-def rng_for(suite: str, group: str, seed: int) -> random.Random:
-    """One deterministic stream per (suite, check group, seed)."""
-    return random.Random(f"{suite}:{group}:{seed}")
 
 
 # ---------------------------------------------------------------------------
@@ -137,242 +123,19 @@ class DroppedZeroModel(PolyTangentModel):
         return polymap_pair(u, zero_map(2 * m, m, self.mode), u, x)
 
 
-def poly_model(mode: str, fault: Optional[str] = None) -> PolyTangentModel:
-    if fault == "identity-flip":
-        return IdentityFlipModel(mode)
-    if fault == "dropped-zero-block":
-        return DroppedZeroModel(mode)
-    return PolyTangentModel(mode)
-
-
-# ---------------------------------------------------------------------------
-# Tangent axioms, generic over the model (shared with the fibre model)
-
-
-def tangent_axioms_checks(
-    model, max_dim: int, max_degree: int, coeff_bound: int, instances: int, seed: int
-) -> CheckSet:
-    """The tangent-category axioms for any tangent model (see model.py)."""
-    checks = CheckSet()
-
-    eq = checks.equality
-
-    for m in range(1, max_dim + 1):
-        d = f"dim {m}"
-        tm = model.t_obj(m)
-        p = model.p(m)
-        z = model.zero(m)
-        pl = model.plus(m)
-        el = model.ell(m)
-        c = model.flip(m)
-        t2 = model.t_n(m, 2)
-        pi0, pi1 = t2.projections
-
-        eq("p-section", model.compose(z, p), model.identity(m), d)
-        eq("plus-over-base", model.compose(pl, p), model.compose(pi0, p), d)
-        monoid_checks(
-            checks,
-            "plus",
-            d,
-            model.compose,
-            lambda f, g: model.pair_t2(m, f, g),
-            pl,
-            model.identity(tm),
-            model.compose(p, z),
-            (pi0, pi1),
-            model.t_n(m, 3).projections,
-        )
-
-        eq("flip-involution", model.compose(c, c), model.identity(model.t_obj(tm)), d)
-        eq("ell-flip", model.compose(el, c), el, d)
-        eq("ell-projection", model.compose(el, model.t_mor(p)), model.compose(p, z), d)
-        with checks.guard("ell-additive"):
-            paired = model.pair_t_t2(m, model.compose(pi0, el), model.compose(pi1, el))
-            eq(
-                "ell-additive",
-                model.compose(pl, el),
-                model.compose(paired, model.t_mor(pl)),
-                d,
-            )
-        eq("ell-zero", model.compose(z, el), model.compose(z, model.t_mor(z)), d)
-        eq("flip-vs-tangent-projection", model.compose(c, model.p(tm)), model.t_mor(p), d)
-        with checks.guard("flip-additive"):
-            a = model.compose(model.t_mor(pi0), c)
-            b = model.compose(model.t_mor(pi1), c)
-            paired = model.pair_t2(tm, a, b)
-            eq(
-                "flip-additive",
-                model.compose(model.t_mor(pl), c),
-                model.compose(paired, model.plus(tm)),
-                d,
-            )
-        eq("flip-zero", model.compose(model.t_mor(z), c), model.zero(tm), d)
-        eq(
-            "ell-coassociative",
-            model.compose(el, model.t_mor(el)),
-            model.compose(el, model.ell(tm)),
-            d,
-        )
-        c_t = model.flip(tm)
-        t_c = model.t_mor(c)
-        eq(
-            "yang-baxter",
-            model.compose(t_c, model.compose(c_t, t_c)),
-            model.compose(c_t, model.compose(t_c, c_t)),
-            d,
-        )
-        ell_t = model.ell(tm)
-        eq(
-            "ell-flip-braid",
-            model.compose(c, model.compose(ell_t, t_c)),
-            model.compose(model.t_mor(el), c_t),
-            d + ", form c ell_T T(c) = T(ell) c_T",
-        )
-        eq(
-            "ell-flip-braid",
-            model.compose(ell_t, model.compose(t_c, c_t)),
-            model.compose(c, model.t_mor(el)),
-            d + ", form ell_T T(c) c_T = c T(ell)",
-        )
-
-        with checks.guard("lift-v-projection"):
-            v = vertical_lift_v(model, m)
-            eq(
-                "lift-v-projection",
-                model.compose(v, model.t_mor(p)),
-                model.compose(pi0, model.compose(p, z)),
-                d,
-            )
-            eq("lift-v-point", model.compose(v, model.p(tm)), pi1, d)
-        with checks.guard("lift-witness"):
-            v = vertical_lift_v(model, m)
-            w = model.lift_witness(m)
-            eq(
-                "lift-witness-inverse",
-                model.compose(w.kappa, w.rho),
-                model.identity(t2.carrier),
-                d + ", kappa;rho",
-            )
-            eq(
-                "lift-witness-inverse",
-                model.compose(w.rho, w.kappa),
-                model.identity(w.carrier),
-                d + ", rho;kappa",
-            )
-            eq("lift-witness-cone", model.compose(w.kappa, w.into_tangent), v, d + ", kappa over T")
-            eq(
-                "lift-witness-cone",
-                model.compose(w.kappa, w.into_base),
-                model.compose(pi0, p),
-                d + ", kappa over the base",
-            )
-            eq("lift-witness-cone", model.compose(w.rho, v), w.into_tangent, d + ", rho over T")
-            t_kappa = model.t_mor(w.kappa)
-            t_rho = model.t_mor(w.rho)
-            eq(
-                "lift-witness-tangent",
-                model.compose(t_kappa, t_rho),
-                model.identity(model.t_obj(t2.carrier)),
-                d + ", T level",
-            )
-            eq(
-                "lift-witness-tangent",
-                model.compose(t_rho, t_kappa),
-                model.identity(model.t_obj(w.carrier)),
-                d + ", T level",
-            )
-            if m == 1:
-                tt_kappa = model.t_mor(t_kappa)
-                tt_rho = model.t_mor(t_rho)
-                eq(
-                    "lift-witness-tangent",
-                    model.compose(tt_kappa, tt_rho),
-                    model.identity(model.t_obj(model.t_obj(t2.carrier))),
-                    d + ", T^2 level",
-                )
-
-    rng = rng_for("tangent-axioms", "naturality", seed)
-    for i in range(instances):
-        dx = rng.randint(1, max_dim)
-        dy = rng.randint(1, max_dim)
-        f = model.random_mor(dx, dy, rng, max_degree, coeff_bound)
-        desc = f"instance {i}: f = {f}"
-        tf = model.t_mor(f)
-        eq("naturality-p", model.compose(tf, model.p(dy)), model.compose(model.p(dx), f), desc)
-        eq("naturality-zero", model.compose(f, model.zero(dy)), model.compose(model.zero(dx), tf), desc)
-        with checks.guard("naturality-plus"):
-            pi0x, pi1x = model.t_n(dx, 2).projections
-            t2f = model.pair_t2(dy, model.compose(pi0x, tf), model.compose(pi1x, tf))
-            eq(
-                "naturality-plus",
-                model.compose(t2f, model.plus(dy)),
-                model.compose(model.plus(dx), tf),
-                desc,
-            )
-        eq(
-            "naturality-ell",
-            model.compose(tf, model.ell(dy)),
-            model.compose(model.ell(dx), model.t_mor(tf)),
-            desc,
-        )
-        t2f = model.t_mor(tf)
-        eq(
-            "naturality-flip",
-            model.compose(t2f, model.flip(dy)),
-            model.compose(model.flip(dx), t2f),
-            desc,
-        )
-
-    # functoriality carries every identity above to its image under T
-    rng = rng_for("tangent-axioms", "functor", seed)
-    for m in range(1, max_dim + 1):
-        eq(
-            "functor-identity",
-            model.t_mor(model.identity(m)),
-            model.identity(model.t_obj(m)),
-            f"dim {m}",
-        )
-    for i in range(instances):
-        dx = rng.randint(1, max_dim)
-        dy = rng.randint(1, max_dim)
-        dz = rng.randint(1, max_dim)
-        f = model.random_mor(dx, dy, rng, max_degree, coeff_bound)
-        g = model.random_mor(dy, dz, rng, max_degree, coeff_bound)
-        eq(
-            "functor-compose",
-            model.t_mor(model.compose(f, g)),
-            model.compose(model.t_mor(f), model.t_mor(g)),
-            f"instance {i}: f = {f}; g = {g}",
-        )
-    return checks
-
-
-def _suite_tangent_axioms(params: Dict[str, object]) -> Report:
-    model = poly_model(params["mode"], params["fault"])
-    checks = tangent_axioms_checks(
-        model,
-        params["max_dim"],
-        params["max_degree"],
-        params["coeff_bound"],
-        params["instances"],
-        params["seed"],
-    )
-    return checks.report("tangent-axioms", params)
+# the tangent-axioms model under each fault that affects it, and without one
+_TANGENT_MODELS = {
+    None: PolyTangentModel,
+    "identity-flip": IdentityFlipModel,
+    "dropped-zero-block": DroppedZeroModel,
+}
 
 
 # ---------------------------------------------------------------------------
 # Cartesian differential axioms, generic over the CD model
 
 
-def cdc_axioms_checks(
-    model,
-    max_degree: int,
-    coeff_bound: int,
-    instances: int,
-    seed: int,
-    suite_name: str,
-    checks: Optional[CheckSet] = None,
-) -> CheckSet:
+def cdc_axioms_checks(model, params: SuiteParams, suite_name: str) -> CheckSet:
     """CD1-CD7 (Blute, Cockett & Seely, TAC 2009) for the differential model.D.
 
     The CD model supplies D, compose, n-ary pair/product/proj, add, zero,
@@ -380,20 +143,19 @@ def cdc_axioms_checks(
     objects, maps and points (see PolyCDModel, SimpleCDModel).  Morphisms
     print themselves through ``str``.
     """
-    if checks is None:
-        checks = CheckSet()
+    checks = CheckSet()
     D = model.D
+    deg = params.max_degree
 
     eq = checks.equality
 
-    rng = rng_for(suite_name, "cd", seed)
-    for i in range(instances):
+    for i, rng in draws(suite_name, "cd", params):
         m = model.random_obj(rng)
         n = model.random_obj(rng)
         pdim = model.random_obj(rng)
-        f = model.random_mor(m, n, rng, max_degree, coeff_bound)
-        g = model.random_mor(m, n, rng, max_degree, coeff_bound)
-        h = model.random_mor(n, pdim, rng, max_degree, coeff_bound)
+        f = model.random_mor(m, n, rng, deg, COEFF_BOUND)
+        g = model.random_mor(m, n, rng, deg, COEFF_BOUND)
+        h = model.random_mor(n, pdim, rng, deg, COEFF_BOUND)
         desc = f"instance {i}: f = {f}"
         df = D(f)
         tm = model.product(m, m)
@@ -411,7 +173,7 @@ def cdc_axioms_checks(
         eq("cd2-additive", lhs, rhs, desc)
         zero_section = model.pair(model.zero(m, m), model.identity(m))
         eq("cd2-zero", model.compose(zero_section, df), model.zero(m, n), desc)
-        ca, cb, cx = (model.random_point(m, rng, coeff_bound) for _ in range(3))
+        ca, cb, cx = (model.random_point(m, rng, COEFF_BOUND) for _ in range(3))
         lhs_c = model.compose(model.pair(model.add(ca, cb), cx), df)
         rhs_c = model.add(
             model.compose(model.pair(ca, cx), df),
@@ -451,7 +213,7 @@ def cdc_axioms_checks(
 
         ex = model.pair(*(model.proj((m, m, m, m), k) for k in (0, 2, 1, 3)))
         eq("cd7-symmetry", model.compose(ex, ddf), ddf, desc)
-        cc = model.random_point(m, rng, coeff_bound)
+        cc = model.random_point(m, rng, COEFF_BOUND)
         c7 = model.pair(ca, cb, cc, cx)
         eq(
             "cd7-symmetry-points",
@@ -462,45 +224,20 @@ def cdc_axioms_checks(
     return checks
 
 
-def _suite_cdc_axioms(params: Dict[str, object]) -> Report:
-    checks = cdc_axioms_checks(
-        PolyCDModel(cdc_D, params["mode"], params["max_dim"]),
-        params["max_degree"],
-        params["coeff_bound"],
-        params["instances"],
-        params["seed"],
-        "cdc-axioms",
-    )
-    return checks.report("cdc-axioms", params)
-
-
-def _suite_derived_differential(params: Dict[str, object]) -> Report:
+def _suite_derived_differential(params: SuiteParams) -> CheckSet:
     checks = CheckSet()
-    mode = params["mode"]
-    rng = rng_for("derived-differential", "agreement", params["seed"])
-    # full (dom, cod) grid, instances maps per cell
-    for m in range(1, params["max_dim"] + 1):
-        for n in range(1, params["max_dim"] + 1):
-            for i in range(params["instances"]):
-                f = random_polymap(
-                    m, n, params["max_degree"], params["coeff_bound"], rng, mode
-                )
-                checks.equality(
-                    "derived-equals-direct",
-                    derived_D(f),
-                    cdc_D(f),
-                    f"dom {m}, cod {n}, instance {i}: f = {f}",
-                )
-    cdc_axioms_checks(
-        PolyCDModel(derived_D, mode, params["max_dim"]),
-        params["max_degree"],
-        params["coeff_bound"],
-        params["instances"],
-        params["seed"],
-        "derived-differential",
-        checks=checks,
-    )
-    return checks.report("derived-differential", params)
+    dims, per_cell = params.max_dim, params.instances
+    # the full (dom, cod) grid, instances maps per cell, all from one stream
+    for k, rng in draws("derived-differential", "agreement", params, dims * dims * per_cell):
+        cell, i = divmod(k, per_cell)
+        m, n = (d + 1 for d in divmod(cell, dims))
+        f = random_polymap(m, n, params.max_degree, COEFF_BOUND, rng, params.mode)
+        checks.equality(
+            "derived-equals-direct", derived_D(f), cdc_D(f), f"dom {m}, cod {n}, instance {i}: f = {f}"
+        )
+    model = PolyCDModel(derived_D, params.mode, params.max_dim)
+    checks.absorb(cdc_axioms_checks(model, params, "derived-differential"))
+    return checks
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +277,15 @@ def _first_failure(report: Report) -> str:
     return ""
 
 
+def _refuses(call: Callable[[], object], error: type) -> bool:
+    """True when call() raises error."""
+    try:
+        call()
+    except error:
+        return True
+    return False
+
+
 def _point_fibre_report(b: DiffBundle) -> Report:
     """verify_diffobj of the fibre of b over the point (1, 2) of its 2-dimensional base."""
     mode = b.mode
@@ -547,11 +293,10 @@ def _point_fibre_report(b: DiffBundle) -> Report:
     return verify_diffobj(diffobj_from_bundle(pullback_bundle(pt, b)), "pullback-point")
 
 
-def _suite_bundle(params: Dict[str, object]) -> Report:
-    mode = params["mode"]
-    seed = params["seed"]
+def _suite_bundle(params: SuiteParams) -> CheckSet:
+    mode = params.mode
     checks = CheckSet()
-    fams = _bundle_families(mode, params["fault"])
+    fams = _bundle_families(mode, params.fault)
 
     for label, b in fams.items():
         checks.absorb(verify_bundle(b, label), prefix=f"{label}:")
@@ -569,14 +314,11 @@ def _suite_bundle(params: Dict[str, object]) -> Report:
         "tangent-of-trivial", same, "T of the empty-fibre bundle must again be empty-fibre"
     )
 
-    rng = rng_for("bundle", "pullback", seed)
     targets = _fibre_one(fams)
-    for i in range(params["instances"]):
+    for i, rng in draws("bundle", "pullback", params):
         label, b = targets[i % len(targets)]
         xdim = rng.randint(1, 2)
-        fmap = random_polymap(
-            xdim, b.base, params["max_degree"], params["coeff_bound"], rng, mode
-        )
+        fmap = random_polymap(xdim, b.base, params.max_degree, COEFF_BOUND, rng, mode)
         detail = f"instance {i} over {label}, f = {fmap}"
         with checks.guard("pullback-verify"):
             pb = pullback_bundle(fmap, b)
@@ -628,28 +370,19 @@ def _suite_bundle(params: Dict[str, object]) -> Report:
     same = whitney_sum(fams["standard-1-1"], fams["trivial-1"]) == fams["standard-1-1"]
     checks.condition("whitney-unit", same, "sum with the empty-fibre bundle changes nothing")
 
-    raised = False
-    try:
-        whitney_sum(fams["standard-1-1"], fams["standard-2-1"])
-    except DimensionMismatch:
-        raised = True
-    checks.condition(
-        "whitney-base-mismatch-rejected", raised, "sums over different bases must be refused"
-    )
-    return checks.report("bundle", params)
+    refused = _refuses(lambda: whitney_sum(fams["standard-1-1"], fams["standard-2-1"]), DimensionMismatch)
+    checks.condition("whitney-base-mismatch-rejected", refused, "sums over different bases must be refused")
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # The bracket and its laws
 
 
-def _suite_bracket_laws(params: Dict[str, object]) -> Report:
-    mode = params["mode"]
-    seed = params["seed"]
-    deg = params["max_degree"]
-    bound = params["coeff_bound"]
+def _suite_bracket_laws(params: SuiteParams) -> CheckSet:
+    mode, deg = params.mode, params.max_degree
     checks = CheckSet()
-    bundles = _fibre_one(_bundle_families(mode, params["fault"]))
+    bundles = _fibre_one(_bundle_families(mode, params.fault))
     tangents = {label: tangent_of_bundle(b) for label, b in bundles}
 
     eq = checks.equality
@@ -674,15 +407,14 @@ def _suite_bracket_laws(params: Dict[str, object]) -> Report:
             label,
         )
 
-    rng = rng_for("bracket-laws", "instances", seed)
-    for i in range(params["instances"]):
+    for i, rng in draws("bracket-laws", "instances", params):
         label, b = bundles[i % len(bundles)]
         e, m, k = b.total, b.base, b.fibre
         tb = tangents[label]
         xdim = rng.randint(1, 2)
 
         def rand(cod, dom=xdim):
-            return random_polymap(dom, cod, deg, bound, rng, mode)
+            return random_polymap(dom, cod, deg, COEFF_BOUND, rng, mode)
 
         xmap = rand(m)
         zero_dx = zero_map(xdim, m, mode)
@@ -698,7 +430,7 @@ def _suite_bracket_laws(params: Dict[str, object]) -> Report:
             eq("bracket-defining", recon, f, desc)
 
             wdim = rng.randint(1, 2)
-            kmap = random_polymap(wdim, xdim, deg, bound, rng, mode)
+            kmap = rand(xdim, wdim)
             eq(
                 "bracket-precompose",
                 polymap_compose(kmap, bf),
@@ -767,26 +499,24 @@ def _suite_bracket_laws(params: Dict[str, object]) -> Report:
         hyp = polymap_compose(y, tangent_zero(e, mode)) == polymap_compose(y, b.lam)
         concl = y == polymap_compose(polymap_compose(y, b.q), b.zeta)
         checks.condition("zero-lambda-forces-section", (not hyp) or concl, desc)
-    return checks.report("bracket-laws", params)
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # Interchange of fibre addition with tangent addition
 
 
-def _suite_interchange(params: Dict[str, object]) -> Report:
-    mode = params["mode"]
+def _suite_interchange(params: SuiteParams) -> CheckSet:
+    mode = params.mode
     checks = CheckSet()
     bundles = _fibre_one(_bundle_families(mode))
-    rng = rng_for("interchange", "instances", params["seed"])
-    deg, bound = params["max_degree"], params["coeff_bound"]
-    for i in range(params["instances"]):
+    for i, rng in draws("interchange", "instances", params):
         _, b = bundles[i % len(bundles)]
         m, k, e = b.base, b.fibre, b.total
         xdim = rng.randint(1, 2)
 
         def rand(cod):
-            return random_polymap(xdim, cod, deg, bound, rng, mode)
+            return random_polymap(xdim, cod, params.max_degree, COEFF_BOUND, rng, mode)
 
         xmap = rand(m)
         dx12, dx34 = rand(m), rand(m)
@@ -809,31 +539,29 @@ def _suite_interchange(params: Dict[str, object]) -> Report:
             checks.equality(
                 "interchange-shared-zero", t_fibre_sum(b, w1, w2), tangent_sum(e, w1, w2), desc
             )
-    return checks.report("interchange", params)
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # Linearity of the constructor morphisms and the two characterizations
 
 
-def _linear_fibre_map(m: int, k1: int, k2: int, rng: random.Random, deg: int, bound: int, mode: str) -> PolyMap:
+def _linear_fibre_map(m: int, k1: int, k2: int, rng, deg: int, mode: str) -> PolyMap:
     """F(x, a) = C(x) a with polynomial coefficients, fibrewise linear."""
     dom = m + k1
     comps = []
     for _ in range(k2):
         acc = Poly.zero(dom, mode)
         for j in range(k1):
-            cpoly = random_polymap(m, 1, deg, bound, rng, mode).components[0]
+            cpoly = random_polymap(m, 1, deg, COEFF_BOUND, rng, mode).components[0]
             wide = poly_shift_vars(cpoly, 0, dom)
             acc = poly_add(acc, poly_mul(wide, Poly.variable(dom, m + j, mode)))
         comps.append(acc)
     return PolyMap(dom, k2, tuple(comps), mode)
 
 
-def _suite_linearity(params: Dict[str, object]) -> Report:
-    mode = params["mode"]
-    seed = params["seed"]
-    deg, bound = params["max_degree"], params["coeff_bound"]
+def _suite_linearity(params: SuiteParams) -> CheckSet:
+    mode, deg = params.mode, params.max_degree
     checks = CheckSet()
     fams = _bundle_families(mode)
 
@@ -849,6 +577,13 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
                     "linear-matches-mu-form", mu_characterization(mor, src, dst), detail
                 )
 
+    def forms_agree(name: str, mor: BundleMor, src, dst, other: str, other_ok: bool, detail: str):
+        """The lift form of linearity (is_linear) agrees with the other form; returns both."""
+        lam_ok = is_linear(mor, src, dst)
+        detail = f"{detail}; lift-form {lam_ok}, {other}-form {other_ok}"
+        checks.condition(name, lam_ok == other_ok, detail)
+        return lam_ok, detail
+
     for label in ("standard-1-1", "standard-2-1", "standard-1-2", "tangent-1"):
         b = fams[label]
         unit = trivial_bundle(b.base, mode)
@@ -859,11 +594,10 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
         lin_rows("bundle-projection-linear", bundle_projection_mor(b), tb, b, label)
         lin_rows("bundle-zero-linear", bundle_zero_mor(b), b, tb, label)
 
-    rng = rng_for("linearity", "tangent-functor", seed)
-    for i in range(params["instances"]):
+    for i, rng in draws("linearity", "tangent-functor", params):
         dn = rng.randint(1, 2)
         dm = rng.randint(1, 2)
-        f = random_polymap(dn, dm, deg, bound, rng, mode)
+        f = random_polymap(dn, dm, deg, COEFF_BOUND, rng, mode)
         lin_rows(
             "tangent-functor-linear",
             BundleMor(cdc_T(f), f),
@@ -872,11 +606,10 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
             f"instance {i}: f = {f}",
         )
 
-    rng = rng_for("linearity", "pullback", seed)
     b = fams["standard-2-1"]
-    for i in range(10):
+    for i, rng in draws("linearity", "pullback", params, 10):
         xdim = rng.randint(1, 2)
-        f = random_polymap(xdim, b.base, deg, bound, rng, mode)
+        f = random_polymap(xdim, b.base, deg, COEFF_BOUND, rng, mode)
         pb = pullback_bundle(f, b)
         lin_rows(
             "pullback-cartesian-linear",
@@ -902,24 +635,21 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
     lin_rows("whitney-swap-linear", BundleMor(swap, ident), bs, bs2, "swap")
     lin_rows("whitney-swap-linear", BundleMor(swap_back, ident), bs2, bs, "swap inverse")
 
-    rng = rng_for("linearity", "equivalence", seed)
     b_src = fams["standard-1-1"]
-    for i in range(params["instances"]):
-        g = random_polymap(1, 1, deg, bound, rng, mode)
+    for i, rng in draws("linearity", "equivalence", params):
+        g = random_polymap(1, 1, deg, COEFF_BOUND, rng, mode)
         if i % 2 == 0:
-            fib = _linear_fibre_map(1, 1, 1, rng, deg, bound, mode)
+            fib = _linear_fibre_map(1, 1, 1, rng, deg, mode)
         else:
-            fib = random_polymap(2, 1, deg, bound, rng, mode)
+            fib = random_polymap(2, 1, deg, COEFF_BOUND, rng, mode)
         f_total = polymap_pair(polymap_compose(polymap_proj(2, 0, 1, mode), g), fib)
         mor = BundleMor(f_total, g)
-        lam_ok = is_linear(mor, b_src, b_src)
         mu_ok = mu_characterization(mor, b_src, b_src)
-        detail = f"instance {i}: fibre part {fib}; lift-form {lam_ok}, mu-form {mu_ok}"
-        checks.condition("linearity-mu-equivalence", lam_ok == mu_ok, detail)
+        lam_ok, detail = forms_agree(
+            "linearity-mu-equivalence", mor, b_src, b_src, "mu", mu_ok, f"instance {i}: fibre part {fib}"
+        )
         if lam_ok:
-            checks.condition(
-                "linear-implies-additive", is_additive(mor, b_src, b_src), detail
-            )
+            checks.condition("linear-implies-additive", is_additive(mor, b_src, b_src), detail)
 
     a_sq = poly_mul(Poly.variable(2, 1, mode), Poly.variable(2, 1, mode))
     squaring = BundleMor(
@@ -944,38 +674,31 @@ def _suite_linearity(params: Dict[str, object]) -> Report:
         "fibrewise squaring must fail the mu characterization",
     )
 
-    rng = rng_for("linearity", "diffobj", seed)
-    for i in range(params["instances"]):
+    for i, rng in draws("linearity", "diffobj", params):
         k1 = rng.randint(1, 2)
         k2 = rng.randint(1, 2)
         if i % 2 == 0:
-            matrix = [[scalars.random_scalar(mode, rng, bound) for _ in range(k1)] for _ in range(k2)]
+            matrix = [[scalars.random_scalar(mode, rng, COEFF_BOUND) for _ in range(k1)] for _ in range(k2)]
             f = linear_map(k1, 0, matrix, mode)
         else:
-            f = random_polymap(k1, k2, deg, bound, rng, mode)
+            f = random_polymap(k1, k2, deg, COEFF_BOUND, rng, mode)
         o1 = canonical_diffobj(k1, mode)
         o2 = canonical_diffobj(k2, mode)
-        d1 = bundle_from_diffobj(o1)
-        d2 = bundle_from_diffobj(o2)
-        mor = BundleMor(f, identity_map(0, mode))
-        lam_ok = is_linear(mor, d1, d2)
+        d1, d2 = bundle_from_diffobj(o1), bundle_from_diffobj(o2)
         phat_ok = polymap_compose(cdc_T(f), o2.phat) == polymap_compose(o1.phat, f)
-        checks.condition(
-            "diffobj-linearity-equivalence",
-            lam_ok == phat_ok,
-            f"instance {i}: f = {f}; lift-form {lam_ok}, phat-form {phat_ok}",
-        )
-    return checks.report("linearity", params)
+        mor = BundleMor(f, identity_map(0, mode))
+        forms_agree("diffobj-linearity-equivalence", mor, d1, d2, "phat", phat_ok, f"instance {i}: f = {f}")
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # Differential objects and Cartesian differential structure
 
 
-def _suite_diffobj(params: Dict[str, object]) -> Report:
-    mode = params["mode"]
+def _suite_diffobj(params: SuiteParams) -> CheckSet:
+    mode = params.mode
     checks = CheckSet()
-    for k in range(1, params["max_dim"] + 1):
+    for k in range(1, params.max_dim + 1):
         o = canonical_diffobj(k, mode)
         checks.absorb(verify_diffobj(o, f"canonical-{k}"), prefix=f"canonical-{k}:")
         b = bundle_from_diffobj(o)
@@ -1004,43 +727,36 @@ def _suite_diffobj(params: Dict[str, object]) -> Report:
             f"dim {k}",
         )
 
-    raised = False
-    try:
-        diffobj_from_bundle(standard_bundle(1, 1, mode))
-    except PreconditionFailure:
-        raised = True
-    checks.condition("diffobj-needs-point-base", raised, "nonzero base must be rejected")
+    refused = _refuses(lambda: diffobj_from_bundle(standard_bundle(1, 1, mode)), PreconditionFailure)
+    checks.condition("diffobj-needs-point-base", refused, "nonzero base must be rejected")
 
     with checks.guard("pullback-point-diffobj"):
         checks.absorb(_point_fibre_report(standard_bundle(2, 2, mode)), prefix="pullback-point:")
-    return checks.report("diffobj", params)
+    return checks
 
 
-def _suite_cds(params: Dict[str, object]) -> Report:
+def _suite_cds(params: SuiteParams) -> CheckSet:
     checks = CheckSet()
-    checks.absorb(check_cds(params["max_dim"], params["mode"]))
-    return checks.report("cds", params)
+    checks.absorb(check_cds(params.max_dim, params.mode))
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # The simple fibration
 
 
-def _suite_fibration(params: Dict[str, object]) -> Report:
-    mode = params["mode"]
-    seed = params["seed"]
-    deg, bound = params["max_degree"], params["coeff_bound"]
+def _suite_fibration(params: SuiteParams) -> CheckSet:
+    mode, deg = params.mode, params.max_degree
     checks = CheckSet()
     model = SimpleCDModel(mode)
 
     eq = checks.equality
 
-    rng = rng_for("fibration", "composition", seed)
-    for i in range(params["instances"]):
+    for i, rng in draws("fibration", "composition", params):
         o1, o2, o3, o4 = (model.random_obj(rng) for _ in range(4))
-        m1 = model.random_mor(o1, o2, rng, deg, bound)
-        m2 = model.random_mor(o2, o3, rng, deg, bound)
-        m3 = model.random_mor(o3, o4, rng, deg, bound)
+        m1 = model.random_mor(o1, o2, rng, deg, COEFF_BOUND)
+        m2 = model.random_mor(o2, o3, rng, deg, COEFF_BOUND)
+        m3 = model.random_mor(o3, o4, rng, deg, COEFF_BOUND)
         desc = f"instance {i}: m1 = {m1}"
         eq(
             "compose-associative",
@@ -1051,22 +767,21 @@ def _suite_fibration(params: Dict[str, object]) -> Report:
         eq("compose-unit-left", simple_compose(simple_identity(o1, mode), m1), m1, desc)
         eq("compose-unit-right", simple_compose(m1, simple_identity(o2, mode)), m1, desc)
 
-    cd = cdc_axioms_checks(model, deg, bound, min(params["instances"], 25), seed, "fibration")
-    checks.absorb(cd.report("fibration", params), prefix="simple-")
-
+    # at most 25 instances each; the fibre rows keep their own dimension and degree bounds
+    few = replace(params, instances=min(params.instances, 25))
+    checks.absorb(cdc_axioms_checks(model, few, "fibration"), prefix="simple-")
     for ctx in (1, 2):
-        rep = verify_fibre_axioms(ctx, 2, min(params["instances"], 25), seed, mode)
+        rep = verify_fibre_axioms(ctx, replace(few, max_dim=2, max_degree=3))
         checks.absorb(rep, prefix=f"fibre[{ctx}]:")
 
-    rng = rng_for("fibration", "vertical", seed)
-    for i in range(params["instances"]):
+    for i, rng in draws("fibration", "vertical", params):
         # instance 0 pins the empty context so the context-free row always runs
         a = 0 if i == 0 else rng.randint(0, 2)
         x = rng.randint(1, 2)
         y = rng.randint(1, 2)
         z = rng.randint(1, 2)
-        g1 = random_polymap(a + x, y, deg, bound, rng, mode)
-        g2 = random_polymap(a + y, z, deg, bound, rng, mode)
+        g1 = random_polymap(a + x, y, deg, COEFF_BOUND, rng, mode)
+        g2 = random_polymap(a + y, z, deg, COEFF_BOUND, rng, mode)
         ident_a = identity_map(a, mode)
         m1 = SimpleMor(ident_a, g1)
         m2 = SimpleMor(ident_a, g2)
@@ -1101,28 +816,23 @@ def _suite_fibration(params: Dict[str, object]) -> Report:
             desc,
         )
 
-    raised = False
-    try:
-        vertical_T(1, SimpleMor(zero_map(1, 1, mode), random_polymap(2, 1, deg, bound, 7, mode)))
-    except PreconditionFailure:
-        raised = True
-    checks.condition(
-        "vertical-requires-identity", raised, "non-identity context part must be refused"
-    )
-    return checks.report("fibration", params)
+    moving = SimpleMor(zero_map(1, 1, mode), random_polymap(2, 1, deg, COEFF_BOUND, 7, mode))
+    refused = _refuses(lambda: vertical_T(1, moving), PreconditionFailure)
+    checks.condition("vertical-requires-identity", refused, "non-identity context part must be refused")
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # Monad laws for the tangent addition
 
 
-def _suite_monad_laws(params: Dict[str, object]) -> Report:
-    model = PolyTangentModel(params["mode"])
+def _suite_monad_laws(params: SuiteParams) -> CheckSet:
+    model = PolyTangentModel(params.mode)
     checks = CheckSet()
 
     eq = checks.equality
 
-    for m in range(1, params["max_dim"] + 1):
+    for m in range(1, params.max_dim + 1):
         d = f"dim {m}"
         tm = model.t_obj(m)
         mu = monad_mult(model, m)
@@ -1151,11 +861,10 @@ def _suite_monad_laws(params: Dict[str, object]) -> Report:
             model.compose(model.t_mor(model.p(m)), model.p(m)),
             d + ", via T(p)",
         )
-    rng = rng_for("monad-laws", "naturality", params["seed"])
-    for i in range(params["instances"]):
-        dx = rng.randint(1, params["max_dim"])
-        dy = rng.randint(1, params["max_dim"])
-        f = model.random_mor(dx, dy, rng, params["max_degree"], params["coeff_bound"])
+    for i, rng in draws("monad-laws", "naturality", params):
+        dx = rng.randint(1, params.max_dim)
+        dy = rng.randint(1, params.max_dim)
+        f = model.random_mor(dx, dy, rng, params.max_degree, COEFF_BOUND)
         desc = f"instance {i}: f = {f}"
         eq(
             "monad-naturality",
@@ -1163,23 +872,21 @@ def _suite_monad_laws(params: Dict[str, object]) -> Report:
             model.compose(monad_mult(model, dx), model.t_mor(f)),
             desc,
         )
-    return checks.report("monad-laws", params)
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # Numeric consistency of the dual-number evaluator
 
 
-def _suite_numeric_consistency(params: Dict[str, object]) -> Report:
+def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
     checks = CheckSet()
-    seed = params["seed"]
-    deg, bound = params["max_degree"], params["coeff_bound"]
+    deg = params.max_degree
 
-    rng = rng_for("numeric-consistency", "dual-vs-symbolic", seed)
-    for i in range(params["instances"]):
-        m = rng.randint(1, params["max_dim"])
+    for i, rng in draws("numeric-consistency", "dual-vs-symbolic", params):
+        m = rng.randint(1, params.max_dim)
         n = rng.randint(1, 2)
-        f = random_polymap(m, n, deg, bound, rng, scalars.RATIONAL)
+        f = random_polymap(m, n, deg, COEFF_BOUND, rng, scalars.RATIONAL)
         prog = NumericProgram.from_polymap(f)
         df = cdc_D(f)
         for j in range(100):
@@ -1194,11 +901,10 @@ def _suite_numeric_consistency(params: Dict[str, object]) -> Report:
                     "dual-vs-symbolic", err, 1e-9, f"instance {i}, point {j}"
                 )
 
-    rng = rng_for("numeric-consistency", "fd-vs-dual", seed)
-    for i in range(params["instances"]):
-        m = rng.randint(1, params["max_dim"])
+    for i, rng in draws("numeric-consistency", "fd-vs-dual", params):
+        m = rng.randint(1, params.max_dim)
         n = rng.randint(1, 2)
-        f = random_polymap(m, n, deg, bound, rng, scalars.RATIONAL)
+        f = random_polymap(m, n, deg, COEFF_BOUND, rng, scalars.RATIONAL)
         prog = NumericProgram.from_polymap(f)
         for j in range(5):
             point = [rng.uniform(-1.5, 1.5) for _ in range(m)]
@@ -1206,11 +912,10 @@ def _suite_numeric_consistency(params: Dict[str, object]) -> Report:
             err = fd_check(prog, point, direction)
             checks.numeric("fd-vs-dual", err, 1e-5, f"instance {i}, point {j}")
 
-    rng = rng_for("numeric-consistency", "affine", seed)
-    for i in range(10):
+    for i, rng in draws("numeric-consistency", "affine", params, 10):
         m = rng.randint(1, 3)
         # row i holds the constant, then the coefficients, of output i
-        rows = [[Fraction(rng.randint(-bound, bound)) for _ in range(m + 1)] for _ in range(m)]
+        rows = [[Fraction(rng.randint(-COEFF_BOUND, COEFF_BOUND)) for _ in range(m + 1)] for _ in range(m)]
         shift = constant_map(m, [row[0] for row in rows], scalars.RATIONAL)
         slope = linear_map(m, 0, [row[1:] for row in rows], scalars.RATIONAL)
         prog = NumericProgram.from_polymap(polymap_add(shift, slope))
@@ -1219,10 +924,9 @@ def _suite_numeric_consistency(params: Dict[str, object]) -> Report:
         err = fd_check(prog, point, direction)
         checks.numeric("affine-fd-tight", err, 1e-8, f"instance {i}")
 
-    rng = rng_for("numeric-consistency", "degenerate", seed)
-    for i in range(10):
+    for i, rng in draws("numeric-consistency", "degenerate", params, 10):
         m = rng.randint(1, 3)
-        f = random_polymap(m, 2, deg, bound, rng, scalars.RATIONAL)
+        f = random_polymap(m, 2, deg, COEFF_BOUND, rng, scalars.RATIONAL)
         prog = NumericProgram.from_polymap(f)
         point = [rng.uniform(-2.0, 2.0) for _ in range(m)]
         _, tangents = dual_eval(prog, point, [0.0] * m)
@@ -1239,16 +943,16 @@ def _suite_numeric_consistency(params: Dict[str, object]) -> Report:
         checks.condition(
             "constant-zero-tangent", all(t == 0.0 for t in ctans), f"instance {i}"
         )
-    return checks.report("numeric-consistency", params)
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # Registry
 
 
-_SUITES: Dict[str, Callable[[Dict[str, object]], Report]] = {
-    "tangent-axioms": _suite_tangent_axioms,
-    "cdc-axioms": _suite_cdc_axioms,
+_SUITES: Dict[str, Callable[[SuiteParams], CheckSet]] = {
+    "tangent-axioms": lambda p: tangent_axioms_checks(_TANGENT_MODELS[p.fault](p.mode), p),
+    "cdc-axioms": lambda p: cdc_axioms_checks(PolyCDModel(cdc_D, p.mode, p.max_dim), p, "cdc-axioms"),
     "derived-differential": _suite_derived_differential,
     "bundle": _suite_bundle,
     "bracket-laws": _suite_bracket_laws,
@@ -1264,39 +968,21 @@ _SUITES: Dict[str, Callable[[Dict[str, object]], Report]] = {
 SUITE_NAMES = tuple(sorted(_SUITES))
 
 
-def _require_int(key: str, value, least: int) -> None:
-    """Refuse a parameter that is not an integer >= least, naming it by key."""
-    if not isinstance(value, int) or value < least:
-        raise ValueError(f"invalid-params: {key} must be an integer >= {least}")
-
-
 def run_suite(name: str, **overrides) -> Report:
-    """Run a named suite; raises ValueError for unknown names or parameters."""
+    """Run a named suite under SuiteParams(**overrides), a None value meaning the default.
+
+    Raises ValueError for an unknown suite, an unknown or invalid parameter,
+    and a fault that does not affect the suite.
+    """
     if name not in _SUITES:
-        raise ValueError(
-            f"unknown-suite: {name!r}; choose from {', '.join(SUITE_NAMES)}"
-        )
-    params = dict(DEFAULTS)
-    for key, value in overrides.items():
-        if key not in DEFAULTS:
+        raise ValueError(f"unknown-suite: {name!r}; choose from {', '.join(SUITE_NAMES)}")
+    for key in overrides:
+        if key not in SuiteParams.__dataclass_fields__:
             raise ValueError(f"invalid-params: unknown parameter {key!r}")
-        if value is None:
-            continue
-        params[key] = value
-    if params["mode"] not in scalars.MODES:
-        raise ValueError(f"invalid-params: unknown mode {params['mode']!r}")
-    for key in ("max_dim", "max_degree", "instances", "coeff_bound"):
-        _require_int(key, params[key], 1)
-    if not isinstance(params["seed"], int):
-        raise ValueError("invalid-params: seed must be an integer")
-    fault = params["fault"]
-    if fault is not None:
-        if fault not in FAULT_SUITES:
-            raise ValueError(
-                f"invalid-params: unknown fault {fault!r}; choose from {', '.join(FAULTS)}"
-            )
-        if name not in FAULT_SUITES[fault]:
-            raise ValueError(
-                f"invalid-params: fault {fault!r} does not affect suite {name!r}"
-            )
-    return _SUITES[name](params)
+    params = SuiteParams(**{key: value for key, value in overrides.items() if value is not None})
+    fault = params.fault
+    if fault is not None and fault not in FAULT_SUITES:
+        raise ValueError(f"invalid-params: unknown fault {fault!r}; choose from {', '.join(FAULTS)}")
+    if fault is not None and name not in FAULT_SUITES[fault]:
+        raise ValueError(f"invalid-params: fault {fault!r} does not affect suite {name!r}")
+    return _SUITES[name](params).report(name, {**asdict(params), "coeff_bound": COEFF_BOUND})

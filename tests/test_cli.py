@@ -222,6 +222,47 @@ def test_bundle_past_the_bound_exits_two_quickly(tmp_path, capsys):
     assert "base + 2 * fibre must be at most 1000, got 10002" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("base = 1\n", "no section headers"),
+        (BUNDLE_TEXT + "base = 2\n", "option 'base' in section 'bundle' already exists"),
+        (BUNDLE_TEXT + "[bundle]\nbase = 1\n", "section 'bundle' already exists"),
+        (BUNDLE_TEXT + "a line without an equals sign\n", "[line  7]"),
+        (BUNDLE_TEXT.replace("x1 + x2", "x1 % x2"), "unexpected character '%' (at position 7)"),
+        (BUNDLE_TEXT.replace("base = 1", "base = " + "9" * 5000), "base has 5000 digits"),
+    ],
+    ids=["no-section", "duplicate-key", "duplicate-section", "not-key-value", "percent", "long-base"],
+)
+def test_bundle_malformed_ini_exits_two(text, message, tmp_path, capsys):
+    path = tmp_path / "malformed.ini"
+    path.write_text(text)
+    start = perf_counter()
+    assert main(["bundle", "--file", str(path), "--op", "verify"]) == 2
+    assert perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err and "internal error" not in err
+
+
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("((99)^1000)^1000", "power could have coefficients of more than 10000 bits (at position 11)"),
+        ("(((99)^1000)^1000)^1000", "(at position 12)"),
+        ("x" + "9" * 5000, "exceeds the bound of 1000 variables (at position 0)"),
+        ("x0^" + "9" * 5000, "exponent exceeds 1000 (at position 3)"),
+        ("9" * 5000 + "*x0", "literal has more than 3010 digits (at position 0)"),
+    ],
+    ids=["power-of-power", "power-of-power-of-power", "long-index", "long-exponent", "long-literal"],
+)
+def test_diff_oversized_numbers_exit_two_quickly(expr, message, capsys):
+    start = perf_counter()
+    assert main(["diff", "--expr", expr]) == 2
+    assert perf_counter() - start < 0.1
+    err = capsys.readouterr().err
+    assert message in err and "Exceeds the limit" not in err
+
+
 def test_bundle_pullback_needs_map(bundle_file, capsys):
     assert main(["bundle", "--file", bundle_file, "--op", "pullback"]) == 2
 

@@ -24,6 +24,7 @@ from tancat.fibration import (
     vertical_T,
     vertical_tangent_map,
 )
+from tancat.params import SuiteParams
 from tancat.parser import parse_polymap
 from tancat.poly import identity_map, polymap_to_str, random_polymap
 
@@ -115,7 +116,7 @@ def test_pairing_and_projections():
 
 
 def test_fibre_axioms_smoke():
-    rep = verify_fibre_axioms(1, payload_bound=2, instances=8, seed=3)
+    rep = verify_fibre_axioms(1, SuiteParams(max_dim=2, instances=8, seed=3))
     assert rep.suite == "fibre-tangent-axioms"
     assert rep.all_passed, {c.name for c in rep.checks if c.status != "pass"}
 

@@ -7,7 +7,7 @@ import pytest
 from tancat import scalars
 from tancat.cdc import PolyTangentModel, pair_into_t2, point_proj
 from tancat.errors import PreconditionFailure
-from tancat.suites import tangent_axioms_checks
+from tancat.suites import SuiteParams, tangent_axioms_checks
 from tancat.poly import (
     identity_map,
     polymap_compose,
@@ -73,7 +73,9 @@ class FirstSummandModel(PolyTangentModel):
 def test_first_summand_plus_fails_left_unit_and_commutativity():
     rows = {
         c.name: c
-        for c in tangent_axioms_checks(FirstSummandModel(scalars.RATIONAL), 1, 1, 2, 1, 0)
+        for c in tangent_axioms_checks(
+            FirstSummandModel(scalars.RATIONAL), SuiteParams(max_dim=1, max_degree=1, instances=1, seed=0)
+        )
         .report("tangent-axioms", {})
         .checks
         if c.name.startswith("plus-")

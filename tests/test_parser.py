@@ -6,7 +6,15 @@ import pytest
 
 from tancat import parser, poly, scalars
 from tancat.errors import PolyParseError, SemiringViolation
-from tancat.parser import MAX_EXPONENT, MAX_NESTING, MAX_TERMS, MAX_VARIABLES, parse_poly, parse_polymap
+from tancat.parser import (
+    MAX_COEFF_BITS,
+    MAX_EXPONENT,
+    MAX_NESTING,
+    MAX_TERMS,
+    MAX_VARIABLES,
+    parse_poly,
+    parse_polymap,
+)
 from tancat.poly import (
     Poly,
     polymap_to_str,
@@ -170,6 +178,41 @@ def test_term_budget_is_summed_over_the_whole_text(monkeypatch):
     with pytest.raises(PolyParseError) as e:
         parse_poly("(x0+x1+x2)^2 * (x0+x1+x2)^2", 3, scalars.RATIONAL)
     assert e.value.pos == 25
+
+
+def test_coefficient_bound_refuses_at_the_operator(monkeypatch):
+    assert MAX_COEFF_BITS == 10_000
+    # 99^1000 has 6,630 bits; its 1000th power would have 6.6 million
+    assert parse_poly("(99)^1000", 1, scalars.RATIONAL).terms[0][1] == 99**1000
+    with pytest.raises(PolyParseError) as e:
+        parse_poly("((99)^1000)^1000", 1, scalars.RATIONAL)
+    assert e.value.pos == 11 and "more than 10000 bits" in str(e.value)
+    monkeypatch.setattr(parser, "MAX_COEFF_BITS", 10)
+    # 3^6 = 729 fits in 10 bits, 3^7 = 2,187 and 40*40 = 1,600 do not
+    assert parse_poly("3^6", 1, scalars.NATURAL).terms[0][1] == 729
+    for text, pos in (("3^7", 1), ("40*40", 2), ("x0 + 1000 + 1000", 10)):
+        with pytest.raises(PolyParseError) as e:
+            parse_poly(text, 1, scalars.NATURAL)
+        assert e.value.pos == pos
+    # the common denominator of 1/31 and 1/33 is 1,023, of 1/31 and 1/37 1,147
+    assert parse_poly("1/31 + 1/33", 1, scalars.RATIONAL).terms[0][1].denominator == 1023
+    with pytest.raises(PolyParseError) as e:
+        parse_poly("1/31 - 1/37", 1, scalars.RATIONAL)
+    assert e.value.pos == 5
+    # a long sum over one denominator keeps it
+    assert len(parse_poly(" + ".join(["1/2*x0"] * 500), 1, scalars.RATIONAL).terms) == 1
+
+
+def test_long_literals_are_refused_by_their_digit_count():
+    most = parser._LITERAL_DIGITS
+    assert parse_poly("9" * most, 1, scalars.RATIONAL).terms[0][1].bit_length() <= MAX_COEFF_BITS
+    for text, pos in (("9" * (most + 1), 0), ("1/" + "7" * (most + 1), 2)):
+        with pytest.raises(PolyParseError) as e:
+            parse_poly(text, 1, scalars.RATIONAL)
+        assert e.value.pos == pos and f"more than {most} digits" in str(e.value)
+    # leading zeros do not count, in indices and exponents too
+    zeros = "0" * 5000
+    assert poly_to_str(parse_poly(f"x{zeros}1^{zeros}2 + {zeros}3", 2, scalars.RATIONAL)) == "x1^2 + 3"
 
 
 def test_syntax_is_checked_before_any_arithmetic(monkeypatch):

@@ -12,7 +12,7 @@ from tancat import scalars
 from tancat.cdc import PolyCDModel, cdc_D
 from tancat.diffobj import derived_D
 from tancat.fibration import SimpleCDModel
-from tancat.suites import DEFAULTS, FAULTS, SUITE_NAMES, cdc_axioms_checks, run_suite
+from tancat.suites import FAULTS, SUITE_NAMES, SuiteParams, cdc_axioms_checks, run_suite
 
 SMALL = dict(instances=5, max_dim=2)
 
@@ -43,7 +43,7 @@ def test_registry_inventory():
         "tangent-axioms",
     )
     assert FAULTS == ("identity-flip", "dropped-zero-block", "corrupted-lambda")
-    assert DEFAULTS["instances"] == 50 and DEFAULTS["seed"] == 0
+    assert SuiteParams().instances == 50 and SuiteParams().seed == 0
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
@@ -155,7 +155,7 @@ def test_cd_checker_rejects_doubled_differential(name, mode):
     model = CD_MODELS[name](mode)
     plain = model.D
     model.D = lambda f: model.add(plain(f), plain(f))
-    rep = cdc_axioms_checks(model, 2, 3, 4, 0, "cd-test").report("cd", {})
+    rep = cdc_axioms_checks(model, SuiteParams(max_degree=2, instances=4, seed=0), "cd-test").report("cd", {})
     assert {"cd3-identity", "cd6-lift"} <= non_pass(rep)
 
 
