@@ -16,6 +16,7 @@ canonical form.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -598,7 +599,7 @@ def parse_bundle_text(text: str) -> DiffBundle:
     """
     import configparser
 
-    from .parser import MAX_VARIABLES, parse_polymap
+    from .parser import MAX_VARIABLES, bounded_int, parse_polymap
 
     # no interpolation: '%' is an ordinary character of a map
     cfg = configparser.ConfigParser(interpolation=None)
@@ -614,16 +615,15 @@ def parse_bundle_text(text: str) -> DiffBundle:
             raise PreconditionFailure(f"[bundle] is missing the key {key!r}")
     mode = sec.get("mode", scalars.RATIONAL).strip()
     scalars.check_mode(mode)
+    sizes = {}
     for key in ("base", "fibre"):
         value = sec[key].strip()
         if not (value.isascii() and value.isdigit()):
             raise PreconditionFailure(f"{key} must be a non-negative integer, got {value!r}")
-        if len(value) > 18:  # refused before int() reads it; 18 digits still fit in 63 bits
-            raise PreconditionFailure(
-                f"{key} has {len(value)} digits; base + 2 * fibre must be at most {MAX_VARIABLES}"
-            )
-    base = int(sec["base"])
-    fibre = int(sec["fibre"])
+        sizes[key] = bounded_int(value, sys.maxsize)  # a longer number is refused unread
+        if sizes[key] is None:
+            raise PreconditionFailure(f"{key} alone is more than base + 2 * fibre may be ({MAX_VARIABLES})")
+    base, fibre = sizes["base"], sizes["fibre"]
     if base + 2 * fibre > MAX_VARIABLES:  # sigma's domain, the widest map read
         raise PreconditionFailure(f"base + 2 * fibre must be at most {MAX_VARIABLES}, got {base + 2 * fibre}")
     total = base + fibre

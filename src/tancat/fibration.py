@@ -11,7 +11,7 @@ directions, with the context direction frozen to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from . import scalars
@@ -216,15 +216,21 @@ class FibreTangentModel(PolyTangentModel):
         return random_polymap(self.context + x, y, max_degree, coeff_bound, rng, self.mode)
 
 
+# the degree of every random fibre map; not a parameter, so the report's params fix the run
+FIBRE_DEGREE = 3
+
+
 def verify_fibre_axioms(context: int, params: SuiteParams = SuiteParams(max_dim=2, instances=25)) -> Report:
     """Run the full tangent-axioms suite inside the fibre over a context.
 
     Payload dimensions go up to params.max_dim; the report echoes it as payload_bound.
+    Maps have degree at most FIBRE_DEGREE, and params.max_degree and params.fault are not read.
     """
     if not isinstance(context, int) or context < 0:
         # named as the CLI's fibre command sets it
         raise ValueError("invalid-params: context_dim must be an integer >= 0")
-    checks = tangent_axioms_checks(FibreTangentModel(context, params.mode), params)
+    model = FibreTangentModel(context, params.mode)
+    checks = tangent_axioms_checks(model, replace(params, max_degree=FIBRE_DEGREE))
     return checks.report(
         "fibre-tangent-axioms",
         {

@@ -577,13 +577,6 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
                     "linear-matches-mu-form", mu_characterization(mor, src, dst), detail
                 )
 
-    def forms_agree(name: str, mor: BundleMor, src, dst, other: str, other_ok: bool, detail: str):
-        """The lift form of linearity (is_linear) agrees with the other form; returns both."""
-        lam_ok = is_linear(mor, src, dst)
-        detail = f"{detail}; lift-form {lam_ok}, {other}-form {other_ok}"
-        checks.condition(name, lam_ok == other_ok, detail)
-        return lam_ok, detail
-
     for label in ("standard-1-1", "standard-2-1", "standard-1-2", "tangent-1"):
         b = fams[label]
         unit = trivial_bundle(b.base, mode)
@@ -644,10 +637,10 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
             fib = random_polymap(2, 1, deg, COEFF_BOUND, rng, mode)
         f_total = polymap_pair(polymap_compose(polymap_proj(2, 0, 1, mode), g), fib)
         mor = BundleMor(f_total, g)
+        lam_ok = is_linear(mor, b_src, b_src)
         mu_ok = mu_characterization(mor, b_src, b_src)
-        lam_ok, detail = forms_agree(
-            "linearity-mu-equivalence", mor, b_src, b_src, "mu", mu_ok, f"instance {i}: fibre part {fib}"
-        )
+        detail = f"instance {i}: fibre part {fib}; lift-form {lam_ok}, mu-form {mu_ok}"
+        checks.condition("linearity-mu-equivalence", lam_ok == mu_ok, detail)
         if lam_ok:
             checks.condition("linear-implies-additive", is_additive(mor, b_src, b_src), detail)
 
@@ -687,7 +680,9 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
         d1, d2 = bundle_from_diffobj(o1), bundle_from_diffobj(o2)
         phat_ok = polymap_compose(cdc_T(f), o2.phat) == polymap_compose(o1.phat, f)
         mor = BundleMor(f, identity_map(0, mode))
-        forms_agree("diffobj-linearity-equivalence", mor, d1, d2, "phat", phat_ok, f"instance {i}: f = {f}")
+        lam_ok = is_linear(mor, d1, d2)
+        detail = f"instance {i}: f = {f}; lift-form {lam_ok}, phat-form {phat_ok}"
+        checks.condition("diffobj-linearity-equivalence", lam_ok == phat_ok, detail)
     return checks
 
 
@@ -771,7 +766,7 @@ def _suite_fibration(params: SuiteParams) -> CheckSet:
     few = replace(params, instances=min(params.instances, 25))
     checks.absorb(cdc_axioms_checks(model, few, "fibration"), prefix="simple-")
     for ctx in (1, 2):
-        rep = verify_fibre_axioms(ctx, replace(few, max_dim=2, max_degree=3))
+        rep = verify_fibre_axioms(ctx, replace(few, max_dim=2))
         checks.absorb(rep, prefix=f"fibre[{ctx}]:")
 
     for i, rng in draws("fibration", "vertical", params):

@@ -52,10 +52,14 @@ VALUES = st.one_of(
 
 BUNDLE = {"base": "1", "fibre": "1", "sigma": "x0; x1 + x2", "zeta": "x0; 0", "lambda": "0; x1; x0; 0"}
 
-# each key of BUNDLE kept, given a drawn value or dropped (None), in the ratio 2 : 2 : 1
-FIELDS = st.fixed_dictionaries(
-    {key: st.one_of(st.just(value), st.just(value), VALUES, VALUES, st.none()) for key, value in BUNDLE.items()}
-)
+
+
+def _kept_drawn_or_dropped(value):
+    """The value kept, a drawn value or None (the key dropped), in the ratio 2 : 2 : 1."""
+    return st.one_of(st.just(value), st.just(value), VALUES, VALUES, st.none())
+
+
+FIELDS = st.fixed_dictionaries({key: _kept_drawn_or_dropped(value) for key, value in BUNDLE.items()})
 
 LINES = st.one_of(
     st.tuples(KEYS, VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
