@@ -65,7 +65,7 @@ from .fibration import (
     verify_fibre_axioms,
 )
 from .model import LiftWitness, TnObject, monad_mult, monoid_checks, vertical_lift_v
-from .numeric import Dual, NumericProgram, dual_eval, eval_program, fd_check
+from .numeric import NumericProgram, dual_eval, eval_program, fd_check
 from .parser import parse_poly, parse_polymap
 from .poly import Poly, PolyMap, eval_polymap, polymap_to_str, random_polymap
 from .report import CheckSet, Report
@@ -77,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BundleMor",
     "CheckSet",
-    "Dual",
     "DiffBundle",
     "DiffObject",
     "DimensionMismatch",

@@ -26,6 +26,7 @@ from . import scalars
 from .errors import (
     DimensionMismatch,
     NotABundleMorphism,
+    PolyParseError,
     PreconditionFailure,
 )
 from .cdc import (
@@ -627,17 +628,18 @@ def parse_bundle_text(text: str) -> DiffBundle:
     if base + 2 * fibre > MAX_VARIABLES:  # sigma's domain, the widest map read
         raise PreconditionFailure(f"base + 2 * fibre must be at most {MAX_VARIABLES}, got {base + 2 * fibre}")
     total = base + fibre
-    triv = None
-    if "triv" in sec or "triv_inv" in sec:
-        if "triv" not in sec or "triv_inv" not in sec:
-            raise PreconditionFailure("triv and triv_inv must be given together")
-        t = parse_polymap(sec["triv"], total, mode)
-        t_inv = parse_polymap(sec["triv_inv"], total, mode)
-        triv = (t, t_inv)
-    sigma = parse_polymap(sec["sigma"], base + 2 * fibre, mode)
-    zeta = parse_polymap(sec["zeta"], base, mode)
-    lam = parse_polymap(sec["lambda"], total, mode)
-    return make_bundle(base, fibre, sigma, zeta, lam, triv, mode)
+    if ("triv" in sec) != ("triv_inv" in sec):
+        raise PreconditionFailure("triv and triv_inv must be given together")
+    maps = {}
+    for key, dom in (("triv", total), ("triv_inv", total), ("sigma", base + 2 * fibre), ("zeta", base),
+                     ("lambda", total)):
+        try:
+            maps[key] = parse_polymap(sec[key], dom, mode) if key in sec else None
+        except PolyParseError as exc:
+            exc.args = (f"{key}: {exc}",)  # the position stays on exc.pos
+            raise
+    triv = None if maps["triv"] is None else (maps["triv"], maps["triv_inv"])
+    return make_bundle(base, fibre, maps["sigma"], maps["zeta"], maps["lambda"], triv, mode)
 
 
 def load_bundle(path: str) -> DiffBundle:

@@ -20,33 +20,6 @@ from .poly import PolyMap
 
 
 @dataclass(frozen=True)
-class Dual:
-    """A first-order jet a + eps*b with eps^2 = 0."""
-
-    primal: float
-    tangent: float
-
-    def __add__(self, other: "Dual") -> "Dual":
-        return Dual(self.primal + other.primal, self.tangent + other.tangent)
-
-    def __mul__(self, other: "Dual") -> "Dual":
-        return Dual(
-            self.primal * other.primal,
-            self.primal * other.tangent + other.primal * self.tangent,
-        )
-
-    def __pow__(self, e: int) -> "Dual":
-        if e < 0:
-            raise ValueError("negative exponents are not supported")
-        if e == 0:
-            return Dual(1.0, 0.0)
-        return Dual(
-            self.primal**e,
-            float(e) * self.primal ** (e - 1) * self.tangent,
-        )
-
-
-@dataclass(frozen=True)
 class NumericProgram:
     dom: int
     cod: int
@@ -58,36 +31,43 @@ class NumericProgram:
         return NumericProgram(f.dom, f.cod, outputs)
 
 
-def _eval_terms(terms, env: Sequence[Dual]) -> Dual:
-    """Sum of c * x_i^e_i * ..., folded left to right in term order."""
+def _eval_terms(terms, env: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
+    """Sum of c * x_i^e_i * ..., folded left to right in term order over (primal, tangent) pairs.
+
+    Each step is the dual-number rule for eps^2 = 0, with its float operations
+    in a fixed order: (a, a') * (b, b') = (a*b, a*b' + b*a'), a power e >= 2 is
+    (a^e, e * a^(e-1) * a'), and the coefficient enters as the factor (c, 0).
+    """
     acc = None
     for ev, c in terms:
-        term = None
-        for x, e in zip(env, ev):
+        p = None
+        for (xp, xt), e in zip(env, ev):
             if e:
-                factor = x if e == 1 else x**e
-                term = factor if term is None else term * factor
-        if term is None or c != 1:
-            term = Dual(c, 0.0) if term is None else Dual(c, 0.0) * term
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else Dual(0.0, 0.0)
+                fp, ft = (xp, xt) if e == 1 else (xp**e, float(e) * xp ** (e - 1) * xt)
+                p, t = (fp, ft) if p is None else (p * fp, p * ft + fp * t)
+        if p is None:
+            p, t = c, 0.0
+        elif c != 1:
+            p, t = c * p, c * t + p * 0.0
+        acc = (p, t) if acc is None else (acc[0] + p, acc[1] + t)
+    return acc if acc is not None else (0.0, 0.0)
 
 
 def dual_eval(prog: NumericProgram, point: Sequence[float], direction: Sequence[float]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """Values and exact directional derivatives at (point, direction)."""
     if len(point) != prog.dom or len(direction) != prog.dom:
         raise DimensionMismatch(f"program expects {prog.dom} input coordinates")
-    env = [Dual(float(x), float(v)) for x, v in zip(point, direction)]
+    env = [(float(x), float(v)) for x, v in zip(point, direction)]
     values, tangents = [], []
     for i, terms in enumerate(prog.outputs):
         try:
-            out = _eval_terms(terms, env)
+            value, tangent = _eval_terms(terms, env)
         except OverflowError as exc:
             raise NonFiniteError(f"overflow in output {i}") from exc
-        if not (math.isfinite(out.primal) and math.isfinite(out.tangent)):
+        if not (math.isfinite(value) and math.isfinite(tangent)):
             raise NonFiniteError(f"non-finite value in output {i}")
-        values.append(out.primal)
-        tangents.append(out.tangent)
+        values.append(value)
+        tangents.append(tangent)
     return tuple(values), tuple(tangents)
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import lcm, prod
 from operator import add
 from random import Random
 from typing import Dict, Iterable, Sequence, Tuple
@@ -56,11 +56,17 @@ def _mul_terms(acc: Dict[Exponent, object], a: Iterable, b: Iterable) -> Dict[Ex
     return acc
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Poly:
     nvars: int
     terms: tuple  # ((exponent, coefficient), ...) graded-lex descending
     mode: str
+
+    def __init__(self, nvars: int, terms: tuple, mode: str, _set=object.__setattr__):
+        """Sets the fields as the generated frozen __init__ would, without its per-field lookups."""
+        _set(self, "nvars", nvars)
+        _set(self, "terms", terms)
+        _set(self, "mode", mode)
 
     @staticmethod
     def from_terms(nvars: int, items: Iterable[Tuple[Exponent, object]], mode: str) -> "Poly":
@@ -243,40 +249,29 @@ def poly_subst(p: Poly, args: Sequence[Poly]) -> Poly:
     return Poly(widths, _canonical(acc), p.mode)
 
 
-def eval_poly(p: Poly, point: Sequence) -> object:
-    """Exact evaluation at a tuple of scalars."""
-    if len(point) != p.nvars:
-        raise DimensionMismatch(f"{p.nvars} variables but point of length {len(point)}")
-    vals = [scalars.coerce(p.mode, v) for v in point]
-    total = scalars.coerce(p.mode, 0)
-    for ev, c in p.terms:
-        term = c
-        for v, e in zip(vals, ev):
-            for _ in range(e):
-                term = term * v
-        total = total + term
-    return total
-
-
 # ---------------------------------------------------------------------------
 # Polynomial maps
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PolyMap:
     dom: int
     cod: int
     components: Tuple[Poly, ...]
     mode: str
 
-    def __post_init__(self):
-        if len(self.components) != self.cod:
-            raise DimensionMismatch(f"{self.cod} components expected, got {len(self.components)}")
-        if not self.components:
-            scalars.check_mode(self.mode)  # otherwise each component's mode vouches for it
-        for comp in self.components:
-            if comp.nvars != self.dom or comp.mode != self.mode:
+    def __init__(self, dom: int, cod: int, components: Tuple[Poly, ...], mode: str, _set=object.__setattr__):
+        if len(components) != cod:
+            raise DimensionMismatch(f"{cod} components expected, got {len(components)}")
+        if not components:
+            scalars.check_mode(mode)  # otherwise each component's mode vouches for it
+        for comp in components:
+            if comp.nvars != dom or comp.mode != mode:
                 raise DimensionMismatch("component does not match the map's domain or mode")
+        _set(self, "dom", dom)
+        _set(self, "cod", cod)
+        _set(self, "components", components)
+        _set(self, "mode", mode)
 
     def __str__(self) -> str:
         return polymap_to_str(self)
@@ -340,12 +335,13 @@ def polymap_compose(f: PolyMap, g: PolyMap) -> PolyMap:
     if f.mode != g.mode:
         raise DimensionMismatch(f"mixed scalar modes {f.mode!r} and {g.mode!r}")
     comps, f_vars = [], False  # False: f not examined yet
+    zero = Poly(f.dom, (), f.mode)  # one for every zero component
     for comp in g.components:
         j = _var_index(comp)
         if j is not None:
             comps.append(f.components[j])
         elif not comp.terms:
-            comps.append(Poly(f.dom, (), f.mode))
+            comps.append(zero)
         else:
             if f_vars is False:
                 f_vars = _var_indices(f)
@@ -406,7 +402,29 @@ def linear_map(dom: int, lo: int, matrix: Sequence[Sequence], mode: str) -> Poly
 
 
 def eval_polymap(f: PolyMap, point: Sequence) -> tuple:
-    return tuple(eval_poly(c, point) for c in f.components)
+    """Exact value of each component at a point of scalars; an integral value is an int.
+
+    The point is written as integer numerators over one common denominator d.
+    A term of degree k then contributes c * (its numerators' monomial) / d^k, so
+    each term is scaled by d^(D - k) to the component's total degree D (its
+    first term's, in graded-lex order) and by the lcm of the coefficient
+    denominators, and each component divides once, by that lcm times d^D.
+    """
+    if len(point) != f.dom:
+        raise DimensionMismatch(f"{f.dom} variables but point of length {len(point)}")
+    vals = [scalars.coerce(f.mode, v) for v in point]
+    d = lcm(*(v.denominator for v in vals))
+    nums = [v.numerator * (d // v.denominator) for v in vals]
+    out = []
+    for p in f.components:
+        top = sum(p.terms[0][0]) if p.terms else 0
+        scale = lcm(*(c.denominator for _, c in p.terms))
+        total = 0
+        for ev, c in p.terms:
+            total += c.numerator * (scale // c.denominator) * d ** (top - sum(ev)) * prod(map(pow, nums, ev))
+        value = Fraction(total, scale * d**top)
+        out.append(value if value.denominator != 1 else value.numerator)
+    return tuple(out)
 
 
 def permutation_map(dom: int, images: Sequence[int], mode: str) -> PolyMap:

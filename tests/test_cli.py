@@ -229,10 +229,12 @@ def test_bundle_past_the_bound_exits_two_quickly(tmp_path, capsys):
         (BUNDLE_TEXT + "base = 2\n", "option 'base' in section 'bundle' already exists"),
         (BUNDLE_TEXT + "[bundle]\nbase = 1\n", "section 'bundle' already exists"),
         (BUNDLE_TEXT + "a line without an equals sign\n", "[line  7]"),
-        (BUNDLE_TEXT.replace("x1 + x2", "x1 % x2"), "unexpected character '%' (at position 7)"),
+        (BUNDLE_TEXT.replace("x1 + x2", "x1 % x2"), "sigma: unexpected character '%' (at position 7)"),
+        (BUNDLE_TEXT.replace("; x0; 0", "; x0; x0 +"), "lambda: unexpected end of input (at position 15)"),
         (BUNDLE_TEXT.replace("base = 1", "base = " + "9" * 5000), "base alone is more than"),
     ],
-    ids=["no-section", "duplicate-key", "duplicate-section", "not-key-value", "percent", "long-base"],
+    ids=["no-section", "duplicate-key", "duplicate-section", "not-key-value", "percent", "bad-lambda",
+         "long-base"],
 )
 def test_bundle_malformed_ini_exits_two(text, message, tmp_path, capsys):
     path = tmp_path / "malformed.ini"

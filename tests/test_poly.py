@@ -5,6 +5,7 @@ The reference implementation below stores polynomials as plain
 package, so agreement is meaningful evidence.
 """
 
+import dataclasses
 from fractions import Fraction
 from random import Random
 
@@ -20,7 +21,6 @@ from tancat.poly import (
     _canonical,
     _mul_terms,
     PolyMap,
-    eval_poly,
     eval_polymap,
     identity_map,
     linear_map,
@@ -61,6 +61,11 @@ def ref_mul(a, b, nvars):
             ev = tuple(ev1[i] + ev2[i] for i in range(nvars))
             out[ev] = out.get(ev, 0) + c1 * c2
     return {ev: c for ev, c in out.items() if c != 0}
+
+
+def value(p, point):
+    """p at a point, through the map whose one component is p."""
+    return eval_polymap(PolyMap(p.nvars, 1, (p,), p.mode), point)[0]
 
 
 def ref_partial(a, i):
@@ -155,7 +160,7 @@ def rational_polys(nvars):
 def test_pow_agrees_with_evaluation_and_the_tuple_keyed_loop(p_pt, e):
     p, pt = p_pt
     got = poly_pow(p, e)
-    assert eval_poly(got, pt) == eval_poly(p, pt) ** e
+    assert value(got, pt) == value(p, pt) ** e
     assert got == old_pow(p, e)
 
 
@@ -266,8 +271,8 @@ def test_subst_agrees_with_eval(p, data):
     ]
     point = [Fraction(data.draw(st.integers(-4, 4))) for _ in range(2)]
     composed = poly_subst(p, args)
-    inner = [eval_poly(a, point) for a in args]
-    assert eval_poly(composed, point) == eval_poly(p, inner)
+    inner = [value(a, point) for a in args]
+    assert value(composed, point) == value(p, inner)
 
 
 @settings(max_examples=40)
@@ -277,7 +282,7 @@ def test_shift_vars_preserves_values(p):
     rng = Random(5)
     for _ in range(5):
         point = [Fraction(rng.randint(-3, 3)) for _ in range(p.nvars + 3)]
-        assert eval_poly(shifted, point) == eval_poly(p, point[2 : 2 + p.nvars])
+        assert value(shifted, point) == value(p, point[2 : 2 + p.nvars])
 
 
 @settings(max_examples=60)
@@ -526,3 +531,97 @@ def test_cdc_d_agrees_with_sympy(sympy, mode, data):
         assert sympy.expand(expr(dcomp, us + xs)) == want
         keys = [(sum(ev), ev) for ev, _ in dcomp.terms]
         assert keys == sorted(keys, reverse=True) and all(c != 0 for _, c in dcomp.terms)
+
+
+# ------------------------------------------------------ exact evaluation
+
+def ref_eval(f, point):
+    """Each component summed term by term in Fractions, sharing no code with eval_polymap."""
+    out = []
+    for comp in f.components:
+        total = Fraction(0)
+        for ev, c in comp.terms:
+            term = Fraction(c)
+            for v, e in zip(point, ev):
+                term *= Fraction(v) ** e
+            total += term
+        out.append(total)
+    return tuple(out)
+
+
+@st.composite
+def maps_and_points(draw, mode):
+    """A map (zero components and dom 0 included) and a point with mixed denominators."""
+    dom, cod = draw(st.integers(0, 3), label="dom"), draw(st.integers(0, 3), label="cod")
+    if mode == scalars.NATURAL:
+        coeff = st.integers(0, 5)
+        scalar = st.one_of(st.integers(0, 6), st.builds(Fraction, st.integers(0, 6)))
+    else:
+        coeff = st.one_of(st.integers(-5, 5), st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4)))
+        scalar = st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)))
+    term = st.tuples(st.lists(st.integers(0, 4), min_size=dom, max_size=dom).map(tuple), coeff)
+    comp = st.lists(term, max_size=4).map(lambda items: Poly.from_terms(dom, items, mode))
+    comps = draw(st.lists(comp, min_size=cod, max_size=cod), label="components")
+    point = draw(st.lists(scalar, min_size=dom, max_size=dom), label="x")
+    return PolyMap(dom, cod, tuple(comps), mode), point
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_eval_polymap_agrees_with_term_by_term_fractions(mode, data):
+    f, x = data.draw(maps_and_points(mode))
+    got = eval_polymap(f, x)
+    assert got == ref_eval(f, x)
+    for v in got:
+        assert type(v) is (int if v.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_eval_polymap_refusals(mode):
+    f = PolyMap(2, 2, (Poly.variable(2, 1, mode), Poly.zero(2, mode)), mode)
+    assert eval_polymap(f, [Fraction(4, 2), 3]) == (3, 0)
+    with pytest.raises(DimensionMismatch):
+        eval_polymap(f, [1])
+    with pytest.raises(DimensionMismatch):
+        eval_polymap(f, [1, 2, 3])
+    with pytest.raises(TypeError):
+        eval_polymap(f, [1, 2.0])
+    if mode == scalars.NATURAL:
+        for point in ([-1, 0], [0, Fraction(1, 2)]):
+            with pytest.raises(SemiringViolation):
+                eval_polymap(f, point)
+    else:
+        assert eval_polymap(f, [-1, Fraction(-1, 2)]) == (Fraction(-1, 2), 0)
+
+
+# ------------------------------------------------- Poly and PolyMap values
+
+def test_poly_and_polymap_are_frozen_values():
+    p = Poly.from_terms(2, [((1, 0), Fraction(1, 2)), ((0, 0), 3)], scalars.RATIONAL)
+    f = PolyMap(2, 1, (p,), scalars.RATIONAL)
+    for obj in (p, f):
+        for field in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, field.name, getattr(obj, field.name))
+    assert not hasattr(p, "__dict__")
+    q = Poly(2, (((1, 0), Fraction(1, 2)), ((0, 0), 3)), scalars.RATIONAL)
+    g = PolyMap(2, 1, (q,), scalars.RATIONAL)
+    assert q is not p and q == p and hash(q) == hash(p)
+    assert g is not f and g == f and hash(g) == hash(f)
+    assert Poly(2, q.terms[1:], scalars.RATIONAL) != p
+    assert PolyMap(2, 1, (Poly.zero(2, scalars.RATIONAL),), scalars.RATIONAL) != f
+    assert repr(p) == "Poly(nvars=2, terms=(((1, 0), Fraction(1, 2)), ((0, 0), 3)), mode='rational')"
+    assert repr(f) == f"PolyMap(dom=2, cod=1, components=({p!r},), mode='rational')"
+
+
+def test_polymap_refuses_components_that_do_not_fit():
+    p = Poly.variable(2, 0, scalars.RATIONAL)
+    with pytest.raises(DimensionMismatch):
+        PolyMap(2, 2, (p,), scalars.RATIONAL)
+    with pytest.raises(DimensionMismatch):
+        PolyMap(3, 1, (p,), scalars.RATIONAL)
+    with pytest.raises(DimensionMismatch):
+        PolyMap(2, 1, (p,), scalars.NATURAL)
+    with pytest.raises(ValueError):
+        PolyMap(2, 0, (), "integer")
