@@ -203,8 +203,8 @@ class PolyTangentModel:
     def identity(self, m: int) -> PolyMap:
         return self._embed(identity_map(m, self.mode))
 
-    def random_mor(self, m: int, n: int, rng, max_degree: int, coeff_bound: int) -> PolyMap:
-        return random_polymap(m, n, max_degree, coeff_bound, rng, self.mode)
+    def random_mor(self, m: int, n: int, rng, max_degree: int) -> PolyMap:
+        return random_polymap(m, n, max_degree, rng, self.mode)
 
     def lift_witness(self, m: int) -> LiftWitness:
         # R := pullback of T(p) along 0, realized as (x, alpha, beta) in 3m
@@ -270,9 +270,9 @@ class PolyCDModel:
     def random_obj(self, rng) -> int:
         return rng.randint(1, self.max_dim)
 
-    def random_mor(self, dom: int, cod: int, rng, max_degree: int, coeff_bound: int) -> PolyMap:
-        return random_polymap(dom, cod, max_degree, coeff_bound, rng, self.mode)
+    def random_mor(self, dom: int, cod: int, rng, max_degree: int) -> PolyMap:
+        return random_polymap(dom, cod, max_degree, rng, self.mode)
 
-    def random_point(self, obj: int, rng, coeff_bound: int) -> PolyMap:
-        values = [scalars.random_scalar(self.mode, rng, coeff_bound) for _ in range(obj)]
+    def random_point(self, obj: int, rng) -> PolyMap:
+        values = [scalars.random_scalar(self.mode, rng) for _ in range(obj)]
         return constant_map(0, values, self.mode)

@@ -22,7 +22,7 @@ from .bundles import (
     whitney_sum,
 )
 from .cdc import cdc_D
-from .fibration import verify_fibre_axioms
+from .fibration import FIBRE_PARAMS, verify_fibre_axioms
 from .parser import MAX_VARIABLES, bounded_int, parse_polymap
 from .poly import polymap_to_str
 from .report import Report
@@ -162,9 +162,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     fibre = sub.add_parser("fibre", help="run the tangent axioms inside a fibre")
     fibre.add_argument("--context-dim", type=int, required=True, dest="context_dim")
-    fibre.add_argument("--max-dim", type=int, default=2, dest="max_dim")
-    fibre.add_argument("--instances", type=int, default=25)
-    fibre.add_argument("--seed", type=int, default=0)
+    fibre.add_argument("--max-dim", type=int, default=FIBRE_PARAMS.max_dim, dest="max_dim")
+    fibre.add_argument("--instances", type=int, default=FIBRE_PARAMS.instances)
+    fibre.add_argument("--seed", type=int, default=FIBRE_PARAMS.seed)
     fibre.add_argument("--mode", default=scalars.RATIONAL, choices=list(scalars.MODES))
     fibre.add_argument("--out", default=None)
     fibre.set_defaults(func=_cmd_fibre)

@@ -165,18 +165,15 @@ class SimpleCDModel:
     def random_obj(self, rng) -> SimpleObj:
         return SimpleObj(rng.randint(0, 2), rng.randint(1, 2))
 
-    def random_mor(self, dom: SimpleObj, cod: SimpleObj, rng, max_degree: int, coeff_bound: int) -> SimpleMor:
+    def random_mor(self, dom: SimpleObj, cod: SimpleObj, rng, max_degree: int) -> SimpleMor:
         n = dom.context + dom.payload
         return SimpleMor(
-            random_polymap(dom.context, cod.context, max_degree, coeff_bound, rng, self.mode),
-            random_polymap(n, cod.payload, max_degree, coeff_bound, rng, self.mode),
+            random_polymap(dom.context, cod.context, max_degree, rng, self.mode),
+            random_polymap(n, cod.payload, max_degree, rng, self.mode),
         )
 
-    def random_point(self, obj: SimpleObj, rng, coeff_bound: int) -> SimpleMor:
-        values = [
-            scalars.random_scalar(self.mode, rng, coeff_bound)
-            for _ in range(obj.context + obj.payload)
-        ]
+    def random_point(self, obj: SimpleObj, rng) -> SimpleMor:
+        values = [scalars.random_scalar(self.mode, rng) for _ in range(obj.context + obj.payload)]
         return SimpleMor(
             constant_map(0, values[: obj.context], self.mode),
             constant_map(0, values[obj.context :], self.mode),
@@ -212,15 +209,17 @@ class FibreTangentModel(PolyTangentModel):
         ctx = polymap_proj(f.dom, 0, self.context, self.mode)
         return polymap_compose(polymap_pair(ctx, f), g)
 
-    def random_mor(self, x: int, y: int, rng, max_degree: int, coeff_bound: int) -> PolyMap:
-        return random_polymap(self.context + x, y, max_degree, coeff_bound, rng, self.mode)
+    def random_mor(self, x: int, y: int, rng, max_degree: int) -> PolyMap:
+        return random_polymap(self.context + x, y, max_degree, rng, self.mode)
 
 
 # the degree of every random fibre map; not a parameter, so the report's params fix the run
 FIBRE_DEGREE = 3
+# the payload bound and instance count of the fibre command and of the fibration suite's fibre rows
+FIBRE_PARAMS = SuiteParams(max_dim=2, instances=25)
 
 
-def verify_fibre_axioms(context: int, params: SuiteParams = SuiteParams(max_dim=2, instances=25)) -> Report:
+def verify_fibre_axioms(context: int, params: SuiteParams = FIBRE_PARAMS) -> Report:
     """Run the full tangent-axioms suite inside the fibre over a context.
 
     Payload dimensions go up to params.max_dim; the report echoes it as payload_bound.

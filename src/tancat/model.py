@@ -11,7 +11,8 @@ methods, which the axiom suites are written against once:
 - ``pair_t2(x, f, g)``: <f, g> into T_2(x), requiring f;p = g;p;
 - ``pair_t_t2(x, f, g)``: <f, g> into T(T_2(x)), requiring f;T(p) = g;T(p);
 - ``compose(f, g)``, ``identity(x)`` and
-  ``random_mor(x, y, rng, max_degree, coeff_bound)``;
+  ``random_mor(x, y, rng, max_degree)``, whose coefficients, like those of
+  a CD model's ``random_point(obj, rng)``, are ``scalars.random_scalar`` draws;
 - ``lift_witness(x)``: the LiftWitness for the universality of the lift.
 
 cdc.PolyTangentModel is the polynomial model, and fibration's
@@ -26,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from .params import COEFF_BOUND, SuiteParams, draws
+from .params import SuiteParams, draws
 from .report import CheckSet
 
 
@@ -245,7 +246,7 @@ def tangent_axioms_checks(model, params: SuiteParams) -> CheckSet:
     for i, rng in draws("tangent-axioms", "naturality", params):
         dx = rng.randint(1, max_dim)
         dy = rng.randint(1, max_dim)
-        f = model.random_mor(dx, dy, rng, max_degree, COEFF_BOUND)
+        f = model.random_mor(dx, dy, rng, max_degree)
         desc = f"instance {i}: f = {f}"
         tf = model.t_mor(f)
         eq("naturality-p", model.compose(tf, model.p(dy)), model.compose(model.p(dx), f), desc)
@@ -285,8 +286,8 @@ def tangent_axioms_checks(model, params: SuiteParams) -> CheckSet:
         dx = rng.randint(1, max_dim)
         dy = rng.randint(1, max_dim)
         dz = rng.randint(1, max_dim)
-        f = model.random_mor(dx, dy, rng, max_degree, COEFF_BOUND)
-        g = model.random_mor(dy, dz, rng, max_degree, COEFF_BOUND)
+        f = model.random_mor(dx, dy, rng, max_degree)
+        g = model.random_mor(dy, dz, rng, max_degree)
         eq(
             "functor-compose",
             model.t_mor(model.compose(f, g)),

@@ -53,7 +53,9 @@ def _eval_terms(terms, env: Sequence[Tuple[float, float]]) -> Tuple[float, float
     return acc if acc is not None else (0.0, 0.0)
 
 
-def dual_eval(prog: NumericProgram, point: Sequence[float], direction: Sequence[float]) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+def dual_eval(
+    prog: NumericProgram, point: Sequence[float], direction: Sequence[float]
+) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """Values and exact directional derivatives at (point, direction)."""
     if len(point) != prog.dom or len(direction) != prog.dom:
         raise DimensionMismatch(f"program expects {prog.dom} input coordinates")

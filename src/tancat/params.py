@@ -15,9 +15,6 @@ from typing import Iterator, Optional, Tuple
 
 from . import scalars
 
-# random coefficients lie in [-COEFF_BOUND, COEFF_BOUND], or [0, COEFF_BOUND] in natural mode
-COEFF_BOUND = 5
-
 
 @dataclass(frozen=True)
 class SuiteParams:

@@ -38,7 +38,7 @@ from typing import List, Optional, Tuple
 
 from . import scalars
 from .errors import PolyParseError, SemiringViolation
-from .poly import Poly, PolyMap, poly_pow
+from .poly import Poly, PolyMap, poly_add, poly_mul, poly_pow
 
 # Parentheses and unary minus nest by recursion; deeper input is refused.
 MAX_NESTING = 100
@@ -300,9 +300,9 @@ def _fold(ops: List[tuple], dom: int, mode: str) -> List[Poly]:
         elif tag == "^":
             stack[-1] = poly_pow(stack[-1], op[1])
         elif tag == "+":
-            stack[-2:] = [stack[-2] + stack[-1]]
+            stack[-2:] = [poly_add(stack[-2], stack[-1])]
         else:
-            stack[-2:] = [stack[-2] * stack[-1]]
+            stack[-2:] = [poly_mul(stack[-2], stack[-1])]
     return stack
 
 

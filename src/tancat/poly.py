@@ -94,12 +94,6 @@ class Poly:
         ev = (0,) * i + (1,) + (0,) * (nvars - i - 1)
         return Poly(nvars, ((ev, 1),), scalars.check_mode(mode))
 
-    def __add__(self, other: "Poly") -> "Poly":
-        return poly_add(self, other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        return poly_mul(self, other)
-
 
 def _check_same_shape(a: Poly, b: Poly):
     if a.nvars != b.nvars:
@@ -449,7 +443,9 @@ def block_swap(w: int, x: int, y: int, z: int, mode: str) -> PolyMap:
 # Printing (canonical form: graded-lex term order, explicit *)
 
 
-def poly_to_str(p: Poly, var_names: Sequence[str] | None = None, display_order: Sequence[int] | None = None) -> str:
+def poly_to_str(
+    p: Poly, var_names: Sequence[str] | None = None, display_order: Sequence[int] | None = None
+) -> str:
     if var_names is None:
         var_names = [f"x{i}" for i in range(p.nvars)]
     order = list(display_order) if display_order is not None else list(range(p.nvars))
@@ -479,7 +475,9 @@ def poly_to_str(p: Poly, var_names: Sequence[str] | None = None, display_order: 
     return out
 
 
-def polymap_to_str(f: PolyMap, var_names: Sequence[str] | None = None, display_order: Sequence[int] | None = None) -> str:
+def polymap_to_str(
+    f: PolyMap, var_names: Sequence[str] | None = None, display_order: Sequence[int] | None = None
+) -> str:
     return "; ".join(poly_to_str(c, var_names, display_order) for c in f.components)
 
 
@@ -487,23 +485,18 @@ def polymap_to_str(f: PolyMap, var_names: Sequence[str] | None = None, display_o
 # Seeded random generation
 
 
-def random_poly(nvars: int, max_degree: int, coeff_bound: int, rng: Random, mode: str) -> Poly:
-    """One to three random terms of degree <= max_degree."""
-    items = []
-    for _ in range(rng.randint(1, 3)):
-        degree = rng.randint(0, max_degree)
-        ev = [0] * nvars
-        if nvars:
-            for _ in range(degree):
-                ev[rng.randrange(nvars)] += 1
-        items.append((tuple(ev), scalars.random_scalar(mode, rng, coeff_bound)))
-    return Poly.from_terms(nvars, items, mode)
-
-
-def random_polymap(dom: int, cod: int, max_degree: int, coeff_bound: int, seed, mode: str = scalars.RATIONAL) -> PolyMap:
-    """Deterministic for a fixed seed; monomial degrees <= max_degree."""
-    if max_degree < 0 or coeff_bound <= 0:
-        raise ValueError("bounds must be positive")
-    rng = seed if isinstance(seed, Random) else Random(seed)
-    comps = tuple(random_poly(dom, max_degree, coeff_bound, rng, mode) for _ in range(cod))
-    return PolyMap(dom, cod, comps, mode)
+def random_polymap(dom: int, cod: int, max_degree: int, rng: Random, mode: str) -> PolyMap:
+    """cod components of one to three random terms each, of degree <= max_degree; drawn from rng only."""
+    if max_degree < 0:
+        raise ValueError("max_degree must be >= 0")
+    comps = []
+    for _ in range(cod):
+        items = []
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.randint(0, max_degree)
+            ev = [0] * dom
+            for _ in range(degree if dom else 0):
+                ev[rng.randrange(dom)] += 1
+            items.append((tuple(ev), scalars.random_scalar(mode, rng)))
+        comps.append(Poly.from_terms(dom, items, mode))
+    return PolyMap(dom, cod, tuple(comps), mode)

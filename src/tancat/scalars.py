@@ -19,6 +19,9 @@ RATIONAL = "rational"
 NATURAL = "natural"
 MODES = (RATIONAL, NATURAL)
 
+# random coefficients lie in [-COEFF_BOUND, COEFF_BOUND], or [0, COEFF_BOUND] in natural mode
+COEFF_BOUND = 5
+
 
 def check_mode(mode: str) -> str:
     if mode not in MODES:
@@ -52,10 +55,10 @@ def negate(mode: str, value):
     return -value
 
 
-def random_scalar(mode: str, rng: Random, bound: int):
-    """Uniform draw from the bounded range: [0, bound] natural, [-bound, bound] rational."""
+def random_scalar(mode: str, rng: Random):
+    """Uniform draw from [0, COEFF_BOUND] natural, [-COEFF_BOUND, COEFF_BOUND] rational."""
     check_mode(mode)
-    return rng.randint(0 if mode == NATURAL else -bound, bound)
+    return rng.randint(0 if mode == NATURAL else -COEFF_BOUND, COEFF_BOUND)
 
 
 def format_scalar(value) -> str:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, replace
 from fractions import Fraction
+from random import Random
 from typing import Callable, Dict, Optional, Tuple
 
 from . import scalars
@@ -61,6 +62,7 @@ from .diffobj import (
 )
 from .errors import DimensionMismatch, PreconditionFailure
 from .fibration import (
+    FIBRE_PARAMS,
     SimpleCDModel,
     SimpleMor,
     SimpleObj,
@@ -91,7 +93,7 @@ from .poly import (
     random_polymap,
     zero_map,
 )
-from .params import COEFF_BOUND, SuiteParams, draws
+from .params import SuiteParams, draws
 from .report import PASS, CheckSet, Report
 
 # each injectable defect, and the suites whose checks it affects
@@ -139,9 +141,9 @@ def cdc_axioms_checks(model, params: SuiteParams, suite_name: str) -> CheckSet:
     """CD1-CD7 (Blute, Cockett & Seely, TAC 2009) for the differential model.D.
 
     The CD model supplies D, compose, n-ary pair/product/proj, add, zero,
-    identity, a ``unit`` object that points start from, seeded random
-    objects, maps and points (see PolyCDModel, SimpleCDModel).  Morphisms
-    print themselves through ``str``.
+    identity, a ``unit`` object that points start from, and the seeded draws
+    random_obj(rng), random_mor(x, y, rng, max_degree) and random_point(x, rng)
+    (see PolyCDModel, SimpleCDModel).  Morphisms print themselves through ``str``.
     """
     checks = CheckSet()
     D = model.D
@@ -153,9 +155,9 @@ def cdc_axioms_checks(model, params: SuiteParams, suite_name: str) -> CheckSet:
         m = model.random_obj(rng)
         n = model.random_obj(rng)
         pdim = model.random_obj(rng)
-        f = model.random_mor(m, n, rng, deg, COEFF_BOUND)
-        g = model.random_mor(m, n, rng, deg, COEFF_BOUND)
-        h = model.random_mor(n, pdim, rng, deg, COEFF_BOUND)
+        f = model.random_mor(m, n, rng, deg)
+        g = model.random_mor(m, n, rng, deg)
+        h = model.random_mor(n, pdim, rng, deg)
         desc = f"instance {i}: f = {f}"
         df = D(f)
         tm = model.product(m, m)
@@ -173,7 +175,7 @@ def cdc_axioms_checks(model, params: SuiteParams, suite_name: str) -> CheckSet:
         eq("cd2-additive", lhs, rhs, desc)
         zero_section = model.pair(model.zero(m, m), model.identity(m))
         eq("cd2-zero", model.compose(zero_section, df), model.zero(m, n), desc)
-        ca, cb, cx = (model.random_point(m, rng, COEFF_BOUND) for _ in range(3))
+        ca, cb, cx = (model.random_point(m, rng) for _ in range(3))
         lhs_c = model.compose(model.pair(model.add(ca, cb), cx), df)
         rhs_c = model.add(
             model.compose(model.pair(ca, cx), df),
@@ -213,7 +215,7 @@ def cdc_axioms_checks(model, params: SuiteParams, suite_name: str) -> CheckSet:
 
         ex = model.pair(*(model.proj((m, m, m, m), k) for k in (0, 2, 1, 3)))
         eq("cd7-symmetry", model.compose(ex, ddf), ddf, desc)
-        cc = model.random_point(m, rng, COEFF_BOUND)
+        cc = model.random_point(m, rng)
         c7 = model.pair(ca, cb, cc, cx)
         eq(
             "cd7-symmetry-points",
@@ -231,7 +233,7 @@ def _suite_derived_differential(params: SuiteParams) -> CheckSet:
     for k, rng in draws("derived-differential", "agreement", params, dims * dims * per_cell):
         cell, i = divmod(k, per_cell)
         m, n = (d + 1 for d in divmod(cell, dims))
-        f = random_polymap(m, n, params.max_degree, COEFF_BOUND, rng, params.mode)
+        f = random_polymap(m, n, params.max_degree, rng, params.mode)
         checks.equality(
             "derived-equals-direct", derived_D(f), cdc_D(f), f"dom {m}, cod {n}, instance {i}: f = {f}"
         )
@@ -318,7 +320,7 @@ def _suite_bundle(params: SuiteParams) -> CheckSet:
     for i, rng in draws("bundle", "pullback", params):
         label, b = targets[i % len(targets)]
         xdim = rng.randint(1, 2)
-        fmap = random_polymap(xdim, b.base, params.max_degree, COEFF_BOUND, rng, mode)
+        fmap = random_polymap(xdim, b.base, params.max_degree, rng, mode)
         detail = f"instance {i} over {label}, f = {fmap}"
         with checks.guard("pullback-verify"):
             pb = pullback_bundle(fmap, b)
@@ -414,7 +416,7 @@ def _suite_bracket_laws(params: SuiteParams) -> CheckSet:
         xdim = rng.randint(1, 2)
 
         def rand(cod, dom=xdim):
-            return random_polymap(dom, cod, deg, COEFF_BOUND, rng, mode)
+            return random_polymap(dom, cod, deg, rng, mode)
 
         xmap = rand(m)
         zero_dx = zero_map(xdim, m, mode)
@@ -516,7 +518,7 @@ def _suite_interchange(params: SuiteParams) -> CheckSet:
         xdim = rng.randint(1, 2)
 
         def rand(cod):
-            return random_polymap(xdim, cod, params.max_degree, COEFF_BOUND, rng, mode)
+            return random_polymap(xdim, cod, params.max_degree, rng, mode)
 
         xmap = rand(m)
         dx12, dx34 = rand(m), rand(m)
@@ -553,7 +555,7 @@ def _linear_fibre_map(m: int, k1: int, k2: int, rng, deg: int, mode: str) -> Pol
     for _ in range(k2):
         acc = Poly.zero(dom, mode)
         for j in range(k1):
-            cpoly = random_polymap(m, 1, deg, COEFF_BOUND, rng, mode).components[0]
+            cpoly = random_polymap(m, 1, deg, rng, mode).components[0]
             wide = poly_shift_vars(cpoly, 0, dom)
             acc = poly_add(acc, poly_mul(wide, Poly.variable(dom, m + j, mode)))
         comps.append(acc)
@@ -590,7 +592,7 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
     for i, rng in draws("linearity", "tangent-functor", params):
         dn = rng.randint(1, 2)
         dm = rng.randint(1, 2)
-        f = random_polymap(dn, dm, deg, COEFF_BOUND, rng, mode)
+        f = random_polymap(dn, dm, deg, rng, mode)
         lin_rows(
             "tangent-functor-linear",
             BundleMor(cdc_T(f), f),
@@ -602,7 +604,7 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
     b = fams["standard-2-1"]
     for i, rng in draws("linearity", "pullback", params, 10):
         xdim = rng.randint(1, 2)
-        f = random_polymap(xdim, b.base, deg, COEFF_BOUND, rng, mode)
+        f = random_polymap(xdim, b.base, deg, rng, mode)
         pb = pullback_bundle(f, b)
         lin_rows(
             "pullback-cartesian-linear",
@@ -630,11 +632,11 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
 
     b_src = fams["standard-1-1"]
     for i, rng in draws("linearity", "equivalence", params):
-        g = random_polymap(1, 1, deg, COEFF_BOUND, rng, mode)
+        g = random_polymap(1, 1, deg, rng, mode)
         if i % 2 == 0:
             fib = _linear_fibre_map(1, 1, 1, rng, deg, mode)
         else:
-            fib = random_polymap(2, 1, deg, COEFF_BOUND, rng, mode)
+            fib = random_polymap(2, 1, deg, rng, mode)
         f_total = polymap_pair(polymap_compose(polymap_proj(2, 0, 1, mode), g), fib)
         mor = BundleMor(f_total, g)
         lam_ok = is_linear(mor, b_src, b_src)
@@ -671,10 +673,10 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
         k1 = rng.randint(1, 2)
         k2 = rng.randint(1, 2)
         if i % 2 == 0:
-            matrix = [[scalars.random_scalar(mode, rng, COEFF_BOUND) for _ in range(k1)] for _ in range(k2)]
+            matrix = [[scalars.random_scalar(mode, rng) for _ in range(k1)] for _ in range(k2)]
             f = linear_map(k1, 0, matrix, mode)
         else:
-            f = random_polymap(k1, k2, deg, COEFF_BOUND, rng, mode)
+            f = random_polymap(k1, k2, deg, rng, mode)
         o1 = canonical_diffobj(k1, mode)
         o2 = canonical_diffobj(k2, mode)
         d1, d2 = bundle_from_diffobj(o1), bundle_from_diffobj(o2)
@@ -749,9 +751,9 @@ def _suite_fibration(params: SuiteParams) -> CheckSet:
 
     for i, rng in draws("fibration", "composition", params):
         o1, o2, o3, o4 = (model.random_obj(rng) for _ in range(4))
-        m1 = model.random_mor(o1, o2, rng, deg, COEFF_BOUND)
-        m2 = model.random_mor(o2, o3, rng, deg, COEFF_BOUND)
-        m3 = model.random_mor(o3, o4, rng, deg, COEFF_BOUND)
+        m1 = model.random_mor(o1, o2, rng, deg)
+        m2 = model.random_mor(o2, o3, rng, deg)
+        m3 = model.random_mor(o3, o4, rng, deg)
         desc = f"instance {i}: m1 = {m1}"
         eq(
             "compose-associative",
@@ -762,11 +764,11 @@ def _suite_fibration(params: SuiteParams) -> CheckSet:
         eq("compose-unit-left", simple_compose(simple_identity(o1, mode), m1), m1, desc)
         eq("compose-unit-right", simple_compose(m1, simple_identity(o2, mode)), m1, desc)
 
-    # at most 25 instances each; the fibre rows keep their own dimension and degree bounds
-    few = replace(params, instances=min(params.instances, 25))
+    # at most FIBRE_PARAMS.instances each; the fibre rows keep their own dimension and degree bounds
+    few = replace(params, instances=min(params.instances, FIBRE_PARAMS.instances))
     checks.absorb(cdc_axioms_checks(model, few, "fibration"), prefix="simple-")
     for ctx in (1, 2):
-        rep = verify_fibre_axioms(ctx, replace(few, max_dim=2))
+        rep = verify_fibre_axioms(ctx, replace(few, max_dim=FIBRE_PARAMS.max_dim))
         checks.absorb(rep, prefix=f"fibre[{ctx}]:")
 
     for i, rng in draws("fibration", "vertical", params):
@@ -775,8 +777,8 @@ def _suite_fibration(params: SuiteParams) -> CheckSet:
         x = rng.randint(1, 2)
         y = rng.randint(1, 2)
         z = rng.randint(1, 2)
-        g1 = random_polymap(a + x, y, deg, COEFF_BOUND, rng, mode)
-        g2 = random_polymap(a + y, z, deg, COEFF_BOUND, rng, mode)
+        g1 = random_polymap(a + x, y, deg, rng, mode)
+        g2 = random_polymap(a + y, z, deg, rng, mode)
         ident_a = identity_map(a, mode)
         m1 = SimpleMor(ident_a, g1)
         m2 = SimpleMor(ident_a, g2)
@@ -811,7 +813,7 @@ def _suite_fibration(params: SuiteParams) -> CheckSet:
             desc,
         )
 
-    moving = SimpleMor(zero_map(1, 1, mode), random_polymap(2, 1, deg, COEFF_BOUND, 7, mode))
+    moving = SimpleMor(zero_map(1, 1, mode), random_polymap(2, 1, deg, Random(7), mode))
     refused = _refuses(lambda: vertical_T(1, moving), PreconditionFailure)
     checks.condition("vertical-requires-identity", refused, "non-identity context part must be refused")
     return checks
@@ -859,7 +861,7 @@ def _suite_monad_laws(params: SuiteParams) -> CheckSet:
     for i, rng in draws("monad-laws", "naturality", params):
         dx = rng.randint(1, params.max_dim)
         dy = rng.randint(1, params.max_dim)
-        f = model.random_mor(dx, dy, rng, params.max_degree, COEFF_BOUND)
+        f = model.random_mor(dx, dy, rng, params.max_degree)
         desc = f"instance {i}: f = {f}"
         eq(
             "monad-naturality",
@@ -881,7 +883,7 @@ def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
     for i, rng in draws("numeric-consistency", "dual-vs-symbolic", params):
         m = rng.randint(1, params.max_dim)
         n = rng.randint(1, 2)
-        f = random_polymap(m, n, deg, COEFF_BOUND, rng, scalars.RATIONAL)
+        f = random_polymap(m, n, deg, rng, scalars.RATIONAL)
         prog = NumericProgram.from_polymap(f)
         df = cdc_D(f)
         for j in range(100):
@@ -899,7 +901,7 @@ def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
     for i, rng in draws("numeric-consistency", "fd-vs-dual", params):
         m = rng.randint(1, params.max_dim)
         n = rng.randint(1, 2)
-        f = random_polymap(m, n, deg, COEFF_BOUND, rng, scalars.RATIONAL)
+        f = random_polymap(m, n, deg, rng, scalars.RATIONAL)
         prog = NumericProgram.from_polymap(f)
         for j in range(5):
             point = [rng.uniform(-1.5, 1.5) for _ in range(m)]
@@ -910,7 +912,7 @@ def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
     for i, rng in draws("numeric-consistency", "affine", params, 10):
         m = rng.randint(1, 3)
         # row i holds the constant, then the coefficients, of output i
-        rows = [[Fraction(rng.randint(-COEFF_BOUND, COEFF_BOUND)) for _ in range(m + 1)] for _ in range(m)]
+        rows = [[scalars.random_scalar(scalars.RATIONAL, rng) for _ in range(m + 1)] for _ in range(m)]
         shift = constant_map(m, [row[0] for row in rows], scalars.RATIONAL)
         slope = linear_map(m, 0, [row[1:] for row in rows], scalars.RATIONAL)
         prog = NumericProgram.from_polymap(polymap_add(shift, slope))
@@ -921,7 +923,7 @@ def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
 
     for i, rng in draws("numeric-consistency", "degenerate", params, 10):
         m = rng.randint(1, 3)
-        f = random_polymap(m, 2, deg, COEFF_BOUND, rng, scalars.RATIONAL)
+        f = random_polymap(m, 2, deg, rng, scalars.RATIONAL)
         prog = NumericProgram.from_polymap(f)
         point = [rng.uniform(-2.0, 2.0) for _ in range(m)]
         _, tangents = dual_eval(prog, point, [0.0] * m)
@@ -980,4 +982,4 @@ def run_suite(name: str, **overrides) -> Report:
         raise ValueError(f"invalid-params: unknown fault {fault!r}; choose from {', '.join(FAULTS)}")
     if fault is not None and name not in FAULT_SUITES[fault]:
         raise ValueError(f"invalid-params: fault {fault!r} does not affect suite {name!r}")
-    return _SUITES[name](params).report(name, {**asdict(params), "coeff_bound": COEFF_BOUND})
+    return _SUITES[name](params).report(name, {**asdict(params), "coeff_bound": scalars.COEFF_BOUND})

@@ -253,7 +253,7 @@ def test_tangent_functor_morphisms_are_linear():
     rng = Random(23)
     for _ in range(10):
         n, m = rng.randint(1, 2), rng.randint(1, 2)
-        f = random_polymap(n, m, 3, 5, rng, scalars.RATIONAL)
+        f = random_polymap(n, m, 3, rng, scalars.RATIONAL)
         mor = BundleMor(cdc_T(f), f)
         assert is_linear(mor, tangent_bundle_of(n), tangent_bundle_of(m))
         assert is_additive(mor, tangent_bundle_of(n), tangent_bundle_of(m))
@@ -322,7 +322,7 @@ def test_pullback_verifies_along_random_maps():
     rng = Random(40)
     for b in (standard_bundle(1, 1), standard_bundle(2, 1)):
         for _ in range(5):
-            f = random_polymap(rng.randint(1, 2), b.base, 3, 5, rng, b.mode)
+            f = random_polymap(rng.randint(1, 2), b.base, 3, rng, b.mode)
             pb = pullback_bundle(f, b)
             assert verify_bundle(pb).all_passed
             assert is_linear(pullback_mor(f, b, pb), pb, b)

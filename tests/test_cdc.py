@@ -60,7 +60,7 @@ def test_d_matches_t_coefficient_oracle():
     rng = Random(31)
     for mode in scalars.MODES:
         for _ in range(30):
-            f = random_polymap(rng.randint(1, 3), rng.randint(1, 3), 3, 5, rng, mode)
+            f = random_polymap(rng.randint(1, 3), rng.randint(1, 3), 3, rng, mode)
             assert cdc_D(f) == d_oracle(f)
 
 

@@ -95,7 +95,7 @@ def test_derived_d_agrees_with_combinator_everywhere():
     rng = Random(77)
     for mode in scalars.MODES:
         for _ in range(20):
-            f = random_polymap(rng.randint(1, 3), rng.randint(1, 3), 3, 5, rng, mode)
+            f = random_polymap(rng.randint(1, 3), rng.randint(1, 3), 3, rng, mode)
             assert derived_D(f) == cdc_D(f)
 
 

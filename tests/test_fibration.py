@@ -81,7 +81,7 @@ def test_vertical_tangent_frozen_examples():
 def test_empty_context_recovers_tangent_functor():
     rng = Random(19)
     for _ in range(10):
-        g = random_polymap(rng.randint(1, 3), rng.randint(1, 2), 3, 5, rng, R)
+        g = random_polymap(rng.randint(1, 3), rng.randint(1, 2), 3, rng, R)
         assert vertical_tangent_map(0, g) == cdc_T(g)
 
 
@@ -91,8 +91,8 @@ def test_vertical_chain_rule():
         a = rng.randint(1, 2)
         x, y, z = (rng.randint(1, 2) for _ in range(3))
         ident = identity_map(a, R)
-        m1 = SimpleMor(ident, random_polymap(a + x, y, 3, 5, rng, R))
-        m2 = SimpleMor(ident, random_polymap(a + y, z, 3, 5, rng, R))
+        m1 = SimpleMor(ident, random_polymap(a + x, y, 3, rng, R))
+        m2 = SimpleMor(ident, random_polymap(a + y, z, 3, rng, R))
         lhs = vertical_T(a, simple_compose(m1, m2))
         rhs = simple_compose(vertical_T(a, m1), vertical_T(a, m2))
         assert lhs == rhs

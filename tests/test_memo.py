@@ -8,6 +8,7 @@ uncached function stays reachable as ``__wrapped__`` and is the reference.
 import gc
 import weakref
 from dataclasses import replace
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ MODES = (scalars.RATIONAL, scalars.NATURAL)
 
 def maps():
     return st.builds(
-        lambda dom, cod, seed, mode: random_polymap(dom, cod, 3, 5, seed, mode),
+        lambda dom, cod, seed, mode: random_polymap(dom, cod, 3, Random(seed), mode),
         st.integers(0, 3),
         st.integers(0, 3),
         st.integers(0, 10**6),
@@ -33,8 +34,8 @@ def maps():
 
 def diffobjs():
     def build(k, seed, mode):
-        sigma = random_polymap(2 * k, k, 2, 3, seed, mode)
-        zeta = random_polymap(0, k, 0, 3, seed + 1, mode)
+        sigma = random_polymap(2 * k, k, 2, Random(seed), mode)
+        zeta = random_polymap(0, k, 0, Random(seed + 1), mode)
         return DiffObject(k, sigma, zeta, polymap_proj(2 * k, 0, k, mode), mode)
 
     return st.builds(build, st.integers(1, 2), st.integers(0, 10**6), st.sampled_from(MODES))
@@ -64,7 +65,7 @@ def test_mu_equals_its_uncached_result(o):
 
 @pytest.mark.parametrize("memo", [cdc_D, cdc_T], ids=["D", "T"])
 def test_entry_lives_as_long_as_its_input(memo):
-    f = random_polymap(2, 2, 3, 5, 1234, scalars.RATIONAL)
+    f = random_polymap(2, 2, 3, Random(1234), scalars.RATIONAL)
     r = weakref.ref(memo(f))
     gc.collect()
     assert r() is not None  # only the cache holds the result
@@ -74,8 +75,8 @@ def test_entry_lives_as_long_as_its_input(memo):
 
 
 def test_mu_entry_lives_as_long_as_its_object():
-    sigma = random_polymap(2, 1, 2, 3, 99, scalars.RATIONAL)
-    zeta = random_polymap(0, 1, 0, 3, 98, scalars.RATIONAL)
+    sigma = random_polymap(2, 1, 2, Random(99), scalars.RATIONAL)
+    zeta = random_polymap(0, 1, 0, Random(98), scalars.RATIONAL)
     o = DiffObject(1, sigma, zeta, polymap_proj(2, 0, 1, scalars.RATIONAL), scalars.RATIONAL)
     r = weakref.ref(diffobj_mu(o))
     gc.collect()

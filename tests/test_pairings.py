@@ -40,7 +40,7 @@ BUNDLES = {
 
 
 def _rand(rng, mode, dom, cod):
-    return random_polymap(dom, cod, 2, 3, rng, mode)
+    return random_polymap(dom, cod, 2, rng, mode)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -104,7 +104,7 @@ def test_pair_t_t2_is_the_tangent_pullback_pairing(name, mode):
     for m in (1, 2):
         t_pis = [model.t_mor(pi) for pi in model.t_n(m, 2).projections]
         for _ in range(3):
-            du, dx, u, x, du2, u2, other = (model.random_mor(2, m, rng, 2, 3) for _ in range(7))
+            du, dx, u, x, du2, u2, other = (model.random_mor(2, m, rng, 2) for _ in range(7))
             f = polymap_pair(du, dx, u, x)
             g = polymap_pair(du2, dx, u2, x)
             paired = model.pair_t_t2(m, f, g)

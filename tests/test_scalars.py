@@ -45,11 +45,13 @@ def test_negate_is_mode_gated():
 
 
 def test_random_scalar_ranges_and_determinism():
-    for mode, lo in ((scalars.NATURAL, 0), (scalars.RATIONAL, -5)):
-        draws = [scalars.random_scalar(mode, Random(11), 5) for _ in range(50)]
-        again = [scalars.random_scalar(mode, Random(11), 5) for _ in range(50)]
-        assert draws == again
-        assert all(lo <= d <= 5 and type(d) is int for d in draws)
+    bound = scalars.COEFF_BOUND
+    for mode, lo in ((scalars.NATURAL, 0), (scalars.RATIONAL, -bound)):
+        rng, again = Random(11), Random(11)
+        draws = [scalars.random_scalar(mode, rng) for _ in range(200)]
+        assert draws == [scalars.random_scalar(mode, again) for _ in range(200)]
+        assert set(draws) == set(range(lo, bound + 1))
+        assert all(type(d) is int for d in draws)
 
 
 def test_format_scalar():

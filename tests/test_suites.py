@@ -169,6 +169,9 @@ def test_unknown_suite_rejected():
 def test_unknown_parameter_rejected():
     with pytest.raises(ValueError, match="invalid-params"):
         run_suite("tangent-axioms", dimension=3)
+    # the coefficient range is scalars.COEFF_BOUND, not a parameter
+    with pytest.raises(ValueError, match="invalid-params: unknown parameter 'coeff_bound'"):
+        run_suite("tangent-axioms", coeff_bound=3)
 
 
 def test_bad_parameter_values_rejected():

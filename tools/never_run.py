@@ -2,10 +2,11 @@
 
 Runs every suite in both scalar modes at default bounds, and each fault on
 each suite it affects (the benchmarked fault pairs) in both modes, through
-``tancat.cli.main`` under the stdlib line tracer.  A function counts as run when any line of its own body (nested
-function bodies excluded) executes.  Bodies in ``ALLOWED_FILES``, bodies
-that only raise (but not an abstract stub's NotImplementedError), and the
-functions in ``ALLOWED`` are not reported.
+``tancat.cli.main`` under the stdlib line tracer.  A function counts as run
+when any line of its own body (nested function bodies excluded) executes.
+Bodies in ``ALLOWED_FILES``, bodies that only raise (but not an abstract
+stub's NotImplementedError), and the functions in ``ALLOWED`` are not
+reported.
 
     python3 tools/never_run.py
 
@@ -35,8 +36,6 @@ ALLOWED_FILES = ("cli.py", "parser.py", "errors.py")
 ALLOWED = {
     "bundles.parse_bundle_text": "reads the INI text of `tancat bundle --file`",
     "bundles.load_bundle": "opens the file of `tancat bundle --file`",
-    "poly.Poly.__add__": "the parser's '+'; suites add through poly_add",
-    "poly.Poly.__mul__": "the parser's '*'; suites multiply through poly_mul",
     "poly.poly_pow": "the parser's '^'",
     "scalars.negate": "the parser's '-'",
 }
