@@ -21,6 +21,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import replace
 from functools import lru_cache, partial, wraps
+from itertools import groupby
 from typing import Callable, Sequence
 
 from . import scalars
@@ -29,7 +30,6 @@ from .model import LiftWitness, TnObject, vertical_lift_v
 from .poly import (
     Poly,
     PolyMap,
-    _canonical,
     block_swap,
     constant_map,
     identity_map,
@@ -64,15 +64,26 @@ def memo_by_input(fn: Callable) -> Callable:
 
 @memo_by_input
 def cdc_D(f: PolyMap) -> PolyMap:
-    """Differential of f : m -> n as a map 2m -> n over coordinates (u, x)."""
+    """Differential of f : m -> n as a map 2m -> n over coordinates (u, x).
+
+    Each term u_j * (a term of d comp / d x_j) has the total degree of the term
+    it came from, and no two collide.  Within one degree the u-block e_j comes
+    before e_k for j < k, and lowering x_j keeps the order of the terms, so
+    walking comp's degree runs, then the x_j that each run has, then the terms
+    of d run / d x_j, yields graded-lex order: nothing is added or sorted.
+    """
     m = f.dom
     units = [(0,) * j + (1,) + (0,) * (m - j - 1) for j in range(m)]
     comps = []
     for comp in f.components:
-        # u_j * d comp / d x_j, for each x_j that occurs: the u-block exponent is the unit vector e_j
-        occurring = [j for j, column in enumerate(zip(*(ev for ev, _ in comp.terms))) if any(column)]
-        acc = {units[j] + ev: c for j in occurring for ev, c in partial_derivative(comp, j).terms}
-        comps.append(Poly(2 * m, _canonical(acc), f.mode))
+        terms = []
+        for _, run in groupby(comp.terms, key=lambda t: sum(t[0])):
+            run = Poly(m, tuple(run), f.mode)
+            for j, column in enumerate(zip(*(ev for ev, _ in run.terms))):
+                if any(column):
+                    unit = units[j]
+                    terms += [(unit + ev, c) for ev, c in partial_derivative(run, j).terms]
+        comps.append(Poly(2 * m, tuple(terms), f.mode))
     return PolyMap(2 * m, f.cod, tuple(comps), f.mode)
 
 

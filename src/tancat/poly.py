@@ -212,7 +212,10 @@ def poly_shift_vars(p: Poly, offset: int, new_nvars: int) -> Poly:
 def poly_subst(p: Poly, args: Sequence[Poly]) -> Poly:
     """Substitute args[i] for variable i.  All args share a domain width.
 
-    Every term is expanded into one accumulator, which is sorted once.
+    A p that is c * x_i is args[i] scaled term by term: a nonzero c keeps the
+    order and the nonzeroness of every term, so nothing is added or sorted.
+    Otherwise every term is expanded into one accumulator, which is sorted
+    once; a term's first variable factor scales its power of args[i] by c.
     """
     if len(args) != p.nvars:
         raise DimensionMismatch(f"{p.nvars} variables but {len(args)} substitutions")
@@ -223,6 +226,13 @@ def poly_subst(p: Poly, args: Sequence[Poly]) -> Poly:
         for q in args:
             if q.nvars != widths or q.mode != p.mode:
                 raise DimensionMismatch("substitution arguments disagree in shape")
+    if len(p.terms) == 1 and sum(p.terms[0][0]) == 1:
+        ev, c = p.terms[0]
+        scaled = []
+        for ev2, c2 in args[ev.index(1)].terms:
+            c2 *= c
+            scaled.append((ev2, c2 if c2.denominator != 1 else c2.numerator))
+        return Poly(widths, tuple(scaled), p.mode)
     powers: Dict[Tuple[int, int], Iterable] = {}
 
     def power(i: int, e: int) -> Iterable:
@@ -232,14 +242,16 @@ def poly_subst(p: Poly, args: Sequence[Poly]) -> Poly:
             powers[(i, e)] = got
         return got
 
-    one = (0,) * widths
     acc: Dict[Exponent, object] = {}
     for ev, c in p.terms:
-        term = {one: c}
+        term = None
         for i, e in enumerate(ev):
             if e:
-                term = _mul_terms({}, term.items(), power(i, e))
-        _add_terms(acc, term.items())
+                if term is None:
+                    term = [(ev2, c * c2) for ev2, c2 in power(i, e)]
+                else:
+                    term = _mul_terms({}, term, power(i, e)).items()
+        _add_terms(acc, (((0,) * widths, c),) if term is None else term)
     return Poly(widths, _canonical(acc), p.mode)
 
 
@@ -328,13 +340,14 @@ def polymap_compose(f: PolyMap, g: PolyMap) -> PolyMap:
         raise DimensionMismatch(f"cannot compose cod {f.cod} with dom {g.dom}")
     if f.mode != g.mode:
         raise DimensionMismatch(f"mixed scalar modes {f.mode!r} and {g.mode!r}")
-    comps, f_vars = [], False  # False: f not examined yet
-    zero = Poly(f.dom, (), f.mode)  # one for every zero component
+    comps, f_vars, zero = [], False, None  # False: f not examined yet
     for comp in g.components:
         j = _var_index(comp)
         if j is not None:
             comps.append(f.components[j])
         elif not comp.terms:
+            if zero is None:
+                zero = Poly(f.dom, (), f.mode)  # built at the first zero component, shared by the rest
             comps.append(zero)
         else:
             if f_vars is False:
@@ -446,33 +459,36 @@ def block_swap(w: int, x: int, y: int, z: int, mode: str) -> PolyMap:
 def poly_to_str(
     p: Poly, var_names: Sequence[str] | None = None, display_order: Sequence[int] | None = None
 ) -> str:
-    if var_names is None:
-        var_names = [f"x{i}" for i in range(p.nvars)]
-    order = list(display_order) if display_order is not None else list(range(p.nvars))
+    """Graded-lex terms joined by " + " and " - "; each power x_i^e is formatted once per call."""
     if not p.terms:
         return "0"
-    pieces = []
+    if var_names is None:
+        var_names = [f"x{i}" for i in range(p.nvars)]
+    order = range(p.nvars) if display_order is None else list(display_order)
+    powers: list = [None] * p.nvars  # powers[i][e]: x_i^e as printed, filled as first met
+    out = []
     for ev, c in p.terms:
-        factors = []
+        body = []
+        if c < 0:
+            c = -c
+            out.append(" - ")
+        else:
+            out.append(" + ")
+        if c != 1:
+            body.append(scalars.format_scalar(c))
         for i in order:
             e = ev[i]
-            if e == 1:
-                factors.append(var_names[i])
-            elif e > 1:
-                factors.append(f"{var_names[i]}^{e}")
-        mag = scalars.format_scalar(abs(c))
-        if not factors:
-            body = mag
-        elif mag == "1":
-            body = "*".join(factors)
-        else:
-            body = "*".join([mag] + factors)
-        pieces.append((c < 0, body))
-    first_neg, first_body = pieces[0]
-    out = ("-" + first_body) if first_neg else first_body
-    for neg, body in pieces[1:]:
-        out += (" - " if neg else " + ") + body
-    return out
+            if e:
+                known = powers[i]
+                if known is None:
+                    known = powers[i] = {}
+                factor = known.get(e)
+                if factor is None:
+                    factor = known[e] = var_names[i] if e == 1 else f"{var_names[i]}^{e}"
+                body.append(factor)
+        out.append("*".join(body) if body else "1")
+    out[0] = "-" if out[0] == " - " else ""
+    return "".join(out)
 
 
 def polymap_to_str(

@@ -62,6 +62,5 @@ def random_scalar(mode: str, rng: Random):
 
 
 def format_scalar(value) -> str:
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
+    """An int as its digits, a Fraction as n/d, or as its int when integral: what str gives both."""
+    return str(value)

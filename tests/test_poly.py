@@ -329,6 +329,43 @@ def test_partials_match_reference():
             assert ref_terms(partial_derivative(p, i)) == ref_partial(ref_terms(p), i)
 
 
+# d/dx_j f is D f precomposed with x |-> (e_j, x): the same frozen examples,
+# product rule and reference as partial_derivative, read off cdc_D
+
+def partial_via_D(p, j):
+    m = p.nvars
+    unit = [Poly.constant(m, int(k == j), p.mode) for k in range(m)]
+    at_e_j = polymap_pair(PolyMap(m, m, tuple(unit), p.mode), identity_map(m, p.mode))
+    return polymap_compose(at_e_j, cdc_D(PolyMap(m, 1, (p,), p.mode))).components[0]
+
+
+def test_partial_via_D_frozen_examples():
+    p = Poly.from_terms(2, [((2, 1), 1)], scalars.RATIONAL)
+    assert poly_to_str(partial_via_D(p, 0)) == "2*x0*x1"
+    assert poly_to_str(partial_via_D(p, 1)) == "x0^2"
+    const = Poly.constant(2, 9, scalars.RATIONAL)
+    assert partial_via_D(const, 0) == Poly.zero(2, scalars.RATIONAL)
+
+
+@settings(max_examples=60)
+@given(paired_polys(), st.integers(0, 2))
+def test_leibniz_rule_via_D(pq, i):
+    p, q = pq
+    if i >= p.nvars:
+        i = 0
+    lhs = partial_via_D(poly_mul(p, q), i)
+    rhs = poly_add(poly_mul(partial_via_D(p, i), q), poly_mul(p, partial_via_D(q, i)))
+    assert lhs == rhs == partial_derivative(poly_mul(p, q), i)
+
+
+def test_partials_via_D_match_reference():
+    rng = Random(3)
+    for _ in range(25):
+        p = random_polymap(3, 1, 3, rng, scalars.RATIONAL).components[0]
+        for i in range(3):
+            assert ref_terms(partial_via_D(p, i)) == ref_partial(ref_terms(p), i)
+
+
 # ----------------------------------------------------------------- polymaps
 
 def test_compose_substitution_example():
@@ -625,3 +662,105 @@ def test_polymap_refuses_components_that_do_not_fit():
         PolyMap(2, 1, (p,), scalars.NATURAL)
     with pytest.raises(ValueError):
         PolyMap(2, 0, (), "integer")
+
+
+# ------------------------------------- the order invariants the fast paths use
+
+def scalars_in(mode):
+    """Coefficients of either type: ints, and Fractions (integral ones included) in rational mode."""
+    if mode == scalars.NATURAL:
+        return st.one_of(st.integers(0, 5), st.builds(Fraction, st.integers(0, 5)))
+    return st.one_of(st.integers(-5, 5), st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)))
+
+
+def dense_polys_at(nvars, mode):
+    term = st.tuples(st.lists(st.integers(0, 4), min_size=nvars, max_size=nvars).map(tuple), scalars_in(mode))
+    return st.lists(term, max_size=8).map(lambda items: Poly.from_terms(nvars, items, mode))
+
+
+def assert_canonical_types(p):
+    for _, c in p.terms:
+        assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_cdc_D_terms_are_already_canonical(mode, data):
+    """D f needs no dictionary and no sort: its terms are their own canonical form,
+    and equal the D that added every u_j * d/dx_j term into one dict and sorted it."""
+    m, n = data.draw(st.integers(0, 3), label="dom"), data.draw(st.integers(0, 2), label="cod")
+    comps = data.draw(st.lists(dense_polys_at(m, mode), min_size=n, max_size=n), label="f")
+    f = PolyMap(m, n, tuple(comps), mode)
+    units = [(0,) * j + (1,) + (0,) * (m - j - 1) for j in range(m)]
+    for comp, dcomp in zip(f.components, cdc_D(f).components):
+        assert dcomp.terms == _canonical(dict(dcomp.terms))
+        assert len(dict(dcomp.terms)) == len(dcomp.terms)
+        summed = {units[j] + ev: c for j in range(m) for ev, c in partial_derivative(comp, j).terms}
+        assert dcomp.terms == _canonical(summed)
+        assert_canonical_types(dcomp)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_subst_into_a_scaled_variable_is_the_scaled_argument(mode, data):
+    """poly_subst of c * x_i returns args[i] scaled term by term, with nothing re-added or re-sorted."""
+    b, a = data.draw(st.integers(1, 3), label="vars"), data.draw(st.integers(0, 3), label="width")
+    args = data.draw(st.lists(dense_polys_at(a, mode), min_size=b, max_size=b), label="args")
+    i = data.draw(st.integers(0, b - 1), label="i")
+    c = scalars.coerce(mode, data.draw(scalars_in(mode).filter(bool), label="c"))
+    ev = tuple(int(k == i) for k in range(b))
+    got = poly_subst(Poly.from_terms(b, [(ev, c)], mode), args)
+    assert got == Poly.from_terms(a, [(ev2, c * c2) for ev2, c2 in args[i].terms], mode)
+    assert_canonical_types(got)
+
+
+def ref_poly_to_str(p, var_names=None, display_order=None):
+    """The printer as it was before it formatted each power once: a reference kept here."""
+    if var_names is None:
+        var_names = [f"x{i}" for i in range(p.nvars)]
+    order = list(display_order) if display_order is not None else list(range(p.nvars))
+    if not p.terms:
+        return "0"
+    pieces = []
+    for ev, c in p.terms:
+        factors = []
+        for i in order:
+            e = ev[i]
+            if e == 1:
+                factors.append(var_names[i])
+            elif e > 1:
+                factors.append(f"{var_names[i]}^{e}")
+        mag = abs(c)
+        mag = f"{mag.numerator}/{mag.denominator}" if mag.denominator != 1 else str(mag.numerator)
+        if not factors:
+            body = mag
+        elif mag == "1":
+            body = "*".join(factors)
+        else:
+            body = "*".join([mag] + factors)
+        pieces.append((c < 0, body))
+    first_neg, first_body = pieces[0]
+    out = ("-" + first_body) if first_neg else first_body
+    for neg, body in pieces[1:]:
+        out += (" - " if neg else " + ") + body
+    return out
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_poly_to_str_matches_the_reference_printer(mode, data):
+    n = data.draw(st.integers(0, 4), label="vars")
+    p = data.draw(st.one_of(st.just(Poly.zero(n, mode)), dense_polys_at(n, mode)), label="p")
+    lead = data.draw(st.none() | scalars_in(mode).filter(bool), label="leading coefficient")
+    if lead is not None:  # a leading term above every drawn one: negative and fractional ones included
+        p = poly_add(p, Poly.from_terms(n, [((5,) * n, lead)], mode))
+    names = st.lists(st.text("uvxyzαβ_0123456789'", min_size=1, max_size=3), min_size=n, max_size=n)
+    var_names = data.draw(st.none() | names, label="var_names")
+    display_order = data.draw(st.none() | st.permutations(range(n)), label="display_order")
+    assert poly_to_str(p, var_names, display_order) == ref_poly_to_str(p, var_names, display_order)
+    assert polymap_to_str(PolyMap(n, 2, (p, p), mode), var_names, display_order) == "; ".join(
+        [ref_poly_to_str(p, var_names, display_order)] * 2
+    )
