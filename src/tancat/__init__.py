@@ -1,5 +1,5 @@
 """Exact tangent-category, differential-bundle and Cartesian differential
-structure over polynomial semiring models, with a dual-number cross-check.
+structure over polynomial semiring models, with an exact dual-number cross-check.
 
 The package centers on three layers:
 
@@ -10,7 +10,9 @@ The package centers on three layers:
   lift-universality witness and bracket, differential objects, and the
   simple fibration whose fibres are again tangent models.
 - suites/report/cli: named executable check suites over all of the above,
-  plus a numeric dual-number evaluator consistency suite.
+  plus numeric-consistency, which checks D against exact dual numbers
+  (numeric.dual_eval) and those against exact difference quotients
+  (numeric.fd_check).
 """
 
 from .bundles import (
@@ -47,7 +49,6 @@ from .diffobj import (
 )
 from .errors import (
     DimensionMismatch,
-    NonFiniteError,
     NotABundleMorphism,
     PolyParseError,
     PreconditionFailure,
@@ -65,7 +66,7 @@ from .fibration import (
     verify_fibre_axioms,
 )
 from .model import LiftWitness, TnObject, monad_mult, monoid_checks, vertical_lift_v
-from .numeric import NumericProgram, dual_eval, eval_program, fd_check
+from .numeric import dual_eval, fd_check
 from .parser import parse_poly, parse_polymap
 from .poly import Poly, PolyMap, eval_polymap, polymap_to_str, random_polymap
 from .report import CheckSet, Report
@@ -84,9 +85,7 @@ __all__ = [
     "FibreTangentModel",
     "LiftWitness",
     "NATURAL",
-    "NonFiniteError",
     "NotABundleMorphism",
-    "NumericProgram",
     "Poly",
     "PolyMap",
     "PolyCDModel",
@@ -113,7 +112,6 @@ __all__ = [
     "diffobj_from_bundle",
     "dual_eval",
     "eval_polymap",
-    "eval_program",
     "fd_check",
     "is_additive",
     "is_bundle_morphism",

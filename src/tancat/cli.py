@@ -28,7 +28,7 @@ from .poly import polymap_to_str
 from .report import Report
 from .suites import FAULTS, SUITE_NAMES, SuiteParams, run_suite
 
-# every error of errors.py but NonFiniteError subclasses ValueError
+# every error of errors.py subclasses ValueError
 _USAGE_ERRORS = (ValueError, OSError)
 
 

@@ -28,6 +28,3 @@ class PreconditionFailure(ValueError):
 class NotABundleMorphism(ValueError):
     """The pair (f, g) fails the bundle-morphism square f;q' = q;g."""
 
-
-class NonFiniteError(ArithmeticError):
-    """A numeric evaluation produced NaN or an infinity."""

@@ -1,92 +1,73 @@
-"""Forward-mode numeric differentiation via dual numbers.
+"""Exact directional derivatives of polynomial maps: an oracle for D that never calls it.
 
-A NumericProgram holds the terms of each output of a polynomial map, each
-coefficient converted to a float once, and evaluates them over dual
-numbers.  It never calls the symbolic D, so it is an independent oracle
-for it.  dual_eval pushes a (point, direction) pair through the program
-and returns values together with directional derivatives; fd_check
-compares those tangents against central finite differences.  Non-finite
-intermediates raise NonFiniteError rather than propagating silently.
+dual_eval folds a map's terms over dual numbers (a, a') with eps^2 = 0, in
+the map's own scalars (Rall's jets), and returns the value of each output
+and its derivative along a direction.  fd_check differentiates
+g(t) = f(point + t*direction) a second way, from values of eval_polymap
+alone, and returns its gap to dual_eval's tangents, so a right tangent
+leaves a residual of exactly 0.  Every result is exact; an integral one is
+an int.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from fractions import Fraction
+from math import comb, lcm
 from typing import Sequence, Tuple
 
-from .errors import DimensionMismatch, NonFiniteError
-from .poly import PolyMap
+from . import scalars
+from .errors import DimensionMismatch
+from .poly import PolyMap, eval_polymap, poly_degree
 
 
-@dataclass(frozen=True)
-class NumericProgram:
-    dom: int
-    cod: int
-    outputs: Tuple[tuple, ...]  # per output, ((exponent, float coefficient), ...)
-
-    @staticmethod
-    def from_polymap(f: PolyMap) -> "NumericProgram":
-        outputs = tuple(tuple((ev, float(c)) for ev, c in p.terms) for p in f.components)
-        return NumericProgram(f.dom, f.cod, outputs)
+def _int_if_integral(value):
+    return value if value.denominator != 1 else value.numerator
 
 
-def _eval_terms(terms, env: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
-    """Sum of c * x_i^e_i * ..., folded left to right in term order over (primal, tangent) pairs.
+def dual_eval(f: PolyMap, point: Sequence, direction: Sequence) -> Tuple[tuple, tuple]:
+    """Values and directional derivatives of f at point along direction.
 
-    Each step is the dual-number rule for eps^2 = 0, with its float operations
-    in a fixed order: (a, a') * (b, b') = (a*b, a*b' + b*a'), a power e >= 2 is
-    (a^e, e * a^(e-1) * a'), and the coefficient enters as the factor (c, 0).
+    A term c * x_1^e_1 * ... starts as the jet (c, 0) and takes one factor
+    (x^e, e * x^(e-1) * v) per variable, by (a, a') * (q, q') = (a*q, a*q' + a'*q).
     """
-    acc = None
-    for ev, c in terms:
-        p = None
-        for (xp, xt), e in zip(env, ev):
-            if e:
-                fp, ft = (xp, xt) if e == 1 else (xp**e, float(e) * xp ** (e - 1) * xt)
-                p, t = (fp, ft) if p is None else (p * fp, p * ft + fp * t)
-        if p is None:
-            p, t = c, 0.0
-        elif c != 1:
-            p, t = c * p, c * t + p * 0.0
-        acc = (p, t) if acc is None else (acc[0] + p, acc[1] + t)
-    return acc if acc is not None else (0.0, 0.0)
-
-
-def dual_eval(
-    prog: NumericProgram, point: Sequence[float], direction: Sequence[float]
-) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Values and exact directional derivatives at (point, direction)."""
-    if len(point) != prog.dom or len(direction) != prog.dom:
-        raise DimensionMismatch(f"program expects {prog.dom} input coordinates")
-    env = [(float(x), float(v)) for x, v in zip(point, direction)]
+    if len(point) != f.dom or len(direction) != f.dom:
+        raise DimensionMismatch(
+            f"{f.dom} variables but a point of length {len(point)} and a direction of length {len(direction)}"
+        )
+    env = [(scalars.coerce(f.mode, x), scalars.coerce(f.mode, v)) for x, v in zip(point, direction)]
     values, tangents = [], []
-    for i, terms in enumerate(prog.outputs):
-        try:
-            value, tangent = _eval_terms(terms, env)
-        except OverflowError as exc:
-            raise NonFiniteError(f"overflow in output {i}") from exc
-        if not (math.isfinite(value) and math.isfinite(tangent)):
-            raise NonFiniteError(f"non-finite value in output {i}")
-        values.append(value)
-        tangents.append(tangent)
+    for p in f.components:
+        value = tangent = 0
+        for ev, c in p.terms:
+            a, da = c, 0
+            for (x, v), e in zip(env, ev):
+                if e:
+                    lower = x ** (e - 1)
+                    q = lower * x
+                    a, da = a * q, a * e * lower * v + da * q
+            value += a
+            tangent += da
+        values.append(_int_if_integral(value))
+        tangents.append(_int_if_integral(tangent))
     return tuple(values), tuple(tangents)
 
 
-def eval_program(prog: NumericProgram, point: Sequence[float]) -> Tuple[float, ...]:
-    values, _ = dual_eval(prog, point, [0.0] * prog.dom)
-    return values
+def fd_check(f: PolyMap, point: Sequence, direction: Sequence) -> tuple:
+    """Per output, g'(0) - tangent for g(t) = f(point + t*direction); all 0 when dual_eval is right.
 
-
-def fd_check(prog: NumericProgram, point: Sequence[float], direction: Sequence[float]) -> float:
-    """Max relative gap between dual tangents and central differences of step 1e-6."""
-    h = 1e-6
-    _, tangents = dual_eval(prog, point, direction)
-    ahead = eval_program(prog, [x + h * v for x, v in zip(point, direction)])
-    behind = eval_program(prog, [x - h * v for x, v in zip(point, direction)])
-    worst = 0.0
-    for t, a, b in zip(tangents, ahead, behind):
-        fd = (a - b) / (2.0 * h)
-        err = abs(fd - t) / max(1.0, abs(t))
-        worst = max(worst, err)
-    return worst
+    g is a polynomial of degree at most d, the degree of f, so the Newton
+    forward-difference series sum_k (-1)^(k+1) Delta^k g(0) / k, k = 1..d,
+    is g'(0) exactly.  Collecting each g(t) over the series gives it the
+    weight (-1)^(t+1) C(d, t) / t for t >= 1 and -(1/1 + ... + 1/d) for t = 0,
+    so the d + 1 values of g are summed once, without a difference table.
+    """
+    _, tangents = dual_eval(f, point, direction)
+    d = max(map(poly_degree, f.components), default=0)
+    den = lcm(*range(1, d + 1))
+    weights = [-sum(den // k for k in range(1, d + 1))]
+    weights += [(-1) ** (t + 1) * comb(d, t) * (den // t) for t in range(1, d + 1)]
+    sums = [0] * f.cod
+    for t, w in enumerate(weights):
+        values = eval_polymap(f, [x + t * v for x, v in zip(point, direction)])
+        sums = [s + w * y for s, y in zip(sums, values)]
+    return tuple(_int_if_integral(Fraction(s, den) - tangent) for s, tangent in zip(sums, tangents))

@@ -97,14 +97,6 @@ class CheckSet:
         self._fail(name, FAIL, f"{prefix}lhs = {lhs}; rhs = {rhs}")
         return False
 
-    def numeric(self, name: str, value: float, tol: float, detail: str = "") -> bool:
-        if value <= tol:
-            self._touch(name)
-            return True
-        prefix = f"{detail}; " if detail else ""
-        self._fail(name, FAIL, f"{prefix}residual = {value:.3e} exceeds {tol:.1e}")
-        return False
-
     def error(self, name: str, message: str):
         self._fail(name, ERROR, message)
 

@@ -1,4 +1,4 @@
-"""Named verification suites over the symbolic and numeric models.
+"""Named verification suites over the polynomial models.
 
 Every suite runs a fixed list of named checks under one SuiteParams,
 aggregating repeated random instances under one row per check name.  All
@@ -9,7 +9,6 @@ for byte (modulo wall time) for fixed parameters.
 from __future__ import annotations
 
 from dataclasses import asdict, replace
-from fractions import Fraction
 from random import Random
 from typing import Callable, Dict, Optional, Tuple
 
@@ -74,7 +73,7 @@ from .fibration import (
     verify_fibre_axioms,
 )
 from .model import monad_mult, tangent_axioms_checks
-from .numeric import NumericProgram, dual_eval, fd_check
+from .numeric import dual_eval, fd_check
 from .poly import (
     Poly,
     PolyMap,
@@ -873,73 +872,59 @@ def _suite_monad_laws(params: SuiteParams) -> CheckSet:
 
 
 # ---------------------------------------------------------------------------
-# Numeric consistency of the dual-number evaluator
+# Numeric consistency: exact dual numbers against D and against difference quotients
+
+# points and directions lie in [-POINT_BOUND, POINT_BOUND], or [0, POINT_BOUND] in natural
+# mode; a wrong D of degree d agrees with the right one at such a point with probability
+# at most d / (2 * POINT_BOUND + 1) (Schwartz, JACM 1980), so few points per draw suffice
+POINT_BOUND = 10**6
+POINTS_PER_DRAW = 5
+
+
+def _random_point(m: int, rng: Random, mode: str) -> list:
+    lo = 0 if mode == scalars.NATURAL else -POINT_BOUND
+    return [rng.randint(lo, POINT_BOUND) for _ in range(m)]
 
 
 def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
     checks = CheckSet()
-    deg = params.max_degree
+    mode, deg = params.mode, params.max_degree
 
     for i, rng in draws("numeric-consistency", "dual-vs-symbolic", params):
         m = rng.randint(1, params.max_dim)
-        n = rng.randint(1, 2)
-        f = random_polymap(m, n, deg, rng, scalars.RATIONAL)
-        prog = NumericProgram.from_polymap(f)
-        df = cdc_D(f)
-        for j in range(100):
-            point = [rng.uniform(-2.0, 2.0) for _ in range(m)]
-            direction = [rng.uniform(-2.0, 2.0) for _ in range(m)]
-            _, tangents = dual_eval(prog, point, direction)
-            exact_arg = [Fraction(c) for c in direction] + [Fraction(c) for c in point]
-            exact = eval_polymap(df, exact_arg)
-            for t, ex in zip(tangents, exact):
-                err = abs(t - float(ex)) / max(1.0, abs(float(ex)))
-                checks.numeric(
-                    "dual-vs-symbolic", err, 1e-9, f"instance {i}, point {j}"
-                )
-
-    for i, rng in draws("numeric-consistency", "fd-vs-dual", params):
-        m = rng.randint(1, params.max_dim)
-        n = rng.randint(1, 2)
-        f = random_polymap(m, n, deg, rng, scalars.RATIONAL)
-        prog = NumericProgram.from_polymap(f)
-        for j in range(5):
-            point = [rng.uniform(-1.5, 1.5) for _ in range(m)]
-            direction = [rng.uniform(-1.5, 1.5) for _ in range(m)]
-            err = fd_check(prog, point, direction)
-            checks.numeric("fd-vs-dual", err, 1e-5, f"instance {i}, point {j}")
+        f = random_polymap(m, rng.randint(1, 2), deg, rng, mode)
+        df, desc = cdc_D(f), f"instance {i}: f = {f}"
+        for j in range(POINTS_PER_DRAW):
+            point, direction = _random_point(m, rng, mode), _random_point(m, rng, mode)
+            detail = f"{desc}, point {j}: x = {point}, v = {direction}"
+            _, tangents = dual_eval(f, point, direction)
+            checks.equality("dual-vs-symbolic", tangents, eval_polymap(df, direction + point), detail)
+            checks.equality("fd-vs-dual", fd_check(f, point, direction), (0,) * f.cod, detail)
 
     for i, rng in draws("numeric-consistency", "affine", params, 10):
         m = rng.randint(1, 3)
         # row i holds the constant, then the coefficients, of output i
-        rows = [[scalars.random_scalar(scalars.RATIONAL, rng) for _ in range(m + 1)] for _ in range(m)]
-        shift = constant_map(m, [row[0] for row in rows], scalars.RATIONAL)
-        slope = linear_map(m, 0, [row[1:] for row in rows], scalars.RATIONAL)
-        prog = NumericProgram.from_polymap(polymap_add(shift, slope))
-        point = [rng.uniform(-2.0, 2.0) for _ in range(m)]
-        direction = [rng.uniform(-2.0, 2.0) for _ in range(m)]
-        err = fd_check(prog, point, direction)
-        checks.numeric("affine-fd-tight", err, 1e-8, f"instance {i}")
+        rows = [[scalars.random_scalar(mode, rng) for _ in range(m + 1)] for _ in range(m)]
+        shift = constant_map(m, [row[0] for row in rows], mode)
+        f = polymap_add(shift, linear_map(m, 0, [row[1:] for row in rows], mode))
+        point, direction = _random_point(m, rng, mode), _random_point(m, rng, mode)
+        checks.equality(
+            "affine-fd-tight",
+            fd_check(f, point, direction),
+            (0,) * m,
+            f"instance {i}: f = {f}, x = {point}, v = {direction}",
+        )
 
     for i, rng in draws("numeric-consistency", "degenerate", params, 10):
         m = rng.randint(1, 3)
-        f = random_polymap(m, 2, deg, rng, scalars.RATIONAL)
-        prog = NumericProgram.from_polymap(f)
-        point = [rng.uniform(-2.0, 2.0) for _ in range(m)]
-        _, tangents = dual_eval(prog, point, [0.0] * m)
-        checks.condition(
-            "zero-direction-zero-tangent",
-            all(t == 0.0 for t in tangents),
-            f"instance {i}",
-        )
-        cprog = NumericProgram.from_polymap(
-            constant_map(m, [Fraction(5), Fraction(-7)], scalars.RATIONAL)
-        )
-        direction = [rng.uniform(-2.0, 2.0) for _ in range(m)]
-        _, ctans = dual_eval(cprog, point, direction)
-        checks.condition(
-            "constant-zero-tangent", all(t == 0.0 for t in ctans), f"instance {i}"
-        )
+        f = random_polymap(m, 2, deg, rng, mode)
+        point = _random_point(m, rng, mode)
+        _, tangents = dual_eval(f, point, [0] * m)
+        desc = f"instance {i}: x = {point}"
+        checks.equality("zero-direction-zero-tangent", tangents, (0, 0), f"{desc}, f = {f}")
+        direction = _random_point(m, rng, mode)
+        _, tangents = dual_eval(constant_map(m, [5, 7], mode), point, direction)
+        checks.equality("constant-zero-tangent", tangents, (0, 0), f"{desc}, v = {direction}")
     return checks
 
 

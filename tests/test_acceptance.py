@@ -159,7 +159,7 @@ def test_c10_numeric_consistency():
     ok = rep.all_passed and rep.params["instances"] == 50
     names = _row_names(rep)
     ok = ok and {"dual-vs-symbolic", "fd-vs-dual", "affine-fd-tight"} <= names
-    _emit(10, "dual numbers vs exact differential (1e-9) and finite differences (1e-5)", ok)
+    _emit(10, "exact dual numbers vs the differential and vs exact difference quotients", ok)
 
 
 def test_c11_fault_injection_flips_checks_deterministically():

@@ -127,6 +127,12 @@ def test_check_writes_schema_valid_json(tmp_path, capsys):
     assert "cdc-axioms" in capsys.readouterr().out
 
 
+def test_check_of_high_degree_maps_exits_zero_or_one():
+    # x^1500 at a point of size 10^6 overflows a float; the exact evaluation still decides
+    argv = ["check", "--suite", "numeric-consistency", "--max-degree", "1500", "--instances", "1"]
+    assert main(argv + ["--max-dim", "1", "--seed", "10"]) in (0, 1)
+
+
 def test_check_exit_one_on_failures(capsys):
     code = main([
         "check", "--suite", "tangent-axioms", "--fault", "identity-flip",

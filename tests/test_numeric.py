@@ -1,183 +1,198 @@
-"""Dual-number evaluation and the finite-difference harness."""
+"""Exact dual numbers and the exact difference quotient, and that the numeric rows can fail."""
 
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tancat import scalars
+from tancat import numeric, scalars
 from tancat.cdc import cdc_D
-from tancat.errors import NonFiniteError
-from tancat.numeric import NumericProgram, dual_eval, eval_program, fd_check
+from tancat.errors import DimensionMismatch, SemiringViolation
+from tancat.numeric import dual_eval, fd_check
 from tancat.parser import parse_polymap
-from tancat.poly import PolyMap, eval_polymap, poly_scale, random_polymap
+from tancat.poly import Poly, PolyMap, eval_polymap, poly_scale, random_polymap
+from tancat.suites import run_suite
 
 
-# ---------------------------------------------------------------- reference
-
-@dataclass(frozen=True)
-class Dual:
-    """A first-order jet a + eps*b with eps^2 = 0."""
-
-    primal: float
-    tangent: float
-
-    def __add__(self, other: "Dual") -> "Dual":
-        return Dual(self.primal + other.primal, self.tangent + other.tangent)
-
-    def __mul__(self, other: "Dual") -> "Dual":
-        return Dual(
-            self.primal * other.primal,
-            self.primal * other.tangent + other.primal * self.tangent,
-        )
-
-    def __pow__(self, e: int) -> "Dual":
-        if e < 0:
-            raise ValueError("negative exponents are not supported")
-        if e == 0:
-            return Dual(1.0, 0.0)
-        return Dual(
-            self.primal**e,
-            float(e) * self.primal ** (e - 1) * self.tangent,
-        )
+def failing(report):
+    return {c.name: c.counterexample for c in report.checks if c.status != "pass"}
 
 
-def ref_eval_terms(terms, env):
-    acc = None
-    for ev, c in terms:
-        term = None
-        for x, e in zip(env, ev):
-            if e:
-                factor = x if e == 1 else x**e
-                term = factor if term is None else term * factor
-        if term is None or c != 1:
-            term = Dual(c, 0.0) if term is None else Dual(c, 0.0) * term
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else Dual(0.0, 0.0)
+# ------------------------------------------------------------- properties
 
 
-def ref_dual_eval(prog, point, direction):
-    env = [Dual(float(x), float(v)) for x, v in zip(point, direction)]
-    outs = [ref_eval_terms(terms, env) for terms in prog.outputs]
-    return tuple(out.primal for out in outs), tuple(out.tangent for out in outs)
-
-
-def ref_fd_check(prog, point, direction):
-    h = 1e-6
-    _, tangents = ref_dual_eval(prog, point, direction)
-    ahead, _ = ref_dual_eval(prog, [x + h * v for x, v in zip(point, direction)], [0.0] * prog.dom)
-    behind, _ = ref_dual_eval(prog, [x - h * v for x, v in zip(point, direction)], [0.0] * prog.dom)
-    worst = 0.0
-    for t, a, b in zip(tangents, ahead, behind):
-        fd = (a - b) / (2.0 * h)
-        worst = max(worst, abs(fd - t) / max(1.0, abs(t)))
-    return worst
-
-
-def hexes(values_and_tangents):
-    return [[x.hex() for x in part] for part in values_and_tangents]
+@st.composite
+def cases(draw, mode):
+    """(f, point, direction): Fraction coefficients and a Fraction point in rational mode."""
+    m = draw(st.integers(1, 3), label="dom")
+    lo = 0 if mode == scalars.NATURAL else -5
+    term = st.tuples(st.tuples(*[st.integers(0, 4)] * m), st.integers(lo, 5))
+    comps = [Poly.from_terms(m, draw(st.lists(term, max_size=4)), mode) for _ in range(draw(st.integers(1, 2)))]
+    if mode == scalars.NATURAL:
+        scalar = st.integers(0, 10**6)
+    else:
+        scale = draw(st.fractions(-7, 7, max_denominator=9), label="scale")
+        comps = [poly_scale(c, scale) for c in comps]
+        scalar = st.fractions(-(10**6), 10**6, max_denominator=50)
+    coords = st.lists(scalar, min_size=m, max_size=m)
+    return PolyMap(m, len(comps), tuple(comps), mode), draw(coords, label="x"), draw(coords, label="v")
 
 
 @pytest.mark.parametrize("mode", scalars.MODES)
-def test_dual_eval_and_fd_check_match_the_dual_class_bit_for_bit(mode):
-    rng = Random(17)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dual_eval_is_the_value_and_the_derivative_along_the_direction(mode, data):
+    f, point, direction = data.draw(cases(mode))
+    values, tangents = dual_eval(f, point, direction)
+    assert values == eval_polymap(f, point)
+    assert tangents == eval_polymap(cdc_D(f), direction + point)
+    assert fd_check(f, point, direction) == (0,) * f.cod
 
-    def coordinate():
-        return rng.choice((0.0, -0.0, rng.uniform(-2.0, 2.0), rng.uniform(-2.0, 2.0)))
 
-    for _ in range(150):
-        f = random_polymap(rng.randint(1, 3), rng.randint(1, 3), rng.randint(0, 6), rng, mode)
-        if mode == scalars.RATIONAL:
-            scale = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
-            f = PolyMap(f.dom, f.cod, tuple(poly_scale(c, scale) for c in f.components), mode)
-        prog = NumericProgram.from_polymap(f)
-        for _ in range(4):
-            point = [coordinate() for _ in range(f.dom)]
-            direction = [0.0] * f.dom if rng.random() < 0.25 else [coordinate() for _ in range(f.dom)]
-            assert hexes(dual_eval(prog, point, direction)) == hexes(ref_dual_eval(prog, point, direction))
-            assert fd_check(prog, point, direction).hex() == ref_fd_check(prog, point, direction).hex()
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dual_eval_agrees_with_sympy(sympy, mode, data):
+    """Each tangent is d/dt f_i(x + t*v) at t = 0, by sympy's derivative."""
+    f, point, direction = data.draw(cases(mode))
+    t = sympy.Symbol("t")
+    line = [sympy.Rational(x) + t * sympy.Rational(v) for x, v in zip(point, direction)]
+    _, tangents = dual_eval(f, point, direction)
+    for comp, tangent in zip(f.components, tangents):
+        g = sum(
+            (sympy.Rational(c) * sympy.Mul(*(y**e for y, e in zip(line, ev))) for ev, c in comp.terms),
+            sympy.Integer(0),
+        )
+        assert sympy.diff(g, t).subs(t, 0) == sympy.Rational(tangent)
 
 
 # ------------------------------------------------------------------ cases
 
 
 def test_square_at_three():
-    prog = NumericProgram.from_polymap(parse_polymap("x0^2", 1, scalars.RATIONAL))
-    values, tangents = dual_eval(prog, [3.0], [1.0])
-    assert values == (9.0,)
-    assert tangents == (6.0,)
-    assert eval_program(prog, [3.0]) == (9.0,)
+    f = parse_polymap("x0^2", 1, scalars.RATIONAL)
+    assert dual_eval(f, [3], [1]) == ((9,), (6,))
+    assert eval_polymap(f, [3]) == (9,)
 
 
 def test_zero_direction_gives_zero_tangent():
     rng = Random(13)
-    for _ in range(10):
-        f = random_polymap(rng.randint(1, 3), 2, 3, rng, scalars.RATIONAL)
-        prog = NumericProgram.from_polymap(f)
-        point = [rng.uniform(-2, 2) for _ in range(f.dom)]
-        _, tangents = dual_eval(prog, point, [0.0] * f.dom)
-        assert tangents == (0.0, 0.0)
+    for mode in scalars.MODES:
+        for _ in range(10):
+            f = random_polymap(rng.randint(1, 3), 2, 3, rng, mode)
+            point = [rng.randint(0, 10**6) for _ in range(f.dom)]
+            assert dual_eval(f, point, [0] * f.dom)[1] == (0, 0)
 
 
 def test_constant_program_has_zero_tangent():
-    prog = NumericProgram.from_polymap(parse_polymap("7", 2, scalars.RATIONAL))
-    _, tangents = dual_eval(prog, [1.5, -2.5], [1.0, 1.0])
-    assert tangents == (0.0,)
+    f = parse_polymap("7", 2, scalars.RATIONAL)
+    assert dual_eval(f, [Fraction(3, 2), Fraction(-5, 2)], [1, 1]) == ((7,), (0,))
 
 
 def test_dual_arithmetic_product_rule():
     # x0 = 3 + eps, x1 = 5 + 2 eps
-    product = NumericProgram.from_polymap(parse_polymap("x0*x1", 2, scalars.RATIONAL))
-    values, tangents = dual_eval(product, [3.0, 5.0], [1.0, 2.0])
-    assert values == (15.0,)
-    assert tangents == (3.0 * 2.0 + 5.0 * 1.0,)
-    total = NumericProgram.from_polymap(parse_polymap("x0 + x1", 2, scalars.RATIONAL))
-    assert dual_eval(total, [3.0, 5.0], [1.0, 2.0])[1] == (3.0,)
+    product = parse_polymap("x0*x1", 2, scalars.RATIONAL)
+    assert dual_eval(product, [3, 5], [1, 2]) == ((15,), (3 * 2 + 5 * 1,))
+    total = parse_polymap("x0 + x1", 2, scalars.RATIONAL)
+    assert dual_eval(total, [3, 5], [1, 2])[1] == (3,)
 
 
 def test_fd_matches_dual_on_cubics():
     rng = Random(4)
     for _ in range(20):
         f = random_polymap(rng.randint(1, 3), rng.randint(1, 2), 3, rng, scalars.RATIONAL)
-        prog = NumericProgram.from_polymap(f)
-        point = [rng.uniform(-1.5, 1.5) for _ in range(f.dom)]
-        direction = [rng.uniform(-1.5, 1.5) for _ in range(f.dom)]
-        assert fd_check(prog, point, direction) <= 1e-5
+        point = [Fraction(rng.randint(-15, 15), rng.randint(1, 10)) for _ in range(f.dom)]
+        direction = [Fraction(rng.randint(-15, 15), rng.randint(1, 10)) for _ in range(f.dom)]
+        assert fd_check(f, point, direction) == (0,) * f.cod
 
 
 def test_fd_is_tight_on_affine_maps():
-    # central differences are exact for affine maps up to rounding
-    prog = NumericProgram.from_polymap(parse_polymap("3*x0 - 2*x1 + 1; x1", 2, scalars.RATIONAL))
+    f = parse_polymap("3*x0 - 2*x1 + 1; x1", 2, scalars.RATIONAL)
     rng = Random(6)
     for _ in range(10):
-        point = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
-        direction = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
-        assert fd_check(prog, point, direction) <= 1e-8
+        point = [rng.randint(-(10**6), 10**6) for _ in range(2)]
+        direction = [rng.randint(-(10**6), 10**6) for _ in range(2)]
+        assert fd_check(f, point, direction) == (0, 0)
 
 
 def test_fd_constant_is_zero():
-    prog = NumericProgram.from_polymap(parse_polymap("4", 1, scalars.RATIONAL))
-    assert fd_check(prog, [0.3], [1.0]) == 0.0
+    assert fd_check(parse_polymap("4", 1, scalars.RATIONAL), [Fraction(3, 10)], [1]) == (0,)
 
 
-def test_overflow_raises_non_finite():
-    prog = NumericProgram.from_polymap(parse_polymap("x0^3", 1, scalars.RATIONAL))
-    with pytest.raises(NonFiniteError):
-        dual_eval(prog, [1e200], [1.0])
+def test_fd_reports_the_gap_to_a_wrong_tangent(monkeypatch):
+    f = parse_polymap("x0^3", 1, scalars.RATIONAL)
+    monkeypatch.setattr(numeric, "dual_eval", lambda f, x, v: ((8,), (13,)))
+    # g(t) = (2 + t)^3 has g'(0) = 12
+    assert fd_check(f, [2], [1]) == (-1,)
 
 
 def test_fractional_coefficients_evaluate():
-    prog = NumericProgram.from_polymap(parse_polymap("1/2*x0", 1, scalars.RATIONAL))
-    values, tangents = dual_eval(prog, [4.0], [2.0])
-    assert values == (2.0,) and tangents == (1.0,)
+    f = parse_polymap("1/2*x0", 1, scalars.RATIONAL)
+    assert dual_eval(f, [4], [2]) == ((2,), (1,))
+    assert dual_eval(f, [Fraction(1, 3)], [1]) == ((Fraction(1, 6),), (Fraction(1, 2),))
+
+
+def test_points_are_scalars_of_the_map():
+    f = parse_polymap("x0", 1, scalars.NATURAL)
+    with pytest.raises(SemiringViolation):
+        dual_eval(f, [-1], [1])
+    with pytest.raises(TypeError):
+        dual_eval(f, [1.5], [1])
+    with pytest.raises(DimensionMismatch):
+        dual_eval(f, [1, 2], [1])
 
 
 def test_dense_program_evaluates_without_recursion():
     # 1,771 terms: the sum is one long left-nested chain of additions
     f = parse_polymap("(x0+x1+x2+1)^20", 3, scalars.RATIONAL)
     assert len(f.components[0].terms) == 1771
-    point, direction = [0.25, 0.5, 0.125], [1.0, -0.5, 2.0]
-    _, tangents = dual_eval(NumericProgram.from_polymap(f), point, direction)
-    exact = eval_polymap(cdc_D(f), [Fraction(v) for v in direction + point])
-    assert tangents[0] == pytest.approx(float(exact[0]), rel=1e-9)
+    point, direction = [Fraction(1, 4), Fraction(1, 2), Fraction(1, 8)], [1, Fraction(-1, 2), 2]
+    values, tangents = dual_eval(f, point, direction)
+    assert values == eval_polymap(f, point) == (Fraction(15, 8) ** 20,)
+    assert tangents == eval_polymap(cdc_D(f), direction + point) == (20 * Fraction(15, 8) ** 19 * Fraction(5, 2),)
+
+
+# ------------------------------------------------------- the rows can fail
+
+
+def d_dropping_a_term(f: PolyMap) -> PolyMap:
+    """D f without the leading term of each component that has more than one."""
+    d = cdc_D(f)
+    comps = tuple(Poly(p.nvars, p.terms[1:], p.mode) if len(p.terms) > 1 else p for p in d.components)
+    return PolyMap(d.dom, d.cod, comps, d.mode)
+
+
+def dual_eval_without_power_rule(f: PolyMap, point, direction):
+    """dual_eval without the a*e*x^(e-1)*v term of the product rule: every jet keeps the tangent 0."""
+    values, _ = dual_eval(f, point, direction)
+    return values, (0,) * f.cod
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_a_d_that_drops_a_term_fails_dual_vs_symbolic(monkeypatch, mode):
+    monkeypatch.setattr("tancat.suites.cdc_D", d_dropping_a_term)
+    rep = run_suite("numeric-consistency", mode=mode)
+    assert set(failing(rep)) == {"dual-vs-symbolic"}
+    assert failing(rep)["dual-vs-symbolic"].startswith("instance 0: ")
+
+
+def test_the_modes_draw_different_counterexamples(monkeypatch):
+    monkeypatch.setattr("tancat.suites.cdc_D", d_dropping_a_term)
+    rational, natural = (failing(run_suite("numeric-consistency", mode=m)) for m in scalars.MODES)
+    assert rational["dual-vs-symbolic"] != natural["dual-vs-symbolic"]
+    # a natural map, point and direction print without a minus sign
+    assert "-" not in natural["dual-vs-symbolic"].split("; lhs")[0]
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_a_dual_eval_without_the_power_rule_fails_fd_vs_dual(monkeypatch, mode):
+    monkeypatch.setattr("tancat.numeric.dual_eval", dual_eval_without_power_rule)
+    rep = run_suite("numeric-consistency", mode=mode)
+    assert {"fd-vs-dual", "affine-fd-tight"} <= set(failing(rep))

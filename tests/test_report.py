@@ -25,15 +25,6 @@ def test_equality_rows_render_counterexamples():
     assert "lhs = 1" in row.counterexample and "rhs = 2" in row.counterexample
 
 
-def test_numeric_rows_respect_tolerance():
-    cs = CheckSet()
-    cs.numeric("ok", 1e-12, 1e-9, "tight")
-    cs.numeric("loose", 1e-3, 1e-9, "drifted")
-    rep = cs.report("demo", {})
-    by_name = {c.name: c.status for c in rep.checks}
-    assert by_name == {"ok": "pass", "loose": "fail"}
-
-
 def test_guard_turns_declared_exceptions_into_error_rows():
     cs = CheckSet()
     with cs.guard("guarded"):
