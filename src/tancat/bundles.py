@@ -52,7 +52,7 @@ from .poly import (
     zero_map,
 )
 from .model import monoid_checks
-from .report import CheckSet, Report
+from .report import CheckSet
 
 
 @dataclass(frozen=True)
@@ -341,7 +341,7 @@ def tangent_bundle_of(m: int, mode: str = scalars.RATIONAL) -> DiffBundle:
     )
 
 
-def verify_bundle(b: DiffBundle, label: str = "bundle") -> Report:
+def verify_bundle(b: DiffBundle) -> CheckSet:
     """One check per axiom of the lift definition, plus witness identities."""
     checks = CheckSet()
     m, e = b.base, b.total
@@ -436,7 +436,7 @@ def verify_bundle(b: DiffBundle, label: str = "bundle") -> Report:
         eq("mu-projection", polymap_compose(mu, p_e), pi1)
         section = pair_into_e2(b, ident_e, polymap_compose(b.q, b.zeta))
         eq("mu-section", polymap_compose(section, mu), b.lam)
-    return checks.report(f"verify[{label}]", {"base": b.base, "fibre": b.fibre, "mode": b.mode})
+    return checks
 
 
 # ---------------------------------------------------------------------------

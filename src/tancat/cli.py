@@ -79,28 +79,33 @@ def _print_bundle(label: str, b) -> None:
     print(f"  lambda: {b.lam}")
 
 
+def _emit_bundle_report(b, label: str, out: Optional[str]) -> int:
+    report = verify_bundle(b).report(f"verify[{label}]", {"base": b.base, "fibre": b.fibre, "mode": b.mode})
+    return _emit_report(report, out)
+
+
 def _cmd_bundle(args: argparse.Namespace) -> int:
     b = load_bundle(args.file)
     if args.op == "verify":
-        return _emit_report(verify_bundle(b, args.file), args.out)
+        return _emit_bundle_report(b, args.file, args.out)
     if args.op == "tangent":
         tb = tangent_of_bundle(b)
         _print_bundle("tangent bundle", tb)
-        return _emit_report(verify_bundle(tb, "tangent"), args.out)
+        return _emit_bundle_report(tb, "tangent", args.out)
     if args.op == "pullback":
         if args.map is None or args.map_dom is None:
             raise ValueError("--op pullback needs --map and --map-dom")
         f = parse_polymap(args.map, args.map_dom, b.mode)
         pb = pullback_bundle(f, b)
         _print_bundle("pullback bundle", pb)
-        return _emit_report(verify_bundle(pb, "pullback"), args.out)
+        return _emit_bundle_report(pb, "pullback", args.out)
     if args.op == "whitney":
         if args.file2 is None:
             raise ValueError("--op whitney needs --file2")
         b2 = load_bundle(args.file2)
         bs = whitney_sum(b, b2)
         _print_bundle("whitney sum", bs)
-        return _emit_report(verify_bundle(bs, "whitney"), args.out)
+        return _emit_bundle_report(bs, "whitney", args.out)
     # bracket: read f : X -> T(E) and print the mediating section
     if args.map is None or args.map_dom is None:
         raise ValueError("--op bracket needs --map and --map-dom")
@@ -111,7 +116,16 @@ def _cmd_bundle(args: argparse.Namespace) -> int:
 
 def _cmd_fibre(args: argparse.Namespace) -> int:
     params = SuiteParams(mode=args.mode, max_dim=args.max_dim, instances=args.instances, seed=args.seed)
-    report = verify_fibre_axioms(args.context_dim, params)
+    report = verify_fibre_axioms(args.context_dim, params).report(
+        "fibre-tangent-axioms",
+        {
+            "context": args.context_dim,
+            "payload_bound": params.max_dim,
+            "instances": params.instances,
+            "seed": params.seed,
+            "mode": params.mode,
+        },
+    )
     return _emit_report(report, args.out)
 
 

@@ -25,11 +25,10 @@ from .poly import (
     polymap_compose,
     polymap_pair,
     polymap_proj,
-    terminal_map,
     zero_map,
 )
 from .model import monoid_checks
-from .report import CheckSet, Report
+from .report import CheckSet
 
 
 @dataclass(frozen=True)
@@ -56,7 +55,7 @@ def canonical_diffobj(k: int, mode: str = scalars.RATIONAL) -> DiffObject:
 
 def _zhat(o: DiffObject) -> PolyMap:
     """! zeta : A -> A, the constant map at the zero."""
-    return polymap_compose(terminal_map(o.carrier, o.mode), o.zeta)
+    return polymap_compose(zero_map(o.carrier, 0, o.mode), o.zeta)
 
 
 def diffobj_lambda(o: DiffObject) -> PolyMap:
@@ -109,7 +108,7 @@ def bundle_from_diffobj(o: DiffObject) -> DiffBundle:
     return display_bundle(0, k, o.sigma, o.zeta, identity_map(k, o.mode), _zhat(o))
 
 
-def verify_diffobj(o: DiffObject, label: str = "diffobj") -> Report:
+def verify_diffobj(o: DiffObject) -> CheckSet:
     """Product witness, additive squares, and the lift coherences."""
     checks = CheckSet()
     k = o.carrier
@@ -159,7 +158,7 @@ def verify_diffobj(o: DiffObject, label: str = "diffobj") -> Report:
         zhat,
         "lambda;p",
     )
-    return checks.report(f"diffobj[{label}]", {"carrier": k, "mode": mode})
+    return checks
 
 
 def derived_D(f: PolyMap) -> PolyMap:
@@ -170,7 +169,7 @@ def derived_D(f: PolyMap) -> PolyMap:
     )
 
 
-def check_cds(bound: int, mode: str = scalars.RATIONAL) -> Report:
+def check_cds(bound: int, mode: str = scalars.RATIONAL) -> CheckSet:
     """Coherence of the canonical differential-object assignment.
 
     Verifies the product compatibility (lambda- and phat-forms), the
@@ -241,4 +240,4 @@ def check_cds(bound: int, mode: str = scalars.RATIONAL) -> Report:
             eq("exchange", lhs, rhs, f"dim {k}")
     for k in dims:
         _product_witness(checks, canonical_diffobj(k, mode), f"dim {k}: ")
-    return checks.report("cds", {"bound": bound, "mode": mode})
+    return checks

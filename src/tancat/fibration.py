@@ -11,7 +11,7 @@ directions, with the context direction frozen to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from . import scalars
@@ -19,6 +19,7 @@ from .errors import DimensionMismatch, PreconditionFailure
 from .cdc import PolyTangentModel, cdc_D
 from .model import tangent_axioms_checks
 from .params import SuiteParams
+from .parser import MAX_VARIABLES
 from .poly import (
     PolyMap,
     block_swap,
@@ -32,7 +33,7 @@ from .poly import (
     random_polymap,
     zero_map,
 )
-from .report import Report
+from .report import CheckSet
 
 
 @dataclass(frozen=True)
@@ -213,30 +214,17 @@ class FibreTangentModel(PolyTangentModel):
         return random_polymap(self.context + x, y, max_degree, rng, self.mode)
 
 
-# the degree of every random fibre map; not a parameter, so the report's params fix the run
-FIBRE_DEGREE = 3
-# the payload bound and instance count of the fibre command and of the fibration suite's fibre rows
+# the payload bound and instance count of the fibre command; the fibration suite caps its fibre rows by them
 FIBRE_PARAMS = SuiteParams(max_dim=2, instances=25)
 
 
-def verify_fibre_axioms(context: int, params: SuiteParams = FIBRE_PARAMS) -> Report:
+def verify_fibre_axioms(context: int, params: SuiteParams = FIBRE_PARAMS) -> CheckSet:
     """Run the full tangent-axioms suite inside the fibre over a context.
 
-    Payload dimensions go up to params.max_dim; the report echoes it as payload_bound.
-    Maps have degree at most FIBRE_DEGREE, and params.max_degree and params.fault are not read.
+    Payload dimensions go up to params.max_dim and maps have degree at most
+    params.max_degree; params.fault is not read.
     """
-    if not isinstance(context, int) or context < 0:
+    if not isinstance(context, int) or not 0 <= context <= MAX_VARIABLES:
         # named as the CLI's fibre command sets it
-        raise ValueError("invalid-params: context_dim must be an integer >= 0")
-    model = FibreTangentModel(context, params.mode)
-    checks = tangent_axioms_checks(model, replace(params, max_degree=FIBRE_DEGREE))
-    return checks.report(
-        "fibre-tangent-axioms",
-        {
-            "context": context,
-            "payload_bound": params.max_dim,
-            "instances": params.instances,
-            "seed": params.seed,
-            "mode": params.mode,
-        },
-    )
+        raise ValueError(f"invalid-params: context_dim must be an integer from 0 to {MAX_VARIABLES}")
+    return tangent_axioms_checks(FibreTangentModel(context, params.mode), params)

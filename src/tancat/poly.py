@@ -298,11 +298,6 @@ def constant_map(dom: int, values: Sequence, mode: str) -> PolyMap:
     return PolyMap(dom, len(comps), comps, mode)
 
 
-def terminal_map(dom: int, mode: str) -> PolyMap:
-    """The unique map to the 0-dimensional (terminal) object."""
-    return PolyMap(dom, 0, (), mode)
-
-
 def _var_index(p: Poly):
     """j when p is the bare variable x_j, else None."""
     if len(p.terms) == 1:
@@ -475,7 +470,7 @@ def poly_to_str(
         else:
             out.append(" + ")
         if c != 1:
-            body.append(scalars.format_scalar(c))
+            body.append(str(c))
         for i in order:
             e = ev[i]
             if e:

@@ -2,8 +2,10 @@
 
 A CheckSet aggregates many observations under named checks: the same name
 may be touched repeatedly (once per random instance) and the row stays a
-pass until the first failure, whose counterexample is kept.  Reports are
-deterministic for fixed inputs except for the wall-time field.
+pass until the first failure, whose counterexample is kept.  Every checker
+returns a CheckSet; a Report is built from one only where it is returned or
+printed (suites.run_suite and the CLI).  Reports are deterministic for fixed
+inputs except for the wall-time field.
 """
 
 from __future__ import annotations
@@ -105,8 +107,12 @@ class CheckSet:
         """The rows so far, sorted by name, as a Report lists them."""
         return [self._rows[name] for name in sorted(self._rows)]
 
-    def absorb(self, source: "Report | CheckSet", prefix: str = ""):
-        """Fold the rows of a Report or another CheckSet into this set under a prefix."""
+    @property
+    def all_passed(self) -> bool:
+        return all(row.status == PASS for row in self._rows.values())
+
+    def absorb(self, source: "CheckSet", prefix: str = ""):
+        """Fold the rows of another CheckSet into this set under a prefix."""
         for c in source.checks:
             name = f"{prefix}{c.name}"
             if c.status == PASS:

@@ -4,8 +4,7 @@ A scalar is an ``int``, or a ``Fraction`` when it is not integral (rational
 mode), or a nonnegative ``int`` (natural mode); the mode tag lives on the
 enclosing polynomial, not on the scalar itself.  Addition and multiplication
 are the built-in operators, which both semirings are closed under; only
-negation, coercion, parsing, printing and random drawing need to consult the
-mode.
+negation, coercion, parsing and random drawing need to consult the mode.
 """
 
 from __future__ import annotations
@@ -60,7 +59,3 @@ def random_scalar(mode: str, rng: Random):
     check_mode(mode)
     return rng.randint(0 if mode == NATURAL else -COEFF_BOUND, COEFF_BOUND)
 
-
-def format_scalar(value) -> str:
-    """An int as its digits, a Fraction as n/d, or as its int when integral: what str gives both."""
-    return str(value)

@@ -271,8 +271,8 @@ def _fibre_one(fams: Dict[str, DiffBundle]):
     return [(label, b) for label, b in fams.items() if b.fibre == 1]
 
 
-def _first_failure(report: Report) -> str:
-    for c in report.checks:
+def _first_failure(checks: CheckSet) -> str:
+    for c in checks.checks:
         if c.status != PASS:
             return f"; first failing check {c.name}: {c.counterexample}"
     return ""
@@ -287,11 +287,11 @@ def _refuses(call: Callable[[], object], error: type) -> bool:
     return False
 
 
-def _point_fibre_report(b: DiffBundle) -> Report:
+def _point_fibre_checks(b: DiffBundle) -> CheckSet:
     """verify_diffobj of the fibre of b over the point (1, 2) of its 2-dimensional base."""
     mode = b.mode
     pt = constant_map(0, [scalars.coerce(mode, 1), scalars.coerce(mode, 2)], mode)
-    return verify_diffobj(diffobj_from_bundle(pullback_bundle(pt, b)), "pullback-point")
+    return verify_diffobj(diffobj_from_bundle(pullback_bundle(pt, b)))
 
 
 def _suite_bundle(params: SuiteParams) -> CheckSet:
@@ -300,9 +300,9 @@ def _suite_bundle(params: SuiteParams) -> CheckSet:
     fams = _bundle_families(mode, params.fault)
 
     for label, b in fams.items():
-        checks.absorb(verify_bundle(b, label), prefix=f"{label}:")
+        checks.absorb(verify_bundle(b), prefix=f"{label}:")
         tb = tangent_of_bundle(b)
-        checks.absorb(verify_bundle(tb, f"T[{label}]"), prefix=f"T[{label}]:")
+        checks.absorb(verify_bundle(tb), prefix=f"T[{label}]:")
         with checks.guard("tangent-projection-linear"):
             checks.condition(
                 "tangent-projection-linear", is_linear(bundle_projection_mor(b), tb, b), label
@@ -323,10 +323,8 @@ def _suite_bundle(params: SuiteParams) -> CheckSet:
         detail = f"instance {i} over {label}, f = {fmap}"
         with checks.guard("pullback-verify"):
             pb = pullback_bundle(fmap, b)
-            rep = verify_bundle(pb, "pullback")
-            checks.condition(
-                "pullback-verify", rep.all_passed, detail + _first_failure(rep)
-            )
+            rows = verify_bundle(pb)
+            checks.condition("pullback-verify", rows.all_passed, detail + _first_failure(rows))
             mor = pullback_mor(fmap, b, pb)
             checks.condition("pullback-cartesian-linear", is_linear(mor, pb, b), detail)
 
@@ -335,11 +333,11 @@ def _suite_bundle(params: SuiteParams) -> CheckSet:
     checks.condition("pullback-along-identity", same, "pullback along 1 must reproduce the bundle")
 
     with checks.guard("pullback-point-diffobj"):
-        rep = _point_fibre_report(b)
+        rows = _point_fibre_checks(b)
         checks.condition(
             "pullback-point-diffobj",
-            rep.all_passed,
-            "fibre over a point" + _first_failure(rep),
+            rows.all_passed,
+            "fibre over a point" + _first_failure(rows),
         )
 
     base1 = [(label, bb) for label, bb in fams.items() if bb.base == 1]
@@ -348,8 +346,8 @@ def _suite_bundle(params: SuiteParams) -> CheckSet:
             detail = f"{l1} (+) {l2}"
             with checks.guard("whitney-verify"):
                 bs = whitney_sum(b1, b2)
-                rep = verify_bundle(bs, "whitney")
-                checks.condition("whitney-verify", rep.all_passed, detail + _first_failure(rep))
+                rows = verify_bundle(bs)
+                checks.condition("whitney-verify", rows.all_passed, detail + _first_failure(rows))
                 checks.condition(
                     "whitney-fibre-dimension", bs.fibre == b1.fibre + b2.fibre, detail
                 )
@@ -696,9 +694,9 @@ def _suite_diffobj(params: SuiteParams) -> CheckSet:
     checks = CheckSet()
     for k in range(1, params.max_dim + 1):
         o = canonical_diffobj(k, mode)
-        checks.absorb(verify_diffobj(o, f"canonical-{k}"), prefix=f"canonical-{k}:")
+        checks.absorb(verify_diffobj(o), prefix=f"canonical-{k}:")
         b = bundle_from_diffobj(o)
-        checks.absorb(verify_bundle(b, f"as-bundle-{k}"), prefix=f"as-bundle-{k}:")
+        checks.absorb(verify_bundle(b), prefix=f"as-bundle-{k}:")
         with checks.guard("roundtrip-through-bundle"):
             o2 = diffobj_from_bundle(b)
             same = o2.sigma == o.sigma and o2.zeta == o.zeta and o2.phat == o.phat
@@ -727,13 +725,7 @@ def _suite_diffobj(params: SuiteParams) -> CheckSet:
     checks.condition("diffobj-needs-point-base", refused, "nonzero base must be rejected")
 
     with checks.guard("pullback-point-diffobj"):
-        checks.absorb(_point_fibre_report(standard_bundle(2, 2, mode)), prefix="pullback-point:")
-    return checks
-
-
-def _suite_cds(params: SuiteParams) -> CheckSet:
-    checks = CheckSet()
-    checks.absorb(check_cds(params.max_dim, params.mode))
+        checks.absorb(_point_fibre_checks(standard_bundle(2, 2, mode)), prefix="pullback-point:")
     return checks
 
 
@@ -763,12 +755,12 @@ def _suite_fibration(params: SuiteParams) -> CheckSet:
         eq("compose-unit-left", simple_compose(simple_identity(o1, mode), m1), m1, desc)
         eq("compose-unit-right", simple_compose(m1, simple_identity(o2, mode)), m1, desc)
 
-    # at most FIBRE_PARAMS.instances each; the fibre rows keep their own dimension and degree bounds
+    # at most FIBRE_PARAMS.instances each, and the fibre rows at most FIBRE_PARAMS.max_dim payloads
     few = replace(params, instances=min(params.instances, FIBRE_PARAMS.instances))
     checks.absorb(cdc_axioms_checks(model, few, "fibration"), prefix="simple-")
+    fibre = replace(few, max_dim=min(params.max_dim, FIBRE_PARAMS.max_dim))
     for ctx in (1, 2):
-        rep = verify_fibre_axioms(ctx, replace(few, max_dim=FIBRE_PARAMS.max_dim))
-        checks.absorb(rep, prefix=f"fibre[{ctx}]:")
+        checks.absorb(verify_fibre_axioms(ctx, fibre), prefix=f"fibre[{ctx}]:")
 
     for i, rng in draws("fibration", "vertical", params):
         # instance 0 pins the empty context so the context-free row always runs
@@ -941,7 +933,7 @@ _SUITES: Dict[str, Callable[[SuiteParams], CheckSet]] = {
     "interchange": _suite_interchange,
     "linearity": _suite_linearity,
     "diffobj": _suite_diffobj,
-    "cds": _suite_cds,
+    "cds": lambda p: check_cds(p.max_dim, p.mode),
     "fibration": _suite_fibration,
     "monad-laws": _suite_monad_laws,
     "numeric-consistency": _suite_numeric_consistency,

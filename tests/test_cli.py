@@ -284,6 +284,7 @@ def test_fibre_runs_tangent_axioms(capsys):
     "flag, value, field",
     [
         ("--context-dim", "-1", "context_dim"),
+        ("--context-dim", "1001", "context_dim"),
         ("--max-dim", "0", "max_dim"),
         ("--instances", "0", "instances"),
         ("--instances", "-1", "instances"),

@@ -9,7 +9,7 @@ from random import Random
 
 import pytest
 
-from tancat import scalars
+from tancat import fibration, scalars
 from tancat.cdc import cdc_T
 from tancat.errors import DimensionMismatch, PreconditionFailure
 from tancat.fibration import (
@@ -27,6 +27,7 @@ from tancat.fibration import (
 from tancat.params import SuiteParams
 from tancat.parser import parse_polymap
 from tancat.poly import identity_map, polymap_to_str, random_polymap
+from tancat.suites import run_suite
 
 R = scalars.RATIONAL
 
@@ -117,8 +118,21 @@ def test_pairing_and_projections():
 
 def test_fibre_axioms_smoke():
     rep = verify_fibre_axioms(1, SuiteParams(max_dim=2, instances=8, seed=3))
-    assert rep.suite == "fibre-tangent-axioms"
     assert rep.all_passed, {c.name for c in rep.checks if c.status != "pass"}
+
+
+def test_fibration_suite_draws_maps_of_the_degree_it_is_given(monkeypatch):
+    # the simple-* and fibre[*] rows draw through fibration.random_polymap
+    degrees = []
+
+    def spy(dom, cod, max_degree, rng, mode):
+        degrees.append(max_degree)
+        return random_polymap(dom, cod, max_degree, rng, mode)
+
+    monkeypatch.setattr(fibration, "random_polymap", spy)
+    rep = run_suite("fibration", max_degree=1, instances=3)
+    assert rep.all_passed, {c.name for c in rep.checks if c.status != "pass"}
+    assert degrees and max(degrees) == 1
 
 
 def test_fibre_model_matches_base_model_at_context_zero():

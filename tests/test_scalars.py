@@ -53,8 +53,3 @@ def test_random_scalar_ranges_and_determinism():
         assert set(draws) == set(range(lo, bound + 1))
         assert all(type(d) is int for d in draws)
 
-
-def test_format_scalar():
-    assert scalars.format_scalar(Fraction(3, 1)) == "3"
-    assert scalars.format_scalar(Fraction(-7, 2)) == "-7/2"
-    assert scalars.format_scalar(4) == "4"
