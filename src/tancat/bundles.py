@@ -33,6 +33,7 @@ from .cdc import (
     cdc_T,
     cdc_ell,
     cdc_flip,
+    memo_by_input,
     point_proj,
     t_pair,
     tangent_sum,
@@ -83,19 +84,25 @@ class BundleMor:
 
 # ---------------------------------------------------------------------------
 # Coordinate plumbing through the trivialization
+#
+# The structure maps that a bundle alone determines are built once per bundle
+# (memo_by_input), and live as long as the bundle does.
 
 
+@memo_by_input
 def tangent_triv(b: DiffBundle) -> PolyMap:
     """tau : T(E) -> (dx, x, da, a), the tangent of the trivialization."""
     m, k = b.base, b.fibre
     return polymap_compose(cdc_T(b.triv), block_swap(m, k, m, k, b.mode))
 
 
+@memo_by_input
 def tangent_triv_inv(b: DiffBundle) -> PolyMap:
     m, k = b.base, b.fibre
     return polymap_compose(block_swap(m, m, k, k, b.mode), cdc_T(b.triv_inv))
 
 
+@memo_by_input
 def bundle_pi(b: DiffBundle, which: int, n: int = 2) -> PolyMap:
     """Projection E_n -> E onto summand ``which``; E_n carries (x, a_1, ..., a_n)."""
     m, k = b.base, b.fibre
@@ -144,6 +151,7 @@ def assemble_tangent(b: DiffBundle, dx: PolyMap, x: PolyMap, da: PolyMap, a: Pol
 # The mu map, selection into R, and the bracket
 
 
+@memo_by_input
 def mu_map(b: DiffBundle) -> PolyMap:
     """mu := <pi0 lambda, pi1 0> T(sigma) : E_2 -> T(E)."""
     left = polymap_compose(bundle_pi(b, 0), b.lam)
@@ -151,6 +159,7 @@ def mu_map(b: DiffBundle) -> PolyMap:
     return t_fibre_sum(b, left, right)
 
 
+@memo_by_input
 def sel_map(b: DiffBundle) -> PolyMap:
     """T(E) -> R, reading off (x, fibre-tangent, fibre-point) blocks."""
     m, k = b.base, b.fibre

@@ -21,7 +21,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import replace
 from functools import lru_cache, partial, wraps
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Callable, Sequence
 
 from . import scalars
@@ -45,18 +45,22 @@ from .poly import (
 
 
 def memo_by_input(fn: Callable) -> Callable:
-    """Cache ``fn(x)`` for as long as ``x``, or an equal live value, is alive.
+    """Cache ``fn(x, *rest)`` for as long as ``x``, or an equal live value, is alive.
 
     The inputs are frozen, so an equal input gets the same result, and the
     cache holds them weakly, so an entry goes when its input is collected.
+    The results for one ``x`` are kept per ``rest``, which must be hashable.
     """
     cache = weakref.WeakKeyDictionary()
 
     @wraps(fn)
-    def memo(x):
-        got = cache.get(x)
+    def memo(x, *rest):
+        results = cache.get(x)
+        if results is None:
+            results = cache[x] = {}
+        got = results.get(rest)
         if got is None:
-            got = cache[x] = fn(x)
+            got = results[rest] = fn(x, *rest)
         return got
 
     return memo
@@ -68,21 +72,27 @@ def cdc_D(f: PolyMap) -> PolyMap:
 
     Each term u_j * (a term of d comp / d x_j) has the total degree of the term
     it came from, and no two collide.  Within one degree the u-block e_j comes
-    before e_k for j < k, and lowering x_j keeps the order of the terms, so
-    walking comp's degree runs, then the x_j that each run has, then the terms
-    of d run / d x_j, yields graded-lex order: nothing is added or sorted.
+    before e_k for j < k, and lowering x_j keeps the order of the terms.  So
+    walking comp's degree runs, then the x_j that each run has, then as many
+    next terms of d comp / d x_j as the run has terms with x_j, yields
+    graded-lex order: nothing is added or sorted.  d comp / d x_j is taken
+    once, where the first run with x_j needs it.
     """
     m = f.dom
     units = [(0,) * j + (1,) + (0,) * (m - j - 1) for j in range(m)]
     comps = []
     for comp in f.components:
+        lowered = [None] * m  # lowered[j]: the terms of d comp / d x_j not yet placed
         terms = []
-        for _, run in groupby(comp.terms, key=lambda t: sum(t[0])):
-            run = Poly(m, tuple(run), f.mode)
-            for j, column in enumerate(zip(*(ev for ev, _ in run.terms))):
-                if any(column):
+        for _, run in groupby([ev for ev, _ in comp.terms], key=sum):
+            for j, column in enumerate(zip(*run)):
+                count = len(column) - column.count(0)
+                if count:
+                    rest = lowered[j]
+                    if rest is None:
+                        rest = lowered[j] = iter(partial_derivative(comp, j).terms)
                     unit = units[j]
-                    terms += [(unit + ev, c) for ev, c in partial_derivative(run, j).terms]
+                    terms += [(unit + ev, c) for ev, c in islice(rest, count)]
         comps.append(Poly(2 * m, tuple(terms), f.mode))
     return PolyMap(2 * m, f.cod, tuple(comps), f.mode)
 

@@ -201,10 +201,13 @@ def partial_derivative(p: Poly, i: int) -> Poly:
 def poly_shift_vars(p: Poly, offset: int, new_nvars: int) -> Poly:
     """Reindex variable i to variable i + offset inside a wider variable block.
 
-    Padding every exponent vector with the same zeros keeps the term order.
+    Padding every exponent vector with the same zeros keeps the term order,
+    and a shift by 0 within as many variables is p itself.
     """
     if offset < 0 or p.nvars + offset > new_nvars:
         raise DimensionMismatch("shifted variables fall outside the new block")
+    if new_nvars == p.nvars:
+        return p
     before, after = (0,) * offset, (0,) * (new_nvars - p.nvars - offset)
     return Poly(new_nvars, tuple((before + ev + after, c) for ev, c in p.terms), p.mode)
 
@@ -279,8 +282,34 @@ class PolyMap:
         _set(self, "components", components)
         _set(self, "mode", mode)
 
+    def __hash__(self) -> int:
+        """The generated hash, hash((dom, cod, components, mode)), computed once per map.
+
+        The cache lives in the instance __dict__, outside the fields, so
+        ==, repr, replace and frozenness do not see it.  A str hash differs
+        between processes, so a map copied into another process by pickle
+        would bring a stale hash; nothing pickles maps.
+        """
+        facts = self.__dict__
+        h = facts.get("_hash")
+        if h is None:
+            h = facts["_hash"] = hash((self.dom, self.cod, self.components, self.mode))
+        return h
+
     def __str__(self) -> str:
         return polymap_to_str(self)
+
+
+def _checked_map(dom: int, cod: int, components: tuple, mode: str, _new=object.__new__) -> PolyMap:
+    """A PolyMap of components already known to be ``cod`` polynomials over (dom, mode).
+
+    Only compose and pair call this: their components come from maps that
+    were checked when built.  Sets the fields as __init__ does, unchecked.
+    """
+    f = _new(PolyMap)
+    facts = f.__dict__
+    facts["dom"], facts["cod"], facts["components"], facts["mode"] = dom, cod, components, mode
+    return f
 
 
 @lru_cache(maxsize=None)
@@ -308,36 +337,85 @@ def _var_index(p: Poly):
 
 
 def _var_indices(f: PolyMap):
-    """[i_0, i_1, ...] when component k of f is the bare variable x_{i_k}, else None."""
-    out = [_var_index(comp) for comp in f.components]
-    return None if None in out else out
+    """(i_0, i_1, ...) when component k of f is the bare variable x_{i_k}, else None.
+
+    Computed once per map and kept in its __dict__, beside the cached hash
+    and ``_var_index`` of each component, which compose reads for a map that
+    is not a variable map.
+    """
+    facts = f.__dict__
+    out = facts.get("_var_indices", False)
+    if out is False:
+        each = facts["_var_index_each"] = tuple(map(_var_index, f.components))
+        out = facts["_var_indices"] = None if None in each else each
+    return out
 
 
-def _rename(p: Poly, images: Sequence[int], nvars: int) -> Poly:
-    """p with variable j renamed to variable images[j] of nvars: move exponents, add colliding terms."""
+def _rename(p: Poly, images: Sequence, nvars: int) -> Poly:
+    """p with variable j renamed to variable images[j] of nvars, or set to 0 where images[j] is None.
+
+    A term with a variable set to 0 is dropped; the rest have their exponents
+    moved, and colliding terms are added.
+    """
     moved = []
     for ev, c in p.terms:
         renamed = [0] * nvars
         for j, e in enumerate(ev):
-            renamed[images[j]] += e
-        moved.append((tuple(renamed), c))
+            if e:
+                i = images[j]
+                if i is None:
+                    break
+                renamed[i] += e
+        else:
+            moved.append((tuple(renamed), c))
     return Poly(nvars, _canonical(_add_terms({}, moved)), p.mode)
+
+
+def _spread(p: Poly, images: Sequence[int], nvars: int) -> Poly:
+    """_rename for strictly increasing images: terms keep their order and never collide.
+
+    Images that fill one block lo, lo + 1, ... (a projection) shift p by lo.
+    """
+    if not images or images[-1] - images[0] == len(images) - 1:
+        return poly_shift_vars(p, images[0] if images else 0, nvars)
+    zeros, terms = [0] * nvars, []
+    for ev, c in p.terms:
+        renamed = zeros[:]
+        for i, e in zip(images, ev):
+            renamed[i] = e
+        terms.append((tuple(renamed), c))
+    return Poly(nvars, tuple(terms), p.mode)
 
 
 def polymap_compose(f: PolyMap, g: PolyMap) -> PolyMap:
     """Diagrammatic composite f;g (apply f first), one component of g at a time.
 
-    A bare variable x_j is f's component j and a zero stays zero, with no
-    arithmetic.  Any other component is renamed when f is a variable map (as
-    f is vacuously when g.dom is 0), and has f substituted into it otherwise.
+    When g is a variable map, the composite selects f's components; it is f
+    itself when g is the identity.  Otherwise a bare variable x_j of g is f's
+    component j and a zero stays zero, with no arithmetic.  Any other
+    component is renamed when every component of f is a bare variable or
+    zero (f is a variable map vacuously when g.dom is 0), and has f
+    substituted into it otherwise.  A renaming by strictly increasing images
+    (a projection, a point projection) keeps graded-lex order and adds no
+    terms together, so it is neither accumulated nor sorted.
     """
     if f.cod != g.dom:
         raise DimensionMismatch(f"cannot compose cod {f.cod} with dom {g.dom}")
     if f.mode != g.mode:
         raise DimensionMismatch(f"mixed scalar modes {f.mode!r} and {g.mode!r}")
-    comps, f_vars, zero = [], False, None  # False: f not examined yet
-    for comp in g.components:
-        j = _var_index(comp)
+    g_vars = _var_indices(g)
+    if g_vars is not None:
+        if g.dom == g.cod and g_vars == tuple(range(g.dom)):
+            return f  # g is the identity
+        return _checked_map(f.dom, g.cod, tuple(map(f.components.__getitem__, g_vars)), f.mode)
+    comps, zero = [], None
+    images, rename = _var_indices(f), _rename
+    if images is not None:
+        if all(map(int.__lt__, images, images[1:])):
+            rename = _spread
+    elif all(j is not None or not c.terms for j, c in zip(f.__dict__["_var_index_each"], f.components)):
+        images = f.__dict__["_var_index_each"]  # None where f's component is 0
+    for comp, j in zip(g.components, g.__dict__["_var_index_each"]):
         if j is not None:
             comps.append(f.components[j])
         elif not comp.terms:
@@ -345,10 +423,8 @@ def polymap_compose(f: PolyMap, g: PolyMap) -> PolyMap:
                 zero = Poly(f.dom, (), f.mode)  # built at the first zero component, shared by the rest
             comps.append(zero)
         else:
-            if f_vars is False:
-                f_vars = _var_indices(f)
-            comps.append(poly_subst(comp, f.components) if f_vars is None else _rename(comp, f_vars, f.dom))
-    return PolyMap(f.dom, g.cod, tuple(comps), f.mode)
+            comps.append(poly_subst(comp, f.components) if images is None else rename(comp, images, f.dom))
+    return _checked_map(f.dom, g.cod, tuple(comps), f.mode)
 
 
 def polymap_pair(*maps: PolyMap) -> PolyMap:
@@ -360,7 +436,7 @@ def polymap_pair(*maps: PolyMap) -> PolyMap:
         if f.dom != dom or f.mode != mode:
             raise DimensionMismatch("paired maps must share a domain and mode")
     comps = tuple(c for f in maps for c in f.components)
-    return PolyMap(dom, len(comps), comps, mode)
+    return _checked_map(dom, len(comps), comps, mode)
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ from time import perf_counter
 import pytest
 
 from tancat.cli import main
+from tancat.params import MAX_DIM
 
 BUNDLE_TEXT = """[bundle]
 base = 1
@@ -149,6 +150,15 @@ def test_check_rejects_unknown_suite(capsys):
 def test_check_rejects_incompatible_fault(capsys):
     assert main(["check", "--suite", "bundle", "--fault", "identity-flip"]) == 2
     assert "invalid-params" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["check", "--suite", "cds"], ["fibre", "--context-dim", "1"]])
+def test_max_dim_above_its_bound_exits_two(command, capsys):
+    # unbounded, a dimension this large runs out of memory (exit 3)
+    assert main(command + ["--max-dim", str(MAX_DIM + 1), "--instances", "1"]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid-params: max_dim must be at most {MAX_DIM}" in err and "Traceback" not in err
+    assert main(command + ["--max-dim", "100000", "--instances", "1"]) == 2
 
 
 def test_bundle_verify(bundle_file, capsys):

@@ -1,8 +1,10 @@
-"""Memoized T, D and mu, and the structural maps built once per (dimension, mode).
+"""Memoized T, D and mu, the per-bundle maps, and the structural maps built once per (dimension, mode).
 
-``cdc_D``, ``cdc_T`` and ``diffobj_mu`` cache their result for as long as
-their input lives; the structural builders cache per argument tuple.  The
-uncached function stays reachable as ``__wrapped__`` and is the reference.
+``cdc_D``, ``cdc_T``, ``diffobj_mu`` and the bundle maps (``tangent_triv``,
+``tangent_triv_inv``, ``mu_map``, ``sel_map``, ``bundle_pi``) cache their
+result for as long as their input lives; the structural builders cache per
+argument tuple.  The uncached function stays reachable as ``__wrapped__`` and
+is the reference.
 """
 
 import gc
@@ -15,9 +17,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tancat import scalars
+from tancat.bundles import (
+    bundle_pi,
+    display_blocks,
+    display_bundle,
+    make_bundle,
+    mu_map,
+    sel_map,
+    standard_bundle,
+    tangent_bundle_of,
+    tangent_triv,
+    tangent_triv_inv,
+)
 from tancat.cdc import cdc_D, cdc_T, point_proj
 from tancat.diffobj import DiffObject, diffobj_mu
-from tancat.poly import identity_map, polymap_proj, random_polymap
+from tancat.poly import identity_map, linear_map, polymap_proj, random_polymap
 
 MODES = (scalars.RATIONAL, scalars.NATURAL)
 
@@ -84,6 +98,67 @@ def test_mu_entry_lives_as_long_as_its_object():
     del o
     gc.collect()
     assert r() is None
+
+
+# (memo, the arguments after the bundle)
+BUNDLE_MEMOS = [
+    (tangent_triv, ()),
+    (tangent_triv_inv, ()),
+    (mu_map, ()),
+    (sel_map, ()),
+    (bundle_pi, (0,)),
+    (bundle_pi, (1,)),
+    (bundle_pi, (2, 3)),
+]
+BUNDLE_IDS = ["tangent_triv", "tangent_triv_inv", "mu_map", "sel_map", "pi0", "pi1", "pi2-of-3"]
+
+
+def corrupted_lambda(mode):
+    """standard-1-1 with the lift (x, a) |-> (0, a, x, a), as the corrupted-lambda fault builds it."""
+    sigma_fib, zeta_fib, lam_tan, _ = display_blocks(standard_bundle(1, 1, mode))
+    return display_bundle(1, 1, sigma_fib, zeta_fib, lam_tan, lam_tan)
+
+
+def sheared():
+    """standard-1-1 with the trivialization (x, a) |-> (x, a + x), built from maps no other cache holds."""
+    std = standard_bundle(1, 1, scalars.RATIONAL)
+    t = linear_map(2, 0, [[1, 0], [1, 1]], scalars.RATIONAL)
+    t_inv = linear_map(2, 0, [[1, 0], [-1, 1]], scalars.RATIONAL)
+    return make_bundle(1, 1, std.sigma, std.zeta, std.lam, (t, t_inv), scalars.RATIONAL)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("memo, args", BUNDLE_MEMOS, ids=BUNDLE_IDS)
+def test_bundle_maps_equal_their_uncached_results(memo, args, mode):
+    bundles = [standard_bundle(1, 1, mode), tangent_bundle_of(2, mode), corrupted_lambda(mode)]
+    for b in bundles + ([sheared()] if mode == scalars.RATIONAL else []):
+        copy = replace(b)
+        assert copy == b and copy is not b
+        assert memo(b, *args) == memo.__wrapped__(b, *args)
+        assert memo(copy, *args) is memo(b, *args)
+
+
+@pytest.mark.parametrize("memo, args", BUNDLE_MEMOS, ids=BUNDLE_IDS)
+def test_bundle_entry_lives_as_long_as_its_bundle(memo, args):
+    b = sheared()
+    assert memo(b, *args) == memo.__wrapped__(b, *args)
+    r = weakref.ref(memo(b, *args))
+    gc.collect()
+    assert r() is not None  # only the cache holds the result
+    del b
+    gc.collect()
+    assert r() is None
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_corrupted_bundle_maps_stay_apart_from_the_clean_ones(mode):
+    clean, bad = standard_bundle(1, 1, mode), corrupted_lambda(mode)
+    assert mu_map(clean) == mu_map.__wrapped__(clean)
+    assert mu_map(bad) == mu_map.__wrapped__(bad)
+    assert mu_map(bad) != mu_map(clean)
+    for memo, args in BUNDLE_MEMOS:  # the lift is the only difference, and only mu reads it
+        assert memo(bad, *args) == memo.__wrapped__(bad, *args)
+        assert (memo(bad, *args) == memo(clean, *args)) is (memo is not mu_map)
 
 
 def test_structural_maps_are_built_once_per_dimension_and_mode():

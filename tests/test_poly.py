@@ -20,6 +20,7 @@ from tancat.poly import (
     Poly,
     _canonical,
     _mul_terms,
+    _var_indices,
     PolyMap,
     eval_polymap,
     identity_map,
@@ -538,6 +539,73 @@ def test_compose_of_mixed_components_is_componentwise_substitution(mode, data):
     for q, out in zip(comps, fg.components):
         if len(q.terms) == 1 and q.terms[0][1] == 1 and sum(q.terms[0][0]) == 1:
             assert out is f.components[q.terms[0][0].index(1)]
+
+
+def variable_maps(dom, cod, mode):
+    """Variable maps dom -> cod whose images increase strictly, decrease strictly or repeat."""
+    if dom == 0:
+        return st.just(permutation_map(0, (), mode)) if cod == 0 else st.nothing()
+    images = st.lists(st.integers(0, dom - 1), min_size=cod, max_size=cod)
+    kinds = [images]
+    if cod <= dom:
+        distinct = st.permutations(range(dom)).map(lambda im: im[:cod])
+        kinds += [distinct.map(sorted), distinct.map(lambda im: sorted(im, reverse=True))]
+    if cod >= 2:
+        kinds.append(images.map(lambda im: [im[-1], *im[1:]]))  # image im[-1] at least twice
+    return st.one_of(kinds).map(lambda im: permutation_map(dom, im, mode))
+
+
+def maps_with_zeros(dom, cod, mode):
+    """Maps dom -> cod whose components are zeros, bare variables or general polynomials."""
+    kinds = [st.just(Poly.zero(dom, mode)), polys_at(dom, mode)]
+    if dom:
+        kinds.append(st.integers(0, dom - 1).map(lambda j: Poly.variable(dom, j, mode)))
+    comps = st.lists(st.one_of(kinds), min_size=cod, max_size=cod)
+    return st.one_of(comps.map(lambda c: PolyMap(dom, cod, tuple(c), mode)), variable_maps(dom, cod, mode))
+
+
+def reference_compose(f, g):
+    """f;g by poly_subst on every component of g; widened by hand when g.dom is 0."""
+    comps = (poly_subst(q, f.components) if g.dom else poly_shift_vars(q, 0, f.dom) for q in g.components)
+    return PolyMap(f.dom, g.cod, tuple(comps), f.mode)
+
+
+def assert_well_formed(h):
+    """h passes PolyMap's own checks, is canonical, and its cached hash is the generated one."""
+    assert PolyMap(h.dom, h.cod, h.components, h.mode) == h
+    for comp in h.components:
+        assert comp.terms == _canonical(dict(comp.terms))
+    assert hash(h) == hash((h.dom, h.cod, h.components, h.mode)) == hash(dataclasses.replace(h))
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_compose_fast_paths_equal_componentwise_substitution(mode, data):
+    """Selecting, spreading and renaming give what poly_subst gives on every component,
+    for variable maps on either side (increasing, decreasing or repeated images),
+    zero components, and an empty domain on either side."""
+    a, b, c = (data.draw(st.integers(0, 3), label=name) for name in "abc")
+    f = data.draw(maps_with_zeros(a, b, mode), label="f")
+    g = data.draw(maps_with_zeros(b, c, mode), label="g")
+    fg = polymap_compose(f, g)
+    assert fg == reference_compose(f, g)
+    assert_well_formed(fg)
+    assert_well_formed(polymap_pair(f, fg))
+    assert polymap_compose(f, g) == fg  # the cached facts of f and g give the same result again
+
+
+def test_cached_hash_and_var_indices_stay_outside_the_fields():
+    f = permutation_map(3, (2, 0), scalars.RATIONAL)
+    h = hash(f)
+    assert f.__dict__["_hash"] == h and _var_indices(f) == (2, 0)
+    assert [fld.name for fld in dataclasses.fields(f)] == ["dom", "cod", "components", "mode"]
+    copy = dataclasses.replace(f)
+    assert "_hash" not in copy.__dict__ and copy == f and hash(copy) == h
+    assert repr(f) == repr(copy)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        f.dom = 4
+    assert _var_indices(polymap_pair(f, zero_map(3, 1, scalars.RATIONAL))) is None
 
 
 @pytest.fixture(scope="module")

@@ -47,3 +47,12 @@ def test_seed_zero_cds_digests_match_the_golden_ones():
 def test_cli_report_digests_are_pinned():
     tool = _load(ROOT / "tools" / "report_digests.py", "report_digests")
     assert [tool.cli_line(args) for args in tool.cli_runs()] == CLI_LINES
+
+
+def test_expected_digests_cover_every_run_of_the_ci_seeds():
+    """tools/report_digests.expected, which CI diffs the tool against, has one line per run, in order."""
+    tool = _load(ROOT / "tools" / "report_digests.py", "report_digests")
+    lines = (ROOT / "tools" / "report_digests.expected").read_text(encoding="utf-8").splitlines()
+    keys = [f"{suite} {mode} {seed} {fault or '-'}" for suite, mode, seed, fault in tool.runs([0, 7, 11])]
+    assert [line.rsplit(" ", 1)[0] for line in lines[: len(keys)]] == keys
+    assert lines[len(keys) :] == CLI_LINES

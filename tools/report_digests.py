@@ -11,7 +11,10 @@ digesting the JSON report it writes with ``--out`` in the same form.
     python3 tools/report_digests.py --seeds 0 7 11 > digests.txt
 
 A change that must leave every report byte-identical shows it by one
-``diff`` of this output before and after.
+``diff`` of this output before and after.  ``tools/report_digests.expected``
+holds the output for ``--seeds 0 7 11``, and CI diffs the tool against it:
+
+    python3 tools/report_digests.py --seeds 0 7 11 | diff tools/report_digests.expected -
 """
 
 from __future__ import annotations
