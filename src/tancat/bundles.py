@@ -103,13 +103,25 @@ def tangent_triv_inv(b: DiffBundle) -> PolyMap:
 
 
 @memo_by_input
+def _summand_projections(b: DiffBundle) -> dict:
+    """bundle_pi's results for b by (which, n), filled in as they are asked for."""
+    return {}
+
+
 def bundle_pi(b: DiffBundle, which: int, n: int = 2) -> PolyMap:
-    """Projection E_n -> E onto summand ``which``; E_n carries (x, a_1, ..., a_n)."""
-    m, k = b.base, b.fibre
-    dim = m + n * k
-    x = polymap_proj(dim, 0, m, b.mode)
-    fib = polymap_proj(dim, m + which * k, m + (which + 1) * k, b.mode)
-    return polymap_compose(polymap_pair(x, fib), b.triv_inv)
+    """Projection E_n -> E onto summand ``which``; E_n carries (x, a_1, ..., a_n).
+
+    Built once per (bundle, which, n).
+    """
+    built = _summand_projections(b)
+    pi = built.get((which, n))
+    if pi is None:
+        m, k = b.base, b.fibre
+        dim = m + n * k
+        x = polymap_proj(dim, 0, m, b.mode)
+        fib = polymap_proj(dim, m + which * k, m + (which + 1) * k, b.mode)
+        pi = built[which, n] = polymap_compose(polymap_pair(x, fib), b.triv_inv)
+    return pi
 
 
 def _display_pair(m: int, u: PolyMap, v: PolyMap) -> PolyMap:

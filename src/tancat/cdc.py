@@ -45,22 +45,18 @@ from .poly import (
 
 
 def memo_by_input(fn: Callable) -> Callable:
-    """Cache ``fn(x, *rest)`` for as long as ``x``, or an equal live value, is alive.
+    """Cache ``fn(x)`` for as long as ``x``, or an equal live value, is alive.
 
     The inputs are frozen, so an equal input gets the same result, and the
     cache holds them weakly, so an entry goes when its input is collected.
-    The results for one ``x`` are kept per ``rest``, which must be hashable.
     """
     cache = weakref.WeakKeyDictionary()
 
     @wraps(fn)
-    def memo(x, *rest):
-        results = cache.get(x)
-        if results is None:
-            results = cache[x] = {}
-        got = results.get(rest)
+    def memo(x):
+        got = cache.get(x)
         if got is None:
-            got = results[rest] = fn(x, *rest)
+            got = cache[x] = fn(x)
         return got
 
     return memo

@@ -15,9 +15,11 @@ from typing import Iterator, Optional, Tuple
 
 from . import scalars
 
-# The largest max_dim.  With one instance (2 vCPUs, Python 3.11) the cds suite
-# takes 0.1 s and a fibre run 0.3 s at 16, check_cds alone takes 1 s at 32,
-# and at 100,000 the cds suite runs out of memory.
+# The largest max_dim.  At 16, with default instances, every suite in either
+# mode and a fibre run at context 1-3 finish in under 5 s each, under 25 MB
+# (derived-differential is the slowest; 2 vCPUs, Python 3.11).  With one
+# instance check_cds alone takes 1 s at 32, and at 100,000 the cds suite runs
+# out of memory.
 MAX_DIM = 16
 
 

@@ -282,33 +282,36 @@ class PolyMap:
         _set(self, "components", components)
         _set(self, "mode", mode)
 
-    def __hash__(self) -> int:
+    def __hash__(self, _set=object.__setattr__) -> int:
         """The generated hash, hash((dom, cod, components, mode)), computed once per map.
 
-        The cache lives in the instance __dict__, outside the fields, so
-        ==, repr, replace and frozenness do not see it.  A str hash differs
-        between processes, so a map copied into another process by pickle
-        would bring a stale hash; nothing pickles maps.
+        It is kept as an attribute outside the fields, so ==, repr, replace
+        and frozenness do not see it.  A str hash differs between processes,
+        so a map copied into another process by pickle would bring a stale
+        hash; nothing pickles maps.
         """
-        facts = self.__dict__
-        h = facts.get("_hash")
+        h = getattr(self, "_hash", None)
         if h is None:
-            h = facts["_hash"] = hash((self.dom, self.cod, self.components, self.mode))
+            h = hash((self.dom, self.cod, self.components, self.mode))
+            _set(self, "_hash", h)
         return h
 
     def __str__(self) -> str:
         return polymap_to_str(self)
 
 
-def _checked_map(dom: int, cod: int, components: tuple, mode: str, _new=object.__new__) -> PolyMap:
+def _checked_map(dom: int, cod: int, components: tuple, mode: str,
+                 _new=object.__new__, _set=object.__setattr__) -> PolyMap:
     """A PolyMap of components already known to be ``cod`` polynomials over (dom, mode).
 
     Only compose and pair call this: their components come from maps that
     were checked when built.  Sets the fields as __init__ does, unchecked.
     """
     f = _new(PolyMap)
-    facts = f.__dict__
-    facts["dom"], facts["cod"], facts["components"], facts["mode"] = dom, cod, components, mode
+    _set(f, "dom", dom)
+    _set(f, "cod", cod)
+    _set(f, "components", components)
+    _set(f, "mode", mode)
     return f
 
 
@@ -336,19 +339,17 @@ def _var_index(p: Poly):
     return None
 
 
-def _var_indices(f: PolyMap):
-    """(i_0, i_1, ...) when component k of f is the bare variable x_{i_k}, else None.
+def _var_index_each(f: PolyMap, _set=object.__setattr__) -> tuple:
+    """(_var_index(c) for each component c of f), computed once per map.
 
-    Computed once per map and kept in its __dict__, beside the cached hash
-    and ``_var_index`` of each component, which compose reads for a map that
-    is not a variable map.
+    f is a variable map when no entry is None.  Kept as an attribute outside
+    the fields, like the cached hash.
     """
-    facts = f.__dict__
-    out = facts.get("_var_indices", False)
-    if out is False:
-        each = facts["_var_index_each"] = tuple(map(_var_index, f.components))
-        out = facts["_var_indices"] = None if None in each else each
-    return out
+    each = getattr(f, "_var_index_each", None)
+    if each is None:
+        each = tuple(map(_var_index, f.components))
+        _set(f, "_var_index_each", each)
+    return each
 
 
 def _rename(p: Poly, images: Sequence, nvars: int) -> Poly:
@@ -375,6 +376,8 @@ def _spread(p: Poly, images: Sequence[int], nvars: int) -> Poly:
     """_rename for strictly increasing images: terms keep their order and never collide.
 
     Images that fill one block lo, lo + 1, ... (a projection) shift p by lo.
+    Without this path, _rename's dict and sort made suites verdict_p90_s and
+    peak_rss_mb worse in each of 10 benchmark pairs (BENCH_18.json).
     """
     if not images or images[-1] - images[0] == len(images) - 1:
         return poly_shift_vars(p, images[0] if images else 0, nvars)
@@ -385,6 +388,19 @@ def _spread(p: Poly, images: Sequence[int], nvars: int) -> Poly:
             renamed[i] = e
         terms.append((tuple(renamed), c))
     return Poly(nvars, tuple(terms), p.mode)
+
+
+def _renaming(f: PolyMap):
+    """(images, rename) when every component of f is a bare variable or zero, else (None, None).
+
+    images[j] is the variable of f's component j, or None where it is 0.
+    """
+    images = _var_index_each(f)
+    if not all(j is not None or not c.terms for j, c in zip(images, f.components)):
+        return None, None
+    if None not in images and all(map(int.__lt__, images, images[1:])):
+        return images, _spread
+    return images, _rename
 
 
 def polymap_compose(f: PolyMap, g: PolyMap) -> PolyMap:
@@ -403,19 +419,13 @@ def polymap_compose(f: PolyMap, g: PolyMap) -> PolyMap:
         raise DimensionMismatch(f"cannot compose cod {f.cod} with dom {g.dom}")
     if f.mode != g.mode:
         raise DimensionMismatch(f"mixed scalar modes {f.mode!r} and {g.mode!r}")
-    g_vars = _var_indices(g)
-    if g_vars is not None:
-        if g.dom == g.cod and g_vars == tuple(range(g.dom)):
+    g_each = _var_index_each(g)
+    if None not in g_each:  # g is a variable map
+        if g.dom == g.cod and g_each == tuple(range(g.dom)):
             return f  # g is the identity
-        return _checked_map(f.dom, g.cod, tuple(map(f.components.__getitem__, g_vars)), f.mode)
-    comps, zero = [], None
-    images, rename = _var_indices(f), _rename
-    if images is not None:
-        if all(map(int.__lt__, images, images[1:])):
-            rename = _spread
-    elif all(j is not None or not c.terms for j, c in zip(f.__dict__["_var_index_each"], f.components)):
-        images = f.__dict__["_var_index_each"]  # None where f's component is 0
-    for comp, j in zip(g.components, g.__dict__["_var_index_each"]):
+        return _checked_map(f.dom, g.cod, tuple(map(f.components.__getitem__, g_each)), f.mode)
+    comps, zero, images = [], None, False  # False: f not examined yet
+    for comp, j in zip(g.components, g_each):
         if j is not None:
             comps.append(f.components[j])
         elif not comp.terms:
@@ -423,6 +433,8 @@ def polymap_compose(f: PolyMap, g: PolyMap) -> PolyMap:
                 zero = Poly(f.dom, (), f.mode)  # built at the first zero component, shared by the rest
             comps.append(zero)
         else:
+            if images is False:
+                images, rename = _renaming(f)
             comps.append(poly_subst(comp, f.components) if images is None else rename(comp, images, f.dom))
     return _checked_map(f.dom, g.cod, tuple(comps), f.mode)
 
