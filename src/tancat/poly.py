@@ -262,6 +262,13 @@ def poly_subst(p: Poly, args: Sequence[Poly]) -> Poly:
 # Polynomial maps
 
 
+# A map's cached facts, (hash, _var_index_each), each None until first asked
+# for, are one attribute outside the fields: under CPython 3.11 an instance
+# keeps one attribute beyond its four fields inline, and a second builds a
+# dict of about 220 bytes for the map.
+_NO_FACTS = (None, None)
+
+
 @dataclass(frozen=True, init=False)
 class PolyMap:
     dom: int
@@ -285,15 +292,16 @@ class PolyMap:
     def __hash__(self, _set=object.__setattr__) -> int:
         """The generated hash, hash((dom, cod, components, mode)), computed once per map.
 
-        It is kept as an attribute outside the fields, so ==, repr, replace
-        and frozenness do not see it.  A str hash differs between processes,
-        so a map copied into another process by pickle would bring a stale
-        hash; nothing pickles maps.
+        It is kept in the map's facts (see _NO_FACTS), outside the fields, so
+        ==, repr, replace and frozenness do not see it.  A str hash differs
+        between processes, so a map copied into another process by pickle
+        would bring a stale hash; nothing pickles maps.
         """
-        h = getattr(self, "_hash", None)
+        facts = getattr(self, "_facts", _NO_FACTS)
+        h = facts[0]
         if h is None:
             h = hash((self.dom, self.cod, self.components, self.mode))
-            _set(self, "_hash", h)
+            _set(self, "_facts", (h, facts[1]))
         return h
 
     def __str__(self) -> str:
@@ -342,13 +350,14 @@ def _var_index(p: Poly):
 def _var_index_each(f: PolyMap, _set=object.__setattr__) -> tuple:
     """(_var_index(c) for each component c of f), computed once per map.
 
-    f is a variable map when no entry is None.  Kept as an attribute outside
-    the fields, like the cached hash.
+    f is a variable map when no entry is None.  Kept in the map's facts,
+    beside the cached hash.
     """
-    each = getattr(f, "_var_index_each", None)
+    facts = getattr(f, "_facts", _NO_FACTS)
+    each = facts[1]
     if each is None:
         each = tuple(map(_var_index, f.components))
-        _set(f, "_var_index_each", each)
+        _set(f, "_facts", (facts[0], each))
     return each
 
 

@@ -598,10 +598,10 @@ def test_compose_fast_paths_equal_componentwise_substitution(mode, data):
 def test_cached_hash_and_var_indices_stay_outside_the_fields():
     f = permutation_map(3, (2, 0), scalars.RATIONAL)
     h = hash(f)
-    assert f._hash == h and _var_index_each(f) == (2, 0) and f._var_index_each == (2, 0)
+    assert f._facts == (h, None) and _var_index_each(f) == (2, 0) and f._facts == (h, (2, 0))
     assert [fld.name for fld in dataclasses.fields(f)] == ["dom", "cod", "components", "mode"]
     copy = dataclasses.replace(f)
-    assert not hasattr(copy, "_hash") and copy == f and hash(copy) == h
+    assert not hasattr(copy, "_facts") and copy == f and hash(copy) == h
     assert repr(f) == repr(copy)
     with pytest.raises(dataclasses.FrozenInstanceError):
         f.dom = 4
