@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from functools import lru_cache
 from typing import List, Optional
 
 from . import scalars
@@ -137,7 +138,12 @@ def dimension(text: str) -> int:
     return n
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every main call, built at the first.
+
+    A parser is a reference cycle, and parse_args keeps no state in it.
+    """
     ap = argparse.ArgumentParser(
         prog="tancat",
         description="Exact verification of tangent-categorical structure over polynomial models.",
@@ -195,9 +201,8 @@ def _bind_expressions(argv: List[str]) -> List[str]:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(_bind_expressions(sys.argv[1:] if argv is None else argv))
+        args = build_parser().parse_args(_bind_expressions(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -212,6 +212,20 @@ def poly_shift_vars(p: Poly, offset: int, new_nvars: int) -> Poly:
     return Poly(new_nvars, tuple((before + ev + after, c) for ev, c in p.terms), p.mode)
 
 
+def _power(powers: Dict[Tuple[int, int], Iterable], args: Sequence[Poly], i: int, e: int) -> Iterable:
+    """The terms of args[i]^e, each power kept in powers by (i, e) and built from the one below it.
+
+    A module function, not a closure of poly_subst: a closure that calls
+    itself is a reference cycle, left on every call for the cyclic collector.
+    """
+    got = powers.get((i, e))
+    if got is None:
+        base = args[i].terms
+        got = base if e == 1 else _mul_terms({}, _power(powers, args, i, e - 1), base).items()
+        powers[(i, e)] = got
+    return got
+
+
 def poly_subst(p: Poly, args: Sequence[Poly]) -> Poly:
     """Substitute args[i] for variable i.  All args share a domain width.
 
@@ -237,23 +251,15 @@ def poly_subst(p: Poly, args: Sequence[Poly]) -> Poly:
             scaled.append((ev2, c2 if c2.denominator != 1 else c2.numerator))
         return Poly(widths, tuple(scaled), p.mode)
     powers: Dict[Tuple[int, int], Iterable] = {}
-
-    def power(i: int, e: int) -> Iterable:
-        got = powers.get((i, e))
-        if got is None:
-            got = args[i].terms if e == 1 else _mul_terms({}, power(i, e - 1), args[i].terms).items()
-            powers[(i, e)] = got
-        return got
-
     acc: Dict[Exponent, object] = {}
     for ev, c in p.terms:
         term = None
         for i, e in enumerate(ev):
             if e:
                 if term is None:
-                    term = [(ev2, c * c2) for ev2, c2 in power(i, e)]
+                    term = [(ev2, c * c2) for ev2, c2 in _power(powers, args, i, e)]
                 else:
-                    term = _mul_terms({}, term, power(i, e)).items()
+                    term = _mul_terms({}, term, _power(powers, args, i, e)).items()
         _add_terms(acc, (((0,) * widths, c),) if term is None else term)
     return Poly(widths, _canonical(acc), p.mode)
 
@@ -594,17 +600,26 @@ def polymap_to_str(
 
 
 def random_polymap(dom: int, cod: int, max_degree: int, rng: Random, mode: str) -> PolyMap:
-    """cod components of one to three random terms each, of degree <= max_degree; drawn from rng only."""
+    """cod components of one to three random terms each, of degree <= max_degree; drawn from rng only.
+
+    Each draw is the randint or randrange it replaces (see scalars.randbelow):
+    the term count, then per term its degree, one variable per unit of degree
+    and its coefficient.  The drawn terms are valid by construction, so each
+    component is summed and sorted as Poly.from_terms would, without its
+    per-term coercion and checks.
+    """
     if max_degree < 0:
         raise ValueError("max_degree must be >= 0")
+    lo = 0 if scalars.check_mode(mode) == scalars.NATURAL else -scalars.COEFF_BOUND
+    span, bits, below = scalars.COEFF_BOUND - lo + 1, rng.getrandbits, scalars.randbelow
     comps = []
     for _ in range(cod):
         items = []
-        for _ in range(rng.randint(1, 3)):
-            degree = rng.randint(0, max_degree)
+        for _ in range(1 + below(bits, 3)):
+            degree = below(bits, max_degree + 1)
             ev = [0] * dom
             for _ in range(degree if dom else 0):
-                ev[rng.randrange(dom)] += 1
-            items.append((tuple(ev), scalars.random_scalar(mode, rng)))
-        comps.append(Poly.from_terms(dom, items, mode))
+                ev[below(bits, dom)] += 1
+            items.append((tuple(ev), lo + below(bits, span)))
+        comps.append(Poly(dom, _canonical(_add_terms({}, items)), mode))
     return PolyMap(dom, cod, tuple(comps), mode)

@@ -54,8 +54,23 @@ def negate(mode: str, value):
     return -value
 
 
+def randbelow(getrandbits, n: int) -> int:
+    """rng.randrange(n) for n >= 1, drawn from rng.getrandbits with the same bits consumed.
+
+    This is CPython's Random._randbelow_with_getrandbits (3.10-3.13): draw
+    n.bit_length() bits, and again while the value is >= n, so n = 1 still
+    consumes one draw.  It skips randrange's argument checks, which cost more
+    than the draw; rng.randint(a, b) is a + randbelow(rng.getrandbits, b - a + 1).
+    """
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def random_scalar(mode: str, rng: Random):
     """Uniform draw from [0, COEFF_BOUND] natural, [-COEFF_BOUND, COEFF_BOUND] rational."""
-    check_mode(mode)
-    return rng.randint(0 if mode == NATURAL else -COEFF_BOUND, COEFF_BOUND)
+    lo = 0 if check_mode(mode) == NATURAL else -COEFF_BOUND
+    return lo + randbelow(rng.getrandbits, COEFF_BOUND - lo + 1)
 

@@ -143,6 +143,21 @@ def test_check_exit_one_on_failures(capsys):
     assert "[FAIL]" in capsys.readouterr().out
 
 
+def test_successive_calls_share_no_state(tmp_path, capsys):
+    """main builds its parser once; options and errors of one call do not reach the next."""
+    assert main(["check", "--instances", "3", "--mode", "natural"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tancat check") and "the following arguments are required: --suite" in err
+    out = tmp_path / "r.json"
+    assert main(["check", "--suite", "cdc-axioms", "--out", str(out)]) == 0
+    assert capsys.readouterr().out.startswith("suite cdc-axioms: 13 passed, 0 failed\n  [pass] cd1-additive\n")
+    params = json.loads(out.read_text())["params"]
+    assert (params["instances"], params["mode"], params["seed"]) == (50, "rational", 0)
+    assert main(["diff", "--expr", "x0^2*x1", "--dom", "2"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "2*x0*x1*u0 + x0^2*u1\n" and captured.err == ""
+
+
 def test_check_rejects_unknown_suite(capsys):
     assert main(["check", "--suite", "nope"]) == 2
 

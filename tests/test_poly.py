@@ -6,6 +6,7 @@ package, so agreement is meaningful evidence.
 """
 
 import dataclasses
+import gc
 from fractions import Fraction
 from random import Random
 
@@ -446,6 +447,71 @@ def test_random_polymap_contract():
     assert all(sum(ev) == 0 for ev, _ in const.components[0].terms)
     with pytest.raises(ValueError, match="max_degree"):
         random_polymap(1, 1, -1, Random(0), scalars.RATIONAL)
+    for cod in (0, 2):
+        with pytest.raises(ValueError, match="unknown scalar mode"):
+            random_polymap(1, cod, 2, Random(0), "bogus")
+
+
+def reference_random_polymap(dom, cod, max_degree, rng, mode):
+    """random_polymap as it was written on randint, randrange and Poly.from_terms."""
+    comps = []
+    for _ in range(cod):
+        items = []
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.randint(0, max_degree)
+            ev = [0] * dom
+            for _ in range(degree if dom else 0):
+                ev[rng.randrange(dom)] += 1
+            items.append((tuple(ev), rng.randint(0 if mode == scalars.NATURAL else -scalars.COEFF_BOUND,
+                                                 scalars.COEFF_BOUND)))
+        comps.append(Poly.from_terms(dom, items, mode))
+    return PolyMap(dom, cod, tuple(comps), mode)
+
+
+def test_random_polymap_draws_as_randint_and_randrange_do():
+    """Same maps and the same stream position, draw for draw, over 4,000 seeds and 700 shapes."""
+    for seed in range(4000):
+        dom, cod, max_degree = seed % 7, seed // 7 % 5, seed // 35 % 10
+        mode = scalars.MODES[seed // 350 % 2]
+        rng, ref = Random(seed), Random(seed)
+        got = random_polymap(dom, cod, max_degree, rng, mode)
+        want = reference_random_polymap(dom, cod, max_degree, ref, mode)
+        assert [(c.nvars, c.terms, c.mode) for c in got.components] == [
+            (c.nvars, c.terms, c.mode) for c in want.components]
+        assert [type(c) for p in got.components for _, c in p.terms] == [
+            type(c) for p in want.components for _, c in p.terms]
+        assert got == want and rng.getstate() == ref.getstate()
+
+
+def test_random_scalar_draws_as_randint_does():
+    for seed in range(500):
+        for mode in scalars.MODES:
+            rng, ref = Random(seed), Random(seed)
+            lo = 0 if mode == scalars.NATURAL else -scalars.COEFF_BOUND
+            got = [scalars.random_scalar(mode, rng) for _ in range(20)]
+            assert got == [ref.randint(lo, scalars.COEFF_BOUND) for _ in range(20)]
+            assert rng.getstate() == ref.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 11, 2**32 - 1, 2**32, 2**70 + 3])
+def test_randbelow_is_randrange(n):
+    rng, ref = Random(n), Random(n)
+    assert [scalars.randbelow(rng.getrandbits, n) for _ in range(200)] == [ref.randrange(n) for _ in range(200)]
+    assert rng.getstate() == ref.getstate()
+
+
+def test_substitution_leaves_no_cyclic_garbage():
+    """Every poly_subst call frees what it built on return, with no work for the cyclic collector."""
+    p = Poly.from_terms(2, [((3, 1), 2), ((0, 2), Fraction(-1, 2)), ((1, 0), 1), ((0, 0), 4)], scalars.RATIONAL)
+    args = random_polymap(3, 2, 2, Random(5), scalars.RATIONAL).components
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(50):
+            poly_subst(p, args)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_permutation_and_zero_maps():
