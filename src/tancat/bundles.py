@@ -42,6 +42,7 @@ from .cdc import (
 from .poly import (
     PolyMap,
     block_swap,
+    coordinate_map,
     identity_map,
     poly_add,
     poly_scale,
@@ -117,10 +118,8 @@ def bundle_pi(b: DiffBundle, which: int, n: int = 2) -> PolyMap:
     pi = built.get((which, n))
     if pi is None:
         m, k = b.base, b.fibre
-        dim = m + n * k
-        x = polymap_proj(dim, 0, m, b.mode)
-        fib = polymap_proj(dim, m + which * k, m + (which + 1) * k, b.mode)
-        pi = built[which, n] = polymap_compose(polymap_pair(x, fib), b.triv_inv)
+        display = coordinate_map(m + n * k, (*range(m), *range(m + which * k, m + (which + 1) * k)), b.mode)
+        pi = built[which, n] = polymap_compose(display, b.triv_inv)
     return pi
 
 
@@ -188,10 +187,7 @@ def kappa_map(b: DiffBundle) -> PolyMap:
 def r_into_tangent(b: DiffBundle) -> PolyMap:
     """Cone leg R -> T(E): (x, alpha, beta) |-> tau^{-1}(0, x, alpha, beta)."""
     m, r = b.base, b.e2_dim
-    return polymap_compose(
-        polymap_pair(zero_map(r, m, b.mode), polymap_proj(r, 0, r, b.mode)),
-        tangent_triv_inv(b),
-    )
+    return polymap_compose(coordinate_map(r, (None,) * m + tuple(range(r)), b.mode), tangent_triv_inv(b))
 
 
 def r_into_base(b: DiffBundle) -> PolyMap:
@@ -579,13 +575,12 @@ def whitney_sum(b1: DiffBundle, b2: DiffBundle) -> DiffBundle:
         raise DimensionMismatch("Whitney sum needs a common scalar mode")
     m, k, mode = b1.base, b1.fibre + b2.fibre, b1.mode
     e2, total = m + 2 * k, m + k
-    x, tx = polymap_proj(e2, 0, m, mode), polymap_proj(total, 0, m, mode)
     blocks = []
     # summand i reads (x, a_i, c_i) off (x, a_1, a_2, c_1, c_2), and (x, a_i) off (x, a_1, a_2)
     for b, lo, hi in ((b1, m, m + b1.fibre), (b2, m + b1.fibre, total)):
         s, z, lt, lp = display_blocks(b)
-        over = polymap_pair(x, polymap_proj(e2, lo, hi, mode), polymap_proj(e2, lo + k, hi + k, mode))
-        at = polymap_pair(tx, polymap_proj(total, lo, hi, mode))
+        over = coordinate_map(e2, (*range(m), *range(lo, hi), *range(lo + k, hi + k)), mode)
+        at = coordinate_map(total, (*range(m), *range(lo, hi)), mode)
         blocks.append((polymap_compose(over, s), z, polymap_compose(at, lt), polymap_compose(at, lp)))
     return display_bundle(m, k, *(polymap_pair(u, v) for u, v in zip(*blocks)))
 
@@ -594,7 +589,7 @@ def whitney_proj(bsum: DiffBundle, b1: DiffBundle, b2: DiffBundle, which: int) -
     """(pi_i, 1_M) out of the Whitney sum."""
     m, k1, total, mode = bsum.base, b1.fibre, bsum.total, bsum.mode
     lo, hi, target = (m, m + k1, b1) if which == 0 else (m + k1, total, b2)
-    display = polymap_pair(polymap_proj(total, 0, m, mode), polymap_proj(total, lo, hi, mode))
+    display = coordinate_map(total, (*range(m), *range(lo, hi)), mode)
     return BundleMor(polymap_compose(display, target.triv_inv), identity_map(m, mode))
 
 

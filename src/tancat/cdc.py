@@ -32,9 +32,9 @@ from .poly import (
     PolyMap,
     block_swap,
     constant_map,
+    coordinate_map,
     identity_map,
     partial_derivative,
-    permutation_map,
     polymap_add,
     polymap_compose,
     polymap_pair,
@@ -109,7 +109,7 @@ def cdc_T(f: PolyMap) -> PolyMap:
 @lru_cache(maxsize=None)
 def tangent_zero(m: int, mode: str) -> PolyMap:
     """Zero section 0 : m -> T(m), x |-> (0, x)."""
-    return polymap_pair(zero_map(m, m, mode), identity_map(m, mode))
+    return coordinate_map(m, (None,) * m + tuple(range(m)), mode)
 
 
 @lru_cache(maxsize=None)
@@ -123,8 +123,7 @@ def tangent_plus(m: int, mode: str) -> PolyMap:
 @lru_cache(maxsize=None)
 def cdc_ell(m: int, mode: str) -> PolyMap:
     """Vertical lift ell : T(m) -> T^2(m), (u, x) |-> (u, 0, 0, x)."""
-    u, x = polymap_proj(2 * m, 0, m, mode), polymap_proj(2 * m, m, 2 * m, mode)
-    return polymap_pair(u, zero_map(2 * m, 2 * m, mode), x)
+    return coordinate_map(2 * m, (*range(m), *(None,) * (2 * m), *range(m, 2 * m)), mode)
 
 
 @lru_cache(maxsize=None)
@@ -137,8 +136,7 @@ def cdc_flip(m: int, mode: str) -> PolyMap:
 def t_n_carrier(m: int, n: int, mode: str) -> TnObject:
     """The n-fold fibred power T_n(m) with coordinates (u_1, ..., u_n, x)."""
     dim = (n + 1) * m
-    point = polymap_proj(dim, n * m, dim, mode)
-    projs = (polymap_pair(polymap_proj(dim, i * m, (i + 1) * m, mode), point) for i in range(n))
+    projs = (coordinate_map(dim, (*range(i * m, (i + 1) * m), *range(n * m, dim)), mode) for i in range(n))
     return TnObject(carrier=dim, projections=tuple(projs))
 
 
@@ -226,15 +224,10 @@ class PolyTangentModel:
     def lift_witness(self, m: int) -> LiftWitness:
         # R := pullback of T(p) along 0, realized as (x, alpha, beta) in 3m
         # coordinates; sel reads it off a second tangent (du, dx, u, x).
-        sel = permutation_map(
-            4 * m, [*range(3 * m, 4 * m), *range(0, m), *range(2 * m, 3 * m)], self.mode
-        )
+        sel = coordinate_map(4 * m, (*range(3 * m, 4 * m), *range(m), *range(2 * m, 3 * m)), self.mode)
         rho = block_swap(0, m, 2 * m, 0, self.mode)
-        into_tangent = polymap_pair(
-            polymap_proj(3 * m, m, 2 * m, self.mode),
-            zero_map(3 * m, m, self.mode),
-            polymap_proj(3 * m, 2 * m, 3 * m, self.mode),
-            polymap_proj(3 * m, 0, m, self.mode),
+        into_tangent = coordinate_map(
+            3 * m, (*range(m, 2 * m), *(None,) * m, *range(2 * m, 3 * m), *range(m)), self.mode
         )
         return LiftWitness(
             carrier=3 * m,

@@ -24,6 +24,7 @@ from .poly import (
     PolyMap,
     block_swap,
     constant_map,
+    coordinate_map,
     identity_map,
     poly_shift_vars,
     polymap_add,
@@ -77,29 +78,16 @@ def simple_D(m: SimpleMor) -> SimpleMor:
     )
 
 
-def _freeze_context(a: int, x: int, mode: str) -> PolyMap:
-    """(a, v, x) |-> (0, v, a, x), injecting into D(g)'s doubled domain."""
-    dom = a + 2 * x
-    return polymap_pair(
-        zero_map(dom, a, mode),
-        polymap_proj(dom, a, a + x, mode),
-        polymap_proj(dom, 0, a, mode),
-        polymap_proj(dom, a + x, dom, mode),
-    )
-
-
 def vertical_tangent_map(a: int, g: PolyMap) -> PolyMap:
-    """Payload tangent of g : A x X -> Y as a map A x (X x X) -> Y x Y."""
+    """Payload tangent of g : A x X -> Y as a map A x (X x X) -> Y x Y.
+
+    The tangent half is D(g) at (0, v, a, x): the context direction frozen to zero.
+    """
     x = g.dom - a
     dom = a + 2 * x
-    tangent = polymap_compose(_freeze_context(a, x, g.mode), cdc_D(g))
-    point = polymap_compose(
-        polymap_pair(
-            polymap_proj(dom, 0, a, g.mode), polymap_proj(dom, a + x, dom, g.mode)
-        ),
-        g,
-    )
-    return polymap_pair(tangent, point)
+    frozen = coordinate_map(dom, (*(None,) * a, *range(a, a + x), *range(a), *range(a + x, dom)), g.mode)
+    point = coordinate_map(dom, (*range(a), *range(a + x, dom)), g.mode)
+    return polymap_pair(polymap_compose(frozen, cdc_D(g)), polymap_compose(point, g))
 
 
 def vertical_T(context: int, m: SimpleMor) -> SimpleMor:
@@ -118,14 +106,15 @@ class SimpleCDModel:
 
     Sums are pointwise on both components; products concatenate contexts
     and payloads blockwise; points are morphisms out of the unit (0, 0).
-    Random objects have contexts 0-2 and payloads 1-2.
+    Random objects have contexts 0-2 and payloads 1-2, both at most max_dim.
     """
 
     unit = SimpleObj(0, 0)
 
-    def __init__(self, mode: str = scalars.RATIONAL):
+    def __init__(self, mode: str, max_dim: int):
         scalars.check_mode(mode)
         self.mode = mode
+        self.max_dim = max_dim
 
     def D(self, m: SimpleMor) -> SimpleMor:
         return simple_D(m)
@@ -164,7 +153,8 @@ class SimpleCDModel:
         return simple_identity(obj, self.mode)
 
     def random_obj(self, rng) -> SimpleObj:
-        return SimpleObj(rng.randint(0, 2), rng.randint(1, 2))
+        top = min(2, self.max_dim)
+        return SimpleObj(rng.randint(0, top), rng.randint(1, top))
 
     def random_mor(self, dom: SimpleObj, cod: SimpleObj, rng, max_degree: int) -> SimpleMor:
         n = dom.context + dom.payload

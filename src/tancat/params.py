@@ -21,6 +21,11 @@ from . import scalars
 # instance check_cds alone takes 1 s at 32, and at 100,000 the cds suite runs
 # out of memory.
 MAX_DIM = 16
+# The largest max_degree.  At 6, with default instances and max_dim, every
+# suite in either mode finishes in under 4 s at each of seeds 0-9 (fibration is
+# the slowest, as its compositions multiply degrees; 2 vCPUs, Python 3.11).
+# At 7 fibration in rational mode takes over 20 s at seed 8, and at 8 at seed 0.
+MAX_DEGREE = 6
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,10 @@ class SuiteParams:
                 raise ValueError(f"invalid-params: {key} must be an integer >= 1")
         if self.max_dim > MAX_DIM:
             raise ValueError(f"invalid-params: max_dim must be at most {MAX_DIM}, got {self.max_dim}")
+        if self.max_degree > MAX_DEGREE:
+            raise ValueError(
+                f"invalid-params: max_degree must be at most {MAX_DEGREE}, got {self.max_degree}"
+            )
         if not isinstance(self.seed, int):
             raise ValueError("invalid-params: seed must be an integer")
 

@@ -330,13 +330,24 @@ def _checked_map(dom: int, cod: int, components: tuple, mode: str,
 
 
 @lru_cache(maxsize=None)
+def coordinate_map(dom: int, images: Tuple[int | None, ...], mode: str) -> PolyMap:
+    """The map whose i-th output is input coordinate images[i], or 0 where images[i] is None.
+
+    Every projection, swap, zero padding and injection of coordinates is one.
+    """
+    zero = Poly.zero(dom, mode)
+    comps = tuple(zero if j is None else Poly.variable(dom, j, mode) for j in images)
+    return PolyMap(dom, len(comps), comps, mode)
+
+
+@lru_cache(maxsize=None)
 def identity_map(m: int, mode: str) -> PolyMap:
-    return PolyMap(m, m, tuple(Poly.variable(m, i, mode) for i in range(m)), mode)
+    return coordinate_map(m, tuple(range(m)), mode)
 
 
 @lru_cache(maxsize=None)
 def zero_map(dom: int, cod: int, mode: str) -> PolyMap:
-    return PolyMap(dom, cod, tuple(Poly.zero(dom, mode) for _ in range(cod)), mode)
+    return coordinate_map(dom, (None,) * cod, mode)
 
 
 def constant_map(dom: int, values: Sequence, mode: str) -> PolyMap:
@@ -471,8 +482,7 @@ def polymap_proj(dom: int, lo: int, hi: int, mode: str) -> PolyMap:
     """Coordinate-slice projection onto [lo, hi)."""
     if not 0 <= lo <= hi <= dom:
         raise DimensionMismatch(f"slice [{lo},{hi}) invalid for dimension {dom}")
-    comps = tuple(Poly.variable(dom, i, mode) for i in range(lo, hi))
-    return PolyMap(dom, hi - lo, comps, mode)
+    return coordinate_map(dom, tuple(range(lo, hi)), mode)
 
 
 def polymap_product(f: PolyMap, g: PolyMap) -> PolyMap:
@@ -532,22 +542,11 @@ def eval_polymap(f: PolyMap, point: Sequence) -> tuple:
     return tuple(out)
 
 
-def permutation_map(dom: int, images: Sequence[int], mode: str) -> PolyMap:
-    """The map whose i-th output is the images[i]-th input coordinate."""
-    comps = tuple(Poly.variable(dom, j, mode) for j in images)
-    return PolyMap(dom, len(comps), comps, mode)
-
-
 @lru_cache(maxsize=None)
 def block_swap(w: int, x: int, y: int, z: int, mode: str) -> PolyMap:
     """(W, X, Y, Z) -> (W, Y, X, Z): swap the two middle coordinate blocks."""
-    images = (
-        list(range(0, w))
-        + list(range(w + x, w + x + y))
-        + list(range(w, w + x))
-        + list(range(w + x + y, w + x + y + z))
-    )
-    return permutation_map(w + x + y + z, images, mode)
+    wx, wxy = w + x, w + x + y
+    return coordinate_map(wxy + z, (*range(w), *range(wx, wxy), *range(w, wx), *range(wxy, wxy + z)), mode)
 
 
 # ---------------------------------------------------------------------------

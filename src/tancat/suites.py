@@ -79,6 +79,7 @@ from .poly import (
     PolyMap,
     block_swap,
     constant_map,
+    coordinate_map,
     eval_polymap,
     identity_map,
     linear_map,
@@ -119,9 +120,7 @@ class DroppedZeroModel(PolyTangentModel):
     """Fault: the lift forgets to zero its point block, (u,x) |-> (u,0,u,x)."""
 
     def ell(self, m: int) -> PolyMap:
-        u = polymap_proj(2 * m, 0, m, self.mode)
-        x = polymap_proj(2 * m, m, 2 * m, self.mode)
-        return polymap_pair(u, zero_map(2 * m, m, self.mode), u, x)
+        return coordinate_map(2 * m, (*range(m), *(None,) * m, *range(2 * m)), self.mode)
 
 
 # the tangent-axioms model under each fault that affects it, and without one
@@ -318,7 +317,7 @@ def _suite_bundle(params: SuiteParams) -> CheckSet:
     targets = _fibre_one(fams)
     for i, rng in draws("bundle", "pullback", params):
         label, b = targets[i % len(targets)]
-        xdim = rng.randint(1, 2)
+        xdim = rng.randint(1, min(2, params.max_dim))
         fmap = random_polymap(xdim, b.base, params.max_degree, rng, mode)
         detail = f"instance {i} over {label}, f = {fmap}"
         with checks.guard("pullback-verify"):
@@ -410,7 +409,7 @@ def _suite_bracket_laws(params: SuiteParams) -> CheckSet:
         label, b = bundles[i % len(bundles)]
         e, m, k = b.total, b.base, b.fibre
         tb = tangents[label]
-        xdim = rng.randint(1, 2)
+        xdim = rng.randint(1, min(2, params.max_dim))
 
         def rand(cod, dom=xdim):
             return random_polymap(dom, cod, deg, rng, mode)
@@ -428,7 +427,7 @@ def _suite_bracket_laws(params: SuiteParams) -> CheckSet:
             )
             eq("bracket-defining", recon, f, desc)
 
-            wdim = rng.randint(1, 2)
+            wdim = rng.randint(1, min(2, params.max_dim))
             kmap = rand(xdim, wdim)
             eq(
                 "bracket-precompose",
@@ -512,7 +511,7 @@ def _suite_interchange(params: SuiteParams) -> CheckSet:
     for i, rng in draws("interchange", "instances", params):
         _, b = bundles[i % len(bundles)]
         m, k, e = b.base, b.fibre, b.total
-        xdim = rng.randint(1, 2)
+        xdim = rng.randint(1, min(2, params.max_dim))
 
         def rand(cod):
             return random_polymap(xdim, cod, params.max_degree, rng, mode)
@@ -587,8 +586,8 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
         lin_rows("bundle-zero-linear", bundle_zero_mor(b), b, tb, label)
 
     for i, rng in draws("linearity", "tangent-functor", params):
-        dn = rng.randint(1, 2)
-        dm = rng.randint(1, 2)
+        dn = rng.randint(1, min(2, params.max_dim))
+        dm = rng.randint(1, min(2, params.max_dim))
         f = random_polymap(dn, dm, deg, rng, mode)
         lin_rows(
             "tangent-functor-linear",
@@ -600,7 +599,7 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
 
     b = fams["standard-2-1"]
     for i, rng in draws("linearity", "pullback", params, 10):
-        xdim = rng.randint(1, 2)
+        xdim = rng.randint(1, min(2, params.max_dim))
         f = random_polymap(xdim, b.base, deg, rng, mode)
         pb = pullback_bundle(f, b)
         lin_rows(
@@ -667,8 +666,8 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
     )
 
     for i, rng in draws("linearity", "diffobj", params):
-        k1 = rng.randint(1, 2)
-        k2 = rng.randint(1, 2)
+        k1 = rng.randint(1, min(2, params.max_dim))
+        k2 = rng.randint(1, min(2, params.max_dim))
         if i % 2 == 0:
             matrix = [[scalars.random_scalar(mode, rng) for _ in range(k1)] for _ in range(k2)]
             f = linear_map(k1, 0, matrix, mode)
@@ -736,7 +735,7 @@ def _suite_diffobj(params: SuiteParams) -> CheckSet:
 def _suite_fibration(params: SuiteParams) -> CheckSet:
     mode, deg = params.mode, params.max_degree
     checks = CheckSet()
-    model = SimpleCDModel(mode)
+    model = SimpleCDModel(mode, params.max_dim)
 
     eq = checks.equality
 
@@ -764,10 +763,10 @@ def _suite_fibration(params: SuiteParams) -> CheckSet:
 
     for i, rng in draws("fibration", "vertical", params):
         # instance 0 pins the empty context so the context-free row always runs
-        a = 0 if i == 0 else rng.randint(0, 2)
-        x = rng.randint(1, 2)
-        y = rng.randint(1, 2)
-        z = rng.randint(1, 2)
+        a = 0 if i == 0 else rng.randint(0, min(2, params.max_dim))
+        x = rng.randint(1, min(2, params.max_dim))
+        y = rng.randint(1, min(2, params.max_dim))
+        z = rng.randint(1, min(2, params.max_dim))
         g1 = random_polymap(a + x, y, deg, rng, mode)
         g2 = random_polymap(a + y, z, deg, rng, mode)
         ident_a = identity_map(a, mode)
@@ -791,12 +790,7 @@ def _suite_fibration(params: SuiteParams) -> CheckSet:
         if a == 0:
             checks.equality("vertical-context-free", vt, cdc_T(g1), desc)
         dom = a + 2 * x
-        inj = polymap_pair(
-            zero_map(dom, a, mode),
-            polymap_proj(dom, 0, a, mode),
-            polymap_proj(dom, a, a + x, mode),
-            polymap_proj(dom, a + x, dom, mode),
-        )
+        inj = coordinate_map(dom, (None,) * a + tuple(range(dom)), mode)
         checks.equality(
             "vertical-vs-simple-d",
             polymap_compose(vt, polymap_proj(2 * y, 0, y, mode)),
@@ -884,7 +878,7 @@ def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
 
     for i, rng in draws("numeric-consistency", "dual-vs-symbolic", params):
         m = rng.randint(1, params.max_dim)
-        f = random_polymap(m, rng.randint(1, 2), deg, rng, mode)
+        f = random_polymap(m, rng.randint(1, min(2, params.max_dim)), deg, rng, mode)
         df, desc = cdc_D(f), f"instance {i}: f = {f}"
         for j in range(POINTS_PER_DRAW):
             point, direction = _random_point(m, rng, mode), _random_point(m, rng, mode)
@@ -894,7 +888,7 @@ def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
             checks.equality("fd-vs-dual", fd_check(f, point, direction), (0,) * f.cod, detail)
 
     for i, rng in draws("numeric-consistency", "affine", params, 10):
-        m = rng.randint(1, 3)
+        m = rng.randint(1, min(3, params.max_dim))
         # row i holds the constant, then the coefficients, of output i
         rows = [[scalars.random_scalar(mode, rng) for _ in range(m + 1)] for _ in range(m)]
         shift = constant_map(m, [row[0] for row in rows], mode)
@@ -908,7 +902,7 @@ def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
         )
 
     for i, rng in draws("numeric-consistency", "degenerate", params, 10):
-        m = rng.randint(1, 3)
+        m = rng.randint(1, min(3, params.max_dim))
         f = random_polymap(m, 2, deg, rng, mode)
         point = _random_point(m, rng, mode)
         _, tangents = dual_eval(f, point, [0] * m)

@@ -8,7 +8,7 @@ from time import perf_counter
 import pytest
 
 from tancat.cli import main
-from tancat.params import MAX_DIM
+from tancat.params import MAX_DEGREE, MAX_DIM
 
 BUNDLE_TEXT = """[bundle]
 base = 1
@@ -129,9 +129,18 @@ def test_check_writes_schema_valid_json(tmp_path, capsys):
 
 
 def test_check_of_high_degree_maps_exits_zero_or_one():
-    # x^1500 at a point of size 10^6 overflows a float; the exact evaluation still decides
-    argv = ["check", "--suite", "numeric-consistency", "--max-degree", "1500", "--instances", "1"]
+    # the largest degree allowed is decided exactly, as every smaller one is
+    argv = ["check", "--suite", "numeric-consistency", "--max-degree", str(MAX_DEGREE), "--instances", "1"]
     assert main(argv + ["--max-dim", "1", "--seed", "10"]) in (0, 1)
+
+
+def test_max_degree_above_its_bound_exits_two(capsys):
+    # unbounded, numeric-consistency took 0.2-9.2 s at degree 1500 depending on the seed
+    argv = ["check", "--suite", "numeric-consistency", "--max-dim", "1", "--instances", "1"]
+    assert main(argv + ["--max-degree", str(MAX_DEGREE + 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid-params: max_degree must be at most {MAX_DEGREE}" in err and "Traceback" not in err
+    assert main(argv + ["--max-degree", "1500"]) == 2
 
 
 def test_check_exit_one_on_failures(capsys):
@@ -150,7 +159,8 @@ def test_successive_calls_share_no_state(tmp_path, capsys):
     assert err.startswith("usage: tancat check") and "the following arguments are required: --suite" in err
     out = tmp_path / "r.json"
     assert main(["check", "--suite", "cdc-axioms", "--out", str(out)]) == 0
-    assert capsys.readouterr().out.startswith("suite cdc-axioms: 13 passed, 0 failed\n  [pass] cd1-additive\n")
+    out_text = capsys.readouterr().out
+    assert out_text.startswith("suite cdc-axioms: 13 passed, 0 failed\n  [pass] cd1-additive\n")
     params = json.loads(out.read_text())["params"]
     assert (params["instances"], params["mode"], params["seed"]) == (50, "rational", 0)
     assert main(["diff", "--expr", "x0^2*x1", "--dom", "2"]) == 0

@@ -108,7 +108,7 @@ def test_vertical_requires_identity_context():
 def test_pairing_and_projections():
     m1 = mor("x0", 1, "x0*x1", 2)
     m2 = mor("x0", 1, "x1^2", 2)
-    model = SimpleCDModel(R)
+    model = SimpleCDModel(R, 2)
     paired = model.pair(m1, m2)
     unit = SimpleObj(1, 1)
     back0 = simple_compose(paired, model.proj((unit, unit), 0))

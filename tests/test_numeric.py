@@ -29,7 +29,8 @@ def cases(draw, mode):
     m = draw(st.integers(1, 3), label="dom")
     lo = 0 if mode == scalars.NATURAL else -5
     term = st.tuples(st.tuples(*[st.integers(0, 4)] * m), st.integers(lo, 5))
-    comps = [Poly.from_terms(m, draw(st.lists(term, max_size=4)), mode) for _ in range(draw(st.integers(1, 2)))]
+    cod = draw(st.integers(1, 2))
+    comps = [Poly.from_terms(m, draw(st.lists(term, max_size=4)), mode) for _ in range(cod)]
     if mode == scalars.NATURAL:
         scalar = st.integers(0, 10**6)
     else:
@@ -156,7 +157,8 @@ def test_dense_program_evaluates_without_recursion():
     point, direction = [Fraction(1, 4), Fraction(1, 2), Fraction(1, 8)], [1, Fraction(-1, 2), 2]
     values, tangents = dual_eval(f, point, direction)
     assert values == eval_polymap(f, point) == (Fraction(15, 8) ** 20,)
-    assert tangents == eval_polymap(cdc_D(f), direction + point) == (20 * Fraction(15, 8) ** 19 * Fraction(5, 2),)
+    slope = 20 * Fraction(15, 8) ** 19 * Fraction(5, 2)
+    assert tangents == eval_polymap(cdc_D(f), direction + point) == (slope,)
 
 
 # ------------------------------------------------------- the rows can fail

@@ -23,11 +23,11 @@ from tancat.poly import (
     _mul_terms,
     _var_index_each,
     PolyMap,
+    coordinate_map,
     eval_polymap,
     identity_map,
     linear_map,
     partial_derivative,
-    permutation_map,
     poly_add,
     poly_mul,
     poly_pow,
@@ -152,7 +152,8 @@ def old_pow(p, e):
 
 def rational_polys(nvars):
     coeff = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3))
-    items = st.lists(st.tuples(st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars), coeff), max_size=4)
+    exponents = st.lists(st.integers(0, 3), min_size=nvars, max_size=nvars)
+    items = st.lists(st.tuples(exponents, coeff), max_size=4)
     return items.map(lambda its: Poly.from_terms(nvars, [(tuple(ev), c) for ev, c in its], scalars.RATIONAL))
 
 
@@ -213,7 +214,9 @@ def test_rational_terms_hold_int_for_integral_coefficients():
         partial_derivative(p, 0),
         poly_subst(p, [poly_scale(q, 2), q]),
         cdc_D(PolyMap(2, 2, (p, q), scalars.RATIONAL)).components[0],
-        polymap_compose(permutation_map(1, (0, 0), scalars.RATIONAL), PolyMap(2, 1, (q,), scalars.RATIONAL)).components[0],
+        polymap_compose(
+            coordinate_map(1, (0, 0), scalars.RATIONAL), PolyMap(2, 1, (q,), scalars.RATIONAL)
+        ).components[0],
     ]
     for r in results:
         for _, c in r.terms:
@@ -496,13 +499,15 @@ def test_random_scalar_draws_as_randint_does():
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 11, 2**32 - 1, 2**32, 2**70 + 3])
 def test_randbelow_is_randrange(n):
     rng, ref = Random(n), Random(n)
-    assert [scalars.randbelow(rng.getrandbits, n) for _ in range(200)] == [ref.randrange(n) for _ in range(200)]
+    got = [scalars.randbelow(rng.getrandbits, n) for _ in range(200)]
+    assert got == [ref.randrange(n) for _ in range(200)]
     assert rng.getstate() == ref.getstate()
 
 
 def test_substitution_leaves_no_cyclic_garbage():
     """Every poly_subst call frees what it built on return, with no work for the cyclic collector."""
-    p = Poly.from_terms(2, [((3, 1), 2), ((0, 2), Fraction(-1, 2)), ((1, 0), 1), ((0, 0), 4)], scalars.RATIONAL)
+    terms = [((3, 1), 2), ((0, 2), Fraction(-1, 2)), ((1, 0), 1), ((0, 0), 4)]
+    p = Poly.from_terms(2, terms, scalars.RATIONAL)
     args = random_polymap(3, 2, 2, Random(5), scalars.RATIONAL).components
     gc.collect()
     gc.disable()
@@ -515,11 +520,43 @@ def test_substitution_leaves_no_cyclic_garbage():
 
 
 def test_permutation_and_zero_maps():
-    swap = permutation_map(2, (1, 0), scalars.RATIONAL)
+    swap = coordinate_map(2, (1, 0), scalars.RATIONAL)
     assert polymap_to_str(swap) == "x1; x0"
     assert polymap_compose(swap, swap) == identity_map(2, scalars.RATIONAL)
     z = zero_map(2, 2, scalars.RATIONAL)
     assert eval_polymap(z, [Fraction(3), Fraction(4)]) == (0, 0)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_coordinate_map_with_zero_images_is_the_pair_it_replaces(mode):
+    def proj(dom, lo, hi):
+        return polymap_proj(dom, lo, hi, mode)
+
+    # the zero section (0, x), the lift (u, 0, 0, x) and the context freeze (a, v, x) |-> (0, v, a, x)
+    assert coordinate_map(2, (None, None, 0, 1), mode) == polymap_pair(
+        zero_map(2, 2, mode), identity_map(2, mode)
+    )
+    assert coordinate_map(4, (0, 1, None, None, None, None, 2, 3), mode) == polymap_pair(
+        proj(4, 0, 2), zero_map(4, 4, mode), proj(4, 2, 4)
+    )
+    assert coordinate_map(4, (None, None, 2, 0, 1, 3), mode) == polymap_pair(
+        zero_map(4, 2, mode), proj(4, 2, 3), proj(4, 0, 2), proj(4, 3, 4)
+    )
+    assert coordinate_map(3, (None, None), mode) == zero_map(3, 2, mode)
+
+
+def test_coordinate_map_refuses_an_image_out_of_range_on_every_call():
+    for _ in range(2):  # the cache keeps no failure
+        for images in ((0, 2), (None, -1)):
+            with pytest.raises(DimensionMismatch):
+                coordinate_map(2, images, scalars.RATIONAL)
+
+
+def test_coordinate_map_refuses_an_unknown_mode_on_every_call():
+    for _ in range(2):  # the cache keeps no failure
+        for images in ((0, 1), (None,), ()):
+            with pytest.raises(ValueError, match="unknown scalar mode"):
+                coordinate_map(2, images, "real")
 
 
 def test_display_order_and_names():
@@ -540,7 +577,7 @@ def maps_between(dom, cod, mode):
     if dom == 0:
         return general
     images = st.lists(st.integers(0, dom - 1), min_size=cod, max_size=cod)
-    return st.one_of(general, images.map(lambda im: permutation_map(dom, im, mode)))
+    return st.one_of(general, images.map(lambda im: coordinate_map(dom, tuple(im), mode)))
 
 
 def points(n, mode):
@@ -574,7 +611,7 @@ def test_compose_agrees_with_evaluation(mode, data):
 
 def test_duplicating_variable_map_adds_colliding_terms():
     # <x0, x0> ; (x0*x1 + x0^2 - x1) = 2*x0^2 - x0
-    diag = permutation_map(1, (0, 0), scalars.RATIONAL)
+    diag = coordinate_map(1, (0, 0), scalars.RATIONAL)
     g = Poly.from_terms(2, [((1, 1), 1), ((2, 0), 1), ((0, 1), -1)], scalars.RATIONAL)
     fg = polymap_compose(diag, PolyMap(2, 1, (g,), scalars.RATIONAL))
     assert polymap_to_str(fg) == "2*x0^2 - x0"
@@ -610,7 +647,7 @@ def test_compose_of_mixed_components_is_componentwise_substitution(mode, data):
 def variable_maps(dom, cod, mode):
     """Variable maps dom -> cod whose images increase strictly, decrease strictly or repeat."""
     if dom == 0:
-        return st.just(permutation_map(0, (), mode)) if cod == 0 else st.nothing()
+        return st.just(coordinate_map(0, (), mode)) if cod == 0 else st.nothing()
     images = st.lists(st.integers(0, dom - 1), min_size=cod, max_size=cod)
     kinds = [images]
     if cod <= dom:
@@ -618,7 +655,7 @@ def variable_maps(dom, cod, mode):
         kinds += [distinct.map(sorted), distinct.map(lambda im: sorted(im, reverse=True))]
     if cod >= 2:
         kinds.append(images.map(lambda im: [im[-1], *im[1:]]))  # image im[-1] at least twice
-    return st.one_of(kinds).map(lambda im: permutation_map(dom, im, mode))
+    return st.one_of(kinds).map(lambda im: coordinate_map(dom, tuple(im), mode))
 
 
 def maps_with_zeros(dom, cod, mode):
@@ -662,7 +699,7 @@ def test_compose_fast_paths_equal_componentwise_substitution(mode, data):
 
 
 def test_cached_hash_and_var_indices_stay_outside_the_fields():
-    f = permutation_map(3, (2, 0), scalars.RATIONAL)
+    f = coordinate_map.__wrapped__(3, (2, 0), scalars.RATIONAL)  # uncached: a fresh map, no facts yet
     h = hash(f)
     assert f._facts == (h, None) and _var_index_each(f) == (2, 0) and f._facts == (h, (2, 0))
     assert [fld.name for fld in dataclasses.fields(f)] == ["dom", "cod", "components", "mode"]

@@ -5,6 +5,7 @@ test_acceptance.py.
 """
 
 import json
+import random
 
 import pytest
 
@@ -12,7 +13,7 @@ from tancat import scalars
 from tancat.cdc import PolyCDModel, cdc_D
 from tancat.diffobj import derived_D
 from tancat.fibration import SimpleCDModel
-from tancat.suites import FAULTS, SUITE_NAMES, SuiteParams, cdc_axioms_checks, run_suite
+from tancat.suites import FAULTS, POINT_BOUND, SUITE_NAMES, SuiteParams, cdc_axioms_checks, run_suite
 
 SMALL = dict(instances=5, max_dim=2)
 
@@ -145,7 +146,7 @@ def test_fault_suite_compatibility_is_enforced():
 CD_MODELS = {
     "cdc_D": lambda mode: PolyCDModel(cdc_D, mode, 2),
     "derived_D": lambda mode: PolyCDModel(derived_D, mode, 2),
-    "simple_D": SimpleCDModel,
+    "simple_D": lambda mode: SimpleCDModel(mode, 2),
 }
 
 
@@ -183,6 +184,25 @@ def test_bad_parameter_values_rejected():
         run_suite("tangent-axioms", seed="zero")
     with pytest.raises(ValueError, match="invalid-params"):
         run_suite("tangent-axioms", fault="swapped-plus")
+
+
+@pytest.mark.parametrize("max_dim", [1, 3])
+@pytest.mark.parametrize(
+    "suite", ["bracket-laws", "bundle", "fibration", "interchange", "linearity", "numeric-consistency"]
+)
+def test_dimension_draws_stay_within_max_dim(suite, max_dim, monkeypatch):
+    """Every randint range but a point's ends at most at max_dim: these suites draw
+    dimensions up to 2 or 3 at the default max_dim 3, and none above 1 at max_dim 1."""
+    ranges, randint = [], random.Random.randint
+
+    def recording(rng, a, b):
+        ranges.append((a, b))
+        return randint(rng, a, b)
+
+    monkeypatch.setattr(random.Random, "randint", recording)
+    assert run_suite(suite, max_dim=max_dim, instances=4).all_passed
+    tops = {b for _, b in ranges if b != POINT_BOUND}
+    assert max(tops) <= max_dim and (max_dim == 1 or 2 in tops)
 
 
 def test_params_echoed_in_report():
