@@ -21,7 +21,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import replace
 from functools import lru_cache, partial, wraps
-from itertools import groupby, islice
+from itertools import groupby
 from typing import Callable, Sequence
 
 from . import scalars
@@ -34,7 +34,6 @@ from .poly import (
     constant_map,
     coordinate_map,
     identity_map,
-    partial_derivative,
     polymap_add,
     polymap_compose,
     polymap_pair,
@@ -69,26 +68,25 @@ def cdc_D(f: PolyMap) -> PolyMap:
     Each term u_j * (a term of d comp / d x_j) has the total degree of the term
     it came from, and no two collide.  Within one degree the u-block e_j comes
     before e_k for j < k, and lowering x_j keeps the order of the terms.  So
-    walking comp's degree runs, then the x_j that each run has, then as many
-    next terms of d comp / d x_j as the run has terms with x_j, yields
-    graded-lex order: nothing is added or sorted.  d comp / d x_j is taken
-    once, where the first run with x_j needs it.
+    walking comp's degree runs, then each x_j, then the run's terms that have
+    x_j, lowering x_j in each, yields graded-lex order: nothing is added or
+    sorted.
     """
     m = f.dom
     units = [(0,) * j + (1,) + (0,) * (m - j - 1) for j in range(m)]
     comps = []
     for comp in f.components:
-        lowered = [None] * m  # lowered[j]: the terms of d comp / d x_j not yet placed
         terms = []
-        for _, run in groupby([ev for ev, _ in comp.terms], key=sum):
-            for j, column in enumerate(zip(*run)):
-                count = len(column) - column.count(0)
-                if count:
-                    rest = lowered[j]
-                    if rest is None:
-                        rest = lowered[j] = iter(partial_derivative(comp, j).terms)
-                    unit = units[j]
-                    terms += [(unit + ev, c) for ev, c in islice(rest, count)]
+        for _, run in groupby(comp.terms, key=lambda t: sum(t[0])):
+            run = list(run)
+            for j, unit in enumerate(units):
+                for ev, c in run:
+                    e = ev[j]
+                    if e:
+                        c *= e
+                        # one list, then a tuple of its size; tuple(map(...)) measured more peak RSS
+                        lowered = (*unit, *ev[:j], e - 1, *ev[j + 1 :])
+                        terms.append((lowered, c if c.denominator != 1 else c.numerator))
         comps.append(Poly(2 * m, tuple(terms), f.mode))
     return PolyMap(2 * m, f.cod, tuple(comps), f.mode)
 

@@ -217,7 +217,7 @@ def check_cds(bound: int, mode: str = scalars.RATIONAL) -> CheckSet:
             polymap_compose(cdc_flip(k, mode), cdc_T(a.phat)),
             f"dim {k}",
         )
-    for k in range(1, max(bound, 3) + 1):
+    for k in dims:
         a = canonical_diffobj(k, mode)
         tp = polymap_compose(cdc_T(a.phat), a.phat)
         eq(
@@ -226,7 +226,7 @@ def check_cds(bound: int, mode: str = scalars.RATIONAL) -> CheckSet:
             tp,
             f"dim {k}",
         )
-    for k in range(1, max(bound, 2) + 1):
+    for k in dims:
         a, aa = canonical_diffobj(k, mode), canonical_diffobj(2 * k, mode)
         with checks.guard("exchange"):
             mu_aa = diffobj_mu(aa)

@@ -17,16 +17,19 @@ never emits them.
 Parsing checks the whole text first, writing it as one flat postfix list of
 ops: ``("c", Fraction)``, ``("x", i)``, ``("neg",)``, ``("^", e, pos)``,
 ``("+", pos)`` and ``("*", pos)``, where ``pos`` is the operator's position;
-binary minus is ``neg`` then ``+``.  Only then does one loop fold the list on
-a stack of Polys, left to right, each component leaving one Poly, so every
-syntax error is reported before any arithmetic is done.  So is an
-over-budget text: one pass bounds the size of every product and power from
-bounds on its operands, and adds each bound to one running sum over the
-text, refusing the operator at which that sum could pass ``MAX_TERMS``
-terms.  The same pass bounds the bits of every coefficient, refusing the
-operator at which they could pass ``MAX_COEFF_BITS``.  A literal index,
-exponent or coefficient is measured by its digit count before ``int()``
-reads it.
+binary minus is ``neg`` then ``+``.  Only then does one loop fold the list,
+left to right, each component leaving one Poly, so every syntax error is
+reported before any arithmetic is done.  So is an over-budget text: one pass
+bounds the size of every product and power from bounds on its operands, and
+adds each bound to one running sum over the text, refusing the operator at
+which that sum could pass ``MAX_TERMS`` terms.  The same pass bounds the bits
+of every coefficient, refusing the operator at which they could pass
+``MAX_COEFF_BITS``.  A literal index, exponent or coefficient is measured by
+its digit count before ``int()`` reads it.
+
+The fold keeps each product or power as its (base, count) factors, and
+multiplies them out once, into the factor with the most terms, where a sum, a
+negation or the end of the text needs the terms.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from typing import List, Optional, Tuple
 
 from . import scalars
 from .errors import PolyParseError, SemiringViolation
-from .poly import Poly, PolyMap, poly_add, poly_mul, poly_pow
+from .poly import Poly, PolyMap, poly_add, poly_product
 
 # Parentheses and unary minus nest by recursion; deeper input is refused.
 MAX_NESTING = 100
@@ -284,26 +287,48 @@ def _check_budget(ops: List[tuple], dom: int) -> None:
             stack.append((count, degree, s, k))
 
 
+def _multiplied(entry: List[Tuple[Poly, int]]) -> Poly:
+    """The product of a fold entry's (base, count) pairs, from the base with the most terms."""
+    if len(entry) == 1 and entry[0][1] == 1:
+        return entry[0][0]
+    i = max(range(len(entry)), key=lambda k: len(entry[k][0].terms))
+    p, count = entry[i]
+    entry[i] = (p, count - 1)
+    return poly_product(p, entry)
+
+
 def _fold(ops: List[tuple], dom: int, mode: str) -> List[Poly]:
-    """Check the term budget, then evaluate the ops on a stack of Polys, one left per component."""
+    """Check the term budget, then evaluate the ops on a stack of factor lists, one Poly left per component.
+
+    A stack entry is a product, kept as its (base, count) pairs and multiplied
+    out only where a sum, a negation or the end of the text needs its terms.
+    A '^' on an entry that is not one plain base multiplies it out first, so
+    the fold does no more multiplications than op-by-op evaluation, and keeps
+    no more pairs than the text has atoms.
+    """
     _check_budget(ops, dom)
-    stack: List[Poly] = []
+    stack: List[List[Tuple[Poly, int]]] = []
     for op in ops:
         tag = op[0]
         if tag == "c":
-            stack.append(Poly.constant(dom, scalars.coerce(mode, op[1]), mode))
+            stack.append([(Poly.constant(dom, scalars.coerce(mode, op[1]), mode), 1)])
         elif tag == "x":
-            stack.append(Poly.variable(dom, op[1], mode))
+            stack.append([(Poly.variable(dom, op[1], mode), 1)])
         elif tag == "neg":
-            terms = stack.pop().terms
-            stack.append(Poly.from_terms(dom, [(ev, scalars.negate(mode, c)) for ev, c in terms], mode))
+            terms = [(ev, scalars.negate(mode, c)) for ev, c in _multiplied(stack.pop()).terms]
+            stack.append([(Poly.from_terms(dom, terms, mode), 1)])
         elif tag == "^":
-            stack[-1] = poly_pow(stack[-1], op[1])
+            if op[1] == 0:
+                stack[-1] = [(Poly.constant(dom, 1, mode), 1)]
+            elif op[1] > 1:
+                stack[-1] = [(_multiplied(stack[-1]), op[1])]
         elif tag == "+":
-            stack[-2:] = [poly_add(stack[-2], stack[-1])]
+            b = _multiplied(stack.pop())
+            stack[-1] = [(poly_add(_multiplied(stack[-1]), b), 1)]
         else:
-            stack[-2:] = [poly_mul(stack[-2], stack[-1])]
-    return stack
+            b = stack.pop()
+            stack[-1] += b
+    return [_multiplied(entry) for entry in stack]
 
 
 def parse_poly(text: str, dom: int, mode: str = scalars.RATIONAL) -> Poly:

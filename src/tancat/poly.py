@@ -112,8 +112,14 @@ def poly_degree(p: Poly) -> int:
     return max((sum(ev) for ev, _ in p.terms), default=0)
 
 
-def _packed_product(p: Poly, factors: Sequence[Poly]) -> Poly:
-    """p * factors[0] * factors[1] * ..., multiplied one factor at a time.
+def poly_product(p: Poly, factors: Sequence[Tuple[Poly, int]]) -> Poly:
+    """p * f^count * ... over the (f, count) pairs of factors, multiplied into p one factor at a time.
+
+    One accumulator takes one factor per step, so the product of a dense power
+    and sparse factors never multiplies two dense polynomials (Johnson, "Sparse
+    polynomial arithmetic", 1974).  Not by repeated squaring either: squaring
+    multiplies two dense halves and does more term products.  f^0 is 1, 0^0
+    included; a factor of one term is raised to its count in one step.
 
     Each exponent vector is packed into one int: a field for the total degree,
     then one per variable, from the high bits down, each wide enough for the
@@ -124,9 +130,14 @@ def _packed_product(p: Poly, factors: Sequence[Poly]) -> Poly:
     each result coefficient is divided by the product of the scales once.  The
     result is unpacked and sorted once, at the end.
     """
-    if not p.terms or any(not f.terms for f in factors):
+    for f, count in factors:
+        _check_same_shape(p, f)
+        if count < 0:
+            raise ValueError(f"negative exponent {count}")
+    factors = [(f, count) for f, count in factors if count]
+    if not p.terms or any(not f.terms for f, _ in factors):
         return Poly(p.nvars, (), p.mode)
-    degree = sum(map(poly_degree, (p, *factors)))
+    degree = poly_degree(p) + sum(count * poly_degree(f) for f, count in factors)
     width = max(degree.bit_length(), 1)
     shifts = range(width * p.nvars, -1, -width)
 
@@ -137,21 +148,23 @@ def _packed_product(p: Poly, factors: Sequence[Poly]) -> Poly:
         return d, items
 
     scale, items = packed(p)
-    acc, last = dict(items), None
-    for f in factors:
-        if f is not last:
-            d, items = packed(f)
-            last = f
-        scale *= d
-        prod: Dict[int, int] = {}
-        for k1, c1 in acc.items():
-            for k2, c2 in items:
-                k = k1 + k2
-                if k in prod:
-                    prod[k] += c1 * c2
-                else:
-                    prod[k] = c1 * c2
-        acc = prod
+    acc = dict(items)
+    for f, count in factors:
+        d, items = packed(f)
+        if len(items) == 1:  # packing is linear, so k * count packs the power's exponents
+            (k, c), = items
+            d, items, count = d**count, [(k * count, c**count)], 1
+        for _ in range(count):
+            scale *= d
+            out: Dict[int, int] = {}
+            for k1, c1 in acc.items():
+                for k2, c2 in items:
+                    k = k1 + k2
+                    if k in out:
+                        out[k] += c1 * c2
+                    else:
+                        out[k] = c1 * c2
+            acc = out
     mask, var_shifts = (1 << width) - 1, shifts[1:]
     terms = []
     for k in sorted(acc, reverse=True):
@@ -163,19 +176,7 @@ def _packed_product(p: Poly, factors: Sequence[Poly]) -> Poly:
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
-    _check_same_shape(a, b)
-    return _packed_product(a, (b,))
-
-
-def poly_pow(p: Poly, e: int) -> Poly:
-    """p to the power e >= 0, multiplying by p e times; p^0 is 1, 0^0 included.
-
-    Not by repeated squaring: the bases are sparse and their powers dense, so
-    squaring multiplies two dense halves and does more term products.
-    """
-    if e < 0:
-        raise ValueError(f"negative exponent {e}")
-    return _packed_product(Poly(p.nvars, (((0,) * p.nvars, 1),), p.mode), (p,) * e)
+    return poly_product(a, ((b, 1),))
 
 
 def poly_scale(a: Poly, value) -> Poly:

@@ -1,11 +1,12 @@
 """Differential objects: bundles over the point and the derived differential."""
 
+import json
 from fractions import Fraction
 from random import Random
 
 import pytest
 
-from tancat import diffobj, scalars
+from tancat import cli, diffobj, report, scalars
 from tancat.bundles import pullback_bundle, standard_bundle, verify_bundle
 from tancat.cdc import cdc_D, cdc_T, cdc_flip, point_proj
 from tancat.diffobj import (
@@ -147,6 +148,29 @@ def test_cds_canonical_passes_and_corrupted_fails(monkeypatch):
     bad = check_cds(2, scalars.RATIONAL)
     names = {c.name for c in bad.checks if c.status != "pass"}
     assert "product-witness" in names
+
+
+@pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.NATURAL])
+def test_cds_rows_stay_within_max_dim(mode, monkeypatch, tmp_path):
+    """--max-dim 1 checks flip-phat and exchange at dimension 1 only, as the report's max_dim says."""
+    seen = []
+    equality = report.CheckSet.equality
+
+    def record(self, name, lhs, rhs, detail=""):
+        seen.append((name, detail))
+        return equality(self, name, lhs, rhs, detail)
+
+    monkeypatch.setattr(report.CheckSet, "equality", record)
+    out = tmp_path / "cds.json"
+    assert cli.main(["check", "--suite", "cds", "--mode", mode, "--max-dim", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["params"]["max_dim"] == 1
+    for name in ("flip-phat", "exchange"):
+        assert [detail for row, detail in seen if row == name] == ["dim 1"]
+    # at the default bound, 3, both rows still run at every dimension up to it
+    seen.clear()
+    check_cds(3, mode)
+    for name in ("flip-phat", "exchange"):
+        assert [detail for row, detail in seen if row == name] == ["dim 1", "dim 2", "dim 3"]
 
 
 @pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.NATURAL])

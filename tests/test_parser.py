@@ -1,8 +1,11 @@
 """Expression grammar: frozen readings, roundtrips, and rejection positions."""
 
+from contextlib import contextmanager
 from random import Random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tancat import parser, poly, scalars
 from tancat.errors import PolyParseError, SemiringViolation
@@ -17,6 +20,9 @@ from tancat.parser import (
 )
 from tancat.poly import (
     Poly,
+    poly_add,
+    poly_mul,
+    poly_scale,
     polymap_to_str,
     poly_to_str,
     random_polymap,
@@ -219,9 +225,8 @@ def test_syntax_is_checked_before_any_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("multiplied before the whole text parsed")
 
-    monkeypatch.setattr(parser, "poly_mul", refuse)
-    monkeypatch.setattr(poly, "poly_mul", refuse)
-    monkeypatch.setattr(parser, "poly_pow", refuse)
+    monkeypatch.setattr(parser, "poly_product", refuse)
+    monkeypatch.setattr(poly, "poly_product", refuse)
     with pytest.raises(PolyParseError) as e:
         parse_poly("(x0+1)^2 )", 1, scalars.RATIONAL)
     assert e.value.pos == 9
@@ -234,10 +239,126 @@ def test_over_budget_text_is_refused_before_any_arithmetic(monkeypatch):
     def refuse(*args):
         raise AssertionError("multiplied before the term budget was checked")
 
-    monkeypatch.setattr(parser, "poly_mul", refuse)
-    monkeypatch.setattr(poly, "poly_mul", refuse)
-    monkeypatch.setattr(parser, "poly_pow", refuse)
+    monkeypatch.setattr(parser, "poly_product", refuse)
+    monkeypatch.setattr(poly, "poly_product", refuse)
     power = "(x0+x1+1)^139"
     with pytest.raises(PolyParseError) as e:
         parse_poly(f"{power}+{power}", 2, scalars.RATIONAL)
     assert e.value.pos == len(power) + 1 + 9 and "summed over the text" in str(e.value)
+
+
+# The fold keeps products as factor lists; these tests hold it to op-by-op evaluation.
+
+def op_by_op(text, dom, mode):
+    """Each component of text evaluated one op at a time, '^e' as e products into 1."""
+    stack = []
+    for op in parser._Parser(text, dom, mode).parse_text():
+        tag = op[0]
+        if tag == "c":
+            stack.append(Poly.constant(dom, op[1], mode))
+        elif tag == "x":
+            stack.append(Poly.variable(dom, op[1], mode))
+        elif tag == "neg":
+            stack.append(poly_scale(stack.pop(), -1))
+        elif tag == "^":
+            base, stack[-1] = stack[-1], Poly.constant(dom, 1, mode)
+            for _ in range(op[1]):
+                stack[-1] = poly_mul(stack[-1], base)
+        else:
+            b = stack.pop()
+            stack[-1] = (poly_add if tag == "+" else poly_mul)(stack[-1], b)
+    return stack
+
+
+def op_by_op_multiplications(text, dom, mode):
+    """The polynomial products op-by-op evaluation does: one per '*', e per '^e'."""
+    ops = parser._Parser(text, dom, mode).parse_text()
+    return sum(1 if op[0] == "*" else op[1] if op[0] == "^" else 0 for op in ops)
+
+
+@contextmanager
+def counting_products():
+    """While open, counts the products the fold asks of its multiply entry point, and its most pairs."""
+    seen = {"products": 0, "pairs": 0}
+    product = parser.poly_product
+
+    def counted(p, factors):
+        seen["products"] += sum(count for _, count in factors)
+        seen["pairs"] = max(seen["pairs"], len(factors))
+        return product(p, factors)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(parser, "poly_product", counted)
+        yield seen
+
+
+def expressions(dom, mode):
+    atoms = st.one_of(
+        st.integers(0, dom - 1).map(lambda i: f"x{i}"),
+        st.integers(0, 4).map(str),
+        st.sampled_from(["1/2", "3/4"] if mode == scalars.RATIONAL else ["2"]),
+    )
+
+    def grow(inner):
+        made = [
+            st.tuples(inner, inner).map(lambda ab: f"({ab[0]} + {ab[1]})"),
+            st.tuples(inner, inner).map(lambda ab: f"{ab[0]}*{ab[1]}"),
+            st.tuples(inner, st.integers(0, 3)).map(lambda ae: f"({ae[0]})^{ae[1]}"),
+            st.tuples(inner, st.integers(0, 2), st.integers(0, 2)).map(lambda t: f"(({t[0]})^{t[1]})^{t[2]}"),
+        ]
+        if mode == scalars.RATIONAL:
+            made.append(inner.map(lambda a: f"-({a})"))
+        return st.one_of(made)
+
+    return st.recursive(atoms, grow, max_leaves=8)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fold_equals_op_by_op_evaluation(mode, data):
+    dom = data.draw(st.integers(1, 3), label="dom")
+    texts = data.draw(st.lists(expressions(dom, mode), min_size=1, max_size=2), label="components")
+    text = "; ".join(texts)
+    with counting_products() as seen:
+        try:
+            folded = parse_polymap(text, dom, mode)
+        except PolyParseError as e:
+            assume("summed over the text" not in str(e) and "bits" not in str(e))
+            raise
+    assert folded.components == tuple(op_by_op(text, dom, mode))
+    assert seen["products"] <= op_by_op_multiplications(text, dom, mode)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_fold_multiplies_a_dense_factor_by_sparse_ones(mode):
+    """The product of powers starts from its densest factor and takes the others one at a time."""
+    for text, dom in (
+        ("(x0+x1+2)^6*x0*(x1+3)", 2),
+        ("x1*(x0+1)^0*((x0+x1+x2+1)^2)^3*(x2+1)^1*(x0+x1+x2+x3+1)^4", 4),
+        ("(x0+x1+x2+x3+1)^6*(2*x0+x1+x2+x3+3)^6", 4),
+        ("3*x0^2*x1 + (x0 + 1)*(x1 + 1)^2*(x0 + x1)", 2),
+    ):
+        with counting_products() as seen:
+            assert parse_poly(text, dom, mode) == op_by_op(text, dom, mode)[0]
+        assert seen["products"] <= op_by_op_multiplications(text, dom, mode)
+
+
+def test_hostile_powers_and_chains_do_no_more_products_than_op_by_op():
+    # each '^' multiplies its power out first: 999 + 1,000 + 999 products, never a power of 10**9 steps
+    text = "((x0^1000)^1000)^1000"
+    with counting_products() as seen:
+        assert parse_poly(text, 1, scalars.RATIONAL) == Poly.from_terms(1, [((10**9,), 1)], scalars.RATIONAL)
+    assert seen["products"] <= op_by_op_multiplications(text, 1, scalars.RATIONAL) == 3000
+    # k powers of 1 term and k - 1 products of 1 term spend 2k - 1 of the budget: 5,000 fit, 5,001 do not
+    for k in (MAX_TERMS // 2, MAX_TERMS // 2 + 1):
+        text = "*".join(["x0^1000"] * k)
+        with counting_products() as seen:
+            if k > MAX_TERMS // 2:
+                with pytest.raises(PolyParseError, match="summed over the text"):
+                    parse_poly(text, 1, scalars.NATURAL)
+                assert seen["products"] == 0
+                continue
+            assert parse_poly(text, 1, scalars.NATURAL).terms == (((1000 * k,), 1),)
+        assert seen["products"] <= op_by_op_multiplications(text, 1, scalars.NATURAL) == 1001 * k - 1
+        assert seen["pairs"] <= k  # one (base, count) pair per power, not one factor per unit of exponent

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tancat import scalars
+from tancat import params, scalars
 from tancat.errors import DimensionMismatch, SemiringViolation
 from tancat.cdc import cdc_D
 from tancat.poly import (
@@ -30,7 +30,7 @@ from tancat.poly import (
     partial_derivative,
     poly_add,
     poly_mul,
-    poly_pow,
+    poly_product,
     poly_scale,
     poly_shift_vars,
     poly_subst,
@@ -142,8 +142,13 @@ def test_mul_matches_reference(pq):
     assert ref_terms(poly_mul(p, q)) == ref_mul(ref_terms(p), ref_terms(q), p.nvars)
 
 
+def power(p, e):
+    """p^e through the packed product: p multiplied into 1, e times."""
+    return poly_product(Poly.constant(p.nvars, 1, p.mode), ((p, e),))
+
+
 def old_pow(p, e):
-    """p^e by the tuple-keyed product loop the parser used before poly_pow."""
+    """p^e by the tuple-keyed product loop the parser used before the packed product."""
     out = Poly.constant(p.nvars, 1, p.mode)
     for _ in range(e):
         out = Poly(p.nvars, _canonical(_mul_terms({}, out.terms, p.terms)), p.mode)
@@ -162,7 +167,7 @@ def rational_polys(nvars):
        st.integers(0, 5))
 def test_pow_agrees_with_evaluation_and_the_tuple_keyed_loop(p_pt, e):
     p, pt = p_pt
-    got = poly_pow(p, e)
+    got = power(p, e)
     assert value(got, pt) == value(p, pt) ** e
     assert got == old_pow(p, e)
 
@@ -171,13 +176,13 @@ def test_pow_and_mul_edge_cases():
     for mode in scalars.MODES:
         zero, one = Poly.zero(2, mode), Poly.constant(2, 1, mode)
         x = Poly.from_terms(2, [((1, 0), 1), ((0, 1), 2), ((0, 0), 3)], mode)
-        assert poly_pow(x, 0) == one and poly_pow(zero, 0) == one
-        assert poly_pow(zero, 3) == zero and poly_pow(x, 1) == x
+        assert power(x, 0) == one and power(zero, 0) == one
+        assert power(zero, 3) == zero and power(x, 1) == x
         assert poly_mul(x, zero) == zero == poly_mul(zero, x)
         c = Poly.constant(0, 3, mode)  # no variables: every exponent vector is ()
-        assert poly_pow(c, 3) == Poly.constant(0, 27, mode) == poly_mul(c, poly_pow(c, 2))
+        assert power(c, 3) == Poly.constant(0, 27, mode) == poly_mul(c, power(c, 2))
     with pytest.raises(ValueError):
-        poly_pow(Poly.variable(1, 0, scalars.RATIONAL), -1)
+        power(Poly.variable(1, 0, scalars.RATIONAL), -1)
     # (x0 + 1)*(x0 - 1) and (x0/2 + 1/2)*(2*x0 - 2) cancel their middle terms
     a = Poly.from_terms(1, [((1,), 1), ((0,), 1)], scalars.RATIONAL)
     b = Poly.from_terms(1, [((1,), 1), ((0,), -1)], scalars.RATIONAL)
@@ -196,8 +201,8 @@ def test_packed_exponent_fields_never_carry(bits):
         assert ref_terms(poly_mul(a, b)) == ref_mul(ref_terms(a), ref_terms(b), 3)
         assert (degree, 0, 0) in ref_terms(poly_mul(a, b))
         s = Poly.from_terms(2, [((1, 0), 1), ((0, 1), 1)], scalars.NATURAL)
-        assert poly_pow(s, degree) == old_pow(s, degree)
-        assert poly_pow(s, degree).terms[0] == ((degree, 0), 1)
+        assert power(s, degree) == old_pow(s, degree)
+        assert power(s, degree).terms[0] == ((degree, 0), 1)
 
 
 def test_rational_terms_hold_int_for_integral_coefficients():
@@ -209,8 +214,8 @@ def test_rational_terms_hold_int_for_integral_coefficients():
         q,
         poly_add(q, q),
         poly_mul(p, poly_scale(q, 2)),
-        poly_pow(poly_scale(q, 2), 3),
-        poly_pow(q, 3),
+        power(poly_scale(q, 2), 3),
+        power(q, 3),
         partial_derivative(p, 0),
         poly_subst(p, [poly_scale(q, 2), q]),
         cdc_D(PolyMap(2, 2, (p, q), scalars.RATIONAL)).components[0],
@@ -436,6 +441,13 @@ def test_mode_and_arity_mismatches_rejected():
     q = Poly.variable(2, 0, scalars.RATIONAL)
     with pytest.raises(DimensionMismatch):
         poly_add(p, q)
+    with pytest.raises(DimensionMismatch):
+        poly_mul(p, q)
+    # every factor of a product is checked, also one raised to the power 0
+    natural = Poly.variable(1, 0, scalars.NATURAL)
+    for factors in (((p, 1), (q, 1)), ((p, 2), (q, 0)), ((natural, 1),)):
+        with pytest.raises(DimensionMismatch):
+            poly_product(p, factors)
     with pytest.raises(DimensionMismatch):
         Poly.variable(2, 5, scalars.RATIONAL)
     with pytest.raises(DimensionMismatch):
@@ -849,6 +861,20 @@ def dense_polys_at(nvars, mode):
     return st.lists(term, max_size=8).map(lambda items: Poly.from_terms(nvars, items, mode))
 
 
+def sparse_polys_at(nvars, mode):
+    """Up to 8 terms, each with at most 3 of the nvars variables."""
+    unit = st.tuples(st.integers(0, nvars - 1), st.integers(1, 4))
+
+    def exponents(pairs):
+        ev = [0] * nvars
+        for i, e in pairs:
+            ev[i] = e
+        return tuple(ev)
+
+    term = st.tuples(st.lists(unit, max_size=3).map(exponents), scalars_in(mode))
+    return st.lists(term, max_size=8).map(lambda items: Poly.from_terms(nvars, items, mode))
+
+
 def assert_canonical_types(p):
     for _, c in p.terms:
         assert type(c) is (int if c.denominator == 1 else Fraction)
@@ -860,8 +886,9 @@ def assert_canonical_types(p):
 def test_cdc_D_terms_are_already_canonical(mode, data):
     """D f needs no dictionary and no sort: its terms are their own canonical form,
     and equal the D that added every u_j * d/dx_j term into one dict and sorted it."""
-    m, n = data.draw(st.integers(0, 3), label="dom"), data.draw(st.integers(0, 2), label="cod")
-    comps = data.draw(st.lists(dense_polys_at(m, mode), min_size=n, max_size=n), label="f")
+    m, n = data.draw(st.integers(0, params.MAX_DIM), label="dom"), data.draw(st.integers(0, 2), label="cod")
+    polys = dense_polys_at(m, mode) if m <= 3 else sparse_polys_at(m, mode)  # cdc_D walks each run m times
+    comps = data.draw(st.lists(polys, min_size=n, max_size=n), label="f")
     f = PolyMap(m, n, tuple(comps), mode)
     units = [(0,) * j + (1,) + (0,) * (m - j - 1) for j in range(m)]
     for comp, dcomp in zip(f.components, cdc_D(f).components):

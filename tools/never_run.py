@@ -32,12 +32,13 @@ MODES = ("rational", "natural")
 # the CLI's own commands and from input errors, which no suite reaches
 ALLOWED_FILES = ("cli.py", "parser.py", "errors.py")
 
-# functions that only the CLI's diff, bundle and fibre commands reach
+# functions that no benchmarked run reaches, each with the reason it stays:
+# the CLI's diff, bundle and fibre commands reach the first three
 ALLOWED = {
     "bundles.parse_bundle_text": "reads the INI text of `tancat bundle --file`",
     "bundles.load_bundle": "opens the file of `tancat bundle --file`",
-    "poly.poly_pow": "the parser's '^'",
     "scalars.negate": "the parser's '-'",
+    "poly.partial_derivative": "tier-1 checks cdc_D against it, and perfbench/tracer.py TARGETS binds it",
 }
 
 
