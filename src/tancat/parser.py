@@ -28,8 +28,8 @@ of every coefficient, refusing the operator at which they could pass
 its digit count before ``int()`` reads it.
 
 The fold keeps each product or power as its (base, count) factors, and
-multiplies them out once, into the factor with the most terms, where a sum, a
-negation or the end of the text needs the terms.
+multiplies them out once, in text order, where a sum, a negation or the end of
+the text needs the terms.
 """
 
 from __future__ import annotations
@@ -288,13 +288,11 @@ def _check_budget(ops: List[tuple], dom: int) -> None:
 
 
 def _multiplied(entry: List[Tuple[Poly, int]]) -> Poly:
-    """The product of a fold entry's (base, count) pairs, from the base with the most terms."""
-    if len(entry) == 1 and entry[0][1] == 1:
-        return entry[0][0]
-    i = max(range(len(entry)), key=lambda k: len(entry[k][0].terms))
-    p, count = entry[i]
-    entry[i] = (p, count - 1)
-    return poly_product(p, entry)
+    """The product of a fold entry's (base, count) pairs, multiplied in text order."""
+    p, count = entry[0]
+    if len(entry) == 1 and count == 1:
+        return p
+    return poly_product(p, [(p, count - 1), *entry[1:]])
 
 
 def _fold(ops: List[tuple], dom: int, mode: str) -> List[Poly]:

@@ -119,7 +119,7 @@ def poly_product(p: Poly, factors: Sequence[Tuple[Poly, int]]) -> Poly:
     and sparse factors never multiplies two dense polynomials (Johnson, "Sparse
     polynomial arithmetic", 1974).  Not by repeated squaring either: squaring
     multiplies two dense halves and does more term products.  f^0 is 1, 0^0
-    included; a factor of one term is raised to its count in one step.
+    included.
 
     Each exponent vector is packed into one int: a field for the total degree,
     then one per variable, from the high bits down, each wide enough for the
@@ -151,9 +151,6 @@ def poly_product(p: Poly, factors: Sequence[Tuple[Poly, int]]) -> Poly:
     acc = dict(items)
     for f, count in factors:
         d, items = packed(f)
-        if len(items) == 1:  # packing is linear, so k * count packs the power's exponents
-            (k, c), = items
-            d, items, count = d**count, [(k * count, c**count)], 1
         for _ in range(count):
             scale *= d
             out: Dict[int, int] = {}

@@ -249,8 +249,17 @@ def test_over_budget_text_is_refused_before_any_arithmetic(monkeypatch):
 
 # The fold keeps products as factor lists; these tests hold it to op-by-op evaluation.
 
-def op_by_op(text, dom, mode):
-    """Each component of text evaluated one op at a time, '^e' as e products into 1."""
+def op_by_op(text, dom, mode, seen=None):
+    """Each component of text evaluated one op at a time, '^e' as e products into 1.
+
+    If seen is given, seen["term_products"] adds |a|*|b| for every product a*b.
+    """
+    seen = {"term_products": 0} if seen is None else seen
+
+    def mul(a, b):
+        seen["term_products"] += len(a.terms) * len(b.terms)
+        return poly_mul(a, b)
+
     stack = []
     for op in parser._Parser(text, dom, mode).parse_text():
         tag = op[0]
@@ -263,10 +272,10 @@ def op_by_op(text, dom, mode):
         elif tag == "^":
             base, stack[-1] = stack[-1], Poly.constant(dom, 1, mode)
             for _ in range(op[1]):
-                stack[-1] = poly_mul(stack[-1], base)
+                stack[-1] = mul(stack[-1], base)
         else:
             b = stack.pop()
-            stack[-1] = (poly_add if tag == "+" else poly_mul)(stack[-1], b)
+            stack[-1] = (poly_add if tag == "+" else mul)(stack[-1], b)
     return stack
 
 
@@ -277,14 +286,23 @@ def op_by_op_multiplications(text, dom, mode):
 
 
 @contextmanager
-def counting_products():
-    """While open, counts the products the fold asks of its multiply entry point, and its most pairs."""
-    seen = {"products": 0, "pairs": 0}
+def counting_products(term_products=False):
+    """While open, counts the products the fold asks of its multiply entry point, and its most pairs.
+
+    With term_products, also counts |acc|*|f| for each step acc*f, replayed one factor at a time.
+    """
+    seen = {"products": 0, "pairs": 0, "term_products": 0}
     product = parser.poly_product
 
     def counted(p, factors):
         seen["products"] += sum(count for _, count in factors)
         seen["pairs"] = max(seen["pairs"], len(factors))
+        if term_products:
+            acc = p
+            for f, count in factors:
+                for _ in range(count):
+                    seen["term_products"] += len(acc.terms) * len(f.terms)
+                    acc = poly_mul(acc, f)
         return product(p, factors)
 
     with pytest.MonkeyPatch.context() as patch:
@@ -332,16 +350,27 @@ def test_fold_equals_op_by_op_evaluation(mode, data):
 
 @pytest.mark.parametrize("mode", scalars.MODES)
 def test_fold_multiplies_a_dense_factor_by_sparse_ones(mode):
-    """The product of powers starts from its densest factor and takes the others one at a time."""
+    """The product of powers is multiplied in text order, one factor at a time.
+
+    Neither its products nor its term products pass op-by-op evaluation's: sparse factors
+    ahead of a dense one are multiplied while the product is still small.
+    """
+    p = "(x0^2 + x1^2 + x2^2 + x0*x1 + x1*x2 + 1)"
     for text, dom in (
         ("(x0+x1+2)^6*x0*(x1+3)", 2),
         ("x1*(x0+1)^0*((x0+x1+x2+1)^2)^3*(x2+1)^1*(x0+x1+x2+x3+1)^4", 4),
         ("(x0+x1+x2+x3+1)^6*(2*x0+x1+x2+x3+3)^6", 4),
         ("3*x0^2*x1 + (x0 + 1)*(x1 + 1)^2*(x0 + x1)", 2),
+        (f"x0*x1*{p}", 3),  # 1 + 6 term products, not 6 + 6 from the densest factor
+        (f"(x0 + 1)*(x1 + 2)*{p}", 3),  # 4 + 4*6, not 2*6 + 4*12
+        ("3*x0*(x0 + x1 + x2 + 1)^3", 3),
     ):
-        with counting_products() as seen:
-            assert parse_poly(text, dom, mode) == op_by_op(text, dom, mode)[0]
+        by_op = {"term_products": 0}
+        expected = op_by_op(text, dom, mode, by_op)[0]
+        with counting_products(term_products=True) as seen:
+            assert parse_poly(text, dom, mode) == expected
         assert seen["products"] <= op_by_op_multiplications(text, dom, mode)
+        assert seen["term_products"] <= by_op["term_products"], text
 
 
 def test_hostile_powers_and_chains_do_no_more_products_than_op_by_op():
