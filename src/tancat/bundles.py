@@ -448,8 +448,7 @@ def verify_bundle(b: DiffBundle) -> CheckSet:
             polymap_compose(pi0, b.q),
             "kappa over the base",
         )
-        eq("universality-cone", mu, into_t, "rho over T(E)")
-        eq("universality-cone", polymap_compose(pi0, b.q), r_into_base(b), "rho over the base")
+        eq("universality-cone", mu, into_t, "mu as the leg into T(E)")
         eq("mu-projection", polymap_compose(mu, p_e), pi1)
         section = pair_into_e2(b, ident_e, polymap_compose(b.q, b.zeta))
         eq("mu-section", polymap_compose(section, mu), b.lam)

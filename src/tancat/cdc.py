@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 from . import scalars
 from .errors import DimensionMismatch, PreconditionFailure
-from .model import LiftWitness, TnObject, vertical_lift_v
+from .model import LiftWitness, TnObject
 from .poly import (
     Poly,
     PolyMap,
@@ -220,19 +220,14 @@ class PolyTangentModel:
         return random_polymap(m, n, max_degree, rng, self.mode)
 
     def lift_witness(self, m: int) -> LiftWitness:
-        # R := pullback of T(p) along 0, realized as (x, alpha, beta) in 3m
-        # coordinates; sel reads it off a second tangent (du, dx, u, x).
-        sel = coordinate_map(4 * m, (*range(3 * m, 4 * m), *range(m), *range(2 * m, 3 * m)), self.mode)
-        rho = block_swap(0, m, 2 * m, 0, self.mode)
-        into_tangent = coordinate_map(
-            3 * m, (*range(m, 2 * m), *(None,) * m, *range(2 * m, 3 * m), *range(m)), self.mode
-        )
+        # R := pullback of T(p) along 0, realized on T_2's coordinates (alpha, beta, x);
+        # sel reads it off a second tangent (du, dx, u, x), and into_tangent puts it back.
         return LiftWitness(
-            carrier=3 * m,
-            kappa=self.compose(vertical_lift_v(self, m), self._embed(sel)),
-            rho=self._embed(rho),
-            into_tangent=self._embed(into_tangent),
-            into_base=self._embed(polymap_proj(3 * m, 0, m, self.mode)),
+            sel=self._embed(coordinate_map(4 * m, (*range(m), *range(2 * m, 4 * m)), self.mode)),
+            into_tangent=self._embed(
+                coordinate_map(3 * m, (*range(m), *(None,) * m, *range(m, 3 * m)), self.mode)
+            ),
+            into_base=self._embed(polymap_proj(3 * m, 2 * m, 3 * m, self.mode)),
         )
 
 

@@ -205,39 +205,16 @@ def check_cds(bound: int, mode: str = scalars.RATIONAL) -> CheckSet:
             eq("cds1-phat", ab.phat, phat_pair, f"dims ({k1},{k2})")
     for k in dims:
         a, ta = canonical_diffobj(k, mode), canonical_diffobj(2 * k, mode)
-        eq(
-            "cds2-lambda",
-            diffobj_lambda(ta),
-            polymap_compose(cdc_T(diffobj_lambda(a)), cdc_flip(k, mode)),
-            f"dim {k}",
-        )
-        eq(
-            "cds2-phat",
-            ta.phat,
-            polymap_compose(cdc_flip(k, mode), cdc_T(a.phat)),
-            f"dim {k}",
-        )
-    for k in dims:
-        a = canonical_diffobj(k, mode)
+        flip = cdc_flip(k, mode)
+        eq("cds2-lambda", diffobj_lambda(ta), polymap_compose(cdc_T(diffobj_lambda(a)), flip), f"dim {k}")
+        eq("cds2-phat", ta.phat, polymap_compose(flip, cdc_T(a.phat)), f"dim {k}")
         tp = polymap_compose(cdc_T(a.phat), a.phat)
-        eq(
-            "flip-phat",
-            polymap_compose(cdc_flip(k, mode), tp),
-            tp,
-            f"dim {k}",
-        )
-    for k in dims:
-        a, aa = canonical_diffobj(k, mode), canonical_diffobj(2 * k, mode)
+        eq("flip-phat", polymap_compose(flip, tp), tp, f"dim {k}")
         with checks.guard("exchange"):
-            mu_aa = diffobj_mu(aa)
+            mu_ta = diffobj_mu(ta)
             t_mu = cdc_T(diffobj_mu(a))
-            lhs = polymap_compose(
-                block_swap(k, k, k, k, mode), polymap_compose(mu_aa, t_mu)
-            )
-            rhs = polymap_compose(
-                polymap_compose(mu_aa, t_mu), cdc_flip(k, mode)
-            )
+            lhs = polymap_compose(block_swap(k, k, k, k, mode), polymap_compose(mu_ta, t_mu))
+            rhs = polymap_compose(polymap_compose(mu_ta, t_mu), flip)
             eq("exchange", lhs, rhs, f"dim {k}")
-    for k in dims:
-        _product_witness(checks, canonical_diffobj(k, mode), f"dim {k}: ")
+        _product_witness(checks, a, f"dim {k}: ")
     return checks

@@ -13,7 +13,8 @@ methods, which the axiom suites are written against once:
 - ``compose(f, g)``, ``identity(x)`` and
   ``random_mor(x, y, rng, max_degree)``, whose coefficients, like those of
   a CD model's ``random_point(obj, rng)``, are ``scalars.random_scalar`` draws;
-- ``lift_witness(x)``: the LiftWitness for the universality of the lift.
+- ``lift_witness(x)``: the LiftWitness for the universality of the lift,
+  whose R lies on the coordinates of T_2(x).
 
 cdc.PolyTangentModel is the polynomial model, and fibration's
 FibreTangentModel, the fibre over a fixed context, derives from it.
@@ -43,16 +44,14 @@ class TnObject:
 class LiftWitness:
     """Certificate data for the universality of the vertical lift.
 
-    ``carrier`` realizes the canonical pullback of T(p) along 0 concretely;
-    ``into_tangent`` and ``into_base`` are its cone legs.  ``kappa`` is the
-    comparison map out of T_2, and ``rho`` its claimed two-sided inverse.
-    The suites check kappa;rho = 1, rho;kappa = 1 and the cone equations;
-    nothing here is assumed.
+    The canonical pullback R of T(p) along 0 is realized on T_2's own
+    coordinates, so the comparison kappa = v;sel : T_2 -> R must be the
+    identity.  ``sel`` reads R off a second tangent, and ``into_tangent``
+    and ``into_base`` are R's cone legs.  The suites check kappa = 1, its
+    images under T, and the cone equations; nothing here is assumed.
     """
 
-    carrier: object
-    kappa: object
-    rho: object
+    sel: object
     into_tangent: object
     into_base: object
 
@@ -197,48 +196,25 @@ def tangent_axioms_checks(model, params: SuiteParams) -> CheckSet:
             )
             eq("lift-v-point", model.compose(v, model.p(tm)), pi1, d)
         with checks.guard("lift-witness"):
+            # R sits on T_2's coordinates, so the comparison kappa = v;sel is the identity
             v = vertical_lift_v(model, m)
             w = model.lift_witness(m)
-            eq(
-                "lift-witness-inverse",
-                model.compose(w.kappa, w.rho),
-                model.identity(t2.carrier),
-                d + ", kappa;rho",
-            )
-            eq(
-                "lift-witness-inverse",
-                model.compose(w.rho, w.kappa),
-                model.identity(w.carrier),
-                d + ", rho;kappa",
-            )
-            eq("lift-witness-cone", model.compose(w.kappa, w.into_tangent), v, d + ", kappa over T")
+            kappa = model.compose(v, w.sel)
+            eq("lift-witness-inverse", kappa, model.identity(t2.carrier), d + ", kappa")
+            eq("lift-witness-cone", model.compose(kappa, w.into_tangent), v, d + ", kappa over T")
             eq(
                 "lift-witness-cone",
-                model.compose(w.kappa, w.into_base),
+                model.compose(kappa, w.into_base),
                 model.compose(pi0, p),
                 d + ", kappa over the base",
             )
-            eq("lift-witness-cone", model.compose(w.rho, v), w.into_tangent, d + ", rho over T")
-            t_kappa = model.t_mor(w.kappa)
-            t_rho = model.t_mor(w.rho)
-            eq(
-                "lift-witness-tangent",
-                model.compose(t_kappa, t_rho),
-                model.identity(model.t_obj(t2.carrier)),
-                d + ", T level",
-            )
-            eq(
-                "lift-witness-tangent",
-                model.compose(t_rho, t_kappa),
-                model.identity(model.t_obj(w.carrier)),
-                d + ", T level",
-            )
+            eq("lift-witness-cone", v, w.into_tangent, d + ", v as the leg into T")
+            t_kappa = model.t_mor(kappa)
+            eq("lift-witness-tangent", t_kappa, model.identity(model.t_obj(t2.carrier)), d + ", T level")
             if m == 1:
-                tt_kappa = model.t_mor(t_kappa)
-                tt_rho = model.t_mor(t_rho)
                 eq(
                     "lift-witness-tangent",
-                    model.compose(tt_kappa, tt_rho),
+                    model.t_mor(t_kappa),
                     model.identity(model.t_obj(model.t_obj(t2.carrier))),
                     d + ", T^2 level",
                 )

@@ -798,7 +798,7 @@ def _suite_fibration(params: SuiteParams) -> CheckSet:
             desc,
         )
 
-    moving = SimpleMor(zero_map(1, 1, mode), random_polymap(2, 1, deg, Random(7), mode))
+    moving = SimpleMor(zero_map(1, 1, mode), polymap_proj(2, 1, 2, mode))
     refused = _refuses(lambda: vertical_T(1, moving), PreconditionFailure)
     checks.condition("vertical-requires-identity", refused, "non-identity context part must be refused")
     return checks

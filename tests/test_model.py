@@ -1,5 +1,6 @@
 """Tangent-model plumbing: fibre pairings and the lift-universality witness."""
 
+from dataclasses import replace
 from random import Random
 
 import pytest
@@ -7,10 +8,12 @@ import pytest
 from tancat import scalars
 from tancat.cdc import PolyTangentModel, pair_into_t2, point_proj
 from tancat.errors import PreconditionFailure
+from tancat.fibration import FibreTangentModel
+from tancat.model import vertical_lift_v
 from tancat.suites import SuiteParams, tangent_axioms_checks
 from tancat.poly import (
     constant_map,
-    identity_map,
+    coordinate_map,
     polymap_compose,
     polymap_pair,
     polymap_proj,
@@ -40,13 +43,46 @@ def test_t_n_projections_share_base():
             assert len(foots) == 1
 
 
-def test_lift_witness_inverse_pair():
-    m = PolyTangentModel(scalars.RATIONAL)
-    for dim in (1, 2, 3):
-        w = m.lift_witness(dim)
-        t2 = m.t_n(dim, 2)
-        assert polymap_compose(w.kappa, w.rho) == identity_map(t2.carrier, scalars.RATIONAL)
-        assert polymap_compose(w.rho, w.kappa) == identity_map(w.carrier, scalars.RATIONAL)
+def test_lift_witness_comparison_is_identity():
+    # R lies on T_2's coordinates, so kappa = v;sel is the identity, in every model
+    models = [PolyTangentModel(mode) for mode in scalars.MODES]
+    models += [FibreTangentModel(context) for context in (0, 1, 2)]
+    for model in models:
+        for dim in (1, 2, 3):
+            w = model.lift_witness(dim)
+            kappa = model.compose(vertical_lift_v(model, dim), w.sel)
+            assert kappa == model.identity(model.t_n(dim, 2).carrier)
+
+
+class SwappedSelModel(PolyTangentModel):
+    """sel reads R's two tangent blocks in the wrong order: (du, dx, u, x) |-> (u, du, x)."""
+
+    def lift_witness(self, m):
+        sel = coordinate_map(4 * m, (*range(2 * m, 3 * m), *range(m), *range(3 * m, 4 * m)), self.mode)
+        return replace(super().lift_witness(m), sel=sel)
+
+
+class MisplacedLegModel(PolyTangentModel):
+    """The leg R -> T^2 puts beta in the dx block: (alpha, beta, x) |-> (alpha, beta, 0, x)."""
+
+    def lift_witness(self, m):
+        leg = coordinate_map(3 * m, (*range(2 * m), *(None,) * m, *range(2 * m, 3 * m)), self.mode)
+        return replace(super().lift_witness(m), into_tangent=leg)
+
+
+@pytest.mark.parametrize(
+    "model, failing",
+    [
+        (SwappedSelModel, {"lift-witness-inverse", "lift-witness-tangent", "lift-witness-cone"}),
+        (MisplacedLegModel, {"lift-witness-cone"}),
+    ],
+)
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_broken_witness_fails_only_its_witness_rows(model, failing, mode):
+    params = SuiteParams(max_dim=2, max_degree=2, instances=3, seed=0, mode=mode)
+    rows = tangent_axioms_checks(model(mode), params).checks
+    assert {c.name for c in rows if c.status != "pass"} == failing
+    assert all(c.counterexample for c in rows if c.status != "pass")
 
 
 def test_random_mor_is_seed_stable():

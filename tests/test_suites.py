@@ -4,8 +4,11 @@ Small instance counts keep this file fast; the full-size defaults run in
 test_acceptance.py.
 """
 
+import importlib.util
 import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,15 @@ from tancat import scalars
 from tancat.cdc import PolyCDModel, cdc_D
 from tancat.diffobj import derived_D
 from tancat.fibration import SimpleCDModel
-from tancat.suites import FAULTS, POINT_BOUND, SUITE_NAMES, SuiteParams, cdc_axioms_checks, run_suite
+from tancat.suites import (
+    FAULT_SUITES,
+    FAULTS,
+    POINT_BOUND,
+    SUITE_NAMES,
+    SuiteParams,
+    cdc_axioms_checks,
+    run_suite,
+)
 
 SMALL = dict(instances=5, max_dim=2)
 
@@ -128,6 +139,30 @@ def test_each_fault_flips_at_least_one_check():
         assert bad
         assert any(c.counterexample for c in bad)
         assert canonical(rep) == canonical(run_suite(suite, fault=fault, **SMALL))
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+
+
+def _fault_rows(monkeypatch):
+    """The benchmark's table of the exact rows each (suite, fault) pair fails."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # @dataclass looks up its class's module in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.FAULT_ROWS
+
+
+def test_each_fault_fails_exactly_the_benchmarked_rows(monkeypatch):
+    fault_rows = _fault_rows(monkeypatch)
+    assert set(fault_rows) == {(suite, fault) for fault, suites in FAULT_SUITES.items() for suite in suites}
+    for (suite, fault), rows in sorted(fault_rows.items()):
+        for mode in scalars.MODES:
+            for seed in (0, 7):
+                rep = run_suite(suite, fault=fault, mode=mode, seed=seed)
+                assert non_pass(rep) == rows, (suite, fault, mode, seed)
+                assert all(c.counterexample for c in rep.checks if c.status != "pass")
 
 
 def test_fault_suite_compatibility_is_enforced():
