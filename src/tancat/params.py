@@ -22,9 +22,11 @@ from . import scalars
 # out of memory.
 MAX_DIM = 16
 # The largest max_degree.  At 6, with default instances and max_dim, every
-# suite in either mode finishes in under 4 s at each of seeds 0-9 (fibration is
-# the slowest, as its compositions multiply degrees; 2 vCPUs, Python 3.11).
-# At 7 fibration in rational mode takes over 20 s at seed 8, and at 8 at seed 0.
+# suite in either mode finished in under 4 s at each of seeds 0-9 (3.5 s at
+# most, rational fibration at seed 1; 2 vCPUs, Python 3.11.7).  Rational
+# fibration is the slowest, as its compositions multiply degrees; over seeds
+# 0-49 its median was 0.65 s, but it took 4.6 s at seed 15, 5.6 s at 46, 6.1 s
+# at 40 and 7-9 s at 17.  At 7 it took over 20 s at seed 8, and at 8 at seed 0.
 MAX_DEGREE = 6
 
 

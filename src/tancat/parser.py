@@ -29,7 +29,9 @@ its digit count before ``int()`` reads it.
 
 The fold keeps each product or power as its (base, count) factors, and
 multiplies them out once, in text order, where a sum, a negation or the end of
-the text needs the terms.
+the text needs the terms.  The first power of a product is built by Miller's
+recurrence when its base is affine with a nonzero constant term, and by one
+multiplication per unit of exponent otherwise (see ``poly.poly_product``).
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ from .poly import Poly, PolyMap, poly_add, poly_product
 
 # Parentheses and unary minus nest by recursion; deeper input is refused.
 MAX_NESTING = 100
-# '^' expands by repeated multiplication; a larger literal exponent is refused.
+# '^' of an affine base with a constant term is built by Miller's recurrence, of
+# any other base by one multiplication per unit of exponent; a larger literal
+# exponent is refused.
 MAX_EXPONENT = 1000
 # Products and powers whose results could have more terms than this in all,
 # summed over one text, are refused.

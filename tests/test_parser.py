@@ -1,5 +1,7 @@
 """Expression grammar: frozen readings, roundtrips, and rejection positions."""
 
+import subprocess
+import sys
 from contextlib import contextmanager
 from random import Random
 
@@ -371,6 +373,17 @@ def test_fold_multiplies_a_dense_factor_by_sparse_ones(mode):
             assert parse_poly(text, dom, mode) == expected
         assert seen["products"] <= op_by_op_multiplications(text, dom, mode)
         assert seen["term_products"] <= by_op["term_products"], text
+
+
+def test_a_sparse_base_of_high_degree_is_powered_one_factor_at_a_time():
+    """Miller's recurrence is taken for affine bases only: over every degree up to e * deg L it would
+    not finish (x0^1000 + 1)^1000 in a minute, which one factor per step parses well within the budget."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "tancat.cli", "diff", "--expr", "(x0^1000+1)^1000"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert len(parse_poly("(x0+1)^1000", 1, scalars.NATURAL).terms) == 1001
 
 
 def test_hostile_powers_and_chains_do_no_more_products_than_op_by_op():

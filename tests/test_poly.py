@@ -21,6 +21,7 @@ from tancat.poly import (
     Poly,
     _canonical,
     _mul_terms,
+    _scaled,
     _var_index_each,
     PolyMap,
     coordinate_map,
@@ -147,11 +148,16 @@ def power(p, e):
     return poly_product(Poly.constant(p.nvars, 1, p.mode), ((p, e),))
 
 
+def old_mul(a, b):
+    """a * b by the tuple-keyed product loop the parser used before the packed product."""
+    return Poly(a.nvars, _canonical(_mul_terms({}, a.terms, b.terms)), a.mode)
+
+
 def old_pow(p, e):
-    """p^e by the tuple-keyed product loop the parser used before the packed product."""
+    """p^e by the tuple-keyed product loop, one factor of p at a time."""
     out = Poly.constant(p.nvars, 1, p.mode)
     for _ in range(e):
-        out = Poly(p.nvars, _canonical(_mul_terms({}, out.terms, p.terms)), p.mode)
+        out = old_mul(out, p)
     return out
 
 
@@ -203,6 +209,90 @@ def test_packed_exponent_fields_never_carry(bits):
         s = Poly.from_terms(2, [((1, 0), 1), ((0, 1), 1)], scalars.NATURAL)
         assert power(s, degree) == old_pow(s, degree)
         assert power(s, degree).terms[0] == ((degree, 0), 1)
+
+
+def affine_bases(nvars, mode, rng):
+    """Affine polynomials with a nonzero constant term: over every variable, over some, and a constant.
+
+    Rational coefficients are negative and fractional as often as not.
+    """
+    def scalar():
+        if mode == scalars.NATURAL:
+            return rng.randint(1, 4)
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((1, 2, 3)))
+
+    units = [tuple(int(k == j) for k in range(nvars)) for j in range(nvars)]
+    zero = (0,) * nvars
+    some = rng.sample(units, max(1, nvars // 2))
+    return [Poly.from_terms(nvars, [(ev, scalar()) for ev in evs] + [(zero, scalar())], mode)
+            for evs in (units, some, [])]
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@pytest.mark.parametrize("nvars", range(1, 5))
+def test_affine_powers_by_miller_agree_with_the_tuple_keyed_loop_and_evaluation(mode, nvars):
+    """p^e for e = 0..20 in each call shape that takes Miller's recurrence: a constant times p^e
+    (1 included) and p * p^(e - 1), as the parser passes it, also with a factor after it."""
+    rng = Random(nvars)
+    c = 3 if mode == scalars.NATURAL else Fraction(-3, 2)
+    q = Poly.from_terms(nvars, [((1,) + (0,) * (nvars - 1), 1), ((0,) * nvars, 2)], mode)
+    pt = [rng.randint(0, 3) if mode == scalars.NATURAL else Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+          for _ in range(nvars)]
+    for p in affine_bases(nvars, mode, rng):
+        ref = Poly.constant(nvars, 1, mode)
+        for e in range(21):
+            assert power(p, e) == ref and value(ref, pt) == value(p, pt) ** e
+            got = poly_product(Poly.constant(nvars, c, mode), ((p, e),))
+            assert got.terms == tuple((ev, scalars.coerce(mode, c * c2)) for ev, c2 in ref.terms)
+            if e:
+                assert poly_product(p, ((p, e - 1),)) == ref
+                assert poly_product(p, ((p, e - 1), (q, 1))) == old_mul(ref, q)
+            assert_canonical_types(ref)
+            assert_canonical_types(got)
+            ref = old_mul(ref, p)
+
+
+def test_miller_is_taken_only_for_an_affine_base_with_a_constant_term():
+    """A base of degree 2, or with no constant term, or a p that is neither the base nor a constant,
+    goes one factor per step, and agrees with the tuple-keyed loop.  In (x0^2 - 2*x0 + 1/2)^e the
+    binomial parts C(e, k) * (1/2)^(e - k) * (x0^2 - 2*x0)^k share monomials."""
+    r = scalars.RATIONAL
+    one, x1_plus_1 = Poly.constant(2, 1, r), Poly.from_terms(2, [((0, 1), 1), ((0, 0), 1)], r)
+    cases = [
+        (one, Poly.from_terms(2, [((2, 0), 1), ((1, 0), -2), ((0, 0), Fraction(1, 2))], r)),
+        (one, Poly.from_terms(2, [((1, 0), 3), ((0, 1), -2)], r)),
+        (x1_plus_1, Poly.from_terms(2, [((1, 0), 2), ((0, 0), -1)], r)),
+    ]
+    for p, f in cases:
+        for e in range(6):
+            assert poly_product(p, ((f, e),)) == old_mul(p, old_pow(f, e))
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_scaled_is_the_product_of_each_coefficient(mode):
+    """_scaled agrees with c2 * c term by term, in order, and an integral product is an int."""
+    if mode == scalars.NATURAL:
+        cs = coeffs = [1, 2, 7]
+    else:
+        cs = [1, -1, 3, Fraction(1, 2), Fraction(-4, 3), Fraction(7, 6)]
+        coeffs = [1, -2, 6, 5, Fraction(1, 2), Fraction(-3, 4), Fraction(2, 3), Fraction(9, 7)]
+    terms = tuple(((k, 0), c2) for k, c2 in enumerate(coeffs))
+    for c in cs:
+        got = _scaled(terms, c)
+        assert got == [(ev, c2 * c) for ev, c2 in terms]
+        assert_canonical_types(Poly(2, tuple(got), mode))
+    assert _scaled((((1,), 2),), Fraction(1, 2)) == [((1,), 1)]
+    assert type(_scaled((((1,), 2),), Fraction(1, 2))[0][1]) is int
+    assert type(_scaled((((1,), Fraction(2, 3)),), Fraction(3, 2))[0][1]) is int
+    assert _scaled((), Fraction(1, 2)) == []
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_poly_scale_by_zero_is_the_zero_polynomial(mode):
+    p = Poly.from_terms(2, [((1, 0), 2), ((0, 0), 3)], mode)
+    assert poly_scale(p, 0) == Poly.zero(2, mode) == poly_scale(p, Fraction(0))
+    assert poly_scale(p, Fraction(4, 2)).terms == (((1, 0), 4), ((0, 0), 6))
+    assert type(poly_scale(p, Fraction(4, 2)).terms[0][1]) is int
 
 
 def test_rational_terms_hold_int_for_integral_coefficients():
@@ -903,15 +993,45 @@ def test_cdc_D_terms_are_already_canonical(mode, data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_subst_into_a_scaled_variable_is_the_scaled_argument(mode, data):
-    """poly_subst of c * x_i returns args[i] scaled term by term, with nothing re-added or re-sorted."""
+    """poly_subst of c * x_i (+ c0) returns args[i] scaled term by term (c0 added into its constant
+    term, or appended), with nothing re-added or re-sorted."""
     b, a = data.draw(st.integers(1, 3), label="vars"), data.draw(st.integers(0, 3), label="width")
     args = data.draw(st.lists(dense_polys_at(a, mode), min_size=b, max_size=b), label="args")
     i = data.draw(st.integers(0, b - 1), label="i")
     c = scalars.coerce(mode, data.draw(scalars_in(mode).filter(bool), label="c"))
+    c0 = scalars.coerce(mode, data.draw(scalars_in(mode), label="c0"))
     ev = tuple(int(k == i) for k in range(b))
-    got = poly_subst(Poly.from_terms(b, [(ev, c)], mode), args)
-    assert got == Poly.from_terms(a, [(ev2, c * c2) for ev2, c2 in args[i].terms], mode)
+    got = poly_subst(Poly.from_terms(b, [(ev, c), ((0,) * b, c0)], mode), args)
+    assert got == Poly.from_terms(a, [(ev2, c * c2) for ev2, c2 in args[i].terms] + [((0,) * a, c0)], mode)
     assert_canonical_types(got)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_subst_into_an_affine_variable_agrees_with_the_general_path(mode):
+    """c * x_0 + c0 against c * x_0 * x_1 + c0 with x_1 := 1, which takes poly_subst's general path:
+    a c0 that cancels the argument's constant term, an argument with no constant term, a zero argument."""
+    neg = -1 if mode == scalars.RATIONAL else 1
+    half = Fraction(1, 2) if mode == scalars.RATIONAL else 2
+    one = Poly.constant(2, 1, mode)
+    cases = [
+        (Poly.from_terms(2, [((1, 1), 3), ((0, 1), 1), ((0, 0), 2)], mode), half, neg * 1),
+        (Poly.from_terms(2, [((1, 1), 3), ((0, 1), 1), ((0, 0), 2)], mode), 2, 5),
+        (Poly.from_terms(2, [((2, 0), 3), ((0, 1), half)], mode), half, 3),
+        (Poly.from_terms(2, [((1, 0), 1), ((0, 0), 1)], mode), 2, neg * 2),
+        (Poly.zero(2, mode), 3, half),
+    ]
+    for arg, c, c0 in cases:
+        affine = Poly.from_terms(1, [((1,), c), ((0,), c0)], mode)
+        general = Poly.from_terms(2, [((1, 1), c), ((0, 0), c0)], mode)
+        got = poly_subst(affine, [arg])
+        assert got == poly_subst(general, [arg, one])
+        assert_canonical_types(got)
+    if mode == scalars.RATIONAL:  # the sum is 0: the constant term is dropped, not kept as 0
+        arg = Poly.from_terms(2, [((1, 0), 1), ((0, 0), Fraction(1, 3))], mode)
+        assert poly_subst(Poly.from_terms(1, [((1,), 3), ((0,), -1)], mode), [arg]).terms == (((1, 0), 3),)
+        got = poly_subst(Poly.from_terms(1, [((1,), Fraction(3, 2)), ((0,), Fraction(1, 2))], mode), [arg])
+        assert got.terms == (((1, 0), Fraction(3, 2)), ((0, 0), 1))  # 1/2 + 1/2 is the int 1
+        assert_canonical_types(got)
 
 
 def ref_poly_to_str(p, var_names=None, display_order=None):

@@ -33,11 +33,12 @@ MODES = ("rational", "natural")
 ALLOWED_FILES = ("cli.py", "parser.py", "errors.py")
 
 # functions that no benchmarked run reaches, each with the reason it stays:
-# the CLI's diff, bundle and fibre commands reach the first three
+# the CLI's diff, bundle and fibre commands reach the first four
 ALLOWED = {
     "bundles.parse_bundle_text": "reads the INI text of `tancat bundle --file`",
     "bundles.load_bundle": "opens the file of `tancat bundle --file`",
     "scalars.negate": "the parser's '-'",
+    "poly._affine_power": "the parser's '^' of an affine base with a constant term, as in dense-kernel",
     "poly.partial_derivative": "tier-1 checks cdc_D against it, and perfbench/tracer.py TARGETS binds it",
 }
 
