@@ -28,10 +28,11 @@ of every coefficient, refusing the operator at which they could pass
 its digit count before ``int()`` reads it.
 
 The fold keeps each product or power as its (base, count) factors, and
-multiplies them out once, in text order, where a sum, a negation or the end of
-the text needs the terms.  The first power of a product is built by Miller's
-recurrence when its base is affine with a nonzero constant term, and by one
-multiplication per unit of exponent otherwise (see ``poly.poly_product``).
+passes the list as it is to ``poly.poly_product`` where a sum, a negation or
+the end of the text needs the terms; a negation is then ``poly_scale(p, -1)``.
+``poly_product`` multiplies the factors in text order, building the first
+power by Miller's recurrence when its base is affine with a nonzero constant
+term, and by one multiplication per unit of exponent otherwise.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import List, Optional, Tuple
 
 from . import scalars
 from .errors import PolyParseError, SemiringViolation
-from .poly import Poly, PolyMap, poly_add, poly_product
+from .poly import Poly, PolyMap, poly_add, poly_product, poly_scale
 
 # Parentheses and unary minus nest by recursion; deeper input is refused.
 MAX_NESTING = 100
@@ -291,19 +292,12 @@ def _check_budget(ops: List[tuple], dom: int) -> None:
             stack.append((count, degree, s, k))
 
 
-def _multiplied(entry: List[Tuple[Poly, int]]) -> Poly:
-    """The product of a fold entry's (base, count) pairs, multiplied in text order."""
-    p, count = entry[0]
-    if len(entry) == 1 and count == 1:
-        return p
-    return poly_product(p, [(p, count - 1), *entry[1:]])
-
-
 def _fold(ops: List[tuple], dom: int, mode: str) -> List[Poly]:
     """Check the term budget, then evaluate the ops on a stack of factor lists, one Poly left per component.
 
     A stack entry is a product, kept as its (base, count) pairs and multiplied
-    out only where a sum, a negation or the end of the text needs its terms.
+    out by poly_product, in text order, only where a sum, a negation or the end
+    of the text needs its terms.
     A '^' on an entry that is not one plain base multiplies it out first, so
     the fold does no more multiplications than op-by-op evaluation, and keeps
     no more pairs than the text has atoms.
@@ -313,24 +307,23 @@ def _fold(ops: List[tuple], dom: int, mode: str) -> List[Poly]:
     for op in ops:
         tag = op[0]
         if tag == "c":
-            stack.append([(Poly.constant(dom, scalars.coerce(mode, op[1]), mode), 1)])
+            stack.append([(Poly.constant(dom, op[1], mode), 1)])
         elif tag == "x":
             stack.append([(Poly.variable(dom, op[1], mode), 1)])
         elif tag == "neg":
-            terms = [(ev, scalars.negate(mode, c)) for ev, c in _multiplied(stack.pop()).terms]
-            stack.append([(Poly.from_terms(dom, terms, mode), 1)])
+            stack.append([(poly_scale(poly_product(stack.pop()), -1), 1)])
         elif tag == "^":
             if op[1] == 0:
                 stack[-1] = [(Poly.constant(dom, 1, mode), 1)]
             elif op[1] > 1:
-                stack[-1] = [(_multiplied(stack[-1]), op[1])]
+                stack[-1] = [(poly_product(stack[-1]), op[1])]
         elif tag == "+":
-            b = _multiplied(stack.pop())
-            stack[-1] = [(poly_add(_multiplied(stack[-1]), b), 1)]
+            b = poly_product(stack.pop())
+            stack[-1] = [(poly_add(poly_product(stack[-1]), b), 1)]
         else:
             b = stack.pop()
             stack[-1] += b
-    return [_multiplied(entry) for entry in stack]
+    return [poly_product(entry) for entry in stack]
 
 
 def parse_poly(text: str, dom: int, mode: str = scalars.RATIONAL) -> Poly:

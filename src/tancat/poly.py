@@ -112,44 +112,49 @@ def poly_degree(p: Poly) -> int:
     return max((sum(ev) for ev, _ in p.terms), default=0)
 
 
-def _affine_power(c: int, l0: int, linear: list, e: int) -> Dict[int, int]:
-    """c * (l0 + L)^e for ints c and l0 != 0 and the (packed key, int) terms of a linear L.
+def _mul_packed(a: Iterable, b: list) -> Dict[int, int]:
+    """Every product of a (packed key, int) term of a and one of b, added up by key."""
+    out: Dict[int, int] = {}
+    for k1, c1 in a:
+        for k2, c2 in b:
+            k = k1 + k2
+            if k in out:
+                out[k] += c1 * c2
+            else:
+                out[k] = c1 * c2
+    return out
+
+
+def _affine_power(l0: int, linear: list, e: int) -> Dict[int, int]:
+    """(l0 + L)^e for an int l0 != 0 and the (packed key, int) terms of a linear L.
 
     By J.C.P. Miller's recurrence (Knuth, TAOCP vol. 2, 4.7): the part P_k of
-    degree k is c * C(e, k) * l0^(e - k) * L^k, so k * l0 * P_k = (e - k + 1) * L * P_(k-1)
-    from P_0 = c * l0^e.  Each P_k has int coefficients, so each division is
+    degree k is C(e, k) * l0^(e - k) * L^k, so k * l0 * P_k = (e - k + 1) * L * P_(k-1)
+    from P_0 = l0^e.  Each P_k has int coefficients, so each division is
     exact, and each P_k takes |L| * |P_(k-1)| term products.
     """
-    part = {0: c * l0**e}
+    part = {0: l0**e}
     out = dict(part)
     for k in range(1, e + 1):
-        grown: Dict[int, int] = {}
-        for k1, c1 in part.items():
-            for k2, c2 in linear:
-                key = k1 + k2
-                if key in grown:
-                    grown[key] += c1 * c2
-                else:
-                    grown[key] = c1 * c2
         m, div = e - k + 1, k * l0
-        part = {key: c1 * m // div for key, c1 in grown.items()}
+        part = {key: c1 * m // div for key, c1 in _mul_packed(part.items(), linear).items()}
         out.update(part)
     return out
 
 
-def poly_product(p: Poly, factors: Sequence[Tuple[Poly, int]]) -> Poly:
-    """p * f^count * ... over the (f, count) pairs of factors, multiplied into p one factor at a time.
+def poly_product(factors: Sequence[Tuple[Poly, int]]) -> Poly:
+    """f^count * ... over the (f, count) pairs of factors, multiplied in one factor at a time.
 
     One accumulator takes one factor per step, so the product of a dense power
     and sparse factors never multiplies two dense polynomials (Johnson, "Sparse
     polynomial arithmetic", 1974).  Not by repeated squaring either: squaring
     multiplies two dense halves and does more term products.  f^0 is 1, 0^0
-    included.  When the first factor f is affine with a nonzero constant term
-    and p is f itself (as the parser passes a power) or a constant, p * f^count
-    is built at once by Miller's recurrence (see _affine_power), with at most
-    |f| - 1 term products per term of the result, where one step at a time
-    multiplies f into every lower power: (x0+x1+x2+1)^20 takes 4,620 term
-    products instead of 35,416.
+    included, and a single factor to the first power is returned as it is.
+    When the first factor with a nonzero count is affine with a nonzero
+    constant term, its power is built at once by Miller's recurrence (see
+    _affine_power), with at most |f| - 1 term products per term of the result,
+    where one step at a time multiplies f into every lower power:
+    (x0+x1+x2+1)^20 takes 4,620 term products instead of 35,416.
 
     Each exponent vector is packed into one int: a field for the total degree,
     then one per variable, from the high bits down, each wide enough for the
@@ -160,48 +165,34 @@ def poly_product(p: Poly, factors: Sequence[Tuple[Poly, int]]) -> Poly:
     each result coefficient is divided by the product of the scales once.  The
     result is unpacked and sorted once, at the end.
     """
+    first = factors[0][0]
     for f, count in factors:
-        _check_same_shape(p, f)
+        _check_same_shape(first, f)
         if count < 0:
             raise ValueError(f"negative exponent {count}")
+    if len(factors) == 1 and factors[0][1] == 1:
+        return first
+    nvars, mode = first.nvars, first.mode
     factors = [(f, count) for f, count in factors if count]
-    if not p.terms or any(not f.terms for f, _ in factors):
-        return Poly(p.nvars, (), p.mode)
-    degree = poly_degree(p) + sum(count * poly_degree(f) for f, count in factors)
+    if any(not f.terms for f, _ in factors):
+        return Poly(nvars, (), mode)
+    degree = sum(count * poly_degree(f) for f, count in factors)
     width = max(degree.bit_length(), 1)
-    shifts = range(width * p.nvars, -1, -width)
+    shifts = range(width * nvars, -1, -width)
 
-    def packed(q: Poly) -> Tuple[int, list]:
-        d = lcm(*(c.denominator for _, c in q.terms))
+    scale, acc = 1, {0: 1}
+    for i, (f, count) in enumerate(factors):
+        d = lcm(*(c.denominator for _, c in f.terms))
         items = [(sum(e << s for e, s in zip((sum(ev), *ev), shifts)), c.numerator * (d // c.denominator))
-                 for ev, c in q.terms]
-        return d, items
-
-    scale, items = packed(p)
-    acc = dict(items)
-    if factors:
-        f, count = factors[0]
-        same = f.terms == p.terms
-        # f is affine with a nonzero constant term, and p is f or a constant
-        if sum(f.terms[0][0]) <= 1 and not any(f.terms[-1][0]) and (same or not any(p.terms[0][0])):
-            d, items = packed(f)
-            c, e = (1, count + 1) if same else (acc[0], count)
-            scale *= d**count
-            acc = _affine_power(c, items[-1][1], items[:-1], e)
-            factors = factors[1:]
-    for f, count in factors:
-        d, items = packed(f)
+                 for ev, c in f.terms]
+        scale *= d**count
+        if i == 0:
+            if sum(f.terms[0][0]) <= 1 and not any(f.terms[-1][0]):  # affine, nonzero constant term
+                acc = _affine_power(items[-1][1], items[:-1], count)
+                continue
+            acc, count = dict(items), count - 1
         for _ in range(count):
-            scale *= d
-            out: Dict[int, int] = {}
-            for k1, c1 in acc.items():
-                for k2, c2 in items:
-                    k = k1 + k2
-                    if k in out:
-                        out[k] += c1 * c2
-                    else:
-                        out[k] = c1 * c2
-            acc = out
+            acc = _mul_packed(acc.items(), items)
     mask, var_shifts = (1 << width) - 1, shifts[1:]
     terms = []
     for k in sorted(acc, reverse=True):
@@ -209,11 +200,11 @@ def poly_product(p: Poly, factors: Sequence[Tuple[Poly, int]]) -> Poly:
         if c:
             c = Fraction(c, scale) if c % scale else c // scale
             terms.append((tuple((k >> s) & mask for s in var_shifts), c))
-    return Poly(p.nvars, tuple(terms), p.mode)
+    return Poly(nvars, tuple(terms), mode)
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
-    return poly_product(a, ((b, 1),))
+    return poly_product(((a, 1), (b, 1)))
 
 
 def _scaled(terms: Iterable, c) -> list:

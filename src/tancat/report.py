@@ -121,8 +121,8 @@ class CheckSet:
                 self._fail(name, c.status, c.counterexample or "")
 
     @contextmanager
-    def guard(self, name: str):
-        """Record expected verification exceptions as an error row."""
+    def guard(self, *names: str):
+        """Record expected verification exceptions as an error in each named row."""
         try:
             yield
         except (
@@ -131,7 +131,8 @@ class CheckSet:
             SemiringViolation,
             NotABundleMorphism,
         ) as exc:
-            self.error(name, f"{type(exc).__name__}: {exc}")
+            for name in names:
+                self.error(name, f"{type(exc).__name__}: {exc}")
 
     def report(self, suite: str, params: Dict[str, object]) -> Report:
         checks = self.checks

@@ -4,7 +4,8 @@ A scalar is an ``int``, or a ``Fraction`` when it is not integral (rational
 mode), or a nonnegative ``int`` (natural mode); the mode tag lives on the
 enclosing polynomial, not on the scalar itself.  Addition and multiplication
 are the built-in operators, which both semirings are closed under; only
-negation, coercion, parsing and random drawing need to consult the mode.
+coercion and random drawing consult the mode.  The naturals have no
+negation: the parser refuses '-' in natural mode before any arithmetic.
 """
 
 from __future__ import annotations
@@ -46,12 +47,6 @@ def coerce(mode: str, value) -> "Fraction | int":
     if mode == NATURAL and (isinstance(value, Fraction) or value < 0):
         raise SemiringViolation(f"{value} is not a natural number")
     return value
-
-
-def negate(mode: str, value):
-    if mode == NATURAL:
-        raise SemiringViolation("negation is not available over the naturals")
-    return -value
 
 
 def randbelow(getrandbits, n: int) -> int:

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from tancat import model as model_module
 from tancat import scalars
 from tancat.cdc import PolyTangentModel, pair_into_t2, point_proj
 from tancat.errors import PreconditionFailure
@@ -120,3 +121,41 @@ def test_first_summand_plus_fails_left_unit_and_commutativity():
         "plus-commutative",
     }
     assert rows["plus-unit"].counterexample.startswith("dim 1, unit on the left; ")
+
+
+def test_the_lift_comparison_is_built_once_per_dimension(monkeypatch):
+    dims = []
+    real = model_module.vertical_lift_v
+
+    def counted(model, m):
+        dims.append(m)
+        return real(model, m)
+
+    monkeypatch.setattr(model_module, "vertical_lift_v", counted)
+    for model in (PolyTangentModel(scalars.RATIONAL), FibreTangentModel(1)):
+        dims.clear()
+        checks = tangent_axioms_checks(model, SuiteParams(max_dim=3, max_degree=1, instances=1, seed=0))
+        assert checks.all_passed
+        assert dims == [1, 2, 3]
+
+
+class RefusedPairingModel(PolyTangentModel):
+    """<f, g> into T(T_2) is always refused, so v cannot be built."""
+
+    def pair_t_t2(self, m, f, g):
+        raise PreconditionFailure("no pairing")
+
+
+def test_a_lift_comparison_that_raises_fills_both_lift_rows():
+    rows = {
+        c.name: c
+        for c in tangent_axioms_checks(
+            RefusedPairingModel(scalars.RATIONAL), SuiteParams(max_dim=2, max_degree=1, instances=1, seed=0)
+        ).checks
+    }
+    failing = {name for name, c in rows.items() if c.status != "pass"}
+    assert failing == {"ell-additive", "lift-v-projection", "lift-witness"}
+    for name in failing:
+        assert rows[name].status == "error"
+        assert rows[name].counterexample == "PreconditionFailure: no pairing"
+    assert not any(name.startswith(("lift-v-point", "lift-witness-")) for name in rows)

@@ -296,16 +296,17 @@ def counting_products(term_products=False):
     seen = {"products": 0, "pairs": 0, "term_products": 0}
     product = parser.poly_product
 
-    def counted(p, factors):
-        seen["products"] += sum(count for _, count in factors)
+    def counted(factors):
+        # every count the fold passes is at least 1, and the first power of the first base is no product
+        seen["products"] += sum(count for _, count in factors) - 1
         seen["pairs"] = max(seen["pairs"], len(factors))
         if term_products:
-            acc = p
-            for f, count in factors:
+            (acc, count), *rest = factors
+            for f, count in [(acc, count - 1), *rest]:
                 for _ in range(count):
                     seen["term_products"] += len(acc.terms) * len(f.terms)
                     acc = poly_mul(acc, f)
-        return product(p, factors)
+        return product(factors)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(parser, "poly_product", counted)
@@ -373,6 +374,31 @@ def test_fold_multiplies_a_dense_factor_by_sparse_ones(mode):
             assert parse_poly(text, dom, mode) == expected
         assert seen["products"] <= op_by_op_multiplications(text, dom, mode)
         assert seen["term_products"] <= by_op["term_products"], text
+
+
+def test_the_fold_builds_affine_powers_by_miller(monkeypatch):
+    """Every '^e' with e >= 2 of an affine base with a constant term is built by Miller's recurrence,
+    the first power of its product, and the fold's results still equal op-by-op evaluation's."""
+    calls = []
+    real = poly._affine_power
+
+    def spy(l0, linear, e):
+        calls.append(e)
+        return real(l0, linear, e)
+
+    for mode in scalars.MODES:
+        for text, expected in (
+            ("(x0 + x1 + 1)^5", [5]),
+            ("(x0 + 2)^2*(x1 + 1)^3; (x0 + x1 + 3)^20", [2, 20]),
+            ("((x0 + 1)^2)^3", [2]),  # (x0 + 1)^2 is not affine
+            ("(x0 + 1)^1 + (x0 + x1)^4 + x0*x1", []),
+        ):
+            want = tuple(op_by_op(text, 2, mode))
+            with monkeypatch.context() as patch:
+                patch.setattr(poly, "_affine_power", spy)
+                calls.clear()
+                assert parse_polymap(text, 2, mode).components == want
+            assert calls == expected, text
 
 
 def test_a_sparse_base_of_high_degree_is_powered_one_factor_at_a_time():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tancat import params, scalars
+from tancat import poly as poly_module
 from tancat.errors import DimensionMismatch, SemiringViolation
 from tancat.cdc import cdc_D
 from tancat.poly import (
@@ -144,8 +145,8 @@ def test_mul_matches_reference(pq):
 
 
 def power(p, e):
-    """p^e through the packed product: p multiplied into 1, e times."""
-    return poly_product(Poly.constant(p.nvars, 1, p.mode), ((p, e),))
+    """p^e through the packed product."""
+    return poly_product(((p, e),))
 
 
 def old_mul(a, b):
@@ -231,8 +232,8 @@ def affine_bases(nvars, mode, rng):
 @pytest.mark.parametrize("mode", scalars.MODES)
 @pytest.mark.parametrize("nvars", range(1, 5))
 def test_affine_powers_by_miller_agree_with_the_tuple_keyed_loop_and_evaluation(mode, nvars):
-    """p^e for e = 0..20 in each call shape that takes Miller's recurrence: a constant times p^e
-    (1 included) and p * p^(e - 1), as the parser passes it, also with a factor after it."""
+    """p^e for e = 0..20 in each call shape that takes Miller's recurrence: p^e alone, as the parser
+    passes a power, and with a factor after it, a constant or not."""
     rng = Random(nvars)
     c = 3 if mode == scalars.NATURAL else Fraction(-3, 2)
     q = Poly.from_terms(nvars, [((1,) + (0,) * (nvars - 1), 1), ((0,) * nvars, 2)], mode)
@@ -242,30 +243,112 @@ def test_affine_powers_by_miller_agree_with_the_tuple_keyed_loop_and_evaluation(
         ref = Poly.constant(nvars, 1, mode)
         for e in range(21):
             assert power(p, e) == ref and value(ref, pt) == value(p, pt) ** e
-            got = poly_product(Poly.constant(nvars, c, mode), ((p, e),))
+            got = poly_product(((p, e), (Poly.constant(nvars, c, mode), 1)))
             assert got.terms == tuple((ev, scalars.coerce(mode, c * c2)) for ev, c2 in ref.terms)
-            if e:
-                assert poly_product(p, ((p, e - 1),)) == ref
-                assert poly_product(p, ((p, e - 1), (q, 1))) == old_mul(ref, q)
+            assert poly_product(((p, e), (q, 1))) == old_mul(ref, q)
             assert_canonical_types(ref)
             assert_canonical_types(got)
             ref = old_mul(ref, p)
 
 
 def test_miller_is_taken_only_for_an_affine_base_with_a_constant_term():
-    """A base of degree 2, or with no constant term, or a p that is neither the base nor a constant,
-    goes one factor per step, and agrees with the tuple-keyed loop.  In (x0^2 - 2*x0 + 1/2)^e the
-    binomial parts C(e, k) * (1/2)^(e - k) * (x0^2 - 2*x0)^k share monomials."""
+    """A base of degree 2, or with no constant term, or a power after a first factor, constant or
+    not, goes one factor per step, and agrees with the tuple-keyed loop.  In (x0^2 - 2*x0 + 1/2)^e
+    the binomial parts C(e, k) * (1/2)^(e - k) * (x0^2 - 2*x0)^k share monomials."""
     r = scalars.RATIONAL
     one, x1_plus_1 = Poly.constant(2, 1, r), Poly.from_terms(2, [((0, 1), 1), ((0, 0), 1)], r)
+    three = Poly.constant(2, 3, r)
     cases = [
         (one, Poly.from_terms(2, [((2, 0), 1), ((1, 0), -2), ((0, 0), Fraction(1, 2))], r)),
         (one, Poly.from_terms(2, [((1, 0), 3), ((0, 1), -2)], r)),
+        (three, Poly.from_terms(2, [((1, 0), 2), ((0, 0), -1)], r)),
         (x1_plus_1, Poly.from_terms(2, [((1, 0), 2), ((0, 0), -1)], r)),
     ]
     for p, f in cases:
         for e in range(6):
-            assert poly_product(p, ((f, e),)) == old_mul(p, old_pow(f, e))
+            assert poly_product(((p, 1), (f, e))) == old_mul(p, old_pow(f, e))
+            if p == one:
+                assert poly_product(((f, e),)) == old_pow(f, e)
+            else:
+                assert poly_product(((p, e), (f, 1))) == old_mul(old_pow(p, e), f)
+
+
+def test_miller_runs_exactly_when_the_first_factor_raised_is_affine_with_a_constant_term(monkeypatch):
+    """Miller's recurrence builds the power of the first factor with a nonzero count, and only when
+    that factor is affine with a nonzero constant term; a single factor to the first power needs none."""
+    calls = []
+    real = poly_module._affine_power
+
+    def spy(l0, linear, e):
+        calls.append(e)
+        return real(l0, linear, e)
+
+    monkeypatch.setattr(poly_module, "_affine_power", spy)
+    r = scalars.RATIONAL
+    affine = Poly.from_terms(2, [((1, 0), 1), ((0, 1), 2), ((0, 0), Fraction(-1, 2))], r)
+    linear = Poly.from_terms(2, [((1, 0), 3), ((0, 1), -2)], r)
+    square = Poly.from_terms(2, [((2, 0), 1), ((0, 0), 1)], r)
+    three, zero = Poly.constant(2, 3, r), Poly.zero(2, r)
+    cases = [
+        ([(affine, 3)], [3]),
+        ([(affine, 1)], []),  # one factor to the first power comes back as it is
+        ([(affine, 1), (linear, 1)], [1]),
+        ([(three, 1), (affine, 3)], [1]),  # the constant is the first factor, not the power
+        ([(three, 2)], [2]),
+        ([(linear, 0), (affine, 2), (square, 1)], [2]),  # the first factor with a nonzero count
+        ([(affine, 0), (linear, 2)], []),
+        ([(square, 2), (affine, 2)], []),
+        ([(linear, 1), (affine, 2)], []),
+        ([(affine, 2), (zero, 1)], []),
+        ([(affine, 0), (zero, 0)], []),
+    ]
+    for factors, expected in cases:
+        calls.clear()
+        got = poly_product(factors)
+        assert calls == expected, factors
+        want = Poly.constant(2, 1, r)
+        for f, count in factors:
+            want = old_mul(want, old_pow(f, count))
+        assert got == want
+
+
+def product_factor(nvars, mode, rng):
+    """A random factor base: sparse, constant, zero, or affine with or without a constant term."""
+    def scalar():
+        if mode == scalars.NATURAL:
+            return rng.randint(1, 4)
+        return Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.choice((1, 2, 3)))
+
+    zero = (0,) * nvars
+    units = [tuple(int(k == j) for k in range(nvars)) for j in range(nvars)]
+    kind = rng.choice(("sparse", "constant", "zero", "affine", "linear"))
+    if kind == "sparse":
+        evs = {tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(rng.randint(1, 4))}
+    elif kind == "constant":
+        evs = {zero}
+    elif kind == "zero":
+        evs = set()
+    else:
+        evs = set(rng.sample(units, rng.randint(1, nvars))) if nvars else set()
+        if kind == "affine":
+            evs.add(zero)
+    return Poly.from_terms(nvars, [(ev, scalar()) for ev in evs], mode)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@pytest.mark.parametrize("nvars", range(4))
+def test_products_of_factor_lists_agree_with_the_tuple_keyed_chain(mode, nvars):
+    """1-4 factors, counts 0-4: the packed product equals old_mul of every factor, one at a time."""
+    rng = Random(100 * nvars + len(mode))
+    for _ in range(60):
+        factors = [(product_factor(nvars, mode, rng), rng.randint(0, 4)) for _ in range(rng.randint(1, 4))]
+        want = Poly.constant(nvars, 1, mode)
+        for f, count in factors:
+            for _ in range(count):
+                want = old_mul(want, f)
+        got = poly_product(factors)
+        assert got == want, factors
+        assert_canonical_types(got)
 
 
 @pytest.mark.parametrize("mode", scalars.MODES)
@@ -535,9 +618,9 @@ def test_mode_and_arity_mismatches_rejected():
         poly_mul(p, q)
     # every factor of a product is checked, also one raised to the power 0
     natural = Poly.variable(1, 0, scalars.NATURAL)
-    for factors in (((p, 1), (q, 1)), ((p, 2), (q, 0)), ((natural, 1),)):
+    for factors in (((p, 1), (q, 1)), ((p, 2), (q, 0)), ((p, 1), (natural, 1)), ((p, 0), (natural, 0))):
         with pytest.raises(DimensionMismatch):
-            poly_product(p, factors)
+            poly_product(factors)
     with pytest.raises(DimensionMismatch):
         Poly.variable(2, 5, scalars.RATIONAL)
     with pytest.raises(DimensionMismatch):

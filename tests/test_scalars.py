@@ -1,4 +1,4 @@
-"""Semiring scalar layer: coercion, negation, printing, bounded draws."""
+"""Semiring scalar layer: coercion and bounded draws."""
 
 from fractions import Fraction
 from random import Random
@@ -36,12 +36,6 @@ def test_coerce_rejects_floats():
     # exactness contract: floats never silently enter the scalar ring
     with pytest.raises(TypeError):
         scalars.coerce(scalars.RATIONAL, 0.5)
-
-
-def test_negate_is_mode_gated():
-    assert scalars.negate(scalars.RATIONAL, Fraction(4)) == Fraction(-4)
-    with pytest.raises(SemiringViolation):
-        scalars.negate(scalars.NATURAL, 4)
 
 
 def test_random_scalar_ranges_and_determinism():

@@ -6,11 +6,13 @@ each suite it affects (the benchmarked fault pairs) in both modes, through
 when any line of its own body (nested function bodies excluded) executes.
 Bodies in ``ALLOWED_FILES``, bodies that only raise (but not an abstract
 stub's NotImplementedError), and the functions in ``ALLOWED`` are not
-reported.
+reported.  An ``ALLOWED`` name is stale when it names no such function, or
+one whose body ran; each stale name is reported too.
 
     python3 tools/never_run.py
 
-Prints one line per never-run body and exits 1 if there is any, else 0.
+Prints one line per never-run body and per stale allowance, and exits 1 if
+there is any, else 0.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import os
 import sys
 import tempfile
 import trace
+from typing import Tuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "tancat")
@@ -33,12 +36,10 @@ MODES = ("rational", "natural")
 ALLOWED_FILES = ("cli.py", "parser.py", "errors.py")
 
 # functions that no benchmarked run reaches, each with the reason it stays:
-# the CLI's diff, bundle and fibre commands reach the first four
+# the CLI's bundle command reaches the first two
 ALLOWED = {
     "bundles.parse_bundle_text": "reads the INI text of `tancat bundle --file`",
     "bundles.load_bundle": "opens the file of `tancat bundle --file`",
-    "scalars.negate": "the parser's '-'",
-    "poly._affine_power": "the parser's '^' of an affine base with a constant term, as in dense-kernel",
     "poly.partial_derivative": "tier-1 checks cdc_D against it, and perfbench/tracer.py TARGETS binds it",
 }
 
@@ -112,27 +113,32 @@ def run_everything() -> dict:
     return {(os.path.abspath(f), line): n for (f, line), n in tracer.results().counts.items()}
 
 
-def never_run(counts: dict) -> list:
+def never_run(counts: dict) -> Tuple[list, list]:
+    """The never-run bodies that ALLOWED does not name, and the stale ALLOWED names."""
     ran = {key for key, n in counts.items() if n}
-    missing = []
+    missing, needed = [], set()
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py") or name in ALLOWED_FILES:
             continue
         path = os.path.abspath(os.path.join(SRC, name))
         for qualname, line, body, raises_only in functions(path):
-            if raises_only or qualname in ALLOWED:
+            if raises_only or any((path, n) in ran for n in body):
                 continue
-            if not any((path, n) in ran for n in body):
+            if qualname in ALLOWED:
+                needed.add(qualname)
+            else:
                 missing.append(f"src/tancat/{name}:{line}: {qualname}")
-    return missing
+    return missing, sorted(set(ALLOWED) - needed)
 
 
 def main() -> int:
-    missing = never_run(run_everything())
+    missing, stale = never_run(run_everything())
     for entry in missing:
         print(entry)
-    print(f"{len(missing)} function bodies never run", file=sys.stderr)
-    return 1 if missing else 0
+    for name in stale:
+        print(f"stale allowance: {name}")
+    print(f"{len(missing)} function bodies never run, {len(stale)} stale allowances", file=sys.stderr)
+    return 1 if missing or stale else 0
 
 
 if __name__ == "__main__":
