@@ -87,7 +87,11 @@ class BundleMor:
 # Coordinate plumbing through the trivialization
 #
 # The structure maps that a bundle alone determines are built once per bundle
-# (memo_by_input), and live as long as the bundle does.
+# (memo_by_input), and live as long as the bundle does: tau and its inverse,
+# the bundle_pi projections, mu and sel, bracket's legs, the display blocks and
+# zeta's fibre part.  Equal bundles recur, since pulling a standard or tangent
+# family back along any map gives the standard bundle over its domain again,
+# and an equal bundle gets the same maps.
 
 
 @memo_by_input
@@ -194,6 +198,21 @@ def r_into_base(b: DiffBundle) -> PolyMap:
     return polymap_proj(b.e2_dim, 0, b.base, b.mode)
 
 
+@memo_by_input
+def bracket_legs(b: DiffBundle) -> Tuple[PolyMap, PolyMap, PolyMap]:
+    """bracket's maps out of T(E) that the bundle alone fixes: p;q;0_M, sel;pi0 and p;0_E.
+
+    The precondition compares f;T(q) with f;p;q;0_M, the answer is f;sel;pi0,
+    and f;p;0_E is the second summand of the defining equation.
+    """
+    p_e = point_proj(b.total, b.mode)
+    return (
+        polymap_compose(p_e, polymap_compose(b.q, tangent_zero(b.base, b.mode))),
+        polymap_compose(sel_map(b), bundle_pi(b, 0)),
+        polymap_compose(p_e, tangent_zero(b.total, b.mode)),
+    )
+
+
 def bracket(f: PolyMap, b: DiffBundle) -> PolyMap:
     """The unique {f} with f = <{f} lambda, f p 0> T(sigma).
 
@@ -203,19 +222,17 @@ def bracket(f: PolyMap, b: DiffBundle) -> PolyMap:
     e = b.total
     if f.cod != 2 * e:
         raise DimensionMismatch(f"bracket input must land in T(E) = {2 * e}")
-    p_e = point_proj(e, b.mode)
+    over_base, read_off, point_zero = bracket_legs(b)
     lhs = polymap_compose(f, cdc_T(b.q))
-    rhs = polymap_compose(
-        f, polymap_compose(p_e, polymap_compose(b.q, tangent_zero(b.base, b.mode)))
-    )
+    rhs = polymap_compose(f, over_base)
     if lhs != rhs:
         raise PreconditionFailure(
             "bracket precondition f;T(q) = f;p;q;0 fails; " + _residual(lhs, rhs, b.mode)
         )
-    out = polymap_compose(polymap_compose(f, sel_map(b)), bundle_pi(b, 0))
+    out = polymap_compose(f, read_off)
     # defining equation, re-checked from scratch
     left = polymap_compose(out, b.lam)
-    right = polymap_compose(f, polymap_compose(p_e, tangent_zero(e, b.mode)))
+    right = polymap_compose(f, point_zero)
     recon = t_fibre_sum(b, left, right)
     if recon != f:
         raise PreconditionFailure(
@@ -296,6 +313,7 @@ def make_bundle(
     )
 
 
+@memo_by_input
 def display_blocks(b: DiffBundle):
     """(sigma_fib, zeta_fib, lam_tan, lam_pt): sigma, zeta and lift blocks over (x, a)."""
     m, k = b.base, b.fibre
@@ -531,6 +549,7 @@ def bundle_zero_mor(b: DiffBundle) -> BundleMor:
     return BundleMor(tangent_zero(b.total, b.mode), tangent_zero(b.base, b.mode))
 
 
+@memo_by_input
 def zeta_fibre(b: DiffBundle) -> PolyMap:
     """The fibre part of the zero section, M -> F, in display coordinates."""
     n = b.base + b.fibre

@@ -150,11 +150,12 @@ def poly_product(factors: Sequence[Tuple[Poly, int]]) -> Poly:
     polynomial arithmetic", 1974).  Not by repeated squaring either: squaring
     multiplies two dense halves and does more term products.  f^0 is 1, 0^0
     included, and a single factor to the first power is returned as it is.
-    When the first factor with a nonzero count is affine with a nonzero
-    constant term, its power is built at once by Miller's recurrence (see
-    _affine_power), with at most |f| - 1 term products per term of the result,
-    where one step at a time multiplies f into every lower power:
-    (x0+x1+x2+1)^20 takes 4,620 term products instead of 35,416.
+    Constant factors are folded into one scalar, applied to the result's
+    coefficients once.  When the first other factor is affine with a nonzero
+    constant term and a count of at least 2, its power is built at once by
+    Miller's recurrence (see _affine_power), with at most |f| - 1 term products
+    per term of the result, where one step at a time multiplies f into every
+    lower power: (x0+x1+x2+1)^20 takes 4,620 term products instead of 35,416.
 
     Each exponent vector is packed into one int: a field for the total degree,
     then one per variable, from the high bits down, each wide enough for the
@@ -180,23 +181,28 @@ def poly_product(factors: Sequence[Tuple[Poly, int]]) -> Poly:
     width = max(degree.bit_length(), 1)
     shifts = range(width * nvars, -1, -width)
 
-    scale, acc = 1, {0: 1}
-    for i, (f, count) in enumerate(factors):
+    scale, const, acc = 1, 1, None
+    for f, count in factors:
         d = lcm(*(c.denominator for _, c in f.terms))
+        scale *= d**count
+        if not any(f.terms[0][0]):  # a constant
+            const *= f.terms[0][1].numerator ** count
+            continue
         items = [(sum(e << s for e, s in zip((sum(ev), *ev), shifts)), c.numerator * (d // c.denominator))
                  for ev, c in f.terms]
-        scale *= d**count
-        if i == 0:
-            if sum(f.terms[0][0]) <= 1 and not any(f.terms[-1][0]):  # affine, nonzero constant term
+        if acc is None:
+            if count > 1 and sum(f.terms[0][0]) == 1 and not any(f.terms[-1][0]):  # affine, constant term
                 acc = _affine_power(items[-1][1], items[:-1], count)
                 continue
             acc, count = dict(items), count - 1
         for _ in range(count):
             acc = _mul_packed(acc.items(), items)
+    if acc is None:
+        acc = {0: 1}
     mask, var_shifts = (1 << width) - 1, shifts[1:]
     terms = []
     for k in sorted(acc, reverse=True):
-        c = acc[k]
+        c = acc[k] * const
         if c:
             c = Fraction(c, scale) if c % scale else c // scale
             terms.append((tuple((k >> s) & mask for s in var_shifts), c))

@@ -13,6 +13,7 @@ from tancat import scalars
 from tancat.bundles import (
     BundleMor,
     bracket,
+    bracket_legs,
     bundle_pi,
     bundle_projection_mor,
     bundle_zero_mor,
@@ -28,6 +29,7 @@ from tancat.bundles import (
     parse_bundle_text,
     pullback_bundle,
     pullback_mor,
+    sel_map,
     standard_bundle,
     tangent_bundle_of,
     tangent_of_bundle,
@@ -38,7 +40,7 @@ from tancat.bundles import (
     whitney_sum,
     zeta_fibre,
 )
-from tancat.cdc import cdc_T, point_proj
+from tancat.cdc import cdc_T, point_proj, tangent_zero
 from tancat.diffobj import bundle_from_diffobj, canonical_diffobj, diffobj_mu
 from tancat.errors import (
     DimensionMismatch,
@@ -227,6 +229,22 @@ def test_bracket_section_example():
     b = standard_bundle(1, 1)
     f = parse_polymap("0; x0^2; x0; x0", 1, scalars.RATIONAL)
     assert polymap_to_str(bracket(f, b)) == "x0; x0^2"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bracket_legs_equal_the_inline_composites(mode):
+    """bracket's legs p;q;0_M, sel;pi0 and p;0_E, built once per bundle, equal the composites bracket
+    once built inline on each call, for every family the suites check, clean and faulted."""
+    rng = Random(5)
+    for fault in (None, "corrupted-lambda"):
+        for label, b in _bundle_families(mode, fault).items():
+            over_base, read_off, point_zero = bracket_legs(b)
+            p_e = point_proj(b.total, mode)
+            assert over_base == polymap_compose(p_e, polymap_compose(b.q, tangent_zero(b.base, mode))), label
+            assert point_zero == polymap_compose(p_e, tangent_zero(b.total, mode)), label
+            f = random_polymap(2, 2 * b.total, 2, rng, mode)
+            inline = polymap_compose(polymap_compose(f, sel_map(b)), bundle_pi(b, 0))
+            assert polymap_compose(f, read_off) == inline, label
 
 
 def test_bracket_rejects_non_equalizer_input():

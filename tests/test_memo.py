@@ -1,8 +1,9 @@
 """Memoized T, D and mu, the per-bundle maps, and the structural maps built once per (dimension, mode).
 
 ``cdc_D``, ``cdc_T``, ``diffobj_mu`` and the bundle maps (``tangent_triv``,
-``tangent_triv_inv``, ``mu_map``, ``sel_map``, ``bundle_pi``) cache their
-result for as long as their input lives; the structural builders cache per
+``tangent_triv_inv``, ``mu_map``, ``sel_map``, ``bundle_pi``, ``bracket_legs``,
+``display_blocks``, ``zeta_fibre``) cache their result for as long as their
+input lives; the structural builders cache per
 argument tuple.  The uncached function stays reachable as ``__wrapped__`` and
 is the reference.
 """
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from tancat import scalars
 from tancat.bundles import (
+    bracket_legs,
     bundle_pi,
     display_blocks,
     display_bundle,
@@ -28,6 +30,7 @@ from tancat.bundles import (
     tangent_bundle_of,
     tangent_triv,
     tangent_triv_inv,
+    zeta_fibre,
 )
 from tancat.cdc import cdc_D, cdc_T, point_proj
 from tancat.diffobj import DiffObject, diffobj_mu
@@ -116,8 +119,14 @@ BUNDLE_MEMOS = [
     (bundle_pi, summand_projection, (0,)),
     (bundle_pi, summand_projection, (1,)),
     (bundle_pi, summand_projection, (2, 3)),
+    (bracket_legs, bracket_legs.__wrapped__, ()),
+    (display_blocks, display_blocks.__wrapped__, ()),
+    (zeta_fibre, zeta_fibre.__wrapped__, ()),
 ]
-BUNDLE_IDS = ["tangent_triv", "tangent_triv_inv", "mu_map", "sel_map", "pi0", "pi1", "pi2-of-3"]
+BUNDLE_IDS = [
+    "tangent_triv", "tangent_triv_inv", "mu_map", "sel_map", "pi0", "pi1", "pi2-of-3",
+    "bracket_legs", "display_blocks", "zeta_fibre",
+]
 
 
 def corrupted_lambda(mode):
@@ -149,7 +158,9 @@ def test_bundle_maps_equal_their_uncached_results(memo, reference, args, mode):
 def test_bundle_entry_lives_as_long_as_its_bundle(memo, reference, args):
     b = sheared()
     assert memo(b, *args) == reference(b, *args)
-    r = weakref.ref(memo(b, *args))
+    got = memo(b, *args)
+    r = weakref.ref(got[0] if isinstance(got, tuple) else got)  # a tuple has no weak reference
+    del got
     gc.collect()
     assert r() is not None  # only the cache holds the result
     del b
@@ -163,9 +174,9 @@ def test_corrupted_bundle_maps_stay_apart_from_the_clean_ones(mode):
     assert mu_map(clean) == mu_map.__wrapped__(clean)
     assert mu_map(bad) == mu_map.__wrapped__(bad)
     assert mu_map(bad) != mu_map(clean)
-    for memo, reference, args in BUNDLE_MEMOS:  # the lift is the only difference, and only mu reads it
+    for memo, reference, args in BUNDLE_MEMOS:  # the lift is the only difference
         assert memo(bad, *args) == reference(bad, *args)
-        assert (memo(bad, *args) == memo(clean, *args)) is (memo is not mu_map)
+        assert (memo(bad, *args) == memo(clean, *args)) is (memo not in (mu_map, display_blocks))
 
 
 def test_structural_maps_are_built_once_per_dimension_and_mode():

@@ -378,7 +378,8 @@ def test_fold_multiplies_a_dense_factor_by_sparse_ones(mode):
 
 def test_the_fold_builds_affine_powers_by_miller(monkeypatch):
     """Every '^e' with e >= 2 of an affine base with a constant term is built by Miller's recurrence,
-    the first power of its product, and the fold's results still equal op-by-op evaluation's."""
+    when it is the first non-constant power of its product, and the fold's results still equal
+    op-by-op evaluation's.  A constant factor, first or not, is folded into one scalar."""
     calls = []
     real = poly._affine_power
 
@@ -392,6 +393,10 @@ def test_the_fold_builds_affine_powers_by_miller(monkeypatch):
             ("(x0 + 2)^2*(x1 + 1)^3; (x0 + x1 + 3)^20", [2, 20]),
             ("((x0 + 1)^2)^3", [2]),  # (x0 + 1)^2 is not affine
             ("(x0 + 1)^1 + (x0 + x1)^4 + x0*x1", []),
+            ("3*(x0 + x1 + 2)^20", [20]),
+            ("2*(x0 + 1)^3*3*(x1 + 1)^2", [3]),
+            ("(x0 + 1)^4*5", [4]),
+            ("(x0 + 1)*(x1 + 2)^3", []),  # (x0 + 1) to the first power is the factor itself
         ):
             want = tuple(op_by_op(text, 2, mode))
             with monkeypatch.context() as patch:

@@ -252,8 +252,9 @@ def test_affine_powers_by_miller_agree_with_the_tuple_keyed_loop_and_evaluation(
 
 
 def test_miller_is_taken_only_for_an_affine_base_with_a_constant_term():
-    """A base of degree 2, or with no constant term, or a power after a first factor, constant or
-    not, goes one factor per step, and agrees with the tuple-keyed loop.  In (x0^2 - 2*x0 + 1/2)^e
+    """A base of degree 2, or with no constant term, or a power after a non-constant first factor,
+    goes one factor per step, and agrees with the tuple-keyed loop; so does an affine power after a
+    constant, which Miller's recurrence builds.  In (x0^2 - 2*x0 + 1/2)^e
     the binomial parts C(e, k) * (1/2)^(e - k) * (x0^2 - 2*x0)^k share monomials."""
     r = scalars.RATIONAL
     one, x1_plus_1 = Poly.constant(2, 1, r), Poly.from_terms(2, [((0, 1), 1), ((0, 0), 1)], r)
@@ -274,8 +275,9 @@ def test_miller_is_taken_only_for_an_affine_base_with_a_constant_term():
 
 
 def test_miller_runs_exactly_when_the_first_factor_raised_is_affine_with_a_constant_term(monkeypatch):
-    """Miller's recurrence builds the power of the first factor with a nonzero count, and only when
-    that factor is affine with a nonzero constant term; a single factor to the first power needs none."""
+    """Miller's recurrence builds the power of the first non-constant factor with a nonzero count,
+    and only when that factor is affine with a nonzero constant term and its count is at least 2;
+    constant factors are folded into one scalar wherever they stand."""
     calls = []
     real = poly_module._affine_power
 
@@ -292,9 +294,11 @@ def test_miller_runs_exactly_when_the_first_factor_raised_is_affine_with_a_const
     cases = [
         ([(affine, 3)], [3]),
         ([(affine, 1)], []),  # one factor to the first power comes back as it is
-        ([(affine, 1), (linear, 1)], [1]),
-        ([(three, 1), (affine, 3)], [1]),  # the constant is the first factor, not the power
-        ([(three, 2)], [2]),
+        ([(affine, 1), (linear, 1)], []),  # a count of 1 is the factor itself
+        ([(affine, 1), (affine, 2)], []),
+        ([(three, 1), (affine, 3)], [3]),  # a leading constant does not take Miller's slot
+        ([(three, 1), (affine, 3), (three, 2)], [3]),
+        ([(three, 2)], []),
         ([(linear, 0), (affine, 2), (square, 1)], [2]),  # the first factor with a nonzero count
         ([(affine, 0), (linear, 2)], []),
         ([(square, 2), (affine, 2)], []),

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from tancat import scalars
+from tancat import scalars, suites
 from tancat.cdc import PolyCDModel, cdc_D
 from tancat.diffobj import derived_D
 from tancat.fibration import SimpleCDModel
@@ -125,6 +125,22 @@ def test_corrupted_lambda_fault_rows():
 
     laws = run_suite("bracket-laws", fault="corrupted-lambda", **SMALL)
     assert not laws.all_passed
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@pytest.mark.parametrize("fault, distinct", [(None, 15), ("corrupted-lambda", 22)])
+def test_bundle_suite_verifies_each_distinct_bundle_once(mode, fault, distinct, monkeypatch):
+    """The families, their tangents, 50 pullbacks and 16 Whitney sums ask for 80 verifications, and
+    equal bundles recur among them: at seed 0, 15 are distinct, and 22 with the corrupted lift."""
+    calls, verify_bundle = [], suites.verify_bundle
+
+    def spy(b):
+        calls.append(b)
+        return verify_bundle(b)
+
+    monkeypatch.setattr(suites, "verify_bundle", spy)
+    assert run_suite("bundle", mode=mode, fault=fault).all_passed is (fault is None)
+    assert len(calls) == len(set(calls)) == distinct
 
 
 def test_each_fault_flips_at_least_one_check():
