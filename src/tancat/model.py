@@ -14,7 +14,8 @@ methods, which the axiom suites are written against once:
   ``random_mor(x, y, rng, max_degree)``, whose coefficients, like those of
   a CD model's ``random_point(obj, rng)``, are ``scalars.random_scalar`` draws;
 - ``lift_witness(x)``: the LiftWitness for the universality of the lift,
-  whose R lies on the coordinates of T_2(x).
+  whose R lies on the coordinates of T_2(x); bundles.lift_witness gives a
+  bundle's, on E_2's, and ``universality_checks`` checks both.
 
 cdc.PolyTangentModel is the polynomial model, and fibration's
 FibreTangentModel, the fibre over a fixed context, derives from it.
@@ -42,13 +43,13 @@ class TnObject:
 
 @dataclass(frozen=True)
 class LiftWitness:
-    """Certificate data for the universality of the vertical lift.
+    """Certificate data for the universality of a tangent model's lift, or a bundle's.
 
-    The canonical pullback R of T(p) along 0 is realized on T_2's own
-    coordinates, so the comparison kappa = v;sel : T_2 -> R must be the
-    identity.  ``sel`` reads R off a second tangent, and ``into_tangent``
-    and ``into_base`` are R's cone legs.  The suites check kappa = 1, its
-    images under T, and the cone equations; nothing here is assumed.
+    The canonical pullback R of T(p) along 0 (T(q), for a bundle) is realized
+    on the coordinates of the fibred square itself, T_2 (or E_2), so the
+    comparison kappa = v;sel (mu;sel) into R must be the identity.  ``sel``
+    reads R off the tangent, and ``into_tangent`` and ``into_base`` are R's
+    cone legs.  ``universality_checks`` checks kappa = 1 and the cone.
     """
 
     sel: object
@@ -99,6 +100,26 @@ def monoid_checks(checks, name, detail, compose, pair, plus, ident, unit, legs2,
             compose(pair(q0, s12), plus),
             detail,
         )
+
+
+def universality_checks(checks, compose, comparison, witness, base_leg, ident, kappa_rows, cone, details):
+    """Record that the lift is universal, and return kappa := comparison;witness.sel.
+
+    ``comparison`` : X_2 -> T(X) is v for a tangent model and mu for a bundle,
+    ``base_leg`` is X_2's map to the base and ``ident`` X_2's identity.  Each
+    (name, detail) of ``kappa_rows`` records kappa = ident, and ``cone`` records
+    kappa;into_tangent = comparison, kappa;into_base = base_leg and
+    comparison = into_tangent, detailed by the three ``details`` in turn.
+    """
+    eq = checks.equality
+    kappa = compose(comparison, witness.sel)
+    for name, detail in kappa_rows:
+        eq(name, kappa, ident, detail)
+    over_tangent, over_base, as_leg = details
+    eq(cone, compose(kappa, witness.into_tangent), comparison, over_tangent)
+    eq(cone, compose(kappa, witness.into_base), base_leg, over_base)
+    eq(cone, comparison, witness.into_tangent, as_leg)
+    return kappa
 
 
 def tangent_axioms_checks(model, params: SuiteParams) -> CheckSet:
@@ -199,17 +220,12 @@ def tangent_axioms_checks(model, params: SuiteParams) -> CheckSet:
                 eq("lift-v-point", model.compose(v, model.p(tm)), pi1, d)
             with checks.guard("lift-witness"):
                 # R sits on T_2's coordinates, so the comparison kappa = v;sel is the identity
-                w = model.lift_witness(m)
-                kappa = model.compose(v, w.sel)
-                eq("lift-witness-inverse", kappa, model.identity(t2.carrier), d + ", kappa")
-                eq("lift-witness-cone", model.compose(kappa, w.into_tangent), v, d + ", kappa over T")
-                eq(
+                kappa = universality_checks(
+                    checks, model.compose, v, model.lift_witness(m), model.compose(pi0, p),
+                    model.identity(t2.carrier), [("lift-witness-inverse", d + ", kappa")],
                     "lift-witness-cone",
-                    model.compose(kappa, w.into_base),
-                    model.compose(pi0, p),
-                    d + ", kappa over the base",
+                    (d + ", kappa over T", d + ", kappa over the base", d + ", v as the leg into T"),
                 )
-                eq("lift-witness-cone", v, w.into_tangent, d + ", v as the leg into T")
                 t_kappa = model.t_mor(kappa)
                 eq("lift-witness-tangent", t_kappa, model.identity(model.t_obj(t2.carrier)), d + ", T level")
                 if m == 1:

@@ -28,6 +28,10 @@ MAX_DIM = 16
 # 0-49 its median was 0.65 s, but it took 4.6 s at seed 15, 5.6 s at 46, 6.1 s
 # at 40 and 7-9 s at 17.  At 7 it took over 20 s at seed 8, and at 8 at seed 0.
 MAX_DEGREE = 6
+# The largest instance count.  At 2,000 (default dims and degree; 2 vCPUs,
+# Python 3.11.7) every suite in either mode took under 5 s at seeds 0 and 7
+# (derived-differential 4.5 s at most), and a fibre run 2.3 s at seed 0.
+MAX_INSTANCES = 2000
 
 
 @dataclass(frozen=True)
@@ -47,16 +51,12 @@ class SuiteParams:
     def __post_init__(self):
         if self.mode not in scalars.MODES:
             raise ValueError(f"invalid-params: unknown mode {self.mode!r}")
-        for key in ("max_dim", "max_degree", "instances"):
+        for key, bound in (("max_dim", MAX_DIM), ("max_degree", MAX_DEGREE), ("instances", MAX_INSTANCES)):
             value = getattr(self, key)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"invalid-params: {key} must be an integer >= 1")
-        if self.max_dim > MAX_DIM:
-            raise ValueError(f"invalid-params: max_dim must be at most {MAX_DIM}, got {self.max_dim}")
-        if self.max_degree > MAX_DEGREE:
-            raise ValueError(
-                f"invalid-params: max_degree must be at most {MAX_DEGREE}, got {self.max_degree}"
-            )
+            if value > bound:
+                raise ValueError(f"invalid-params: {key} must be at most {bound}, got {value}")
         if not isinstance(self.seed, int):
             raise ValueError("invalid-params: seed must be an integer")
 

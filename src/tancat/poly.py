@@ -108,8 +108,8 @@ def poly_add(a: Poly, b: Poly) -> Poly:
 
 
 def poly_degree(p: Poly) -> int:
-    """Total degree; 0 for the zero polynomial."""
-    return max((sum(ev) for ev, _ in p.terms), default=0)
+    """Total degree; 0 for the zero polynomial.  Graded-lex order puts a term of largest degree first."""
+    return sum(p.terms[0][0]) if p.terms else 0
 
 
 def _mul_packed(a: Iterable, b: list) -> Dict[int, int]:

@@ -5,10 +5,12 @@ bundles are base-first (x, a); tangents are tangent-first, so T(E) reads
 (du, dx-ish tangent block, then the point).  E_2 is (x, a1, a2).
 """
 
+from dataclasses import replace
 from random import Random
 
 import pytest
 
+from tancat import bundles as bundles_module
 from tancat import scalars
 from tancat.bundles import (
     BundleMor,
@@ -22,6 +24,7 @@ from tancat.bundles import (
     is_additive,
     is_bundle_morphism,
     is_linear,
+    lift_witness,
     make_bundle,
     mu_characterization,
     mu_map,
@@ -29,10 +32,11 @@ from tancat.bundles import (
     parse_bundle_text,
     pullback_bundle,
     pullback_mor,
-    sel_map,
     standard_bundle,
     tangent_bundle_of,
     tangent_of_bundle,
+    tangent_triv,
+    tangent_triv_inv,
     trivial_bundle,
     verify_bundle,
     whitney_pair,
@@ -49,6 +53,7 @@ from tancat.errors import (
 )
 from tancat.parser import parse_polymap
 from tancat.poly import (
+    coordinate_map,
     identity_map,
     polymap_compose,
     polymap_pair,
@@ -193,6 +198,45 @@ def test_constant_non_identity_lift_block_fails_coherence_and_universality(mode,
     assert {"universality-left", "universality-right", "universality-cone"} <= bad_rows
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_lift_witness_comparison_is_identity(mode):
+    # R lies on E_2's coordinates, so kappa = mu;sel is the identity, for every family the suites check
+    for label, b in _bundle_families(mode).items():
+        kappa = polymap_compose(mu_map(b), lift_witness(b).sel)
+        assert kappa == identity_map(b.e2_dim, mode), label
+
+
+def swapped_sel(b):
+    """sel reads R's two fibre blocks in the wrong order: (dx, x, da, a) |-> (x, a, da) through tau."""
+    m, k, t = b.base, b.fibre, 2 * b.total
+    read = coordinate_map(t, (*range(m, 2 * m), *range(2 * m + k, t), *range(2 * m, 2 * m + k)), b.mode)
+    return replace(lift_witness(b), sel=polymap_compose(tangent_triv(b), read))
+
+
+def misplaced_leg(b):
+    """The leg R -> T(E) puts beta in the da block: (x, alpha, beta) |-> tau^{-1}(0, x, beta, alpha)."""
+    m, k, r = b.base, b.fibre, b.e2_dim
+    leg = coordinate_map(r, (*(None,) * m, *range(m), *range(m + k, r), *range(m, m + k)), b.mode)
+    return replace(lift_witness(b), into_tangent=polymap_compose(leg, tangent_triv_inv(b)))
+
+
+@pytest.mark.parametrize(
+    "witness, failing",
+    [
+        (swapped_sel, {"universality-left", "universality-right", "universality-cone"}),
+        (misplaced_leg, {"universality-cone"}),
+    ],
+)
+@pytest.mark.parametrize("mode", MODES)
+def test_broken_witness_fails_only_its_universality_rows(monkeypatch, witness, failing, mode):
+    monkeypatch.setattr(bundles_module, "lift_witness", witness)
+    for label, b in _bundle_families(mode).items():
+        if b.fibre:  # with no fibre, R is the base alone and neither witness is wrong
+            rows = verify_bundle(b).checks
+            assert {c.name for c in rows if c.status != "pass"} == failing, label
+            assert all(c.counterexample for c in rows if c.status != "pass"), label
+
+
 @pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.NATURAL])
 def test_first_summand_sigma_fails_left_unit_and_commutativity(mode):
     base = standard_bundle(1, 1, mode)
@@ -243,7 +287,7 @@ def test_bracket_legs_equal_the_inline_composites(mode):
             assert over_base == polymap_compose(p_e, polymap_compose(b.q, tangent_zero(b.base, mode))), label
             assert point_zero == polymap_compose(p_e, tangent_zero(b.total, mode)), label
             f = random_polymap(2, 2 * b.total, 2, rng, mode)
-            inline = polymap_compose(polymap_compose(f, sel_map(b)), bundle_pi(b, 0))
+            inline = polymap_compose(polymap_compose(f, lift_witness(b).sel), bundle_pi(b, 0))
             assert polymap_compose(f, read_off) == inline, label
 
 

@@ -7,8 +7,10 @@ from time import perf_counter
 
 import pytest
 
+from tancat import cli, suites
 from tancat.cli import main
-from tancat.params import MAX_DEGREE, MAX_DIM
+from tancat.params import MAX_DEGREE, MAX_DIM, MAX_INSTANCES
+from tancat.report import CheckSet
 
 BUNDLE_TEXT = """[bundle]
 base = 1
@@ -184,6 +186,21 @@ def test_max_dim_above_its_bound_exits_two(command, capsys):
     err = capsys.readouterr().err
     assert f"invalid-params: max_dim must be at most {MAX_DIM}" in err and "Traceback" not in err
     assert main(command + ["--max-dim", "100000", "--instances", "1"]) == 2
+
+
+@pytest.mark.parametrize("command", [["check", "--suite", "tangent-axioms"], ["fibre", "--context-dim", "1"]])
+def test_instances_are_bounded_before_any_suite_runs(command, monkeypatch, capsys):
+    # unbounded, tangent-axioms at 1,000,000,000 instances ran until it was killed
+    seen = []
+    monkeypatch.setitem(suites._SUITES, "tangent-axioms", lambda p: seen.append(p.instances) or CheckSet())
+    monkeypatch.setattr(cli, "verify_fibre_axioms", lambda context, p: seen.append(p.instances) or CheckSet())
+    assert main(command + ["--instances", str(MAX_INSTANCES)]) == 0
+    assert seen == [MAX_INSTANCES]
+    assert main(command + ["--instances", str(MAX_INSTANCES + 1)]) == 2
+    err = capsys.readouterr().err
+    assert f"invalid-params: instances must be at most {MAX_INSTANCES}" in err and "Traceback" not in err
+    assert main(command + ["--instances", "1000000000"]) == 2
+    assert seen == [MAX_INSTANCES]
 
 
 def test_bundle_verify(bundle_file, capsys):

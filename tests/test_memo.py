@@ -1,7 +1,7 @@
 """Memoized T, D and mu, the per-bundle maps, and the structural maps built once per (dimension, mode).
 
 ``cdc_D``, ``cdc_T``, ``diffobj_mu`` and the bundle maps (``tangent_triv``,
-``tangent_triv_inv``, ``mu_map``, ``sel_map``, ``bundle_pi``, ``bracket_legs``,
+``tangent_triv_inv``, ``mu_map``, ``lift_witness``, ``bundle_pi``, ``bracket_legs``,
 ``display_blocks``, ``zeta_fibre``) cache their result for as long as their
 input lives; the structural builders cache per
 argument tuple.  The uncached function stays reachable as ``__wrapped__`` and
@@ -23,9 +23,9 @@ from tancat.bundles import (
     bundle_pi,
     display_blocks,
     display_bundle,
+    lift_witness,
     make_bundle,
     mu_map,
-    sel_map,
     standard_bundle,
     tangent_bundle_of,
     tangent_triv,
@@ -115,7 +115,7 @@ BUNDLE_MEMOS = [
     (tangent_triv, tangent_triv.__wrapped__, ()),
     (tangent_triv_inv, tangent_triv_inv.__wrapped__, ()),
     (mu_map, mu_map.__wrapped__, ()),
-    (sel_map, sel_map.__wrapped__, ()),
+    (lift_witness, lift_witness.__wrapped__, ()),
     (bundle_pi, summand_projection, (0,)),
     (bundle_pi, summand_projection, (1,)),
     (bundle_pi, summand_projection, (2, 3)),
@@ -124,7 +124,7 @@ BUNDLE_MEMOS = [
     (zeta_fibre, zeta_fibre.__wrapped__, ()),
 ]
 BUNDLE_IDS = [
-    "tangent_triv", "tangent_triv_inv", "mu_map", "sel_map", "pi0", "pi1", "pi2-of-3",
+    "tangent_triv", "tangent_triv_inv", "mu_map", "lift_witness", "pi0", "pi1", "pi2-of-3",
     "bracket_legs", "display_blocks", "zeta_fibre",
 ]
 

@@ -31,6 +31,7 @@ from tancat.poly import (
     linear_map,
     partial_derivative,
     poly_add,
+    poly_degree,
     poly_mul,
     poly_product,
     poly_scale,
@@ -480,6 +481,8 @@ def test_canonical_form_is_stable(p):
     keys = [(sum(ev), ev) for ev, _ in p.terms]
     assert keys == sorted(keys, reverse=True)
     assert Poly.from_terms(p.nvars, p.terms, p.mode) == p
+    # so the first term has the largest total degree, which poly_degree reads
+    assert poly_degree(p) == max((sum(ev) for ev, _ in p.terms), default=0)
 
 
 # --------------------------------------------------------- frozen examples
