@@ -21,7 +21,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import replace
 from functools import lru_cache, partial, wraps
-from itertools import groupby
+from itertools import compress, groupby
 from typing import Callable, Sequence
 
 from . import scalars
@@ -70,16 +70,28 @@ def cdc_D(f: PolyMap) -> PolyMap:
     before e_k for j < k, and lowering x_j keeps the order of the terms.  So
     walking comp's degree runs, then each x_j, then the run's terms that have
     x_j, lowering x_j in each, yields graded-lex order: nothing is added or
-    sorted.
+    sorted.  Only the variables that comp contains are walked, and the unit
+    tuple of x_j is built when first needed, so a wide, sparse f costs its
+    terms, not the square of its width.
     """
     m = f.dom
-    units = [(0,) * j + (1,) + (0,) * (m - j - 1) for j in range(m)]
+    units = {}
     comps = []
     for comp in f.components:
         terms = []
+        used = set()
+        for ev, _ in comp.terms:
+            used.update(compress(range(m), ev))
+            if len(used) == m:  # a dense comp meets every variable within its first terms
+                break
+        used = sorted(used)
+        for j in used:
+            if j not in units:
+                units[j] = (0,) * j + (1,) + (0,) * (m - j - 1)
         for _, run in groupby(comp.terms, key=lambda t: sum(t[0])):
             run = list(run)
-            for j, unit in enumerate(units):
+            for j in used:
+                unit = units[j]
                 for ev, c in run:
                     e = ev[j]
                     if e:

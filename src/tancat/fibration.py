@@ -12,11 +12,12 @@ directions, with the context direction frozen to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 from . import scalars
 from .errors import DimensionMismatch, PreconditionFailure
-from .cdc import PolyTangentModel, cdc_D
+from .cdc import PolyTangentModel, cdc_D, memo_by_input
 from .model import tangent_axioms_checks
 from .params import SuiteParams
 from .parser import MAX_VARIABLES
@@ -187,6 +188,8 @@ class FibreTangentModel(PolyTangentModel):
     def __init__(self, context: int, mode: str = scalars.RATIONAL):
         super().__init__(mode)
         self.context = context
+        # T held weakly per model, as cdc_T is: naturality asks for T(T f) twice per instance
+        self._t = memo_by_input(partial(vertical_tangent_map, context))
 
     def _embed(self, f: PolyMap) -> PolyMap:
         a = self.context
@@ -194,7 +197,7 @@ class FibreTangentModel(PolyTangentModel):
         return PolyMap(a + f.dom, f.cod, comps, f.mode)
 
     def t_mor(self, g: PolyMap) -> PolyMap:
-        return vertical_tangent_map(self.context, g)
+        return self._t(g)
 
     def compose(self, f: PolyMap, g: PolyMap) -> PolyMap:
         ctx = polymap_proj(f.dom, 0, self.context, self.mode)

@@ -242,7 +242,7 @@ def tangent_axioms_checks(model, params: SuiteParams) -> CheckSet:
         dx = rng.randint(1, max_dim)
         dy = rng.randint(1, max_dim)
         f = model.random_mor(dx, dy, rng, max_degree)
-        desc = f"instance {i}: f = {f}"
+        desc = (f"instance {i}: f = ", f)
         tf = model.t_mor(f)
         eq("naturality-p", model.compose(tf, model.p(dy)), model.compose(model.p(dx), f), desc)
         eq("naturality-zero", model.compose(f, model.zero(dy)), model.compose(model.zero(dx), tf), desc)
@@ -279,6 +279,6 @@ def tangent_axioms_checks(model, params: SuiteParams) -> CheckSet:
             "functor-compose",
             model.t_mor(model.compose(f, g)),
             model.compose(model.t_mor(f), model.t_mor(g)),
-            f"instance {i}: f = {f}; g = {g}",
+            (f"instance {i}: f = ", f, "; g = ", g),
         )
     return checks

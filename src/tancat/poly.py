@@ -290,7 +290,9 @@ def poly_subst(p: Poly, args: Sequence[Poly]) -> Poly:
     A p that is c * x_i + c0 is args[i] scaled term by term (see _scaled), with
     c0 added into its last term if that is constant and appended otherwise: a
     nonzero c keeps the order and the nonzeroness of every term, so nothing is
-    added into a dict or sorted.  Otherwise every term is expanded into one
+    added into a dict or sorted.  Any other linear p (every term c * x_i or the
+    constant) adds its scaled arguments into one accumulator, sorted once,
+    with no table of powers.  Otherwise every term is expanded into one
     accumulator, which is sorted once; a term's first variable factor scales
     its power of args[i] by c.
     """
@@ -304,16 +306,22 @@ def poly_subst(p: Poly, args: Sequence[Poly]) -> Poly:
             if q.nvars != widths or q.mode != p.mode:
                 raise DimensionMismatch("substitution arguments disagree in shape")
     terms = p.terms
-    if 0 < len(terms) <= 2 and sum(terms[0][0]) == 1 and (len(terms) == 1 or not any(terms[1][0])):
-        ev, c = terms[0]
-        scaled = _scaled(args[ev.index(1)].terms, c)
-        if len(terms) == 2:
-            c0 = terms[1][1]
-            if scaled and not any(scaled[-1][0]):
+    if terms and sum(terms[0][0]) <= 1:  # linear; graded-lex order puts the constant, if any, last
+        c0 = 0
+        if not any(terms[-1][0]):
+            *terms, (_, c0) = terms
+        if len(terms) == 1:
+            ev, c = terms[0]
+            scaled = _scaled(args[ev.index(1)].terms, c)
+            if c0 and scaled and not any(scaled[-1][0]):
                 c0 += scaled.pop()[1]
             if c0:
                 scaled.append(((0,) * widths, c0 if c0.denominator != 1 else c0.numerator))
-        return Poly(widths, tuple(scaled), p.mode)
+            return Poly(widths, tuple(scaled), p.mode)
+        acc = {(0,) * widths: c0} if c0 else {}
+        for ev, c in terms:
+            _add_terms(acc, _scaled(args[ev.index(1)].terms, c))
+        return Poly(widths, _canonical(acc), p.mode)
     powers: Dict[Tuple[int, int], Iterable] = {}
     acc: Dict[Exponent, object] = {}
     for ev, c in p.terms:
@@ -496,8 +504,9 @@ def _renaming(f: PolyMap):
 def polymap_compose(f: PolyMap, g: PolyMap) -> PolyMap:
     """Diagrammatic composite f;g (apply f first), one component of g at a time.
 
-    When g is a variable map, the composite selects f's components; it is f
-    itself when g is the identity.  Otherwise a bare variable x_j of g is f's
+    The composite is g itself when f is the identity.  When g is a variable
+    map, the composite selects f's components; it is f itself when g is the
+    identity.  Otherwise a bare variable x_j of g is f's
     component j and a zero stays zero, with no arithmetic.  Any other
     component is renamed when every component of f is a bare variable or
     zero (f is a variable map vacuously when g.dom is 0), and has f
@@ -509,6 +518,9 @@ def polymap_compose(f: PolyMap, g: PolyMap) -> PolyMap:
         raise DimensionMismatch(f"cannot compose cod {f.cod} with dom {g.dom}")
     if f.mode != g.mode:
         raise DimensionMismatch(f"mixed scalar modes {f.mode!r} and {g.mode!r}")
+    if f.dom == f.cod and (not f.dom or len(f.components[0].terms) == 1):  # a dense f stops here
+        if f.components == identity_map(f.dom, f.mode).components:
+            return g  # f is the identity: a component that is not x_i stops the comparison
     g_each = _var_index_each(g)
     if None not in g_each:  # g is a variable map
         if g.dom == g.cod and g_each == tuple(range(g.dom)):

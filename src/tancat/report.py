@@ -2,7 +2,8 @@
 
 A CheckSet aggregates many observations under named checks: the same name
 may be touched repeatedly (once per random instance) and the row stays a
-pass until the first failure, whose counterexample is kept.  Every checker
+pass until the first failure, whose counterexample is kept.  A detail is
+rendered only then, so a passing check formats no map.  Every checker
 returns a CheckSet; a Report is built from one only where it is returned or
 printed (suites.run_suite and the CLI).  Reports are deterministic for fixed
 inputs except for the wall-time field.
@@ -14,7 +15,7 @@ import json
 import time
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 from .errors import (
     DimensionMismatch,
@@ -26,6 +27,9 @@ from .errors import (
 PASS = "pass"
 FAIL = "fail"
 ERROR = "error"
+
+# a row's detail: text, or parts joined with str if the row fails (see CheckSet)
+Detail = Union[str, Tuple[object, ...]]
 
 
 @dataclass
@@ -65,7 +69,12 @@ class Report:
 
 
 class CheckSet:
-    """Accumulates per-check outcomes; first failure per name is kept."""
+    """Accumulates per-check outcomes; first failure per name is kept.
+
+    A detail is a str or a tuple of parts, joined with ``str`` only when its
+    row records its first failure: most rows pass, and rendering the maps in
+    their details would be the larger part of a passing check's time.
+    """
 
     def __init__(self):
         self._rows: Dict[str, CheckResult] = {}
@@ -78,25 +87,26 @@ class CheckSet:
             self._rows[name] = row
         return row
 
-    def _fail(self, name: str, status: str, detail: str):
+    def _fail(self, name: str, status: str, detail: Detail, *more):
+        """Record a failure; the first one of a row renders detail, then the parts in more."""
         row = self._touch(name)
         if row.status == PASS:
             row.status = status
-            row.counterexample = detail
+            text = detail if isinstance(detail, str) else "".join(map(str, detail))
+            row.counterexample = text + "".join(map(str, more))
 
-    def condition(self, name: str, ok: bool, detail: str = "") -> bool:
+    def condition(self, name: str, ok: bool, detail: Detail = "") -> bool:
         if ok:
             self._touch(name)
         else:
             self._fail(name, FAIL, detail or "condition violated")
         return ok
 
-    def equality(self, name: str, lhs, rhs, detail: str = "") -> bool:
+    def equality(self, name: str, lhs, rhs, detail: Detail = "") -> bool:
         if lhs == rhs:
             self._touch(name)
             return True
-        prefix = f"{detail}; " if detail else ""
-        self._fail(name, FAIL, f"{prefix}lhs = {lhs}; rhs = {rhs}")
+        self._fail(name, FAIL, detail, "; " if detail else "", "lhs = ", lhs, "; rhs = ", rhs)
         return False
 
     def error(self, name: str, message: str):

@@ -157,7 +157,7 @@ def cdc_axioms_checks(model, params: SuiteParams, suite_name: str) -> CheckSet:
         f = model.random_mor(m, n, rng, deg)
         g = model.random_mor(m, n, rng, deg)
         h = model.random_mor(n, pdim, rng, deg)
-        desc = f"instance {i}: f = {f}"
+        desc = (f"instance {i}: f = ", f)
         df = D(f)
         tm = model.product(m, m)
         pi_u, pi_x = model.proj((m, m), 0), model.proj((m, m), 1)
@@ -197,7 +197,7 @@ def cdc_axioms_checks(model, params: SuiteParams, suite_name: str) -> CheckSet:
         eq("cd4-pairing", D(model.pair(f, g)), model.pair(df, D(g)), desc)
 
         chain = model.compose(model.pair(df, model.compose(pi_x, f)), D(h))
-        eq("cd5-chain", D(model.compose(f, h)), chain, desc + f", h = {h}")
+        eq("cd5-chain", D(model.compose(f, h)), chain, (*desc, ", h = ", h))
 
         ddf = D(df)
         zero_u = model.zero(tm, m)
@@ -234,7 +234,7 @@ def _suite_derived_differential(params: SuiteParams) -> CheckSet:
         m, n = (d + 1 for d in divmod(cell, dims))
         f = random_polymap(m, n, params.max_degree, rng, params.mode)
         checks.equality(
-            "derived-equals-direct", derived_D(f), cdc_D(f), f"dom {m}, cod {n}, instance {i}: f = {f}"
+            "derived-equals-direct", derived_D(f), cdc_D(f), (f"dom {m}, cod {n}, instance {i}: f = ", f)
         )
     model = PolyCDModel(derived_D, params.mode, params.max_dim)
     checks.absorb(cdc_axioms_checks(model, params, "derived-differential"))
@@ -329,11 +329,11 @@ def _suite_bundle(params: SuiteParams) -> CheckSet:
         label, b = targets[i % len(targets)]
         xdim = rng.randint(1, min(2, params.max_dim))
         fmap = random_polymap(xdim, b.base, params.max_degree, rng, mode)
-        detail = f"instance {i} over {label}, f = {fmap}"
+        detail = (f"instance {i} over {label}, f = ", fmap)
         with checks.guard("pullback-verify"):
             pb = pullback_bundle(fmap, b)
             rows = verify(pb)
-            checks.condition("pullback-verify", rows.all_passed, detail + _first_failure(rows))
+            checks.condition("pullback-verify", rows.all_passed, (*detail, _first_failure(rows)))
             mor = pullback_mor(fmap, b, pb)
             checks.condition("pullback-cartesian-linear", is_linear(mor, pb, b), detail)
 
@@ -601,7 +601,7 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
             BundleMor(cdc_T(f), f),
             tangent_bundle_of(dn, mode),
             tangent_bundle_of(dm, mode),
-            f"instance {i}: f = {f}",
+            (f"instance {i}: f = ", f),
         )
 
     b = fams["standard-2-1"]
@@ -614,7 +614,7 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
             pullback_mor(f, b, pb),
             pb,
             b,
-            f"instance {i}: f = {f}",
+            (f"instance {i}: f = ", f),
         )
 
     b1, b2 = fams["standard-1-1"], fams["standard-1-2"]
@@ -644,7 +644,7 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
         mor = BundleMor(f_total, g)
         lam_ok = is_linear(mor, b_src, b_src)
         mu_ok = mu_characterization(mor, b_src, b_src)
-        detail = f"instance {i}: fibre part {fib}; lift-form {lam_ok}, mu-form {mu_ok}"
+        detail = (f"instance {i}: fibre part ", fib, f"; lift-form {lam_ok}, mu-form {mu_ok}")
         checks.condition("linearity-mu-equivalence", lam_ok == mu_ok, detail)
         if lam_ok:
             checks.condition("linear-implies-additive", is_additive(mor, b_src, b_src), detail)
@@ -686,7 +686,7 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
         phat_ok = polymap_compose(cdc_T(f), o2.phat) == polymap_compose(o1.phat, f)
         mor = BundleMor(f, identity_map(0, mode))
         lam_ok = is_linear(mor, d1, d2)
-        detail = f"instance {i}: f = {f}; lift-form {lam_ok}, phat-form {phat_ok}"
+        detail = (f"instance {i}: f = ", f, f"; lift-form {lam_ok}, phat-form {phat_ok}")
         checks.condition("diffobj-linearity-equivalence", lam_ok == phat_ok, detail)
     return checks
 
@@ -751,7 +751,7 @@ def _suite_fibration(params: SuiteParams) -> CheckSet:
         m1 = model.random_mor(o1, o2, rng, deg)
         m2 = model.random_mor(o2, o3, rng, deg)
         m3 = model.random_mor(o3, o4, rng, deg)
-        desc = f"instance {i}: m1 = {m1}"
+        desc = (f"instance {i}: m1 = ", m1)
         eq(
             "compose-associative",
             simple_compose(simple_compose(m1, m2), m3),
@@ -779,7 +779,7 @@ def _suite_fibration(params: SuiteParams) -> CheckSet:
         ident_a = identity_map(a, mode)
         m1 = SimpleMor(ident_a, g1)
         m2 = SimpleMor(ident_a, g2)
-        desc = f"instance {i}: context {a}, g = {g1}"
+        desc = (f"instance {i}: context {a}, g = ", g1)
         eq(
             "vertical-functorial",
             vertical_T(a, simple_compose(m1, m2)),
@@ -854,7 +854,7 @@ def _suite_monad_laws(params: SuiteParams) -> CheckSet:
         dx = rng.randint(1, params.max_dim)
         dy = rng.randint(1, params.max_dim)
         f = model.random_mor(dx, dy, rng, params.max_degree)
-        desc = f"instance {i}: f = {f}"
+        desc = (f"instance {i}: f = ", f)
         eq(
             "monad-naturality",
             model.compose(model.t_mor(model.t_mor(f)), monad_mult(model, dy)),
@@ -886,10 +886,10 @@ def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
     for i, rng in draws("numeric-consistency", "dual-vs-symbolic", params):
         m = rng.randint(1, params.max_dim)
         f = random_polymap(m, rng.randint(1, min(2, params.max_dim)), deg, rng, mode)
-        df, desc = cdc_D(f), f"instance {i}: f = {f}"
+        df, desc = cdc_D(f), (f"instance {i}: f = ", f)
         for j in range(POINTS_PER_DRAW):
             point, direction = _random_point(m, rng, mode), _random_point(m, rng, mode)
-            detail = f"{desc}, point {j}: x = {point}, v = {direction}"
+            detail = (*desc, f", point {j}: x = ", point, ", v = ", direction)
             _, tangents = dual_eval(f, point, direction)
             checks.equality("dual-vs-symbolic", tangents, eval_polymap(df, direction + point), detail)
             checks.equality("fd-vs-dual", fd_check(f, point, direction), (0,) * f.cod, detail)
@@ -905,7 +905,7 @@ def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
             "affine-fd-tight",
             fd_check(f, point, direction),
             (0,) * m,
-            f"instance {i}: f = {f}, x = {point}, v = {direction}",
+            (f"instance {i}: f = ", f, ", x = ", point, ", v = ", direction),
         )
 
     for i, rng in draws("numeric-consistency", "degenerate", params, 10):
@@ -914,7 +914,7 @@ def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
         point = _random_point(m, rng, mode)
         _, tangents = dual_eval(f, point, [0] * m)
         desc = f"instance {i}: x = {point}"
-        checks.equality("zero-direction-zero-tangent", tangents, (0, 0), f"{desc}, f = {f}")
+        checks.equality("zero-direction-zero-tangent", tangents, (0, 0), (desc, ", f = ", f))
         direction = _random_point(m, rng, mode)
         _, tangents = dual_eval(constant_map(m, [5, 7], mode), point, direction)
         checks.equality("constant-zero-tangent", tangents, (0, 0), f"{desc}, v = {direction}")

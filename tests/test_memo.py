@@ -1,9 +1,9 @@
 """Memoized T, D and mu, the per-bundle maps, and the structural maps built once per (dimension, mode).
 
-``cdc_D``, ``cdc_T``, ``diffobj_mu`` and the bundle maps (``tangent_triv``,
-``tangent_triv_inv``, ``mu_map``, ``lift_witness``, ``bundle_pi``, ``bracket_legs``,
-``display_blocks``, ``zeta_fibre``) cache their result for as long as their
-input lives; the structural builders cache per
+``cdc_D``, ``cdc_T``, a fibre model's ``t_mor``, ``diffobj_mu`` and
+the bundle maps (``tangent_triv``, ``tangent_triv_inv``, ``mu_map``, ``lift_witness``,
+``bundle_pi``, ``bracket_legs``, ``display_blocks``, ``zeta_fibre``) cache their
+result for as long as their input lives; the structural builders cache per
 argument tuple.  The uncached function stays reachable as ``__wrapped__`` and
 is the reference.
 """
@@ -11,6 +11,7 @@ is the reference.
 import gc
 import weakref
 from dataclasses import replace
+from functools import partial
 from random import Random
 
 import pytest
@@ -34,9 +35,20 @@ from tancat.bundles import (
 )
 from tancat.cdc import cdc_D, cdc_T, point_proj
 from tancat.diffobj import DiffObject, diffobj_mu
+from tancat.fibration import FibreTangentModel, vertical_tangent_map
 from tancat.poly import identity_map, linear_map, polymap_compose, polymap_pair, polymap_proj, random_polymap
 
 MODES = (scalars.RATIONAL, scalars.NATURAL)
+
+# one fibre model per mode, over a context of 1: its T is memoized per model
+FIBRE_MODELS = {mode: FibreTangentModel(1, mode) for mode in MODES}
+
+
+def fibre_t(f):
+    return FIBRE_MODELS[f.mode].t_mor(f)
+
+
+fibre_t.__wrapped__ = partial(vertical_tangent_map, 1)
 
 
 def maps():
@@ -63,7 +75,7 @@ def diffobjs():
 def test_d_and_t_equal_their_uncached_results(f):
     copy = replace(f)
     assert copy == f and copy is not f
-    for memo in (cdc_D, cdc_T):
+    for memo in (cdc_D, cdc_T) + ((fibre_t,) if f.dom else ()):
         expected = memo.__wrapped__(f)
         assert memo(f) == expected
         assert memo(copy) is memo(f)
@@ -80,7 +92,7 @@ def test_mu_equals_its_uncached_result(o):
     assert diffobj_mu(copy) is diffobj_mu(o)
 
 
-@pytest.mark.parametrize("memo", [cdc_D, cdc_T], ids=["D", "T"])
+@pytest.mark.parametrize("memo", [cdc_D, cdc_T, fibre_t], ids=["D", "T", "fibre_T"])
 def test_entry_lives_as_long_as_its_input(memo):
     f = random_polymap(2, 2, 3, Random(1234), scalars.RATIONAL)
     r = weakref.ref(memo(f))
@@ -199,3 +211,4 @@ def test_bad_arguments_raise_on_every_call():
             polymap_proj(4, 2, 2, "bogus")
         with pytest.raises(ValueError, match="unknown scalar mode"):
             point_proj(0, "bogus")
+

@@ -7,6 +7,7 @@ package, so agreement is meaningful evidence.
 
 import dataclasses
 import gc
+import tracemalloc
 from fractions import Fraction
 from random import Random
 
@@ -818,7 +819,8 @@ def test_duplicating_variable_map_adds_colliding_terms():
 def test_compose_of_mixed_components_is_componentwise_substitution(mode, data):
     """Whatever mix of bare variables, zeros, constants, scaled variables and
     other polynomials g has, f;g is f substituted into each component (widened
-    when g.dom is 0), and a bare variable x_j of g gives back f's component j."""
+    when g.dom is 0), and a bare variable x_j of g gives back f's component j,
+    unless f is the identity, when f;g is g itself."""
     a, b, c = (data.draw(st.integers(0, 3), label=name) for name in "abc")
     f = data.draw(maps_between(a, b, mode), label="f")
     scalar = st.integers(0 if mode == scalars.NATURAL else -3, 3)
@@ -831,6 +833,9 @@ def test_compose_of_mixed_components_is_componentwise_substitution(mode, data):
     fg = polymap_compose(f, g)
     want = (poly_subst(q, f.components) if b else poly_shift_vars(q, 0, a) for q in comps)
     assert fg.components == tuple(want)
+    if f == identity_map(a, mode):
+        assert fg is g
+        return
     for q, out in zip(comps, fg.components):
         if len(q.terms) == 1 and q.terms[0][1] == 1 and sum(q.terms[0][0]) == 1:
             assert out is f.components[q.terms[0][0].index(1)]
@@ -1172,3 +1177,88 @@ def test_poly_to_str_matches_the_reference_printer(mode, data):
     assert polymap_to_str(PolyMap(n, 2, (p, p), mode), var_names, display_order) == "; ".join(
         [ref_poly_to_str(p, var_names, display_order)] * 2
     )
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_compose_after_the_identity_is_the_map_itself(mode):
+    rng = Random(5)
+    for n in range(4):
+        g = random_polymap(n, 2, 3, rng, mode)
+        assert polymap_compose(identity_map(n, mode), g) is g
+        # an identity built afresh, as mu of a canonical differential object is
+        fresh = PolyMap(n, n, tuple(Poly.from_terms(n, [(ev, 1)], mode) for ev, _ in
+                                    (c.terms[0] for c in identity_map(n, mode).components)), mode)
+        assert fresh is not identity_map(n, mode)
+        assert polymap_compose(fresh, g) is g
+
+
+def linear_polys_at(nvars, mode):
+    """c_1 * x_1 + ... + c_n * x_n + c0, each c nonzero or absent: the zero polynomial and a constant
+    alone included."""
+    coeffs = st.lists(st.one_of(st.none(), scalars_in(mode)), min_size=nvars + 1, max_size=nvars + 1)
+
+    def build(cs):
+        units = [tuple(int(k == i) for k in range(nvars)) for i in range(nvars)]
+        items = [(unit, c) for unit, c in zip(units, cs) if c is not None]
+        return Poly.from_terms(nvars, items + ([((0,) * nvars, cs[-1])] if cs[-1] is not None else []), mode)
+
+    return coeffs.map(build)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_subst_into_a_linear_polynomial_agrees_with_the_general_path(mode, data):
+    """A linear p against p * x_b with x_b := 1, which is of degree 2 and takes the general path."""
+    b, a = data.draw(st.integers(1, 4), label="vars"), data.draw(st.integers(0, 3), label="width")
+    p = data.draw(linear_polys_at(b, mode), label="p")
+    args = data.draw(st.lists(dense_polys_at(a, mode), min_size=b, max_size=b), label="args")
+    general = Poly.from_terms(b + 1, [(ev + (1,), c) for ev, c in p.terms], mode)
+    got = poly_subst(p, args)
+    assert got == poly_subst(general, args + [Poly.constant(a, 1, mode)])
+    assert got.terms == _canonical(dict(got.terms))
+    assert_canonical_types(got)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_subst_into_the_zero_polynomial_and_a_constant(mode):
+    half = Fraction(1, 2) if mode == scalars.RATIONAL else 2
+    args = [Poly.from_terms(2, [((1, 0), half), ((0, 0), 1)], mode)] * 3
+    assert poly_subst(Poly.zero(3, mode), args) == Poly.zero(2, mode)
+    assert poly_subst(Poly.constant(3, half, mode), args) == Poly.constant(2, half, mode)
+    assert poly_subst(Poly.constant(0, half, mode), []) == Poly.constant(0, half, mode)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_cdc_D_of_a_wide_sparse_map_costs_its_terms_and_matches_the_partials_oracle(mode):
+    """Term for term against ref_partial over 4,000 variables, most of them in no component.  A unit
+    tuple for every variable would allocate 8 * m * m bytes (128 MB); cdc_D stays under m * m."""
+    m, rng = 4000, Random(27)
+    coeff = (lambda: Fraction(rng.randint(1, 9), rng.randint(1, 4))) if mode == scalars.RATIONAL else (
+        lambda: rng.randint(1, 9))
+    comps = []
+    for _ in range(3):
+        items = []
+        for _ in range(rng.randint(0, 6)):
+            ev = [0] * m
+            for _ in range(rng.randint(0, 3)):
+                ev[rng.randrange(m)] += rng.randint(1, 3)
+            items.append((tuple(ev), coeff()))
+        comps.append(Poly.from_terms(m, items, mode))
+    f = PolyMap(m, 3, tuple(comps), mode)
+    tracemalloc.start()
+    try:
+        df = cdc_D.__wrapped__(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * m
+    for comp, dcomp in zip(f.components, df.components):
+        oracle = {}
+        for j in sorted({j for ev, _ in comp.terms for j, e in enumerate(ev) if e}):
+            unit = (0,) * j + (1,) + (0,) * (m - j - 1)
+            oracle.update({unit + ev: c for ev, c in ref_partial(ref_terms(comp), j).items()})
+        assert len(dict(dcomp.terms)) == len(dcomp.terms)
+        assert dict(dcomp.terms) == oracle
+        assert dcomp.terms == _canonical(oracle)
+        assert_canonical_types(dcomp)

@@ -63,3 +63,38 @@ def test_to_text_one_line_per_row():
     assert "suite demo: 1 passed, 1 failed" in text.splitlines()[0]
     assert "  [pass] good" in text
     assert "  [FAIL] bad: details" in text
+
+
+def test_details_render_the_same_text_as_a_str_or_as_parts():
+    """A tuple of parts renders as the f-string it replaces, with or without a detail."""
+    for detail, parts in [("", ""), ("instance 3: f = [1, 2]", ("instance 3: f = ", [1, 2]))]:
+        text, lazy = CheckSet(), CheckSet()
+        text.equality("eq", (1, 2), (0, 0), detail)
+        lazy.equality("eq", (1, 2), (0, 0), parts)
+        text.condition("cond", False, detail)
+        lazy.condition("cond", False, parts)
+        assert text.checks == lazy.checks
+    assert text.checks[1].counterexample == "instance 3: f = [1, 2]; lhs = (1, 2); rhs = (0, 0)"
+
+
+class Loud:
+    """A value that counts how often it is rendered."""
+
+    renders = 0
+
+    def __str__(self):
+        Loud.renders += 1
+        return "loud"
+
+
+def test_a_detail_renders_only_when_its_row_first_fails():
+    Loud.renders = 0
+    cs = CheckSet()
+    cs.condition("law", True, ("x = ", Loud()))
+    cs.equality("law", 1, 1, ("x = ", Loud()))
+    assert Loud.renders == 0
+    cs.equality("law", 1, 2, ("x = ", Loud()))
+    cs.equality("law", 1, 3, ("x = ", Loud()))
+    cs.condition("law", False, ("x = ", Loud()))
+    assert Loud.renders == 1
+    assert cs.checks[0].counterexample == "x = loud; lhs = 1; rhs = 2"

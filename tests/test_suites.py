@@ -261,3 +261,34 @@ def test_params_echoed_in_report():
     assert rep.params["mode"] == "natural"
     assert rep.params["instances"] == 4
     assert rep.params["fault"] is None
+
+
+@pytest.mark.parametrize("mode", ["rational", "natural"])
+def test_maps_print_only_while_a_row_records_its_first_failure(mode, monkeypatch):
+    """A clean tangent-axioms run prints no map; under identity-flip a map prints only inside
+    the recording of a row's first failure."""
+    from tancat import report
+    from tancat.poly import PolyMap
+
+    state = {"failing": False, "outside": 0, "inside": 0}
+    to_str, fail = PolyMap.__str__, report.CheckSet._fail
+
+    def spy_str(self):
+        state["inside" if state["failing"] else "outside"] += 1
+        return to_str(self)
+
+    def spy_fail(self, name, *args):
+        first = self._rows.get(name) is None or self._rows[name].status == report.PASS
+        state["failing"] = first
+        try:
+            return fail(self, name, *args)
+        finally:
+            state["failing"] = False
+
+    monkeypatch.setattr(PolyMap, "__str__", spy_str)
+    monkeypatch.setattr(report.CheckSet, "_fail", spy_fail)
+    assert run_suite("tangent-axioms", mode=mode).all_passed
+    assert state == {"failing": False, "outside": 0, "inside": 0}
+    rep = run_suite("tangent-axioms", mode=mode, fault="identity-flip")
+    assert not rep.all_passed
+    assert state["outside"] == 0 and state["inside"] > 0

@@ -42,6 +42,7 @@ ALLOWED = {
     "bundles.load_bundle": "opens the file of `tancat bundle --file`",
     "poly.partial_derivative": "tier-1 checks cdc_D against it, and perfbench/tracer.py TARGETS binds it",
     "poly._affine_power": "only the parser's '^' of an affine base with a constant term, as in dense-kernel",
+    "fibration.SimpleMor.__str__": "renders a detail only when a fibration row records its first failure",
 }
 
 
