@@ -13,135 +13,89 @@ The package centers on three layers:
   plus numeric-consistency, which checks D against exact dual numbers
   (numeric.dual_eval) and those against exact difference quotients
   (numeric.fd_check).
+
+The namespace is lazy.  ``import tancat`` runs no submodule: it puts each one
+but ``cli`` into ``sys.modules`` unexecuted (``importlib.util.LazyLoader``),
+and a module runs the first time one of its attributes is read, which any
+import of it does.  So code that finds a submodule through ``sys.modules``, as
+the benchmark's call tracer does, finds each one, while a kernel user who
+imports ``poly``, ``parser`` and ``cdc`` runs none of the checker modules.
+``tancat.X`` looks X up in its defining module on every access, so it is
+always the module's current binding.  ``cli`` is not registered because
+``python -m tancat.cli`` runs it as ``__main__``, and warns when it finds
+``tancat.cli`` in ``sys.modules`` already.
 """
 
-from .bundles import (
-    BundleMor,
-    DiffBundle,
-    bracket,
-    is_additive,
-    is_bundle_morphism,
-    is_linear,
-    load_bundle,
-    make_bundle,
-    mu_characterization,
-    parse_bundle_text,
-    pullback_bundle,
-    pullback_mor,
-    standard_bundle,
-    tangent_bundle_of,
-    tangent_of_bundle,
-    trivial_bundle,
-    verify_bundle,
-    whitney_pair,
-    whitney_proj,
-    whitney_sum,
-)
-from .cdc import PolyCDModel, PolyTangentModel, cdc_D, cdc_T, cdc_ell, cdc_flip
-from .diffobj import (
-    DiffObject,
-    bundle_from_diffobj,
-    canonical_diffobj,
-    check_cds,
-    derived_D,
-    diffobj_from_bundle,
-    verify_diffobj,
-)
-from .errors import (
-    DimensionMismatch,
-    NotABundleMorphism,
-    PolyParseError,
-    PreconditionFailure,
-    SemiringViolation,
-)
-from .fibration import (
-    FibreTangentModel,
-    SimpleCDModel,
-    SimpleMor,
-    SimpleObj,
-    simple_D,
-    simple_compose,
-    simple_identity,
-    vertical_T,
-    verify_fibre_axioms,
-)
-from .model import LiftWitness, TnObject, monad_mult, monoid_checks, vertical_lift_v
-from .numeric import dual_eval, fd_check
-from .parser import parse_poly, parse_polymap
-from .poly import Poly, PolyMap, eval_polymap, polymap_to_str, random_polymap
-from .report import CheckSet, Report
-from .scalars import NATURAL, RATIONAL
-from .suites import FAULTS, SUITE_NAMES, run_suite
+import sys
+from importlib import import_module
+from importlib.machinery import PathFinder
+from importlib.util import LazyLoader, module_from_spec
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BundleMor",
-    "CheckSet",
-    "DiffBundle",
-    "DiffObject",
-    "DimensionMismatch",
-    "FAULTS",
-    "FibreTangentModel",
-    "LiftWitness",
-    "NATURAL",
-    "NotABundleMorphism",
-    "Poly",
-    "PolyMap",
-    "PolyCDModel",
-    "PolyParseError",
-    "PolyTangentModel",
-    "PreconditionFailure",
-    "RATIONAL",
-    "Report",
-    "SUITE_NAMES",
-    "SemiringViolation",
-    "SimpleCDModel",
-    "SimpleMor",
-    "SimpleObj",
-    "TnObject",
-    "bracket",
-    "bundle_from_diffobj",
-    "canonical_diffobj",
-    "cdc_D",
-    "cdc_T",
-    "cdc_ell",
-    "cdc_flip",
-    "check_cds",
-    "derived_D",
-    "diffobj_from_bundle",
-    "dual_eval",
-    "eval_polymap",
-    "fd_check",
-    "is_additive",
-    "is_bundle_morphism",
-    "is_linear",
-    "load_bundle",
-    "make_bundle",
-    "monad_mult",
-    "monoid_checks",
-    "mu_characterization",
-    "parse_bundle_text",
-    "parse_poly",
-    "parse_polymap",
-    "polymap_to_str",
-    "pullback_bundle",
-    "pullback_mor",
-    "random_polymap",
-    "run_suite",
-    "simple_D",
-    "simple_compose",
-    "simple_identity",
-    "standard_bundle",
-    "tangent_bundle_of",
-    "tangent_of_bundle",
-    "trivial_bundle",
-    "verify_bundle",
-    "verify_diffobj",
-    "verify_fibre_axioms",
-    "vertical_T",
-    "vertical_lift_v",
-    "whitney_pair",
-    "whitney_proj",
-    "whitney_sum",
-]
+# each public name, under the module that defines it
+_EXPORTS = {
+    "bundles": (
+        "BundleMor", "DiffBundle", "bracket", "is_additive", "is_bundle_morphism", "is_linear",
+        "load_bundle", "make_bundle", "mu_characterization", "parse_bundle_text",
+        "pullback_bundle", "pullback_mor", "standard_bundle", "tangent_bundle_of",
+        "tangent_of_bundle", "trivial_bundle", "verify_bundle", "whitney_pair", "whitney_proj",
+        "whitney_sum",
+    ),
+    "cdc": (
+        "LiftWitness", "PolyCDModel", "PolyTangentModel", "TnObject", "cdc_D", "cdc_T",
+        "cdc_ell", "cdc_flip",
+    ),
+    "diffobj": (
+        "DiffObject", "bundle_from_diffobj", "canonical_diffobj", "check_cds", "derived_D",
+        "diffobj_from_bundle", "verify_diffobj",
+    ),
+    "errors": (
+        "DimensionMismatch", "NotABundleMorphism", "PolyParseError", "PreconditionFailure",
+        "SemiringViolation",
+    ),
+    "fibration": (
+        "FibreTangentModel", "SimpleCDModel", "SimpleMor", "SimpleObj", "simple_D",
+        "simple_compose", "simple_identity", "vertical_T", "verify_fibre_axioms",
+    ),
+    "model": ("monad_mult", "monoid_checks", "vertical_lift_v"),
+    "numeric": ("dual_eval", "fd_check"),
+    "parser": ("parse_poly", "parse_polymap"),
+    "poly": ("Poly", "PolyMap", "eval_polymap", "polymap_to_str", "random_polymap"),
+    "report": ("CheckSet", "Report"),
+    "scalars": ("NATURAL", "RATIONAL"),
+    "suites": ("FAULTS", "SUITE_NAMES", "run_suite"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+_LAZY = (*_EXPORTS, "params")
+_SUBMODULES = (*_LAZY, "cli")
+
+
+def _register_lazily() -> None:
+    for name in _LAZY:
+        if f"{__name__}.{name}" in sys.modules:
+            continue
+        spec = PathFinder.find_spec(f"{__name__}.{name}", __path__)
+        spec.loader = LazyLoader(spec.loader)
+        module = module_from_spec(spec)
+        sys.modules[spec.name] = module
+        spec.loader.exec_module(module)
+
+
+_register_lazily()
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -31,6 +31,7 @@ from .errors import (
     PreconditionFailure,
 )
 from .cdc import (
+    LiftWitness,
     cdc_T,
     cdc_ell,
     cdc_flip,
@@ -54,7 +55,7 @@ from .poly import (
     polymap_proj,
     zero_map,
 )
-from .model import LiftWitness, monoid_checks, universality_checks
+from .model import monoid_checks, universality_checks
 from .report import CheckSet
 
 

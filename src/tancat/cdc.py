@@ -19,14 +19,13 @@ T(f) = <D(f), pi1 f> : 2m -> 2n.
 from __future__ import annotations
 
 import weakref
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial, wraps
 from itertools import compress, groupby
-from typing import Callable, Sequence
+from typing import Callable, Sequence, Tuple
 
 from . import scalars
 from .errors import DimensionMismatch, PreconditionFailure
-from .model import LiftWitness, TnObject
 from .poly import (
     Poly,
     PolyMap,
@@ -178,6 +177,30 @@ def t_pair(pair: Callable[[PolyMap, PolyMap], PolyMap], f: PolyMap, g: PolyMap) 
 def tangent_sum(m: int, f: PolyMap, g: PolyMap) -> PolyMap:
     """<f, g>;+ : W -> T(m), the sum of f, g : W -> T(m) over a shared point."""
     return polymap_compose(pair_into_t2(m, f, g), tangent_plus(m, f.mode))
+
+
+@dataclass(frozen=True)
+class TnObject:
+    """The n-wide pullback power of p over an object, with its projections."""
+
+    carrier: object
+    projections: Tuple[object, ...]
+
+
+@dataclass(frozen=True)
+class LiftWitness:
+    """Certificate data for the universality of a tangent model's lift, or a bundle's.
+
+    The canonical pullback R of T(p) along 0 (T(q), for a bundle) is realized
+    on the coordinates of the fibred square itself, T_2 (or E_2), so the
+    comparison kappa = v;sel (mu;sel) into R must be the identity.  ``sel``
+    reads R off the tangent, and ``into_tangent`` and ``into_base`` are R's
+    cone legs.  ``model.universality_checks`` checks kappa = 1 and the cone.
+    """
+
+    sel: object
+    into_tangent: object
+    into_base: object
 
 
 class PolyTangentModel:

@@ -7,13 +7,13 @@ methods, which the axiom suites are written against once:
 - ``p(x)``, ``zero(x)``, ``plus(x)``, ``ell(x)`` and ``flip(x)``: the
   projection, zero section, fibrewise addition on the pullback square
   T_2, vertical lift and canonical symmetry at an object;
-- ``t_n(x, n)``: the n-wide pullback power of p as a TnObject;
+- ``t_n(x, n)``: the n-wide pullback power of p as a cdc.TnObject;
 - ``pair_t2(x, f, g)``: <f, g> into T_2(x), requiring f;p = g;p;
 - ``pair_t_t2(x, f, g)``: <f, g> into T(T_2(x)), requiring f;T(p) = g;T(p);
 - ``compose(f, g)``, ``identity(x)`` and
   ``random_mor(x, y, rng, max_degree)``, whose coefficients, like those of
   a CD model's ``random_point(obj, rng)``, are ``scalars.random_scalar`` draws;
-- ``lift_witness(x)``: the LiftWitness for the universality of the lift,
+- ``lift_witness(x)``: the cdc.LiftWitness for the universality of the lift,
   whose R lies on the coordinates of T_2(x); bundles.lift_witness gives a
   bundle's, on E_2's, and ``universality_checks`` checks both.
 
@@ -26,35 +26,8 @@ the contract against any such model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Tuple
-
 from .params import SuiteParams, draws
 from .report import CheckSet
-
-
-@dataclass(frozen=True)
-class TnObject:
-    """The n-wide pullback power of p over an object, with its projections."""
-
-    carrier: object
-    projections: Tuple[object, ...]
-
-
-@dataclass(frozen=True)
-class LiftWitness:
-    """Certificate data for the universality of a tangent model's lift, or a bundle's.
-
-    The canonical pullback R of T(p) along 0 (T(q), for a bundle) is realized
-    on the coordinates of the fibred square itself, T_2 (or E_2), so the
-    comparison kappa = v;sel (mu;sel) into R must be the identity.  ``sel``
-    reads R off the tangent, and ``into_tangent`` and ``into_base`` are R's
-    cone legs.  ``universality_checks`` checks kappa = 1 and the cone.
-    """
-
-    sel: object
-    into_tangent: object
-    into_base: object
 
 
 def vertical_lift_v(model, m):

@@ -131,7 +131,7 @@ class _Parser:
 
     def minus(self, pos: int):
         if self.mode == scalars.NATURAL:
-            raise SemiringViolation(f"'-' is not available in natural mode (position {pos})")
+            raise SemiringViolation(f"'-' is not available in natural mode (at position {pos})")
         self.advance()
 
     def parse_text(self) -> List[tuple]:
@@ -204,7 +204,7 @@ class _Parser:
                 if kind3 != "int":
                     raise PolyParseError("rational literal needs an integer denominator", pos3)
                 if self.mode == scalars.NATURAL:
-                    raise SemiringViolation(f"rational literal in natural mode (position {pos})")
+                    raise SemiringViolation(f"rational literal in natural mode (at position {pos})")
                 denominator = self.literal(val3, pos3)
                 if denominator == 0:
                     raise PolyParseError("zero denominator", pos3)

@@ -1,8 +1,7 @@
 """Every name a module imports is used in that module.
 
-The package's ``__init__.py`` imports names only to re-export them, so it
-is skipped.  A name counts as used if it is read anywhere in the module,
-including inside a string annotation.
+A name counts as used if it is read anywhere in the module, including
+inside a string annotation.
 """
 
 import ast
@@ -49,7 +48,7 @@ def unused_imports(path: Path) -> list:
 
 
 def test_source_modules_have_no_unused_imports():
-    modules = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+    modules = sorted(SRC.glob("*.py"))
     assert modules
     problems = [msg for path in modules for msg in unused_imports(path)]
     assert problems == []

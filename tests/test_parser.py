@@ -51,6 +51,19 @@ def test_natural_mode_rejects_minus():
         parse_poly("1/2", 1, scalars.NATURAL)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("x0 - 1", "'-' is not available in natural mode (at position 3)"),
+        ("2/3*x0", "rational literal in natural mode (at position 0)"),
+    ],
+)
+def test_natural_mode_refusals_are_worded_like_parse_errors(text, message):
+    with pytest.raises(SemiringViolation) as err:
+        parse_poly(text, 1, scalars.NATURAL)
+    assert str(err.value) == message
+
+
 def test_rational_mode_subtraction_and_fractions():
     p = parse_poly("x0 - 1", 1, scalars.RATIONAL)
     assert poly_to_str(p) == "x0 - 1"

@@ -43,7 +43,19 @@ ALLOWED = {
     "poly.partial_derivative": "tier-1 checks cdc_D against it, and perfbench/tracer.py TARGETS binds it",
     "poly._affine_power": "only the parser's '^' of an affine base with a constant term, as in dense-kernel",
     "fibration.SimpleMor.__str__": "renders a detail only when a fibration row records its first failure",
+    "__init__.__dir__": "only dir(tancat) calls it, and the runs go through tancat.cli",
 }
+
+
+class _PackageOnly:
+    """Counts lines in src/tancat and nowhere else.
+
+    ``trace.Ignore`` caches its verdict by bare module name, so once it has
+    ignored one standard-library ``__init__`` it ignores the package's too.
+    """
+
+    def names(self, filename: str, modulename: str) -> bool:
+        return not filename.startswith(SRC + os.sep)
 
 
 def _body_lines(fn: ast.AST) -> set:
@@ -91,7 +103,8 @@ def functions(path: str):
 def run_everything() -> dict:
     """Line counts of the runs, keyed by (absolute file name, line)."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
-    tracer = trace.Trace(count=1, trace=0, ignoredirs=[sys.prefix, sys.exec_prefix])
+    tracer = trace.Trace(count=1, trace=0)
+    tracer.ignore = _PackageOnly()
     out = os.path.join(tempfile.mkdtemp(), "report.json")
 
     def runs():
