@@ -88,15 +88,17 @@ class BundleMor:
 # ---------------------------------------------------------------------------
 # Coordinate plumbing through the trivialization
 #
-# The structure maps that a bundle alone determines are built once per bundle
-# (memo_by_input), and live as long as the bundle does: tau and its inverse,
-# the bundle_pi projections, mu and the lift witness, bracket's legs, the
-# display blocks and zeta's fibre part.  Equal bundles recur, since pulling a
-# standard or tangent family back along any map gives the standard bundle over
-# its domain again, and an equal bundle gets the same maps.
+# The structure maps that a bundle alone determines and that are asked for
+# again are built once per bundle (memo_by_input), and live as long as the
+# bundle does: tau's inverse, mu, bracket's legs, the display blocks and
+# zeta's fibre part.  Equal bundles recur, since pulling a standard or tangent
+# family back along any map gives the standard bundle over its domain again,
+# and an equal bundle gets the same maps.  tau and the lift witness are built
+# on each call, as a memo on either missed more often than it hit, and so is
+# each bundle_pi projection: a coordinate map, then triv_inv, an identity or a
+# permutation.
 
 
-@memo_by_input
 def tangent_triv(b: DiffBundle) -> PolyMap:
     """tau : T(E) -> (dx, x, da, a), the tangent of the trivialization."""
     m, k = b.base, b.fibre
@@ -109,24 +111,11 @@ def tangent_triv_inv(b: DiffBundle) -> PolyMap:
     return polymap_compose(block_swap(m, m, k, k, b.mode), cdc_T(b.triv_inv))
 
 
-@memo_by_input
-def _summand_projections(b: DiffBundle) -> dict:
-    """bundle_pi's results for b by (which, n), filled in as they are asked for."""
-    return {}
-
-
 def bundle_pi(b: DiffBundle, which: int, n: int = 2) -> PolyMap:
-    """Projection E_n -> E onto summand ``which``; E_n carries (x, a_1, ..., a_n).
-
-    Built once per (bundle, which, n).
-    """
-    built = _summand_projections(b)
-    pi = built.get((which, n))
-    if pi is None:
-        m, k = b.base, b.fibre
-        display = coordinate_map(m + n * k, (*range(m), *range(m + which * k, m + (which + 1) * k)), b.mode)
-        pi = built[which, n] = polymap_compose(display, b.triv_inv)
-    return pi
+    """Projection E_n -> E onto summand ``which``; E_n carries (x, a_1, ..., a_n)."""
+    m, k = b.base, b.fibre
+    display = coordinate_map(m + n * k, (*range(m), *range(m + which * k, m + (which + 1) * k)), b.mode)
+    return polymap_compose(display, b.triv_inv)
 
 
 def _display_pair(m: int, u: PolyMap, v: PolyMap) -> PolyMap:
@@ -176,7 +165,6 @@ def mu_map(b: DiffBundle) -> PolyMap:
     return t_fibre_sum(b, left, right)
 
 
-@memo_by_input
 def lift_witness(b: DiffBundle) -> LiftWitness:
     """The LiftWitness of b: R on E_2's coordinates (x, alpha, beta), read off T(E) through tau.
 

@@ -27,7 +27,6 @@ from .poly import (
     constant_map,
     coordinate_map,
     identity_map,
-    poly_shift_vars,
     polymap_add,
     polymap_compose,
     polymap_pair,
@@ -193,8 +192,7 @@ class FibreTangentModel(PolyTangentModel):
 
     def _embed(self, f: PolyMap) -> PolyMap:
         a = self.context
-        comps = tuple(poly_shift_vars(c, a, a + f.dom) for c in f.components)
-        return PolyMap(a + f.dom, f.cod, comps, f.mode)
+        return polymap_compose(polymap_proj(a + f.dom, a, a + f.dom, self.mode), f)
 
     def t_mor(self, g: PolyMap) -> PolyMap:
         return self._t(g)
@@ -217,7 +215,7 @@ def verify_fibre_axioms(context: int, params: SuiteParams = FIBRE_PARAMS) -> Che
     Payload dimensions go up to params.max_dim and maps have degree at most
     params.max_degree; params.fault is not read.
     """
-    if not isinstance(context, int) or not 0 <= context <= MAX_VARIABLES:
+    if type(context) is not int or not 0 <= context <= MAX_VARIABLES:  # refuses a bool too
         # named as the CLI's fibre command sets it
         raise ValueError(f"invalid-params: context_dim must be an integer from 0 to {MAX_VARIABLES}")
     return tangent_axioms_checks(FibreTangentModel(context, params.mode), params)

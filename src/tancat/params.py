@@ -53,11 +53,11 @@ class SuiteParams:
             raise ValueError(f"invalid-params: unknown mode {self.mode!r}")
         for key, bound in (("max_dim", MAX_DIM), ("max_degree", MAX_DEGREE), ("instances", MAX_INSTANCES)):
             value = getattr(self, key)
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:  # a bool is an int to isinstance
                 raise ValueError(f"invalid-params: {key} must be an integer >= 1")
             if value > bound:
                 raise ValueError(f"invalid-params: {key} must be at most {bound}, got {value}")
-        if not isinstance(self.seed, int):
+        if type(self.seed) is not int:
             raise ValueError("invalid-params: seed must be an integer")
 
 

@@ -401,7 +401,6 @@ def _checked_map(dom: int, cod: int, components: tuple, mode: str,
     return f
 
 
-@lru_cache(maxsize=None)
 def coordinate_map(dom: int, images: Tuple[int | None, ...], mode: str) -> PolyMap:
     """The map whose i-th output is input coordinate images[i], or 0 where images[i] is None.
 
@@ -504,15 +503,15 @@ def _renaming(f: PolyMap):
 def polymap_compose(f: PolyMap, g: PolyMap) -> PolyMap:
     """Diagrammatic composite f;g (apply f first), one component of g at a time.
 
-    The composite is g itself when f is the identity.  When g is a variable
-    map, the composite selects f's components; it is f itself when g is the
-    identity.  Otherwise a bare variable x_j of g is f's
-    component j and a zero stays zero, with no arithmetic.  Any other
-    component is renamed when every component of f is a bare variable or
-    zero (f is a variable map vacuously when g.dom is 0), and has f
-    substituted into it otherwise.  A renaming by strictly increasing images
-    (a projection, a point projection) keeps graded-lex order and adds no
-    terms together, so it is neither accumulated nor sorted.
+    The composite is g itself when f is the identity, and f itself when g is
+    the identity.  A bare variable x_j of g is f's component j and a zero
+    stays zero, with no arithmetic, so a variable map g selects f's
+    components.  Any other component is renamed when every component of f
+    is a bare variable or zero (f is a variable map vacuously when g.dom is
+    0), and has f substituted into it otherwise.  A renaming by strictly
+    increasing images (a projection, a point projection) keeps graded-lex
+    order and adds no terms together, so it is neither accumulated nor
+    sorted.
     """
     if f.cod != g.dom:
         raise DimensionMismatch(f"cannot compose cod {f.cod} with dom {g.dom}")
@@ -522,10 +521,8 @@ def polymap_compose(f: PolyMap, g: PolyMap) -> PolyMap:
         if f.components == identity_map(f.dom, f.mode).components:
             return g  # f is the identity: a component that is not x_i stops the comparison
     g_each = _var_index_each(g)
-    if None not in g_each:  # g is a variable map
-        if g.dom == g.cod and g_each == tuple(range(g.dom)):
-            return f  # g is the identity
-        return _checked_map(f.dom, g.cod, tuple(map(f.components.__getitem__, g_each)), f.mode)
+    if g.dom == g.cod and g_each == tuple(range(g.dom)):
+        return f  # g is the identity
     comps, zero, images = [], None, False  # False: f not examined yet
     for comp, j in zip(g.components, g_each):
         if j is not None:
@@ -562,13 +559,12 @@ def polymap_proj(dom: int, lo: int, hi: int, mode: str) -> PolyMap:
 
 
 def polymap_product(f: PolyMap, g: PolyMap) -> PolyMap:
-    """f x g on the concatenated domain."""
-    if f.mode != g.mode:
-        raise DimensionMismatch(f"mixed scalar modes {f.mode!r} and {g.mode!r}")
+    """f x g on the concatenated domain: each factor after the projection onto its slice."""
     dom = f.dom + g.dom
-    comps = [poly_shift_vars(c, 0, dom) for c in f.components]
-    comps += [poly_shift_vars(c, f.dom, dom) for c in g.components]
-    return PolyMap(dom, f.cod + g.cod, tuple(comps), f.mode)
+    return polymap_pair(
+        polymap_compose(polymap_proj(dom, 0, f.dom, f.mode), f),
+        polymap_compose(polymap_proj(dom, f.dom, dom, f.mode), g),
+    )
 
 
 def polymap_add(f: PolyMap, g: PolyMap) -> PolyMap:
@@ -579,14 +575,14 @@ def polymap_add(f: PolyMap, g: PolyMap) -> PolyMap:
     return PolyMap(f.dom, f.cod, comps, f.mode)
 
 
-def linear_map(dom: int, lo: int, matrix: Sequence[Sequence], mode: str) -> PolyMap:
-    """The map whose i-th output is sum_j matrix[i][j] * x_{lo + j}."""
+def linear_map(dom: int, matrix: Sequence[Sequence], mode: str) -> PolyMap:
+    """The map whose i-th output is sum_j matrix[i][j] * x_j."""
     comps = []
     for row in matrix:
         items = []
         for j, c in enumerate(row):
             ev = [0] * dom
-            ev[lo + j] = 1
+            ev[j] = 1
             items.append((tuple(ev), c))
         comps.append(Poly.from_terms(dom, items, mode))
     return PolyMap(dom, len(comps), tuple(comps), mode)

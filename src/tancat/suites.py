@@ -677,7 +677,7 @@ def _suite_linearity(params: SuiteParams) -> CheckSet:
         k2 = rng.randint(1, min(2, params.max_dim))
         if i % 2 == 0:
             matrix = [[scalars.random_scalar(mode, rng) for _ in range(k1)] for _ in range(k2)]
-            f = linear_map(k1, 0, matrix, mode)
+            f = linear_map(k1, matrix, mode)
         else:
             f = random_polymap(k1, k2, deg, rng, mode)
         o1 = canonical_diffobj(k1, mode)
@@ -899,7 +899,7 @@ def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
         # row i holds the constant, then the coefficients, of output i
         rows = [[scalars.random_scalar(mode, rng) for _ in range(m + 1)] for _ in range(m)]
         shift = constant_map(m, [row[0] for row in rows], mode)
-        f = polymap_add(shift, linear_map(m, 0, [row[1:] for row in rows], mode))
+        f = polymap_add(shift, linear_map(m, [row[1:] for row in rows], mode))
         point, direction = _random_point(m, rng, mode), _random_point(m, rng, mode)
         checks.equality(
             "affine-fd-tight",

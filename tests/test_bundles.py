@@ -133,6 +133,25 @@ def test_bundle_pi_projects_out_of_e3(b):
     assert bundle_pi(b, 1) == bundle_pi(b, 1, 2)
 
 
+def display_projection(b, which, n):
+    """<x, a_which> : E_n -> M x F, read off the display coordinates (x, a_1, ..., a_n)."""
+    dim, lo = b.base + n * b.fibre, b.base + which * b.fibre
+    return polymap_pair(polymap_proj(dim, 0, b.base, b.mode), polymap_proj(dim, lo, lo + b.fibre, b.mode))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_bundle_pi_is_the_display_projection_then_triv_inv(mode):
+    fams = _bundle_families(mode)
+    fams.update({f"T[{label}]": tangent_of_bundle(b) for label, b in fams.items()})
+    swapped = {label for label, b in fams.items() if b.triv != identity_map(b.total, mode)}
+    assert {"tangent-1", "tangent-2", "T[standard-1-1]", "T[tangent-1]", "T[tangent-2]"} <= swapped
+    for label, b in fams.items():
+        for n in (2, 3):
+            for which in range(n):
+                want = polymap_compose(display_projection(b, which, n), b.triv_inv)
+                assert bundle_pi(b, which, n) == want, (label, which, n)
+
+
 def test_zeta_fibre_is_the_display_zeta_block():
     # triv (x, a) |-> (x, a + x) moves the section x |-> (x, x) to fibre value 2x
     R = scalars.RATIONAL

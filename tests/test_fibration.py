@@ -8,9 +8,11 @@ context + payload.  simple_D doubles both blocks, giving g the domain
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tancat import fibration, scalars
-from tancat.cdc import cdc_T
+from tancat.cdc import cdc_T, cdc_ell, cdc_flip, point_proj, tangent_plus, tangent_zero
 from tancat.errors import DimensionMismatch, PreconditionFailure
 from tancat.fibration import (
     FibreTangentModel,
@@ -26,7 +28,7 @@ from tancat.fibration import (
 )
 from tancat.params import SuiteParams
 from tancat.parser import parse_polymap
-from tancat.poly import identity_map, polymap_to_str, random_polymap
+from tancat.poly import PolyMap, identity_map, poly_shift_vars, polymap_to_str, random_polymap
 from tancat.suites import run_suite
 
 R = scalars.RATIONAL
@@ -119,6 +121,31 @@ def test_pairing_and_projections():
 def test_fibre_axioms_smoke():
     rep = verify_fibre_axioms(1, SuiteParams(max_dim=2, instances=8, seed=3))
     assert rep.all_passed, {c.name for c in rep.checks if c.status != "pass"}
+
+
+@pytest.mark.parametrize("context", [True, False, 1.0, "1"])
+def test_fibre_context_must_be_an_int(context):
+    with pytest.raises(ValueError, match="invalid-params: context_dim must be an integer"):
+        verify_fibre_axioms(context)
+
+
+def shifted_embed(a, f):
+    """f moved past a context of a by shifting each component by hand: the reference for _embed."""
+    comps = tuple(poly_shift_vars(c, a, a + f.dom) for c in f.components)
+    return PolyMap(a + f.dom, f.cod, comps, f.mode)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@pytest.mark.parametrize("context", [0, 1, 2])
+@settings(max_examples=40, deadline=None)
+@given(dom=st.integers(0, 3), cod=st.integers(0, 3), seed=st.integers(0, 10**6))
+def test_embed_equals_the_shifted_components(context, mode, dom, cod, seed):
+    model = FibreTangentModel(context, mode)
+    f = random_polymap(dom, cod, 3, Random(seed), mode)
+    assert model._embed(f) == shifted_embed(context, f)
+    for build in (point_proj, tangent_zero, tangent_plus, cdc_ell, cdc_flip, identity_map):
+        structural = build(dom, mode)
+        assert model._embed(structural) == shifted_embed(context, structural)
 
 
 def test_fibration_suite_draws_maps_of_the_degree_it_is_given(monkeypatch):

@@ -12,7 +12,7 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tancat import params, scalars
@@ -41,6 +41,7 @@ from tancat.poly import (
     poly_to_str,
     polymap_compose,
     polymap_pair,
+    polymap_product,
     polymap_proj,
     polymap_to_str,
     random_polymap,
@@ -600,12 +601,12 @@ def test_equality_is_canonical():
 
 @pytest.mark.parametrize("mode", scalars.MODES)
 def test_linear_map_reads_a_matrix_at_an_offset(mode):
-    # rows over x1, x2 inside three variables; the zero entries are dropped
-    f = linear_map(3, 1, [[2, 0], [0, 0], [1, 3]], mode)
+    # rows over x1, x2 inside three variables: the matrix read after the slice projection; zeros dropped
+    f = polymap_compose(polymap_proj(3, 1, 3, mode), linear_map(2, [[2, 0], [0, 0], [1, 3]], mode))
     assert (f.dom, f.cod, f.mode) == (3, 3, mode)
     assert polymap_to_str(f) == "2*x1; 0; x1 + 3*x2"
     assert f.components[0].terms == (((0, 1, 0), 2),)
-    assert linear_map(2, 0, [[1, 0], [0, 1]], mode) == identity_map(2, mode)
+    assert linear_map(2, [[1, 0], [0, 1]], mode) == identity_map(2, mode)
 
 
 def test_natural_mode_closure():
@@ -895,8 +896,49 @@ def test_compose_fast_paths_equal_componentwise_substitution(mode, data):
     assert polymap_compose(f, g) == fg  # the cached facts of f and g give the same result again
 
 
+@pytest.mark.parametrize("mode", scalars.MODES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_compose_with_a_variable_map_selects_the_components_of_f(mode, data):
+    """f;g for a variable map g other than the identity is f's components at g's images, the same objects."""
+    a, b, c = (data.draw(st.integers(0, 3), label=name) for name in "abc")
+    f = data.draw(maps_with_zeros(a, b, mode), label="f")
+    g = data.draw(variable_maps(b, c, mode), label="g")
+    assume(g != identity_map(b, mode))
+    images = [comp.terms[0][0].index(1) for comp in g.components]
+    fg = polymap_compose(f, g)
+    assert fg == PolyMap(a, c, tuple(f.components[j] for j in images), mode)
+    assert all(out is f.components[j] for out, j in zip(fg.components, images))
+    assert_well_formed(fg)
+
+
+def shifted_product(f, g):
+    """f x g by shifting each component into its block by hand: the reference for polymap_product."""
+    dom = f.dom + g.dom
+    comps = [poly_shift_vars(c, 0, dom) for c in f.components]
+    comps += [poly_shift_vars(c, f.dom, dom) for c in g.components]
+    return PolyMap(dom, f.cod + g.cod, tuple(comps), f.mode)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_product_through_slice_projections_equals_the_shifted_components(mode, data):
+    a, b, c, d = (data.draw(st.integers(0, 3), label=name) for name in "abcd")
+    f = data.draw(maps_with_zeros(a, b, mode), label="f")
+    g = data.draw(maps_with_zeros(c, d, mode), label="g")
+    fg = polymap_product(f, g)
+    assert fg == shifted_product(f, g)
+    assert_well_formed(fg)
+
+
+def test_product_refuses_mixed_modes():
+    with pytest.raises(DimensionMismatch, match="mixed scalar modes"):
+        polymap_product(identity_map(1, scalars.RATIONAL), identity_map(1, scalars.NATURAL))
+
+
 def test_cached_hash_and_var_indices_stay_outside_the_fields():
-    f = coordinate_map.__wrapped__(3, (2, 0), scalars.RATIONAL)  # uncached: a fresh map, no facts yet
+    f = coordinate_map(3, (2, 0), scalars.RATIONAL)  # a fresh map, no facts yet
     h = hash(f)
     assert f._facts == (h, None) and _var_index_each(f) == (2, 0) and f._facts == (h, (2, 0))
     assert [fld.name for fld in dataclasses.fields(f)] == ["dom", "cod", "components", "mode"]

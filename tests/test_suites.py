@@ -237,6 +237,14 @@ def test_bad_parameter_values_rejected():
         run_suite("tangent-axioms", fault="swapped-plus")
 
 
+@pytest.mark.parametrize("field", ["max_dim", "max_degree", "instances", "seed"])
+def test_bool_parameter_values_rejected(field):
+    # bool is a subclass of int, so True would otherwise run as 1 and be reported as true
+    for value in (True, False):
+        with pytest.raises(ValueError, match=f"invalid-params: {field} must be an integer"):
+            run_suite("cds", **{field: value})
+
+
 @pytest.mark.parametrize("max_dim", [1, 3])
 @pytest.mark.parametrize(
     "suite", ["bracket-laws", "bundle", "fibration", "interchange", "linearity", "numeric-consistency"]
