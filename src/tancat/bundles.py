@@ -38,6 +38,7 @@ from .cdc import (
     memo_by_input,
     point_proj,
     t_pair,
+    tangent_plus,
     tangent_sum,
     tangent_zero,
 )
@@ -341,19 +342,13 @@ def standard_bundle(m: int, k: int, mode: str = scalars.RATIONAL) -> DiffBundle:
 
 @lru_cache(maxsize=None)
 def tangent_bundle_of(m: int, mode: str = scalars.RATIONAL) -> DiffBundle:
-    """(p : T(M) -> M, +, 0, ell) with the (u, x) -> (x, u) trivialization."""
+    """(p : T(M) -> M, +, 0, ell) with the (u, x) -> (x, u) trivialization.
+
+    sigma reads E_2 = (x, a, b) as T_2 = (a, b, x), then adds by the tangent sum.
+    """
     swap = block_swap(0, m, m, 0, mode)
-    x, a, b = (polymap_proj(3 * m, i * m, (i + 1) * m, mode) for i in range(3))
-    sigma = polymap_pair(polymap_add(a, b), x)
-    return make_bundle(
-        m,
-        m,
-        sigma,
-        tangent_zero(m, mode),
-        cdc_ell(m, mode),
-        (swap, swap),
-        mode,
-    )
+    sigma = polymap_compose(block_swap(0, m, 2 * m, 0, mode), tangent_plus(m, mode))
+    return make_bundle(m, m, sigma, tangent_zero(m, mode), cdc_ell(m, mode), (swap, swap), mode)
 
 
 def verify_bundle(b: DiffBundle) -> CheckSet:

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import scalars
 from .errors import PreconditionFailure
-from .bundles import DiffBundle, bracket, display_bundle, mu_map
+from .bundles import DiffBundle, bracket, display_bundle, mu_map, verify_bundle
 from .cdc import cdc_T, cdc_ell, cdc_flip, memo_by_input, point_proj, t_n_carrier, tangent_plus, tangent_zero
 from .poly import (
     PolyMap,
@@ -27,7 +27,6 @@ from .poly import (
     polymap_proj,
     zero_map,
 )
-from .model import monoid_checks
 from .report import CheckSet
 
 
@@ -109,33 +108,26 @@ def bundle_from_diffobj(o: DiffObject) -> DiffBundle:
 
 
 def verify_diffobj(o: DiffObject) -> CheckSet:
-    """Product witness, additive squares, and the lift coherences."""
+    """The bundle laws of o over the point (rows bundle:*), then the rows phat adds.
+
+    The monoid laws of sigma and lambda;p = ! zeta are bundle rows
+    (bundle:sigma-*, bundle:lambda-zeta-square); phat adds the product
+    witness, its five squares and the section lambda;phat = 1.
+    """
     checks = CheckSet()
+    checks.absorb(verify_bundle(bundle_from_diffobj(o)), prefix="bundle:")
     k = o.carrier
     mode = o.mode
 
     eq = checks.equality
 
-    zhat = _zhat(o)
-    legs2 = [polymap_proj(2 * k, i * k, (i + 1) * k, mode) for i in range(2)]
-    monoid_checks(
-        checks,
-        "monoid",
-        "",
-        polymap_compose,
-        polymap_pair,
-        o.sigma,
-        identity_map(k, mode),
-        zhat,
-        legs2,
-        [polymap_proj(3 * k, i * k, (i + 1) * k, mode) for i in range(3)],
-    )
     _product_witness(checks, o)
 
     def phat_sum(legs):
         """<leg_0 phat, leg_1 phat> sigma."""
         return polymap_compose(polymap_pair(*(polymap_compose(leg, o.phat) for leg in legs)), o.sigma)
 
+    legs2 = (polymap_proj(2 * k, 0, k, mode), polymap_proj(2 * k, k, 2 * k, mode))
     eq("phat-additive", polymap_compose(cdc_T(o.sigma), o.phat), phat_sum(map(cdc_T, legs2)))
     eq("phat-zero", polymap_compose(cdc_T(o.zeta), o.phat), o.zeta)
     plus_legs = t_n_carrier(k, 2, mode).projections
@@ -143,21 +135,14 @@ def verify_diffobj(o: DiffObject) -> CheckSet:
     eq(
         "phat-zero-section",
         polymap_compose(tangent_zero(k, mode), o.phat),
-        zhat,
+        _zhat(o),
     )
     eq(
         "phat-lift-coherence",
         polymap_compose(cdc_ell(k, mode), polymap_compose(cdc_T(o.phat), o.phat)),
         o.phat,
     )
-    lam = diffobj_lambda(o)
-    eq("lambda-sections", polymap_compose(lam, o.phat), identity_map(k, mode), "lambda;phat")
-    eq(
-        "lambda-sections",
-        polymap_compose(lam, point_proj(k, mode)),
-        zhat,
-        "lambda;p",
-    )
+    eq("lambda-sections", polymap_compose(diffobj_lambda(o), o.phat), identity_map(k, mode), "lambda;phat")
     return checks
 
 
@@ -175,8 +160,10 @@ def check_cds(bound: int, mode: str = scalars.RATIONAL) -> CheckSet:
     Verifies the product compatibility (lambda- and phat-forms), the
     T-compatibility (both forms), the flip identity c T(phat) phat =
     T(phat) phat, the exchange identity, and the product witness at every
-    dimension <= bound.
+    dimension <= bound.  A bound that is not an int >= 1 is refused, as it would check nothing.
     """
+    if type(bound) is not int or bound < 1:  # a bool is an int to isinstance
+        raise ValueError("invalid-params: bound must be an integer >= 1")
     checks = CheckSet()
 
     eq = checks.equality

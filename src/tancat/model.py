@@ -49,9 +49,10 @@ def monoid_checks(checks, name, detail, compose, pair, plus, ident, unit, legs2,
     """The unit, commutative and associative laws of plus : X_2 -> X.
 
     X is a commutative monoid in the slice over its base: the tangent
-    bundle of a tangent model, a differential bundle, or a differential
-    object.  ``pair(f, g)`` maps into the fibred square X_2, ``ident`` is
-    the identity of X, ``unit`` sends a point to the zero over its base,
+    bundle of a tangent model or a differential bundle (a differential
+    object's laws are those of its bundle over the point).  ``pair(f, g)``
+    maps into the fibred square X_2, ``ident`` is the identity of X,
+    ``unit`` sends a point to the zero over its base,
     and ``legs2`` and ``legs3`` are the projections out of X_2 and X_3.
     Rows are ``<name>-unit``, ``<name>-commutative`` and
     ``<name>-associative``, each detailed by ``detail``.

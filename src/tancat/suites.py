@@ -701,10 +701,8 @@ def _suite_diffobj(params: SuiteParams) -> CheckSet:
     for k in range(1, params.max_dim + 1):
         o = canonical_diffobj(k, mode)
         checks.absorb(verify_diffobj(o), prefix=f"canonical-{k}:")
-        b = bundle_from_diffobj(o)
-        checks.absorb(verify_bundle(b), prefix=f"as-bundle-{k}:")
         with checks.guard("roundtrip-through-bundle"):
-            o2 = diffobj_from_bundle(b)
+            o2 = diffobj_from_bundle(bundle_from_diffobj(o))
             same = o2.sigma == o.sigma and o2.zeta == o.zeta and o2.phat == o.phat
             checks.condition("roundtrip-through-bundle", same, f"dim {k}")
             checks.equality(
@@ -956,7 +954,8 @@ def run_suite(name: str, **overrides) -> Report:
             raise ValueError(f"invalid-params: unknown parameter {key!r}")
     params = SuiteParams(**{key: value for key, value in overrides.items() if value is not None})
     fault = params.fault
-    if fault is not None and fault not in FAULT_SUITES:
+    # the tuple FAULTS compares with == and hashes nothing, so an unhashable fault is refused as well
+    if fault is not None and fault not in FAULTS:
         raise ValueError(f"invalid-params: unknown fault {fault!r}; choose from {', '.join(FAULTS)}")
     if fault is not None and name not in FAULT_SUITES[fault]:
         raise ValueError(f"invalid-params: fault {fault!r} does not affect suite {name!r}")

@@ -55,6 +55,7 @@ from tancat.parser import parse_polymap
 from tancat.poly import (
     coordinate_map,
     identity_map,
+    polymap_add,
     polymap_compose,
     polymap_pair,
     polymap_proj,
@@ -120,6 +121,14 @@ def test_tangent_bundle_of_object_is_tangent_structure():
     assert tb.base == 1 and tb.fibre == 1
     assert polymap_to_str(tb.q) == "x1"  # point projection of (u, x)
     assert polymap_to_str(tb.lam) == "x0; 0; 0; x1"  # the vertical lift
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_tangent_bundle_sigma_is_the_tangent_sum_read_base_first(mode):
+    """The hand-built sigma (x, a, b) |-> (a + b, x) is the oracle for the swap then tangent_plus."""
+    for m in range(6):
+        x, a, b = (polymap_proj(3 * m, i * m, (i + 1) * m, mode) for i in range(3))
+        assert tangent_bundle_of(m, mode).sigma == polymap_pair(polymap_add(a, b), x)
 
 
 @pytest.mark.parametrize("b", [standard_bundle(2, 1), tangent_bundle_of(1)])

@@ -177,9 +177,41 @@ def test_cds_rows_stay_within_max_dim(mode, monkeypatch, tmp_path):
 def test_first_projection_sigma_fails_unit_and_commutativity(mode):
     o = canonical_diffobj(2, mode)
     first = DiffObject(2, polymap_proj(4, 0, 2, mode), o.zeta, o.phat, mode)
-    rows = {c.name: c.status for c in verify_diffobj(first).checks if c.name.startswith("monoid-")}
+    laws = {f"bundle:sigma-{law}" for law in ("unit", "commutative", "associative")}
+    rows = {c.name: c.status for c in verify_diffobj(first).checks if c.name in laws}
     assert rows == {
-        "monoid-unit": "fail",
-        "monoid-commutative": "fail",
-        "monoid-associative": "pass",
+        "bundle:sigma-unit": "fail",
+        "bundle:sigma-commutative": "fail",
+        "bundle:sigma-associative": "pass",
     }
+
+
+PHAT_ROWS = {
+    "product-witness",
+    "phat-additive",
+    "phat-zero",
+    "phat-plus",
+    "phat-zero-section",
+    "phat-lift-coherence",
+    "lambda-sections",
+}
+
+
+@pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.NATURAL])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_verify_diffobj_is_its_bundle_rows_plus_the_phat_rows(k, mode):
+    """The bundle laws are checked once, by verify_bundle; verify_diffobj adds only what phat brings."""
+    o = canonical_diffobj(k, mode)
+    rows = verify_diffobj(o).checks
+    bundle_rows = {c.name for c in verify_bundle(bundle_from_diffobj(o)).checks}
+    assert {c.name for c in rows} == PHAT_ROWS | {"bundle:" + name for name in bundle_rows}
+    assert not [c.name for c in rows if "monoid-" in c.name]
+    assert all(c.status == "pass" for c in rows)
+
+
+@pytest.mark.parametrize("bound", [0, -1, True, False, 1.0, "2", None])
+def test_cds_refuses_a_bound_that_checks_nothing(bound):
+    """At a bound below 1 no dimension would be checked, and an empty CheckSet passes vacuously."""
+    with pytest.raises(ValueError, match="invalid-params: bound must be an integer >= 1"):
+        check_cds(bound, scalars.RATIONAL)
+    assert check_cds(1, scalars.RATIONAL).all_passed

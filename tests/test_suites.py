@@ -237,6 +237,13 @@ def test_bad_parameter_values_rejected():
         run_suite("tangent-axioms", fault="swapped-plus")
 
 
+@pytest.mark.parametrize("fault", [["corrupted-lambda"], {"corrupted-lambda": 1}, 1])
+def test_a_fault_that_is_not_a_name_is_invalid_params(fault):
+    """An unhashable fault gets the same refusal as any other unknown fault, not Python's TypeError."""
+    with pytest.raises(ValueError, match="invalid-params: unknown fault"):
+        run_suite("cds", fault=fault)
+
+
 @pytest.mark.parametrize("field", ["max_dim", "max_degree", "instances", "seed"])
 def test_bool_parameter_values_rejected(field):
     # bool is a subclass of int, so True would otherwise run as 1 and be reported as true
