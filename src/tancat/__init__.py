@@ -43,8 +43,7 @@ _EXPORTS = {
         "whitney_sum",
     ),
     "cdc": (
-        "LiftWitness", "PolyCDModel", "PolyTangentModel", "TnObject", "cdc_D", "cdc_T",
-        "cdc_ell", "cdc_flip",
+        "LiftWitness", "PolyTangentModel", "TnObject", "cdc_D", "cdc_T", "cdc_ell", "cdc_flip",
     ),
     "diffobj": (
         "DiffObject", "bundle_from_diffobj", "canonical_diffobj", "check_cds", "derived_D",

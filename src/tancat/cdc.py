@@ -1,4 +1,4 @@
-"""Differential combinators on polynomial maps, and the tangent and CD models they induce.
+"""Differential combinators on polynomial maps, and the tangent model they induce, a CD model too.
 
 Layout conventions, used consistently everywhere:
 
@@ -204,7 +204,14 @@ class LiftWitness:
 
 
 class PolyTangentModel:
-    """Polynomial maps over a fixed scalar mode, with T(m) = 2m (model.py's contract)."""
+    """Polynomial maps over a fixed scalar mode, with T(m) = 2m.
+
+    It answers both of model.py's contracts: the tangent one, and the CD one,
+    checked under cdc_D (suite cdc-axioms) and derived_D (derived-differential).
+    The product of objects is their sum, and points are maps out of the unit 0.
+    """
+
+    unit = 0
 
     def __init__(self, mode: str = scalars.RATIONAL):
         scalars.check_mode(mode)
@@ -254,6 +261,30 @@ class PolyTangentModel:
     def random_mor(self, m: int, n: int, rng, max_degree: int) -> PolyMap:
         return random_polymap(m, n, max_degree, rng, self.mode)
 
+    def pair(self, *maps: PolyMap) -> PolyMap:
+        return polymap_pair(*maps)
+
+    def product(self, *objs: int) -> int:
+        return sum(objs)
+
+    def proj(self, objs: Sequence[int], i: int) -> PolyMap:
+        """Projection out of product(*objs) onto its i-th factor."""
+        lo = sum(objs[:i])
+        return self._embed(polymap_proj(sum(objs), lo, lo + objs[i], self.mode))
+
+    def add(self, f: PolyMap, g: PolyMap) -> PolyMap:
+        return polymap_add(f, g)
+
+    def zero_map(self, dom: int, cod: int) -> PolyMap:
+        return self._embed(zero_map(dom, cod, self.mode))
+
+    def random_obj(self, rng, max_dim: int) -> int:
+        return rng.randint(1, max_dim)
+
+    def random_point(self, obj: int, rng) -> PolyMap:
+        values = [scalars.random_scalar(self.mode, rng) for _ in range(obj)]
+        return self._embed(constant_map(0, values, self.mode))
+
     def lift_witness(self, m: int) -> LiftWitness:
         # R := pullback of T(p) along 0, realized on T_2's coordinates (alpha, beta, x);
         # sel reads it off a second tangent (du, dx, u, x), and into_tangent puts it back.
@@ -264,53 +295,3 @@ class PolyTangentModel:
             ),
             into_base=self._embed(polymap_proj(3 * m, 2 * m, 3 * m, self.mode)),
         )
-
-
-class PolyCDModel:
-    """Polynomial maps as a Cartesian differential category under a differential D.
-
-    This is the CD-model interface that ``cdc_axioms_checks`` runs against.
-    Objects are dimensions, the product of objects is their sum, and points
-    are maps out of the unit object 0.
-    """
-
-    unit = 0
-
-    def __init__(self, D: Callable[[PolyMap], PolyMap], mode: str, max_dim: int):
-        scalars.check_mode(mode)
-        self.D = D
-        self.mode = mode
-        self.max_dim = max_dim
-
-    def compose(self, f: PolyMap, g: PolyMap) -> PolyMap:
-        return polymap_compose(f, g)
-
-    def pair(self, *maps: PolyMap) -> PolyMap:
-        return polymap_pair(*maps)
-
-    def product(self, *objs: int) -> int:
-        return sum(objs)
-
-    def proj(self, objs: Sequence[int], i: int) -> PolyMap:
-        """Projection out of product(*objs) onto its i-th factor."""
-        lo = sum(objs[:i])
-        return polymap_proj(sum(objs), lo, lo + objs[i], self.mode)
-
-    def add(self, f: PolyMap, g: PolyMap) -> PolyMap:
-        return polymap_add(f, g)
-
-    def zero(self, dom: int, cod: int) -> PolyMap:
-        return zero_map(dom, cod, self.mode)
-
-    def identity(self, m: int) -> PolyMap:
-        return identity_map(m, self.mode)
-
-    def random_obj(self, rng) -> int:
-        return rng.randint(1, self.max_dim)
-
-    def random_mor(self, dom: int, cod: int, rng, max_degree: int) -> PolyMap:
-        return random_polymap(dom, cod, max_degree, rng, self.mode)
-
-    def random_point(self, obj: int, rng) -> PolyMap:
-        values = [scalars.random_scalar(self.mode, rng) for _ in range(obj)]
-        return constant_map(0, values, self.mode)

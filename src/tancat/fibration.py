@@ -102,22 +102,18 @@ def vertical_T(context: int, m: SimpleMor) -> SimpleMor:
 
 
 class SimpleCDModel:
-    """The simple fibration as a Cartesian differential category under simple_D.
+    """The simple fibration as a CD model (model.py's contract), checked under simple_D.
 
     Sums are pointwise on both components; products concatenate contexts
     and payloads blockwise; points are morphisms out of the unit (0, 0).
-    Random objects have contexts 0-2 and payloads 1-2, both at most max_dim.
+    random_obj(rng, max_dim) draws contexts 0..top and payloads 1..top, top = min(2, max_dim).
     """
 
     unit = SimpleObj(0, 0)
 
-    def __init__(self, mode: str, max_dim: int):
+    def __init__(self, mode: str):
         scalars.check_mode(mode)
         self.mode = mode
-        self.max_dim = max_dim
-
-    def D(self, m: SimpleMor) -> SimpleMor:
-        return simple_D(m)
 
     def compose(self, m1: SimpleMor, m2: SimpleMor) -> SimpleMor:
         return simple_compose(m1, m2)
@@ -143,7 +139,7 @@ class SimpleCDModel:
     def add(self, m1: SimpleMor, m2: SimpleMor) -> SimpleMor:
         return SimpleMor(polymap_add(m1.f, m2.f), polymap_add(m1.g, m2.g))
 
-    def zero(self, dom: SimpleObj, cod: SimpleObj) -> SimpleMor:
+    def zero_map(self, dom: SimpleObj, cod: SimpleObj) -> SimpleMor:
         return SimpleMor(
             zero_map(dom.context, cod.context, self.mode),
             zero_map(dom.context + dom.payload, cod.payload, self.mode),
@@ -152,8 +148,8 @@ class SimpleCDModel:
     def identity(self, obj: SimpleObj) -> SimpleMor:
         return simple_identity(obj, self.mode)
 
-    def random_obj(self, rng) -> SimpleObj:
-        top = min(2, self.max_dim)
+    def random_obj(self, rng, max_dim: int) -> SimpleObj:
+        top = min(2, max_dim)
         return SimpleObj(rng.randint(0, top), rng.randint(1, top))
 
     def random_mor(self, dom: SimpleObj, cod: SimpleObj, rng, max_degree: int) -> SimpleMor:

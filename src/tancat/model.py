@@ -1,4 +1,4 @@
-"""The tangent-model contract, and the constructions generic over it.
+"""The tangent-model and CD-model contracts, and the constructions generic over them.
 
 A tangent model is an object with a ``mode`` attribute and these pure
 methods, which the axiom suites are written against once:
@@ -12,16 +12,26 @@ methods, which the axiom suites are written against once:
 - ``pair_t_t2(x, f, g)``: <f, g> into T(T_2(x)), requiring f;T(p) = g;T(p);
 - ``compose(f, g)``, ``identity(x)`` and
   ``random_mor(x, y, rng, max_degree)``, whose coefficients, like those of
-  a CD model's ``random_point(obj, rng)``, are ``scalars.random_scalar`` draws;
+  ``random_point`` below, are ``scalars.random_scalar`` draws;
 - ``lift_witness(x)``: the cdc.LiftWitness for the universality of the lift,
   whose R lies on the coordinates of T_2(x); bundles.lift_witness gives a
   bundle's, on E_2's, and ``universality_checks`` checks both.
 
-cdc.PolyTangentModel is the polynomial model, and fibration's
-FibreTangentModel, the fibre over a fixed context, derives from it.
-Objects are plain ints (dimensions).  Nothing in this module assumes
-morphisms are PolyMaps.  ``tangent_axioms_checks`` checks every axiom of
-the contract against any such model.
+A CD model is the category a Cartesian differential acts on; the
+differential itself is an argument of ``cdc_axioms_checks``.  Beside
+``compose``, ``identity`` and ``random_mor`` it provides ``unit``, the
+object points start from; n-ary ``pair``, ``product`` and ``proj(xs, i)``;
+``add(f, g)`` and ``zero_map(x, y)`` (``zero(x)`` is the zero section);
+and the draws ``random_obj(rng, max_dim)`` and ``random_point(x, rng)``.
+
+cdc.PolyTangentModel answers both contracts, and fibration's
+FibreTangentModel, the fibre over a fixed context, inherits both.  The
+suites check PolyTangentModel under cdc_D (``cdc-axioms``) and derived_D
+(``derived-differential``), and fibration.SimpleCDModel under simple_D
+(``fibration``).  Objects of the polynomial models are plain ints
+(dimensions).  Nothing in this module assumes morphisms are PolyMaps; they
+print themselves through ``str``.  ``tangent_axioms_checks`` and
+``cdc_axioms_checks`` check each contract's axioms against any model.
 """
 
 from __future__ import annotations
@@ -254,5 +264,92 @@ def tangent_axioms_checks(model, params: SuiteParams) -> CheckSet:
             model.t_mor(model.compose(f, g)),
             model.compose(model.t_mor(f), model.t_mor(g)),
             (f"instance {i}: f = ", f, "; g = ", g),
+        )
+    return checks
+
+
+def cdc_axioms_checks(model, D, params: SuiteParams, suite_name: str) -> CheckSet:
+    """CD1-CD7 (Blute, Cockett & Seely, TAC 2009) for the differential D on any CD model.
+
+    D sends f : X -> Y to D(f) : product(X, X) -> Y, linear in its first
+    factor.  Objects are drawn up to params.max_dim, and maps have degree at
+    most params.max_degree.
+    """
+    checks = CheckSet()
+    max_dim, deg = params.max_dim, params.max_degree
+
+    eq = checks.equality
+
+    for i, rng in draws(suite_name, "cd", params):
+        m = model.random_obj(rng, max_dim)
+        n = model.random_obj(rng, max_dim)
+        pdim = model.random_obj(rng, max_dim)
+        f = model.random_mor(m, n, rng, deg)
+        g = model.random_mor(m, n, rng, deg)
+        h = model.random_mor(n, pdim, rng, deg)
+        desc = (f"instance {i}: f = ", f)
+        df = D(f)
+        tm = model.product(m, m)
+        pi_u, pi_x = model.proj((m, m), 0), model.proj((m, m), 1)
+
+        eq("cd1-additive", D(model.add(f, g)), model.add(df, D(g)), desc)
+        eq("cd1-zero", D(model.zero_map(m, n)), model.zero_map(tm, n), f"dims ({m},{n})")
+
+        a, b, x = (model.proj((m, m, m), k) for k in range(3))
+        lhs = model.compose(model.pair(model.add(a, b), x), df)
+        rhs = model.add(
+            model.compose(model.pair(a, x), df),
+            model.compose(model.pair(b, x), df),
+        )
+        eq("cd2-additive", lhs, rhs, desc)
+        zero_section = model.pair(model.zero_map(m, m), model.identity(m))
+        eq("cd2-zero", model.compose(zero_section, df), model.zero_map(m, n), desc)
+        ca, cb, cx = (model.random_point(m, rng) for _ in range(3))
+        lhs_c = model.compose(model.pair(model.add(ca, cb), cx), df)
+        rhs_c = model.add(
+            model.compose(model.pair(ca, cx), df),
+            model.compose(model.pair(cb, cx), df),
+        )
+        eq("cd2-additive-points", lhs_c, rhs_c, desc)
+
+        eq("cd3-identity", D(model.identity(m)), pi_u, f"dim {m}")
+        mn = model.product(m, n)
+        first = model.proj((mn, mn), 0)
+        for k, which in ((0, "first"), (1, "second")):
+            pi = model.proj((m, n), k)
+            eq(
+                "cd3-projection",
+                D(pi),
+                model.compose(first, pi),
+                f"dims ({m},{n}), {which} factor",
+            )
+
+        eq("cd4-pairing", D(model.pair(f, g)), model.pair(df, D(g)), desc)
+
+        chain = model.compose(model.pair(df, model.compose(pi_x, f)), D(h))
+        eq("cd5-chain", D(model.compose(f, h)), chain, (*desc, ", h = ", h))
+
+        ddf = D(df)
+        zero_u = model.zero_map(tm, m)
+        inject = model.pair(pi_u, zero_u, zero_u, pi_x)
+        eq("cd6-lift", model.compose(inject, ddf), df, desc)
+        zero0 = model.zero_map(model.unit, m)
+        c6 = model.pair(ca, zero0, zero0, cx)
+        eq(
+            "cd6-lift-points",
+            model.compose(c6, ddf),
+            model.compose(model.pair(ca, cx), df),
+            desc,
+        )
+
+        ex = model.pair(*(model.proj((m, m, m, m), k) for k in (0, 2, 1, 3)))
+        eq("cd7-symmetry", model.compose(ex, ddf), ddf, desc)
+        cc = model.random_point(m, rng)
+        c7 = model.pair(ca, cb, cc, cx)
+        eq(
+            "cd7-symmetry-points",
+            model.compose(c7, ddf),
+            model.compose(model.compose(c7, ex), ddf),
+            desc,
         )
     return checks

@@ -43,7 +43,6 @@ from .bundles import (
     zeta_fibre,
 )
 from .cdc import (
-    PolyCDModel,
     PolyTangentModel,
     cdc_D,
     cdc_T,
@@ -73,7 +72,7 @@ from .fibration import (
     vertical_tangent_map,
     verify_fibre_axioms,
 )
-from .model import monad_mult, tangent_axioms_checks
+from .model import cdc_axioms_checks, monad_mult, tangent_axioms_checks
 from .numeric import dual_eval, fd_check
 from .poly import (
     Poly,
@@ -133,96 +132,7 @@ _TANGENT_MODELS = {
 
 
 # ---------------------------------------------------------------------------
-# Cartesian differential axioms, generic over the CD model
-
-
-def cdc_axioms_checks(model, params: SuiteParams, suite_name: str) -> CheckSet:
-    """CD1-CD7 (Blute, Cockett & Seely, TAC 2009) for the differential model.D.
-
-    The CD model supplies D, compose, n-ary pair/product/proj, add, zero,
-    identity, a ``unit`` object that points start from, and the seeded draws
-    random_obj(rng), random_mor(x, y, rng, max_degree) and random_point(x, rng)
-    (see PolyCDModel, SimpleCDModel).  Morphisms print themselves through ``str``.
-    """
-    checks = CheckSet()
-    D = model.D
-    deg = params.max_degree
-
-    eq = checks.equality
-
-    for i, rng in draws(suite_name, "cd", params):
-        m = model.random_obj(rng)
-        n = model.random_obj(rng)
-        pdim = model.random_obj(rng)
-        f = model.random_mor(m, n, rng, deg)
-        g = model.random_mor(m, n, rng, deg)
-        h = model.random_mor(n, pdim, rng, deg)
-        desc = (f"instance {i}: f = ", f)
-        df = D(f)
-        tm = model.product(m, m)
-        pi_u, pi_x = model.proj((m, m), 0), model.proj((m, m), 1)
-
-        eq("cd1-additive", D(model.add(f, g)), model.add(df, D(g)), desc)
-        eq("cd1-zero", D(model.zero(m, n)), model.zero(tm, n), f"dims ({m},{n})")
-
-        a, b, x = (model.proj((m, m, m), k) for k in range(3))
-        lhs = model.compose(model.pair(model.add(a, b), x), df)
-        rhs = model.add(
-            model.compose(model.pair(a, x), df),
-            model.compose(model.pair(b, x), df),
-        )
-        eq("cd2-additive", lhs, rhs, desc)
-        zero_section = model.pair(model.zero(m, m), model.identity(m))
-        eq("cd2-zero", model.compose(zero_section, df), model.zero(m, n), desc)
-        ca, cb, cx = (model.random_point(m, rng) for _ in range(3))
-        lhs_c = model.compose(model.pair(model.add(ca, cb), cx), df)
-        rhs_c = model.add(
-            model.compose(model.pair(ca, cx), df),
-            model.compose(model.pair(cb, cx), df),
-        )
-        eq("cd2-additive-points", lhs_c, rhs_c, desc)
-
-        eq("cd3-identity", D(model.identity(m)), pi_u, f"dim {m}")
-        mn = model.product(m, n)
-        first = model.proj((mn, mn), 0)
-        for k, which in ((0, "first"), (1, "second")):
-            pi = model.proj((m, n), k)
-            eq(
-                "cd3-projection",
-                D(pi),
-                model.compose(first, pi),
-                f"dims ({m},{n}), {which} factor",
-            )
-
-        eq("cd4-pairing", D(model.pair(f, g)), model.pair(df, D(g)), desc)
-
-        chain = model.compose(model.pair(df, model.compose(pi_x, f)), D(h))
-        eq("cd5-chain", D(model.compose(f, h)), chain, (*desc, ", h = ", h))
-
-        ddf = D(df)
-        zero_u = model.zero(tm, m)
-        inject = model.pair(pi_u, zero_u, zero_u, pi_x)
-        eq("cd6-lift", model.compose(inject, ddf), df, desc)
-        zero0 = model.zero(model.unit, m)
-        c6 = model.pair(ca, zero0, zero0, cx)
-        eq(
-            "cd6-lift-points",
-            model.compose(c6, ddf),
-            model.compose(model.pair(ca, cx), df),
-            desc,
-        )
-
-        ex = model.pair(*(model.proj((m, m, m, m), k) for k in (0, 2, 1, 3)))
-        eq("cd7-symmetry", model.compose(ex, ddf), ddf, desc)
-        cc = model.random_point(m, rng)
-        c7 = model.pair(ca, cb, cc, cx)
-        eq(
-            "cd7-symmetry-points",
-            model.compose(c7, ddf),
-            model.compose(model.compose(c7, ex), ddf),
-            desc,
-        )
-    return checks
+# The derived differential
 
 
 def _suite_derived_differential(params: SuiteParams) -> CheckSet:
@@ -236,8 +146,8 @@ def _suite_derived_differential(params: SuiteParams) -> CheckSet:
         checks.equality(
             "derived-equals-direct", derived_D(f), cdc_D(f), (f"dom {m}, cod {n}, instance {i}: f = ", f)
         )
-    model = PolyCDModel(derived_D, params.mode, params.max_dim)
-    checks.absorb(cdc_axioms_checks(model, params, "derived-differential"))
+    model = PolyTangentModel(params.mode)
+    checks.absorb(cdc_axioms_checks(model, derived_D, params, "derived-differential"))
     return checks
 
 
@@ -740,12 +650,12 @@ def _suite_diffobj(params: SuiteParams) -> CheckSet:
 def _suite_fibration(params: SuiteParams) -> CheckSet:
     mode, deg = params.mode, params.max_degree
     checks = CheckSet()
-    model = SimpleCDModel(mode, params.max_dim)
+    model = SimpleCDModel(mode)
 
     eq = checks.equality
 
     for i, rng in draws("fibration", "composition", params):
-        o1, o2, o3, o4 = (model.random_obj(rng) for _ in range(4))
+        o1, o2, o3, o4 = (model.random_obj(rng, params.max_dim) for _ in range(4))
         m1 = model.random_mor(o1, o2, rng, deg)
         m2 = model.random_mor(o2, o3, rng, deg)
         m3 = model.random_mor(o3, o4, rng, deg)
@@ -761,7 +671,7 @@ def _suite_fibration(params: SuiteParams) -> CheckSet:
 
     # at most FIBRE_PARAMS.instances each, and the fibre rows at most FIBRE_PARAMS.max_dim payloads
     few = replace(params, instances=min(params.instances, FIBRE_PARAMS.instances))
-    checks.absorb(cdc_axioms_checks(model, few, "fibration"), prefix="simple-")
+    checks.absorb(cdc_axioms_checks(model, simple_D, few, "fibration"), prefix="simple-")
     fibre = replace(few, max_dim=min(params.max_dim, FIBRE_PARAMS.max_dim))
     for ctx in (1, 2):
         checks.absorb(verify_fibre_axioms(ctx, fibre), prefix=f"fibre[{ctx}]:")
@@ -925,7 +835,7 @@ def _suite_numeric_consistency(params: SuiteParams) -> CheckSet:
 
 _SUITES: Dict[str, Callable[[SuiteParams], CheckSet]] = {
     "tangent-axioms": lambda p: tangent_axioms_checks(_TANGENT_MODELS[p.fault](p.mode), p),
-    "cdc-axioms": lambda p: cdc_axioms_checks(PolyCDModel(cdc_D, p.mode, p.max_dim), p, "cdc-axioms"),
+    "cdc-axioms": lambda p: cdc_axioms_checks(PolyTangentModel(p.mode), cdc_D, p, "cdc-axioms"),
     "derived-differential": _suite_derived_differential,
     "bundle": _suite_bundle,
     "bracket-laws": _suite_bracket_laws,

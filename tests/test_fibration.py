@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tancat import fibration, scalars
-from tancat.cdc import cdc_T, cdc_ell, cdc_flip, point_proj, tangent_plus, tangent_zero
+from tancat.cdc import cdc_D, cdc_T, cdc_ell, cdc_flip, point_proj, tangent_plus, tangent_zero
 from tancat.errors import DimensionMismatch, PreconditionFailure
 from tancat.fibration import (
     FibreTangentModel,
@@ -26,9 +26,18 @@ from tancat.fibration import (
     vertical_T,
     vertical_tangent_map,
 )
+from tancat.model import cdc_axioms_checks
 from tancat.params import SuiteParams
 from tancat.parser import parse_polymap
-from tancat.poly import PolyMap, identity_map, poly_shift_vars, polymap_to_str, random_polymap
+from tancat.poly import (
+    PolyMap,
+    coordinate_map,
+    identity_map,
+    poly_shift_vars,
+    polymap_compose,
+    polymap_to_str,
+    random_polymap,
+)
 from tancat.suites import run_suite
 
 R = scalars.RATIONAL
@@ -110,7 +119,7 @@ def test_vertical_requires_identity_context():
 def test_pairing_and_projections():
     m1 = mor("x0", 1, "x0*x1", 2)
     m2 = mor("x0", 1, "x1^2", 2)
-    model = SimpleCDModel(R, 2)
+    model = SimpleCDModel(R)
     paired = model.pair(m1, m2)
     unit = SimpleObj(1, 1)
     back0 = simple_compose(paired, model.proj((unit, unit), 0))
@@ -121,6 +130,32 @@ def test_pairing_and_projections():
 def test_fibre_axioms_smoke():
     rep = verify_fibre_axioms(1, SuiteParams(max_dim=2, instances=8, seed=3))
     assert rep.all_passed, {c.name for c in rep.checks if c.status != "pass"}
+
+
+def cd_failures(model, D):
+    """The CD rows that a fibre model fails under D, and the number of rows run."""
+    params = SuiteParams(mode=model.mode, max_dim=2, instances=25)
+    rep = cdc_axioms_checks(model, D, params, "fibre-cd").report("fibre-cd", {})
+    return {c.name for c in rep.checks if c.status != "pass"}, len(rep.checks)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+@pytest.mark.parametrize("context", [1, 2])
+def test_fibres_are_cartesian_differential_categories(context, mode):
+    """The fibre is a CD category under D(g) = T(g);p-hat, and not under a D that leaks into the context."""
+    model = FibreTangentModel(context, mode)
+
+    def vertical_D(g):
+        return model.compose(model.t_mor(g), model.proj((g.cod, g.cod), 0))
+
+    def leaky_D(g):
+        # cdc_D(g) with the first payload direction fed into every context direction
+        a, x = context, g.dom - context
+        images = (*(a,) * a, *range(a, a + x), *range(a), *range(a + x, a + 2 * x))
+        return polymap_compose(coordinate_map(a + 2 * x, images, mode), cdc_D(g))
+
+    assert cd_failures(model, vertical_D) == (set(), 13)
+    assert "cd5-chain" in cd_failures(model, leaky_D)[0]
 
 
 @pytest.mark.parametrize("context", [True, False, 1.0, "1"])

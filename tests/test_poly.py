@@ -900,16 +900,33 @@ def test_compose_fast_paths_equal_componentwise_substitution(mode, data):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_compose_with_a_variable_map_selects_the_components_of_f(mode, data):
-    """f;g for a variable map g other than the identity is f's components at g's images, the same objects."""
+    """f;g for a variable map g other than the identity is f's components at g's images."""
     a, b, c = (data.draw(st.integers(0, 3), label=name) for name in "abc")
     f = data.draw(maps_with_zeros(a, b, mode), label="f")
     g = data.draw(variable_maps(b, c, mode), label="g")
     assume(g != identity_map(b, mode))
+    assert_selects_components(f, g)
+
+
+def assert_selects_components(f, g):
+    """f;g is g itself when f equals the identity, and otherwise f's component objects at g's images."""
     images = [comp.terms[0][0].index(1) for comp in g.components]
     fg = polymap_compose(f, g)
-    assert fg == PolyMap(a, c, tuple(f.components[j] for j in images), mode)
-    assert all(out is f.components[j] for out, j in zip(fg.components, images))
+    assert fg == PolyMap(f.dom, g.cod, tuple(f.components[j] for j in images), f.mode)
+    if f == identity_map(g.dom, f.mode):
+        assert fg is g
+    else:
+        assert all(out is f.components[j] for out, j in zip(fg.components, images))
     assert_well_formed(fg)
+
+
+@pytest.mark.parametrize("mode", scalars.MODES)
+def test_compose_of_an_identity_built_afresh_with_a_variable_map_is_the_variable_map(mode):
+    """An f equal to the identity, but not the cached identity object, takes the identity shortcut."""
+    f = PolyMap(1, 1, (Poly(1, (((1,), 1),), mode),), mode)
+    g = coordinate_map(1, (0, 0), mode)
+    assert f == identity_map(1, mode) and f.components[0] is not g.components[0]
+    assert_selects_components(f, g)
 
 
 def shifted_product(f, g):

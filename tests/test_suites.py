@@ -13,16 +13,16 @@ from pathlib import Path
 import pytest
 
 from tancat import scalars, suites
-from tancat.cdc import PolyCDModel, cdc_D
+from tancat.cdc import PolyTangentModel, cdc_D
 from tancat.diffobj import derived_D
-from tancat.fibration import SimpleCDModel
+from tancat.fibration import FibreTangentModel, SimpleCDModel, simple_D
+from tancat.model import cdc_axioms_checks
 from tancat.suites import (
     FAULT_SUITES,
     FAULTS,
     POINT_BOUND,
     SUITE_NAMES,
     SuiteParams,
-    cdc_axioms_checks,
     run_suite,
 )
 
@@ -194,20 +194,27 @@ def test_fault_suite_compatibility_is_enforced():
             run_suite("monad-laws", fault=fault)
 
 
+def fibre_cd(mode):
+    """The fibre over a context of 1 under D(g) = T(g);p-hat, the tangent block of its payload tangent."""
+    model = FibreTangentModel(1, mode)
+    return model, lambda g: model.compose(model.t_mor(g), model.proj((g.cod, g.cod), 0))
+
+
+# each CD model the checker runs, with the differential it is checked under
 CD_MODELS = {
-    "cdc_D": lambda mode: PolyCDModel(cdc_D, mode, 2),
-    "derived_D": lambda mode: PolyCDModel(derived_D, mode, 2),
-    "simple_D": lambda mode: SimpleCDModel(mode, 2),
+    "cdc_D": lambda mode: (PolyTangentModel(mode), cdc_D),
+    "derived_D": lambda mode: (PolyTangentModel(mode), derived_D),
+    "simple_D": lambda mode: (SimpleCDModel(mode), simple_D),
+    "fibre_D": fibre_cd,
 }
 
 
 @pytest.mark.parametrize("mode", scalars.MODES)
 @pytest.mark.parametrize("name", sorted(CD_MODELS))
 def test_cd_checker_rejects_doubled_differential(name, mode):
-    model = CD_MODELS[name](mode)
-    plain = model.D
-    model.D = lambda f: model.add(plain(f), plain(f))
-    rep = cdc_axioms_checks(model, SuiteParams(max_degree=2, instances=4, seed=0), "cd-test").report("cd", {})
+    model, D = CD_MODELS[name](mode)
+    params = SuiteParams(mode=mode, max_dim=2, max_degree=2, instances=4, seed=0)
+    rep = cdc_axioms_checks(model, lambda f: model.add(D(f), D(f)), params, "cd-test").report("cd", {})
     assert {"cd3-identity", "cd6-lift"} <= non_pass(rep)
 
 
